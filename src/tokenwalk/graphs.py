@@ -8,8 +8,7 @@ connected draw is found (bounded retry count, recorded on the result).
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -24,6 +23,7 @@ __all__ = [
     "generate",
     "load_edge_list",
     "shortest_path_distances",
+    "hop_levels",
     "save_edge_list",
     "default_geometric_radius",
     "MAX_CONNECTIVITY_RETRIES",
@@ -31,6 +31,10 @@ __all__ = [
 
 # Random families are redrawn with fresh sub-seeds at most this many times.
 MAX_CONNECTIVITY_RETRIES = 100
+
+# BFS processes as many sources at once as keep each level's (source, node)
+# expansion under this many elements (a few MB of int64 temporaries).
+_BFS_BLOCK_ELEMENTS = 1 << 18
 
 RANDOM_FAMILIES = frozenset({"erdos_renyi", "geometric", "sbm"})
 FAMILIES = frozenset(
@@ -53,7 +57,7 @@ FAMILIES = frozenset(
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """A connected simple undirected graph on nodes ``0..n-1``.
 
@@ -61,8 +65,9 @@ class Graph:
     ----------
     n : int
         Node count (>= 2).
-    edges : tuple[(int, int), ...]
-        Sorted unordered pairs (u < v), no self-edges, no duplicates.
+    edges : ndarray of shape (m, 2), int64, read-only
+        Unordered pairs as rows ``u < v``, sorted lexicographically, no
+        self-edges, no duplicates.
     positions : ndarray of shape (n, 2), optional
         Euclidean node positions (geometric family only).
     family, seed, retries :
@@ -70,8 +75,8 @@ class Graph:
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
-    positions: np.ndarray | None = field(default=None, compare=False)
+    edges: np.ndarray
+    positions: np.ndarray | None = None
     family: str | None = None
     seed: int | None = None
     retries: int = 0
@@ -79,48 +84,31 @@ class Graph:
     @cached_property
     def degrees(self) -> np.ndarray:
         """Per-node degree vector."""
-        d = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            d[u] += 1
-            d[v] += 1
-        return d
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Adjacency lists, sorted ascending."""
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in nbrs)
+        indptr, nbr = _csr(self.n, self.edges)
+        return tuple(tuple(nbr[a:b].tolist()) for a, b in zip(indptr[:-1], indptr[1:]))
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix."""
         a = np.zeros((self.n, self.n), dtype=float)
-        for u, v in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
+        u, v = self.edges.T
+        a[u, v] = 1.0
+        a[v, u] = 1.0
         return a
 
     def content_hash(self) -> str:
         """Stable hash of (n, edge set); identifies the topology."""
-        payload = f"{self.n}|" + ";".join(f"{u},{v}" for u, v in self.edges)
+        payload = f"{self.n}|" + ";".join(f"{u},{v}" for u, v in self.edges.tolist())
         return sha256_of_text(payload)
 
     def is_bipartite(self) -> bool:
-        """Two-color the graph by BFS; True iff no odd cycle exists."""
-        color = np.full(self.n, -1, dtype=np.int8)
-        color[0] = 0
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for w in self.neighbors[u]:
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return False
-        return True
+        """True iff no odd cycle exists: no edge joins two nodes at the same BFS level."""
+        level = hop_levels(self.n, self.edges, [0])[0]
+        return not np.any(level[self.edges[:, 0]] == level[self.edges[:, 1]])
 
 
 @dataclass(frozen=True)
@@ -151,44 +139,71 @@ class GraphSpec:
 # --------------------------------------------------------------------------- #
 
 
-def _check_connected(n: int, neighbors: list[list[int]]) -> bool:
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for w in neighbors[u]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                queue.append(w)
-    return count == n
+def _csr(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of `edges` both ways: u's sorted neighbours are ``nbr[indptr[u]:indptr[u+1]]``."""
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[np.lexsort((dst, src))]
+
+
+def hop_levels(n: int, edges: np.ndarray, sources) -> np.ndarray:
+    """Hop distance from each of `sources` to every node, by level-synchronous BFS.
+
+    `edges` is an ``(m, 2)`` array of undirected pairs on nodes ``0..n-1``.
+    Returns an int64 array of shape ``(len(sources), n)`` with -1 for nodes a
+    source does not reach.  Sources are expanded together in blocks, each
+    level as one array of (source, node) frontier pairs.
+    """
+    sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+    indptr, nbr = _csr(n, edges)
+    deg = np.diff(indptr)
+    levels = np.full((sources.shape[0], n), -1, dtype=np.int64)
+    block = max(1, _BFS_BLOCK_ELEMENTS // max(1, 2 * edges.shape[0]))
+    for start in range(0, sources.shape[0], block):
+        lv = levels[start : start + block]
+        row = np.arange(lv.shape[0])
+        node = sources[start : start + block]
+        lv[row, node] = 0
+        depth = 0
+        while row.size:
+            depth += 1
+            counts = deg[node]
+            first = np.cumsum(counts) - counts
+            pos = np.arange(int(counts.sum())) + np.repeat(indptr[node] - first, counts)
+            row, node = np.repeat(row, counts), nbr[pos]
+            fresh = lv[row, node] < 0
+            key = np.unique(row[fresh] * n + node[fresh])
+            row, node = key // n, key % n
+            lv[row, node] = depth
+    return levels
 
 
 def _finalize(
     n: int,
-    edge_set: set[tuple[int, int]],
+    edges: np.ndarray | list[tuple[int, int]],
     *,
     family: str | None,
     seed: int | None,
     retries: int = 0,
     positions: np.ndarray | None = None,
-    require_connected: bool = True,
 ) -> Graph:
     if n < 2:
         raise GraphError(f"need at least 2 nodes, got n={n}")
-    for u, v in edge_set:
-        if u == v:
-            raise GraphError(f"self-edge rejected: ({u}, {v})")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) outside node range 0..{n - 1}")
-    edges = tuple(sorted((min(u, v), max(u, v)) for u, v in edge_set))
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    if require_connected and not _check_connected(n, nbrs):
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    loops = edges[:, 0] == edges[:, 1]
+    if loops.any():
+        u, v = edges[np.argmax(loops)]
+        raise GraphError(f"self-edge rejected: ({u}, {v})")
+    outside = np.any((edges < 0) | (edges >= n), axis=1)
+    if outside.any():
+        u, v = edges[np.argmax(outside)]
+        raise GraphError(f"edge ({u}, {v}) outside node range 0..{n - 1}")
+    key = np.unique(edges.min(axis=1) * n + edges.max(axis=1))
+    edges = np.column_stack([key // n, key % n])
+    edges.setflags(write=False)
+    if np.any(hop_levels(n, edges, [0])[0] < 0):
         raise GraphError(f"graph with n={n} is not connected")
     return Graph(
         n=n, edges=edges, positions=positions, family=family, seed=seed, retries=retries
@@ -215,61 +230,60 @@ def _need_n(spec: GraphSpec) -> int:
 # --------------------------------------------------------------------------- #
 
 
-def _complete(n: int) -> set[tuple[int, int]]:
-    return {(u, v) for u in range(n) for v in range(u + 1, n)}
+def _complete(n: int) -> np.ndarray:
+    return np.column_stack(np.triu_indices(n, k=1))
 
 
-def _ring(n: int) -> set[tuple[int, int]]:
+def _ring(n: int) -> np.ndarray:
     _require(n >= 3, "ring requires n >= 3")
-    return {(u, (u + 1) % n) for u in range(n)}
+    u = np.arange(n)
+    return np.column_stack([u, (u + 1) % n])
 
 
-def _star(n: int) -> set[tuple[int, int]]:
+def _star(n: int) -> np.ndarray:
     _require(n >= 3, "star requires n >= 3")
-    return {(0, v) for v in range(1, n)}
+    leaves = np.arange(1, n)
+    return np.column_stack([np.zeros_like(leaves), leaves])
 
 
-def _grid2d(rows: int, cols: int) -> set[tuple[int, int]]:
+def _grid2d(rows: int, cols: int) -> np.ndarray:
     _require(rows >= 1 and cols >= 1 and rows * cols >= 2, "grid2d needs rows*cols >= 2")
-    edges = set()
-    for r in range(rows):
-        for c in range(cols):
-            u = r * cols + c
-            if c + 1 < cols:
-                edges.add((u, u + 1))
-            if r + 1 < rows:
-                edges.add((u, u + cols))
-    return edges
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    across = np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()])
+    down = np.column_stack([ids[:-1, :].ravel(), ids[1:, :].ravel()])
+    return np.concatenate([across, down])
 
 
-def _hypercube(dim: int) -> set[tuple[int, int]]:
+def _hypercube(dim: int) -> np.ndarray:
     _require(dim >= 1, "hypercube requires dim >= 1")
-    n = 1 << dim
-    return {(u, u ^ (1 << b)) for u in range(n) for b in range(dim) if u < (u ^ (1 << b))}
+    u = np.repeat(np.arange(1 << dim), dim)
+    v = u ^ np.tile(1 << np.arange(dim), 1 << dim)
+    keep = u < v
+    return np.column_stack([u[keep], v[keep]])
 
 
-def _erdos_renyi(n: int, q: float, rng: np.random.Generator) -> set[tuple[int, int]]:
+def _erdos_renyi(n: int, q: float, rng: np.random.Generator) -> np.ndarray:
     iu, ju = np.triu_indices(n, k=1)
     mask = rng.random(iu.shape[0]) < q
-    return {(int(a), int(b)) for a, b in zip(iu[mask], ju[mask])}
+    return np.column_stack([iu[mask], ju[mask]])
 
 
 def _geometric(
     n: int, radius: float, rng: np.random.Generator
-) -> tuple[set[tuple[int, int]], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     pos = rng.random((n, 2))
     diff = pos[:, None, :] - pos[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
     iu, ju = np.triu_indices(n, k=1)
     mask = dist[iu, ju] <= radius
-    return {(int(a), int(b)) for a, b in zip(iu[mask], ju[mask])}, pos
+    return np.column_stack([iu[mask], ju[mask]]), pos
 
 
 def _sbm(
     cluster_sizes: tuple[int, ...],
     prob_matrix: tuple[tuple[float, ...], ...],
     rng: np.random.Generator,
-) -> tuple[int, set[tuple[int, int]]]:
+) -> tuple[int, np.ndarray]:
     sizes = [int(s) for s in cluster_sizes]
     _require(all(s > 0 for s in sizes), "sbm cluster sizes must be positive")
     k = len(sizes)
@@ -282,7 +296,7 @@ def _sbm(
     iu, ju = np.triu_indices(n, k=1)
     probs = p[membership[iu], membership[ju]]
     mask = rng.random(iu.shape[0]) < probs
-    return n, {(int(a), int(b)) for a, b in zip(iu[mask], ju[mask])}
+    return n, np.column_stack([iu[mask], ju[mask]])
 
 
 # --------------------------------------------------------------------------- #
@@ -340,21 +354,21 @@ def generate(spec: GraphSpec) -> Graph:
             if fam == "erdos_renyi":
                 n = _need_n(spec)
                 _require(spec.q is not None and 0.0 < spec.q <= 1.0, "erdos_renyi requires q in (0,1]")
-                edge_set = _erdos_renyi(n, float(spec.q), rng)  # type: ignore[arg-type]
+                edges = _erdos_renyi(n, float(spec.q), rng)  # type: ignore[arg-type]
             elif fam == "geometric":
                 n = _need_n(spec)
                 radius = spec.radius if spec.radius is not None else default_geometric_radius(n)
                 _require(0.0 < radius <= math.sqrt(2.0), "geometric requires radius in (0, sqrt(2)]")
-                edge_set, positions = _geometric(n, float(radius), rng)
+                edges, positions = _geometric(n, float(radius), rng)
             else:  # sbm
                 _require(
                     spec.cluster_sizes is not None and spec.prob_matrix is not None,
                     "sbm requires cluster_sizes and prob_matrix",
                 )
-                n, edge_set = _sbm(spec.cluster_sizes, spec.prob_matrix, rng)  # type: ignore[arg-type]
+                n, edges = _sbm(spec.cluster_sizes, spec.prob_matrix, rng)  # type: ignore[arg-type]
             return _finalize(
                 n,
-                edge_set,
+                edges,
                 family=fam,
                 seed=spec.seed,
                 retries=attempt,
@@ -383,7 +397,7 @@ def load_edge_list(path: str | Path) -> tuple[Graph, dict[int, int]]:
     if not path.exists():
         raise GraphError(f"edge-list file not found: {path}")
     mapping: dict[int, int] = {}
-    edge_set: set[tuple[int, int]] = set()
+    pairs: list[tuple[int, int]] = []
 
     def dense(orig: int) -> int:
         if orig not in mapping:
@@ -404,11 +418,10 @@ def load_edge_list(path: str | Path) -> tuple[Graph, dict[int, int]]:
                 raise GraphError(f"{path}:{lineno}: non-integer node id in {stripped!r}") from None
             if a == b:
                 raise GraphError(f"{path}:{lineno}: self-edge rejected: {a} {b}")
-            u, v = dense(a), dense(b)
-            edge_set.add((min(u, v), max(u, v)))
+            pairs.append((dense(a), dense(b)))
     if len(mapping) < 2:
         raise GraphError(f"{path}: fewer than 2 nodes in edge list")
-    g = _finalize(len(mapping), edge_set, family="edge_list", seed=None)
+    g = _finalize(len(mapping), pairs, family="edge_list", seed=None)
     return g, mapping
 
 
@@ -417,25 +430,13 @@ def shortest_path_distances(g: Graph) -> np.ndarray:
 
     Returns a symmetric integer matrix with zero diagonal.
     """
-    n = g.n
-    dist = np.full((n, n), -1, dtype=np.int64)
-    for s in range(n):
-        dist[s, s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            du = dist[s, u]
-            for w in g.neighbors[u]:
-                if dist[s, w] < 0:
-                    dist[s, w] = du + 1
-                    queue.append(w)
-    return dist
+    return hop_levels(g.n, g.edges, np.arange(g.n))
 
 
 def save_edge_list(g: Graph, path: str | Path) -> None:
     """Write `u v` lines plus a JSON sidecar with provenance metadata."""
     path = Path(path)
-    lines = [f"{u} {v}" for u, v in g.edges]
+    lines = [f"{u} {v}" for u, v in g.edges.tolist()]
     from .ioutil import atomic_write_text
 
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -42,8 +42,6 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
-        with open(os.devnull, "w"):
-            pass
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise

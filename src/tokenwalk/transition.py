@@ -9,7 +9,6 @@ Lazy-walk variants mix in self-loops with weight ``kappa``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -17,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .errors import TransitionError
-from .graphs import Graph
+from .graphs import Graph, hop_levels
 from .ioutil import read_matrix_csv, sha256_of_text, write_matrix_csv
 
 __all__ = [
@@ -113,9 +112,8 @@ def hamilton_weighting(graph: Graph) -> TransitionMatrix:
     n = graph.n
     deg = graph.degrees
     w = np.zeros((n, n), dtype=float)
-    for u, v in graph.edges:
-        w[u, v] = w[v, u] = 1.0 / max(deg[u], deg[v])
-    np.fill_diagonal(w, 0.0)
+    u, v = graph.edges.T
+    w[u, v] = w[v, u] = 1.0 / np.maximum(deg[u], deg[v])
     residual = 1.0 - w.sum(axis=1)
     # Residuals are nonnegative: each row sums to sum_v 1/max(d_u, d_v) <= 1.
     np.fill_diagonal(w, np.maximum(residual, 0.0))
@@ -188,25 +186,16 @@ def from_array(w: np.ndarray, *, atol: float = DEFAULT_ATOL) -> TransitionMatrix
 
 
 def _support_is_bipartite(w: np.ndarray, atol: float) -> bool:
-    """2-colorability of the off-diagonal support graph (per component)."""
+    """2-colorability of the off-diagonal support graph, taken undirected (per component)."""
     n = w.shape[0]
     support = np.abs(w) > atol
-    np.fill_diagonal(support, False)
-    color = np.full(n, -1, dtype=np.int8)
+    edges = np.argwhere(np.triu(support | support.T, k=1))
+    level = np.full(n, -1, dtype=np.int64)
     for start in range(n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in np.flatnonzero(support[u]):
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    queue.append(int(v))
-                elif color[v] == color[u]:
-                    return False
-    return True
+        if level[start] < 0:
+            reached = hop_levels(n, edges, [start])[0]
+            level = np.where(reached >= 0, reached, level)
+    return not np.any(level[edges[:, 0]] == level[edges[:, 1]])
 
 
 def validate(

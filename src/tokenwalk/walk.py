@@ -102,8 +102,11 @@ def simulate(
     if not np.allclose(row_sums, 1.0, atol=1e-9, rtol=0.0):
         raise TokenwalkError("simulate requires a row-stochastic matrix")
 
+    # Absorb rounding so every uniform lands in a cell: 1.0 goes on each row's
+    # last support cell and every cell after it, never on a zero-mass cell.
     cums = np.cumsum(w.w, axis=1)
-    cums[:, -1] = 1.0  # absorb rounding so every uniform lands in a cell
+    last_support = n - 1 - np.argmax(w.w[:, ::-1] > 0.0, axis=1)
+    cums[np.arange(n) >= last_support[:, None]] = 1.0
 
     key = _philox_key(seed)
     rng = np.random.Generator(np.random.Philox(key=key))

@@ -38,9 +38,12 @@ def test_family_sizes(spec, n, n_edges):
 
 def test_edges_canonical_sorted():
     g = generate(GraphSpec(family="complete", n=5))
-    assert all(u < v for u, v in g.edges)
-    assert list(g.edges) == sorted(g.edges)
-    assert len(set(g.edges)) == len(g.edges)
+    e = g.edges
+    assert e.shape == (10, 2) and e.dtype == np.int64
+    assert not e.flags.writeable
+    assert np.all(e[:, 0] < e[:, 1])
+    assert np.array_equal(e, e[np.lexsort((e[:, 1], e[:, 0]))])
+    assert len(np.unique(e, axis=0)) == len(e)
 
 
 def test_degrees():
@@ -124,7 +127,7 @@ def test_random_families_connected_and_deterministic(spec):
     g1 = generate(spec)
     g2 = generate(spec)
     assert _connected(g1)
-    assert g1.edges == g2.edges
+    assert np.array_equal(g1.edges, g2.edges)
     assert g1.retries == g2.retries
     assert g1.content_hash() == g2.content_hash()
 
@@ -132,7 +135,7 @@ def test_random_families_connected_and_deterministic(spec):
 def test_different_seeds_differ():
     a = generate(GraphSpec(family="erdos_renyi", n=32, q=0.3, seed=1))
     b = generate(GraphSpec(family="erdos_renyi", n=32, q=0.3, seed=2))
-    assert a.edges != b.edges
+    assert not np.array_equal(a.edges, b.edges)
 
 
 def test_geometric_positions_recorded():
@@ -196,7 +199,14 @@ def test_load_edge_list_remaps_dense(tmp_path):
     g, mapping = graphs.load_edge_list(p)
     assert g.n == 3
     assert mapping == {10: 0, 20: 1, 30: 2}
-    assert g.edges == ((0, 1), (0, 2), (1, 2))
+    assert np.array_equal(g.edges, [[0, 1], [0, 2], [1, 2]])
+
+
+def test_load_edge_list_merges_duplicate_and_reversed_pairs(tmp_path):
+    p = tmp_path / "edges.txt"
+    p.write_text("0 1\n1 0\n1 2\n")
+    g, _ = graphs.load_edge_list(p)
+    assert np.array_equal(g.edges, [[0, 1], [1, 2]])
 
 
 @pytest.mark.parametrize(
@@ -228,8 +238,9 @@ def test_save_load_round_trip(tmp_path):
     back, mapping = graphs.load_edge_list(path)
     assert back.n == g.n
     # loading relabels by first appearance; the mapping recovers the topology
-    relabeled = {tuple(sorted((mapping[u], mapping[v]))) for u, v in g.edges}
-    assert relabeled == set(back.edges)
+    relabel = np.array([mapping[u] for u in range(g.n)])
+    relabeled = np.sort(relabel[g.edges], axis=1)
+    assert np.array_equal(np.unique(relabeled, axis=0), back.edges)
     sidecar = json.loads((tmp_path / "g.txt.json").read_text())
     assert sidecar["n"] == g.n
     assert sidecar["edge_count"] == len(g.edges)
@@ -263,13 +274,39 @@ def test_shortest_path_hand_values():
         GraphSpec(family="grid2d", rows=4, cols=5),
         GraphSpec(family="erdos_renyi", n=30, q=0.15, seed=4),
         GraphSpec(family="hypercube", dim=4),
+        GraphSpec(family="ring", n=9),
+        GraphSpec(family="star", n=7),
+        GraphSpec(family="complete", n=6),
+        GraphSpec(
+            family="sbm",
+            cluster_sizes=(10, 10, 8),
+            prob_matrix=((0.5, 0.1, 0.1), (0.1, 0.5, 0.1), (0.1, 0.1, 0.5)),
+            seed=0,
+        ),
+        GraphSpec(family="geometric", n=40, seed=2),
+        GraphSpec(family="edge_list"),
     ],
 )
-def test_shortest_path_matches_scipy(spec):
+def test_shortest_path_matches_scipy(spec, tmp_path):
+    if spec.family == "edge_list":
+        # two triangles joined by a path, ids out of order
+        p = tmp_path / "edges.txt"
+        p.write_text("5 3\n3 9\n9 5\n9 2\n2 7\n7 4\n4 8\n8 7\n")
+        spec = GraphSpec(family="edge_list", path=str(p))
     g = generate(spec)
     ours = graphs.shortest_path_distances(g)
     ref = shortest_path(g.adjacency_matrix(), method="D", unweighted=True)
     assert np.array_equal(ours, ref.astype(np.int64))
+
+
+def test_hop_levels_blocks_and_unreached(monkeypatch):
+    g = generate(GraphSpec(family="erdos_renyi", n=30, q=0.15, seed=4))
+    whole = graphs.shortest_path_distances(g)
+    # a budget below 2m forces one source per block
+    monkeypatch.setattr(graphs, "_BFS_BLOCK_ELEMENTS", 8)
+    assert np.array_equal(graphs.shortest_path_distances(g), whole)
+    levels = graphs.hop_levels(5, np.array([[0, 1], [2, 3], [3, 4]]), [0, 4])
+    assert levels.tolist() == [[0, 1, -1, -1, -1], [-1, -1, 2, 1, 0]]
 
 
 def test_content_hash_is_topology_only():
@@ -278,3 +315,11 @@ def test_content_hash_is_topology_only():
     assert a.content_hash() == b.content_hash()
     c = generate(GraphSpec(family="ring", n=7))
     assert a.content_hash() != c.content_hash()
+
+
+def test_content_hash_values_pinned():
+    # hashes are recorded in sidecars and manifests; their values must not drift
+    ring = generate(GraphSpec(family="ring", n=6))
+    assert ring.content_hash() == "ddc7fb0902b632daa920817ba7b56d829f71ff9e63cc0fe2174d5d63efaba4cb"
+    er = generate(GraphSpec(family="erdos_renyi", n=20, q=0.4, seed=9))
+    assert er.content_hash() == "58e35b79fc43c0b340711f0d409dd2720386b3dbfd60c1b0570c7bb5d9b7d6a5"

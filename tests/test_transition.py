@@ -158,6 +158,17 @@ def test_aperiodicity_flag():
     assert validate(lazy).aperiodic
     odd_ring = hamilton_weighting(generate(GraphSpec(family="ring", n=5)))
     assert validate(odd_ring).aperiodic
+    # block-diagonal supports: one odd cycle in any component suffices
+    even_six = hamilton_weighting(generate(GraphSpec(family="ring", n=6)))
+    assert validate(from_array(_block_diag(bare.w, odd_ring.w))).aperiodic
+    assert not validate(from_array(_block_diag(bare.w, even_six.w))).aperiodic
+
+
+def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.zeros((a.shape[0] + b.shape[0],) * 2)
+    out[: a.shape[0], : a.shape[0]] = a
+    out[a.shape[0] :, a.shape[0] :] = b
+    return out
 
 
 def test_validate_passes_for_good_chain():

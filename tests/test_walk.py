@@ -58,6 +58,24 @@ def test_zero_mass_targets_never_selected():
     assert not np.any(from_zero == 2)
 
 
+def test_rounding_gap_never_selects_zero_mass_cell(monkeypatch):
+    # Row 0 sums to 1 - 3e-10 (inside the 1e-9 check) and W[0, 2] = 0: a
+    # uniform in [1 - 3e-10, 1) must still land on the last support cell.
+    class FixedUniform:
+        def __init__(self, bit_generator):
+            pass
+
+        def random(self, size):
+            return np.full(size, 1.0 - 1e-10)
+
+    monkeypatch.setattr(np.random, "Generator", FixedUniform)
+    tm = from_array(
+        np.array([[0.5, 0.5 - 3e-10, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
+    )
+    traj = simulate(tm, 0, 1, 0)
+    assert traj.nodes.tolist() == [0, 1]
+
+
 def test_trajectory_shape(lazy_ring):
     traj = simulate(lazy_ring(4), 2, 100, 0)
     assert traj.nodes.shape == (101,)
