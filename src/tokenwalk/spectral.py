@@ -170,11 +170,11 @@ def decompose(tm: TransitionMatrix) -> SpectralDecomposition:
     vals = np.ascontiguousarray(vals[order])
     vecs = np.ascontiguousarray(vecs[:, order])
     # Canonical signs: first component of magnitude > 1e-12 made positive.
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size and col[nz[0]] < 0:
-            vecs[:, k] = -col
+    big = np.abs(vecs) > 1e-12
+    first = np.argmax(big, axis=0)
+    cols = np.arange(vecs.shape[1])
+    flip = big[first, cols] & (vecs[first, cols] < 0)
+    vecs[:, flip] = -vecs[:, flip]
     vals.setflags(write=False)
     vecs.setflags(write=False)
     dec = SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)

@@ -38,6 +38,7 @@ from tokenwalk.accountant import (
 )
 from tokenwalk.errors import AccountantError, CalibrationError
 from tokenwalk.graphs import GraphSpec, generate, shortest_path_distances
+from tokenwalk.spectral import matrix_log_term
 from tokenwalk.transition import from_array, hamilton_weighting, with_self_loops
 
 P = PrivacyParams  # the tests build many of these
@@ -168,6 +169,72 @@ def test_modes_agree(er_chain):
         a = single_contribution_exact(er_chain, u, v, p, mode="spectral")
         b = single_contribution_exact(er_chain, u, v, p, mode="powers")
         assert a == pytest.approx(b, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "family, kwargs, kappa, steps",
+    [
+        ("ring", {"n": 16}, None, 500),  # bipartite: lambda_n = -1
+        ("hypercube", {"dim": 4}, None, 500),  # bipartite, degenerate spectrum
+        ("ring", {"n": 16}, 1.0 / 2000**2, 2000),  # kappa = 1/T^2: lambda_n ~ -1 + 2/T^2
+    ],
+)
+def test_modes_agree_on_hard_chains(family, kwargs, kappa, steps):
+    g = generate(GraphSpec(family=family, **kwargs))
+    tm = hamilton_weighting(g) if kappa is None else with_self_loops(g, kappa)
+    p = P(alpha=2.0, sigma2=16.0, steps=steps)
+    for u, v in [(0, 1), (3, 11), (5, 12), (2, 10)]:
+        a = single_contribution_exact(tm, u, v, p, mode="spectral")
+        b = single_contribution_exact(tm, u, v, p, mode="powers")
+        assert a == pytest.approx(b, abs=1e-12)
+
+
+# --------------------------------------------------------------------------- #
+# The walk-length kernel
+# --------------------------------------------------------------------------- #
+
+_REFEREE_LAMBDAS = [
+    0.0, 1e-3, -1e-3, 0.5, -0.5, 0.613, -0.613,
+    1 - 1e-6, -(1 - 1e-6), 1 - 1e-9, -(1 - 1e-9), 1.0, -1.0, -1.0000000000000002,
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 3, 10**3, 10**6])
+def test_harmonic_power_sums_match_mpmath(steps):
+    mpmath = pytest.importorskip("mpmath")
+    got = acc._harmonic_power_sums(np.array(_REFEREE_LAMBDAS), steps)
+    with mpmath.workdps(50):
+        for lam, value in zip(_REFEREE_LAMBDAS, got):
+            x = mpmath.mpf(lam)
+            if lam == 1.0:
+                ref = mpmath.harmonic(steps)
+            elif lam <= -1.0:
+                ref = mpmath.harmonic(steps // 2) - mpmath.harmonic(steps)
+            elif steps <= 4000:
+                ref = mpmath.fsum(x**i / i for i in range(1, steps + 1))
+            else:
+                ref = -mpmath.log(1 - x) - x ** (steps + 1) * mpmath.lerchphi(x, 1, steps + 1)
+            assert abs(mpmath.mpf(value) - ref) <= 1e-12, (lam, steps)
+
+
+def test_kernel_cost_independent_of_steps(lazy_ring):
+    # T = 10^12: only the unit eigenvalue keeps a T-dependence (H_T); every
+    # other power sum has converged to -ln(1 - lambda), so the kernel is
+    # H_T / n - L with L the matrix-log term.
+    tm = lazy_ring(8)
+    p = P(alpha=2.0, sigma2=16.0, steps=10**12)
+    got = pairwise_matrix(tm, p, method="exact").eps
+    scale = p.alpha * p.n_contributions(tm.n) / p.sigma2
+    expect = scale * (harmonic_number(p.steps) / tm.n - matrix_log_term(tm))
+    off = ~np.eye(tm.n, dtype=bool)
+    np.testing.assert_allclose(got[off], expect[off], rtol=1e-9, atol=0.0)
+
+
+def test_kernel_rejects_out_of_range_eigenvalues():
+    tm = from_array(np.array([[0.5, 0.7], [0.7, 0.5]]))  # eigenvalues 1.2, -0.2
+    p = P(alpha=2.0, sigma2=16.0, steps=100)
+    with pytest.raises(AccountantError, match=r"eigenvalue 1\.2\d* lies outside"):
+        pairwise_matrix(tm, p, method="exact")
 
 
 def test_closed_form_on_uniform_is_pure_log(uniform_chain):

@@ -50,6 +50,15 @@ def test_sign_canonicalization(er_chain):
         col = dec.eigenvectors[:, k]
         nz = np.flatnonzero(np.abs(col) > 1e-12)
         assert col[nz[0]] > 0
+    # Bitwise equal to the per-column loop applied to the same eigh output.
+    vals, vecs = np.linalg.eigh(er_chain.w)
+    ref = np.ascontiguousarray(vecs[:, np.argsort(vals)[::-1]])
+    for k in range(ref.shape[1]):
+        col = ref[:, k]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        if nz.size and col[nz[0]] < 0:
+            ref[:, k] = -col
+    assert dec.eigenvectors.tobytes() == ref.tobytes()
 
 
 def test_decompose_cached_per_instance(er_chain):
