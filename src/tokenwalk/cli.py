@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 config/validation, 3 accounting, 4 data,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -44,6 +45,15 @@ _EXIT_CONFIG = 2
 _EXIT_ACCOUNTANT = 3
 _EXIT_DATA = 4
 _EXIT_CALIBRATION = 5
+
+# Values of flags given neither on the command line nor in a config file,
+# per subcommand; every other flag defaults to None.
+_DEFAULTS: dict[str, dict[str, object]] = {
+    "privacy": {"alpha": 2.0, "sigma2": 16.0, "method": "closed", "delta": 1e-6, "seeds": "0"},
+    "sgd": {"synthetic": False, "seeds": "0"},
+    "calibrate": {"method": "closed", "delta": 1e-6, "statistic": "mean_pairs"},
+    "report": {"inputs": ()},
+}
 
 _FAMILY_ALIASES = {"erdos-renyi": "erdos_renyi", "edge-list": "edge_list", "exponential": "hypercube"}
 
@@ -100,29 +110,37 @@ def _build_chain(g: graphs.Graph, kappa_text: str | None, steps: int | None) -> 
     return transition.blend_self_loops(tm, kappa)
 
 
-def _apply_config_file(args: argparse.Namespace, allowed: set[str]) -> None:
-    """Overlay a JSON config stanza; explicit CLI flags win, unknown keys fail."""
-    if not getattr(args, "config", None):
-        return
-    path = Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        stanza = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(stanza, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    version = stanza.pop("schema_version", None)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"{path}: schema_version must be {SCHEMA_VERSION}, got {version!r}")
-    unknown = set(stanza) - allowed
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    defaults = vars(args).get("_explicit", set())
-    for key, value in stanza.items():
-        if key not in defaults:
-            setattr(args, key, value)
+def _resolve_flags(args: argparse.Namespace, keys: set[str]) -> None:
+    """Overlay a JSON config stanza, then fill every flag still unset.
+
+    Flags are parsed with ``default=argparse.SUPPRESS``, so the namespace
+    holds exactly the flags given on the command line: those win over the
+    config file, which wins over :data:`_DEFAULTS` (``None`` when not listed).
+    Unknown config keys fail.
+    """
+    if getattr(args, "config", None):
+        path = Path(args.config)
+        if not path.exists():
+            raise ConfigError(f"config file not found: {path}")
+        try:
+            stanza = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+        if not isinstance(stanza, dict):
+            raise ConfigError(f"{path}: config must be a JSON object")
+        version = stanza.pop("schema_version", None)
+        if version != SCHEMA_VERSION:
+            raise ConfigError(f"{path}: schema_version must be {SCHEMA_VERSION}, got {version!r}")
+        unknown = set(stanza) - keys
+        if unknown:
+            raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
+        for key, value in stanza.items():
+            if not hasattr(args, key):
+                setattr(args, key, value)
+    defaults = _DEFAULTS.get(args.command, {})
+    for key in keys:
+        if not hasattr(args, key):
+            setattr(args, key, defaults.get(key))
 
 
 class _Manifest:
@@ -174,8 +192,8 @@ def _public_config(args: argparse.Namespace) -> dict:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    _apply_config_file(args, {"family", "n", "rows", "cols", "dim", "q", "radius",
-                              "cluster_sizes", "prob_matrix", "edge_file", "seed", "out"})
+    _resolve_flags(args, {"family", "n", "rows", "cols", "dim", "q", "radius",
+                          "cluster_sizes", "prob_matrix", "edge_file", "seed", "out"})
     out = _out_dir(args)
     manifest = _Manifest(out, "graph", _public_config(args), [args.seed] if args.seed is not None else [])
     g = graphs.generate(_graph_spec_from_args(args, args.seed))
@@ -200,9 +218,9 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_privacy(args: argparse.Namespace) -> int:
-    _apply_config_file(args, {"family", "n", "rows", "cols", "dim", "q", "radius",
-                              "cluster_sizes", "prob_matrix", "edge_file", "kappa",
-                              "alpha", "sigma2", "steps", "method", "delta", "seeds", "out"})
+    _resolve_flags(args, {"family", "n", "rows", "cols", "dim", "q", "radius",
+                          "cluster_sizes", "prob_matrix", "edge_file", "kappa",
+                          "alpha", "sigma2", "steps", "method", "delta", "seeds", "out"})
     out = _out_dir(args)
     seeds = _parse_seeds(args.seeds)
     manifest = _Manifest(out, "privacy", _public_config(args), seeds)
@@ -284,9 +302,9 @@ def _summary_row(rec: optim.RunRecord) -> dict:
 
 
 def cmd_sgd(args: argparse.Namespace) -> int:
-    _apply_config_file(args, {"preset", "n", "epochs", "steps", "gamma", "sigma",
-                              "clip", "target_eps", "delta", "seeds", "synthetic",
-                              "per_user", "out"})
+    _resolve_flags(args, {"preset", "n", "epochs", "steps", "gamma", "sigma",
+                          "clip", "target_eps", "delta", "seeds", "synthetic",
+                          "per_user", "out"})
     out = _out_dir(args)
     seeds = _parse_seeds(args.seeds)
     manifest = _Manifest(out, f"sgd:{args.preset}", _public_config(args), seeds)
@@ -380,10 +398,10 @@ def cmd_sgd(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    _apply_config_file(args, {"family", "n", "rows", "cols", "dim", "q", "radius",
-                              "cluster_sizes", "prob_matrix", "edge_file", "kappa",
-                              "target_eps", "delta", "statistic", "distance",
-                              "steps", "method", "seed", "out"})
+    _resolve_flags(args, {"family", "n", "rows", "cols", "dim", "q", "radius",
+                          "cluster_sizes", "prob_matrix", "edge_file", "kappa",
+                          "target_eps", "delta", "statistic", "distance",
+                          "steps", "method", "seed", "out"})
     out = _out_dir(args)
     manifest = _Manifest(out, "calibrate", _public_config(args),
                          [args.seed] if args.seed is not None else [])
@@ -420,7 +438,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    _apply_config_file(args, {"inputs", "out"})
+    _resolve_flags(args, {"inputs", "out"})
     if not args.inputs:
         raise ConfigError("report needs at least one input distance-series CSV")
     out = _out_dir(args)
@@ -460,38 +478,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------- #
 
 
-class _TrackedStore(argparse._StoreAction):
-    """Store action that records explicitly passed dests in ``_explicit``."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        super().__call__(parser, namespace, values, option_string)
-        if not hasattr(namespace, "_explicit"):
-            namespace._explicit = set()
-        namespace._explicit.add(self.dest)
-
-
-class _TrackedStoreTrue(argparse._StoreTrueAction):
-    def __call__(self, parser, namespace, values, option_string=None):
-        super().__call__(parser, namespace, values, option_string)
-        if not hasattr(namespace, "_explicit"):
-            namespace._explicit = set()
-        namespace._explicit.add(self.dest)
-
-
-class _TrackingParser(argparse.ArgumentParser):
-    """Parser whose default actions flag user-provided arguments.
-
-    The config overlay (`_apply_config_file`) needs to distinguish "flag left
-    at its default" from "flag given on the command line"; only the former
-    may be filled in from a config file.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.register("action", None, _TrackedStore)
-        self.register("action", "store_true", _TrackedStoreTrue)
-
-
 def _add_graph_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--family", required=True,
                     help="complete|ring|star|grid2d|hypercube|erdos-renyi|geometric|sbm|edge-list|exponential")
@@ -512,7 +498,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate private token walks and account their pairwise privacy loss.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_TrackingParser)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, argument_default=argparse.SUPPRESS),
+    )
 
     sp = sub.add_parser("graph", help="generate a graph and export edge list + stats")
     _add_graph_flags(sp)
@@ -524,12 +514,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("privacy", help="pairwise loss matrices and distance series")
     _add_graph_flags(sp)
     sp.add_argument("--kappa", help="self-loop mass to blend in, or 'auto' for 1/T^2")
-    sp.add_argument("--alpha", type=float, default=2.0)
-    sp.add_argument("--sigma2", type=float, default=16.0)
+    sp.add_argument("--alpha", type=float)
+    sp.add_argument("--sigma2", type=float)
     sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--method", choices=["exact", "closed"], default="closed")
-    sp.add_argument("--delta", type=float, default=1e-6)
-    sp.add_argument("--seeds", default="0")
+    sp.add_argument("--method", choices=["exact", "closed"])
+    sp.add_argument("--delta", type=float)
+    sp.add_argument("--seeds")
     sp.add_argument("--config")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_privacy)
@@ -548,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--per-user", dest="per_user", type=int)
     sp.add_argument("--synthetic", action="store_true",
                     help="use the synthetic linear dataset instead of Houses")
-    sp.add_argument("--seeds", default="0")
+    sp.add_argument("--seeds")
     sp.add_argument("--config")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_sgd)
@@ -557,12 +547,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_flags(sp)
     sp.add_argument("--kappa")
     sp.add_argument("--target-eps", dest="target_eps", type=float, required=True)
-    sp.add_argument("--delta", type=float, default=1e-6)
-    sp.add_argument("--statistic", default="mean_pairs",
+    sp.add_argument("--delta", type=float)
+    sp.add_argument("--statistic",
                     help="mean_pairs|max_pairs|mean_at_distance")
     sp.add_argument("--distance", type=int)
     sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--method", choices=["exact", "closed"], default="closed")
+    sp.add_argument("--method", choices=["exact", "closed"])
     sp.add_argument("--seed", type=int)
     sp.add_argument("--config")
     sp.add_argument("--out", required=True)

@@ -60,15 +60,11 @@ def write_matrix_csv(path: str | Path, matrix: np.ndarray, *, nan_as_empty: bool
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {m.shape}")
-    lines = []
-    for row in m:
-        cells = []
-        for x in row:
-            if nan_as_empty and np.isnan(x):
-                cells.append("")
-            else:
-                cells.append(format_float(x))
-        lines.append(",".join(cells))
+    row_fmt = ",".join([_FLOAT_FMT] * m.shape[1])
+    lines = [row_fmt % tuple(row) for row in m.tolist()]
+    if nan_as_empty:
+        for i in np.flatnonzero(np.isnan(m).any(axis=1)):
+            lines[i] = ",".join("" if c == "nan" else c for c in lines[i].split(","))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -9,6 +9,7 @@ Lazy-walk variants mix in self-loops with weight ``kappa``.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -17,9 +18,10 @@ import numpy as np
 
 from .errors import TransitionError
 from .graphs import Graph, hop_levels
-from .ioutil import read_matrix_csv, sha256_of_text, write_matrix_csv
+from .ioutil import read_matrix_csv, write_matrix_csv
 
 __all__ = [
+    "HASH_VERSION",
     "TransitionMatrix",
     "ValidationReport",
     "hamilton_weighting",
@@ -36,6 +38,12 @@ __all__ = [
 # keeps row-sum drift under ~n*eps even at n=4096.
 DEFAULT_ATOL = 1e-12
 
+#: Scheme of :meth:`TransitionMatrix.content_hash`, recorded next to every
+#: stored chain hash.  Version 1 hashed 17-digit decimal strings.
+HASH_VERSION = 2
+
+_HASH_CACHE_KEY = "content_hash"
+
 
 @dataclass(frozen=True)
 class TransitionMatrix:
@@ -44,7 +52,8 @@ class TransitionMatrix:
     The array is treated as immutable after construction.  `symmetric` and
     `bistochastic` record what the builder guaranteed; arbitrary arrays loaded
     from disk get these flags recomputed.  `_cache` holds the spectral
-    decomposition once computed (see :mod:`tokenwalk.spectral`).
+    decomposition and the content hash once computed (see
+    :mod:`tokenwalk.spectral`).
     """
 
     w: np.ndarray
@@ -67,9 +76,17 @@ class TransitionMatrix:
         return self.w.shape[0]
 
     def content_hash(self) -> str:
-        """Hash of the full-precision entries; identifies the chain."""
-        payload = ";".join(np.format_float_scientific(x, precision=17) for x in self.w.ravel())
-        return sha256_of_text(f"{self.n}|{payload}")
+        """SHA-256 of ``"{n}|"`` and the entries as little-endian doubles.
+
+        Identifies the chain bit for bit (scheme :data:`HASH_VERSION`);
+        computed once and kept in `_cache`.
+        """
+        digest = self._cache.get(_HASH_CACHE_KEY)
+        if digest is None:
+            payload = np.ascontiguousarray(self.w, dtype="<f8").tobytes()
+            digest = hashlib.sha256(f"{self.n}|".encode() + payload).hexdigest()
+            self._cache[_HASH_CACHE_KEY] = digest
+        return digest
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import TokenwalkError
 from .ioutil import atomic_write_bytes, dump_json, write_rows_csv
-from .transition import TransitionMatrix
+from .transition import HASH_VERSION, TransitionMatrix
 
 __all__ = [
     "Trajectory",
@@ -169,6 +169,7 @@ def _sidecar(traj: Trajectory) -> dict:
         "steps": traj.steps,
         "seed": traj.seed if traj.seed.bit_length() <= 63 else str(traj.seed),
         "w_hash": traj.w_hash,
+        "hash_version": HASH_VERSION,
         "burn_in": traj.burn_in,
         "contribution_cap": traj.contribution_cap,
     }

@@ -39,7 +39,7 @@ from tokenwalk.accountant import (
 from tokenwalk.errors import AccountantError, CalibrationError
 from tokenwalk.graphs import GraphSpec, generate, shortest_path_distances
 from tokenwalk.spectral import matrix_log_term
-from tokenwalk.transition import from_array, hamilton_weighting, with_self_loops
+from tokenwalk.transition import HASH_VERSION, from_array, hamilton_weighting, with_self_loops
 
 P = PrivacyParams  # the tests build many of these
 
@@ -69,6 +69,23 @@ def test_harmonic_number_hand_values():
 def test_harmonic_number_matches_direct_sum(t):
     direct = sum(1.0 / i for i in range(1, t + 1))
     assert harmonic_number(t) == pytest.approx(direct, rel=1e-13)
+
+
+_HARMONIC_REFEREE_T = [*range(601), *(10**k for k in range(3, 13)), 50_000, 65_536]
+
+
+def test_harmonic_number_matches_mpmath():
+    # Both sides of the switch from the summed terms to Euler-Maclaurin, the
+    # benchmark's T = 65536 and T up to 1e12, against 50-digit references.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for t in _HARMONIC_REFEREE_T:
+            value = harmonic_number(t)
+            if t == 0:
+                assert value == 0.0
+                continue
+            ref = mpmath.harmonic(t)
+            assert abs((mpmath.mpf(value) - ref) / ref) <= 1e-15, t
 
 
 def test_oddeven_hand_values():
@@ -607,6 +624,7 @@ def test_pairwise_csv_round_trip(tmp_path, lazy_ring):
     assert meta["sigma2"] == 32.0
     assert meta["method"] == "exact"
     assert meta["graph_hash"] == tm.content_hash()
+    assert meta["hash_version"] == HASH_VERSION == 2
 
 
 def test_distance_series_round_trip(tmp_path):

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +18,27 @@ from tokenwalk.ioutil import sha256_of_file
 
 def _read_json(path):
     return json.loads(path.read_text())
+
+
+def _modules_after(code: str) -> set[str]:
+    """Top-level packages loaded by a fresh interpreter after running `code`."""
+    probe = code + "\nimport sys; print(' '.join(sorted({m.split('.')[0] for m in sys.modules})))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
+    return set(proc.stdout.split())
+
+
+def test_cli_import_does_not_load_scipy():
+    assert "scipy" not in _modules_after("import tokenwalk.cli")
+
+
+def test_logistic_objective_is_the_one_scipy_user():
+    # Logistic runs need scipy.special.expit; constructing the objective loads it.
+    code = (
+        "from tokenwalk import datasets, optim\n"
+        "optim.LogisticObjective(datasets.synth_linear(n_users=4, per_user=2, d=3, margin=0.3, seed=0))"
+    )
+    assert "scipy" in _modules_after(code)
 
 
 # --------------------------------------------------------------------------- #
@@ -96,6 +120,17 @@ def test_explicit_flags_beat_config(tmp_path):
     assert rc == 0
     assert _read_json(out / "stats.json")["n"] == 6  # CLI value kept
     assert _read_json(out / "manifest.json")["seeds"] == [3]  # config filled
+
+
+def test_explicit_flag_equal_to_default_beats_config(tmp_path):
+    cfg = _config(tmp_path, {"schema_version": 1, "sigma2": 32.0, "method": "exact", "n": 5})
+    out = tmp_path / "out"
+    argv = ["privacy", "--family", "ring", "--steps", "20", "--sigma2", "16", "--method", "closed"]
+    assert main([*argv, "--config", cfg, "--out", str(out)]) == 0
+    meta = _read_json(out / "pairwise_seed0.csv.json")
+    assert (meta["sigma2"], meta["method"]) == (16.0, "closed")  # CLI values kept
+    assert meta["alpha"] == 2.0  # neither given: the default
+    assert len(accountant.load_pairwise_csv(out / "pairwise_seed0.csv")) == 5  # config filled
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):
@@ -386,6 +421,14 @@ def test_report_merges_sources(tmp_path):
     assert sources == ["ours", "ours", "b"]
     methods = [line.split(",")[3] for line in lines[1:]]
     assert methods == ["exact", "exact", ""]
+
+
+def test_report_inputs_from_config(tmp_path):
+    a = _series(tmp_path, "a.csv", [(1, 0.5, 0.0, 4)])
+    cfg = _config(tmp_path, {"schema_version": 1, "inputs": [f"{a}=cfg"]})
+    out = tmp_path / "rep"
+    assert main(["report", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "report.csv").read_text().splitlines()[1].endswith(",cfg")
 
 
 def test_report_requires_inputs(tmp_path, capsys):

@@ -1,0 +1,67 @@
+"""Full-precision matrix CSV: the row-formatted writer against a per-cell reference."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from tokenwalk.ioutil import read_matrix_csv, write_matrix_csv
+
+_TINY = 5e-324  # smallest subnormal
+
+
+def _reference_csv(matrix: np.ndarray, nan_as_empty: bool) -> bytes:
+    """One cell at a time: '' for NaN when asked, else 17 significant digits."""
+    lines = []
+    for row in matrix:
+        cells = []
+        for x in row:
+            if nan_as_empty and math.isnan(x):
+                cells.append("")
+            else:
+                cells.append("%.17g" % float(x))
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _special_values() -> np.ndarray:
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((6, 7)) * 10.0 ** rng.integers(-300, 300, size=(6, 7))
+    m[0, :4] = [np.nan, 0.0, -0.0, np.inf]
+    m[1, 1:6] = [-np.inf, _TINY, -_TINY, 2.2250738585072009e-308, 1e308]
+    m[2, [0, 6]] = [-1e308, np.nan]
+    m[4, :] = np.nan
+    return m
+
+
+_CASES = {
+    "special": _special_values(),
+    "1x1": np.array([[0.1]]),
+    "1x1-nan": np.array([[np.nan]]),
+    "1x5": np.array([[1.0, np.nan, -0.0, 1 / 3, -np.inf]]),
+    "5x1": np.array([[np.nan], [0.0], [1e-310], [-2.5], [np.inf]]),
+    "0x3": np.zeros((0, 3)),
+}
+
+
+@pytest.mark.parametrize("nan_as_empty", [False, True])
+@pytest.mark.parametrize("name", sorted(_CASES))
+def test_write_matrix_csv_matches_per_cell_reference(tmp_path, name, nan_as_empty):
+    m = _CASES[name]
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, m, nan_as_empty=nan_as_empty)
+    assert path.read_bytes() == _reference_csv(m, nan_as_empty)
+    # The reader skips blank lines, which is what a one-column NaN row becomes
+    # with nan_as_empty; a 0-row matrix is a lone newline.
+    blank_line = nan_as_empty and m.shape[1] == 1 and np.isnan(m).any()
+    if m.size and not blank_line:
+        back = read_matrix_csv(path, empty_as_nan=nan_as_empty)
+        assert back.shape == m.shape
+        assert back.tobytes() == m.tobytes()
+
+
+def test_write_matrix_csv_rejects_non_2d(tmp_path):
+    with pytest.raises(ValueError, match="2-D"):
+        write_matrix_csv(tmp_path / "m.csv", np.zeros(3))

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import struct
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from tokenwalk import transition
+from tokenwalk.accountant import PrivacyParams, pairwise_matrix
 from tokenwalk.errors import TransitionError
 from tokenwalk.graphs import GraphSpec, generate
 from tokenwalk.transition import (
@@ -17,6 +22,7 @@ from tokenwalk.transition import (
     validate,
     with_self_loops,
 )
+from tokenwalk.walk import simulate
 
 
 # --------------------------------------------------------------------------- #
@@ -233,6 +239,33 @@ def test_content_hash_sensitive_to_entries():
     a = from_array(np.array([[0.75, 0.25], [0.25, 0.75]]))
     b = from_array(np.array([[0.75 + 1e-15, 0.25 - 1e-15], [0.25, 0.75]]))
     assert a.content_hash() != b.content_hash()
+    one_ulp = np.array([[0.75, 0.25], [np.nextafter(0.25, 1.0), 0.75]])
+    assert from_array(one_ulp).content_hash() != a.content_hash()
+
+
+def test_content_hash_values_pinned():
+    # Scheme 2: SHA-256 of b"{n}|" then the row-major entries as little-endian doubles.
+    tm = hamilton_weighting(generate(GraphSpec(family="ring", n=6)))
+    payload = b"6|" + struct.pack("<36d", *tm.w.ravel().tolist())
+    expected = "ef27d8eee42f5607dee68b6724c55c39d31c7e923914259c3d8200a962435b6f"
+    assert transition.HASH_VERSION == 2
+    assert tm.content_hash() == hashlib.sha256(payload).hexdigest() == expected
+    assert transition.TransitionMatrix(w=np.asfortranarray(tm.w)).content_hash() == expected
+
+
+def test_content_hash_computed_once_per_chain(monkeypatch, lazy_ring):
+    calls = []
+
+    def counting_sha256(data):
+        calls.append(len(data))
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(transition, "hashlib", SimpleNamespace(sha256=counting_sha256))
+    tm = lazy_ring(6)
+    traj = simulate(tm, 0, 20, 1)
+    m = pairwise_matrix(tm, PrivacyParams(alpha=2.0, sigma2=16.0, steps=20), method="exact")
+    assert traj.w_hash == m.w_hash == tm.content_hash()
+    assert calls == [len(b"6|") + 36 * 8]
 
 
 def test_load_rejects_ragged_csv(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from tokenwalk import walk
 from tokenwalk.errors import TokenwalkError
-from tokenwalk.transition import from_array
+from tokenwalk.transition import HASH_VERSION, from_array
 from tokenwalk.walk import simulate, view_of, visit_counts
 
 
@@ -204,6 +204,7 @@ def test_csv_round_trip(tmp_path, lazy_ring):
     assert meta["steps"] == 30
     assert meta["burn_in"] == 3
     assert meta["w_hash"] == traj.w_hash
+    assert meta["hash_version"] == HASH_VERSION == 2
 
 
 def test_binary_round_trip(tmp_path, lazy_ring):
@@ -216,6 +217,7 @@ def test_binary_round_trip(tmp_path, lazy_ring):
     meta = json.loads((tmp_path / "walk.trw.json").read_text())
     assert meta["n"] == 5
     assert meta["seed"] == 8
+    assert meta["hash_version"] == HASH_VERSION
 
 
 def test_binary_rejects_bad_magic(tmp_path):
