@@ -1,0 +1,334 @@
+"""Golden runs: fixed-seed SGD runs and walks pinned bit for bit.
+
+Every array a run returns (final iterate, traces, walk) is reduced to the
+SHA-256 of its little-endian bytes, so any change to the arithmetic, to the
+order of random draws or to the walk sampler shows up here.  The expected
+digests were recorded from the per-step reference loops (one
+``rng.integers`` / ``rng.normal`` call and one ``np.searchsorted`` per step)
+before the hot loops were rewritten.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from tokenwalk import datasets, graphs, transition
+from tokenwalk.optim import (
+    AveragingObjective,
+    LogisticObjective,
+    SgdConfig,
+    run_central_dpsgd,
+    run_local_dpsgd,
+    run_rw_dpsgd,
+)
+from tokenwalk.walk import simulate
+
+
+def _digest(a: np.ndarray | None) -> str | None:
+    if a is None:
+        return None
+    a = np.ascontiguousarray(a)
+    return hashlib.sha256(a.astype(a.dtype.newbyteorder("<")).tobytes()).hexdigest()[:16]
+
+
+def _record_digests(rec) -> dict:
+    out = {
+        "final_x": _digest(rec.final_x),
+        "ts": _digest(rec.ts),
+        "objective": _digest(rec.objective),
+        "sq_distance": _digest(rec.sq_distance),
+        "accuracy": _digest(rec.accuracy),
+        "gamma": float(rec.gamma).hex(),
+    }
+    if rec.trajectory is not None:
+        out["nodes"] = _digest(rec.trajectory.nodes)
+        out["noise_only"] = _digest(rec.trajectory.noise_only)
+    return out
+
+
+def _equal_blocks() -> tuple[transition.TransitionMatrix, LogisticObjective]:
+    """Six nodes with eight training rows each."""
+    ds = datasets.synth_linear(6, 8, d=5, margin=0.2, seed=3)
+    g = graphs.generate(graphs.GraphSpec(family="complete", n=6))
+    return transition.hamilton_weighting(g), LogisticObjective(ds)
+
+
+def _unequal_blocks() -> tuple[transition.TransitionMatrix, LogisticObjective]:
+    """Seven nodes holding six or five training rows (40 rows split unevenly)."""
+    rng = np.random.default_rng(11)
+    raw = datasets.RawTable(
+        features=rng.normal(size=(50, 4)),
+        labels=rng.normal(size=50),
+        feature_names=("a", "b", "c", "d"),
+        label_name="y",
+    )
+    ds = datasets.preprocess(raw, n_users=7, seed=2)
+    assert sorted({len(p) for p in ds.partition}) == [5, 6]
+    g = graphs.generate(graphs.GraphSpec(family="ring", n=7))
+    return transition.with_self_loops(g, 0.25), LogisticObjective(ds, reg=0.01)
+
+
+def _lazy_ring_averaging() -> tuple[transition.TransitionMatrix, AveragingObjective]:
+    g = graphs.generate(graphs.GraphSpec(family="ring", n=9))
+    values = np.random.default_rng(4).normal(size=(9, 3))
+    return transition.with_self_loops(g, 1.0 / 3.0), AveragingObjective(values)
+
+
+def _blended_geometric() -> tuple[transition.TransitionMatrix, AveragingObjective]:
+    g = graphs.generate(graphs.GraphSpec(family="geometric", n=20, seed=2))
+    tm = transition.blend_self_loops(transition.hamilton_weighting(g), 0.2)
+    values = np.random.default_rng(8).normal(size=(20, 2)) * 3.0
+    return tm, AveragingObjective(values)
+
+
+def _run(case: str):
+    logistic = dict(steps=600, gamma=0.1, sigma=0.7, clip_threshold=0.5, seed=5, trace_points=64)
+    if case == "rw-equal-b1":
+        tm, obj = _equal_blocks()
+        return run_rw_dpsgd(tm, obj, SgdConfig(batch_size=1, **logistic))
+    if case == "rw-equal-full":
+        tm, obj = _equal_blocks()
+        return run_rw_dpsgd(tm, obj, SgdConfig(batch_size=None, **logistic))
+    if case == "local-equal-b1":
+        _, obj = _equal_blocks()
+        return run_local_dpsgd(obj, SgdConfig(batch_size=1, **logistic), 6)
+    if case == "local-equal-full":
+        _, obj = _equal_blocks()
+        return run_local_dpsgd(obj, SgdConfig(batch_size=None, **logistic), 6)
+    if case == "central-equal":
+        _, obj = _equal_blocks()
+        return run_central_dpsgd(obj, SgdConfig(**dict(logistic, steps=40)))
+    if case == "central-equal-inverse-t":
+        _, obj = _equal_blocks()
+        return run_central_dpsgd(
+            obj, SgdConfig(schedule="inverse_t", burn_in=3, **dict(logistic, steps=40))
+        )
+    if case == "rw-unequal-b5":
+        tm, obj = _unequal_blocks()
+        return run_rw_dpsgd(tm, obj, SgdConfig(batch_size=5, start_node=3, **logistic))
+    if case == "rw-unequal-b2-cap":
+        tm, obj = _unequal_blocks()
+        return run_rw_dpsgd(
+            tm, obj, SgdConfig(batch_size=2, contribution_cap=70, burn_in=20, **logistic)
+        )
+    if case == "local-unequal-b5":
+        _, obj = _unequal_blocks()
+        return run_local_dpsgd(obj, SgdConfig(batch_size=5, **logistic), 7)
+    if case == "central-unequal":
+        _, obj = _unequal_blocks()
+        return run_central_dpsgd(obj, SgdConfig(**dict(logistic, steps=30)))
+    if case == "rw-averaging-lazy-ring":
+        tm, obj = _lazy_ring_averaging()
+        return run_rw_dpsgd(tm, obj, SgdConfig(steps=500, sigma=0.4, clip_threshold=1.5, seed=12))
+    if case == "local-averaging":
+        _, obj = _lazy_ring_averaging()
+        return run_local_dpsgd(obj, SgdConfig(steps=500, gamma=0.05, sigma=0.4, seed=12), 9)
+    if case == "central-averaging":
+        _, obj = _lazy_ring_averaging()
+        return run_central_dpsgd(obj, SgdConfig(steps=60, gamma=0.2, sigma=0.9, seed=12))
+    if case == "rw-blended-geometric":
+        tm, obj = _blended_geometric()
+        cfg = SgdConfig(
+            steps=700,
+            gamma=0.3,
+            sigma=0.3,
+            clip_threshold=2.0,
+            schedule="inverse_t",
+            burn_in=30,
+            contribution_cap=15,
+            start_node=4,
+            seed=21,
+            trace_points=50,
+            x0=1.0,
+        )
+        return run_rw_dpsgd(tm, obj, cfg)
+    raise AssertionError(case)
+
+
+GOLDEN: dict[str, dict] = {
+    "rw-equal-b1": {
+        "final_x": "da12f1a7ba1182c5",
+        "ts": "bb3377b43dc0792f",
+        "objective": "ced925740cd1f68a",
+        "sq_distance": None,
+        "accuracy": "81e7e76407f73032",
+        "gamma": "0x1.999999999999ap-4",
+        "nodes": "81a7dc64ba645163",
+        "noise_only": "1b94bb6a330c9159",
+    },
+    "rw-equal-full": {
+        "final_x": "604b10a2ea9381a9",
+        "ts": "bb3377b43dc0792f",
+        "objective": "0adfb7546bb4d1e1",
+        "sq_distance": None,
+        "accuracy": "42e8c44062f113f1",
+        "gamma": "0x1.999999999999ap-4",
+        "nodes": "81a7dc64ba645163",
+        "noise_only": "1b94bb6a330c9159",
+    },
+    "local-equal-b1": {
+        "final_x": "a25546e29b2f0db0",
+        "ts": "bb3377b43dc0792f",
+        "objective": "142989cb30ddad85",
+        "sq_distance": None,
+        "accuracy": "81e7e76407f73032",
+        "gamma": "0x1.999999999999ap-4",
+    },
+    "local-equal-full": {
+        "final_x": "1f39170db77d159c",
+        "ts": "bb3377b43dc0792f",
+        "objective": "95584f3a7027674b",
+        "sq_distance": None,
+        "accuracy": "42e8c44062f113f1",
+        "gamma": "0x1.999999999999ap-4",
+    },
+    "central-equal": {
+        "final_x": "74e0ef478f001e4b",
+        "ts": "dc56578ae9f1cb6e",
+        "objective": "4b1eaf278280b5db",
+        "sq_distance": None,
+        "accuracy": "cd8e32fe25fc1e3d",
+        "gamma": "0x1.999999999999ap-4",
+    },
+    "central-equal-inverse-t": {
+        "final_x": "4a7289b953058f44",
+        "ts": "dc56578ae9f1cb6e",
+        "objective": "77b9f62013e32138",
+        "sq_distance": None,
+        "accuracy": "cd8e32fe25fc1e3d",
+        "gamma": "0x1.999999999999ap-4",
+    },
+    "rw-unequal-b5": {
+        "final_x": "68a68838e6edb538",
+        "ts": "bb3377b43dc0792f",
+        "objective": "698460b96e14cd73",
+        "sq_distance": None,
+        "accuracy": "42a23eb2a05c3ee3",
+        "gamma": "0x1.999999999999ap-4",
+        "nodes": "b0518b794e23e5a6",
+        "noise_only": "1b94bb6a330c9159",
+    },
+    "rw-unequal-b2-cap": {
+        "final_x": "876848e711cca3bf",
+        "ts": "bb3377b43dc0792f",
+        "objective": "1ba6d2729c1f1cb5",
+        "sq_distance": None,
+        "accuracy": "4b3db46d47b39d51",
+        "gamma": "0x1.999999999999ap-4",
+        "nodes": "33ce958993e80e62",
+        "noise_only": "23633465033890a6",
+    },
+    "local-unequal-b5": {
+        "final_x": "0e21830c80ee5f1b",
+        "ts": "bb3377b43dc0792f",
+        "objective": "b3c2a53eaf85c182",
+        "sq_distance": None,
+        "accuracy": "f710389b10ee82f9",
+        "gamma": "0x1.999999999999ap-4",
+    },
+    "central-unequal": {
+        "final_x": "015cf30e420a586c",
+        "ts": "3a769b546b52d0c3",
+        "objective": "08a3f31d50120f3e",
+        "sq_distance": None,
+        "accuracy": "c70067ec88084452",
+        "gamma": "0x1.999999999999ap-4",
+    },
+    "rw-averaging-lazy-ring": {
+        "final_x": "f9aa2ed5d5621e5f",
+        "ts": "6c0fa99e682ba28a",
+        "objective": "f1fe7abbc4cfdba7",
+        "sq_distance": "bd680ae125c6e1cf",
+        "accuracy": None,
+        "gamma": "0x1.0000000000000p-1",
+        "nodes": "c85820c93bd4da07",
+        "noise_only": "01064fb25c62c76b",
+    },
+    "local-averaging": {
+        "final_x": "391b09101e375048",
+        "ts": "6c0fa99e682ba28a",
+        "objective": "b88c534345c4a1dc",
+        "sq_distance": "39026e31277e4e46",
+        "accuracy": None,
+        "gamma": "0x1.999999999999ap-5",
+    },
+    "central-averaging": {
+        "final_x": "8664d4e9996c7e8a",
+        "ts": "cc789dacd7efe555",
+        "objective": "55cfb9eeb7f0320d",
+        "sq_distance": "e1588b63eea9f793",
+        "accuracy": None,
+        "gamma": "0x1.999999999999ap-3",
+    },
+    "rw-blended-geometric": {
+        "final_x": "32ea77e2e6cf3d79",
+        "ts": "e8d4fe6538edc03a",
+        "objective": "8e0e6d37aacf18d1",
+        "sq_distance": "eb2c7f8407d2e330",
+        "accuracy": None,
+        "gamma": "0x1.3333333333333p-2",
+        "nodes": "ae36924c16356584",
+        "noise_only": "1302192588115ae5",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_run_is_bitwise_golden(case):
+    assert _record_digests(_run(case)) == GOLDEN[case]
+
+
+def _walk(case: str):
+    if case == "er-hamilton":
+        g = graphs.generate(graphs.GraphSpec(family="erdos_renyi", n=40, q=0.15, seed=6))
+        return simulate(transition.hamilton_weighting(g), 7, 20_000, 99)
+    if case == "complete-spawned-seed":
+        g = graphs.generate(graphs.GraphSpec(family="complete", n=64))
+        seed = np.random.SeedSequence(5).spawn(3)[0]
+        return simulate(transition.hamilton_weighting(g), 0, 20_000, seed, burn_in=100,
+                        contribution_cap=300)
+    if case == "nonsymmetric-zero-last-column":
+        w = np.random.default_rng(1).random((12, 12))
+        w[:, -1] = 0.0
+        w[w < 0.4] = 0.0
+        w[np.arange(12), np.arange(12)] += 0.05
+        w /= w.sum(axis=1, keepdims=True)
+        return simulate(transition.from_array(w), 11, 20_000, 3)
+    raise AssertionError(case)
+
+
+WALK_GOLDEN: dict[str, tuple[str, str]] = {
+    "er-hamilton": ("dcf54704b98542c1", "ccd78c2346312d23"),
+    "complete-spawned-seed": ("5b22a53d6f549ca8", "6753673f21a0a5df"),
+    "nonsymmetric-zero-last-column": ("15da45ca9f46e3d8", "ccd78c2346312d23"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALK_GOLDEN))
+def test_walk_is_bitwise_golden(case):
+    traj = _walk(case)
+    assert (_digest(traj.nodes), _digest(traj.noise_only)) == WALK_GOLDEN[case]
+
+
+CLI_FIG2_GOLDEN = {
+    "rw_dpsgd": "615c54f2e7a7bce6",
+    "local_dpsgd": "3df053d6b909fb9c",
+    "central_dpsgd": "5d0920d4c9a349f1",
+}
+
+
+def test_cli_fig2_run_files_are_golden(tmp_path):
+    from tokenwalk.cli import main
+
+    out = tmp_path / "fig2"
+    argv = ["sgd", "--preset", "fig2", "--synthetic", "--n", "12", "--epochs", "6",
+            "--seeds", "4", "--out", str(out)]
+    assert main(argv) == 0
+    digests = {
+        alg: hashlib.sha256((out / f"{alg}_eps1.0_seed4.csv").read_bytes()).hexdigest()[:16]
+        for alg in ("rw_dpsgd", "local_dpsgd", "central_dpsgd")
+    }
+    assert digests == CLI_FIG2_GOLDEN
