@@ -140,12 +140,13 @@ class GraphSpec:
 
 
 def _csr(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR of `edges` both ways: u's sorted neighbours are ``nbr[indptr[u]:indptr[u+1]]``."""
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    """CSR of `edges` both ways: u's neighbours are ``nbr[indptr[u]:indptr[u+1]]``,
+    sorted when `edges` is canonical (the stable sort takes the ``(v, u)`` half first)."""
+    src = np.concatenate([edges[:, 1], edges[:, 0]])
+    dst = np.concatenate([edges[:, 0], edges[:, 1]])
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst[np.lexsort((dst, src))]
+    return indptr, dst[np.argsort(src, kind="stable")]
 
 
 def hop_levels(n: int, edges: np.ndarray, sources) -> np.ndarray:
@@ -174,8 +175,12 @@ def hop_levels(n: int, edges: np.ndarray, sources) -> np.ndarray:
             pos = np.arange(int(counts.sum())) + np.repeat(indptr[node] - first, counts)
             row, node = np.repeat(row, counts), nbr[pos]
             fresh = lv[row, node] < 0
-            key = np.unique(row[fresh] * n + node[fresh])
-            row, node = key // n, key % n
+            row, node = row[fresh], node[fresh]
+            # Keep one copy of each (source, node): a cell keeps one of the stamps written to it.
+            stamp = -2 - np.arange(row.size)
+            lv[row, node] = stamp
+            keep = lv[row, node] == stamp
+            row, node = row[keep], node[keep]
             lv[row, node] = depth
     return levels
 
@@ -200,7 +205,9 @@ def _finalize(
     if outside.any():
         u, v = edges[np.argmax(outside)]
         raise GraphError(f"edge ({u}, {v}) outside node range 0..{n - 1}")
-    key = np.unique(edges.min(axis=1) * n + edges.max(axis=1))
+    key = edges.min(axis=1) * n + edges.max(axis=1)
+    if np.any(key[1:] <= key[:-1]):  # the family builders emit canonical rows
+        key = np.unique(key)
     edges = np.column_stack([key // n, key % n])
     edges.setflags(write=False)
     if np.any(hop_levels(n, edges, [0])[0] < 0):
@@ -236,8 +243,8 @@ def _complete(n: int) -> np.ndarray:
 
 def _ring(n: int) -> np.ndarray:
     _require(n >= 3, "ring requires n >= 3")
-    u = np.arange(n)
-    return np.column_stack([u, (u + 1) % n])
+    u = np.arange(n - 1)
+    return np.insert(np.column_stack([u, u + 1]), 1, [0, n - 1], axis=0)  # (0, n-1) sorts second
 
 
 def _star(n: int) -> np.ndarray:
@@ -248,10 +255,11 @@ def _star(n: int) -> np.ndarray:
 
 def _grid2d(rows: int, cols: int) -> np.ndarray:
     _require(rows >= 1 and cols >= 1 and rows * cols >= 2, "grid2d needs rows*cols >= 2")
-    ids = np.arange(rows * cols).reshape(rows, cols)
-    across = np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()])
-    down = np.column_stack([ids[:-1, :].ravel(), ids[1:, :].ravel()])
-    return np.concatenate([across, down])
+    u = np.arange(rows * cols)
+    # Each node's right then lower neighbour, so the rows come out sorted.
+    v = np.column_stack([u + 1, u + cols]).ravel()
+    keep = np.column_stack([u % cols < cols - 1, u < (rows - 1) * cols]).ravel()
+    return np.column_stack([np.repeat(u, 2)[keep], v[keep]])
 
 
 def _hypercube(dim: int) -> np.ndarray:

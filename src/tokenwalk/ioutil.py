@@ -55,7 +55,8 @@ def write_matrix_csv(path: str | Path, matrix: np.ndarray, *, nan_as_empty: bool
     """Write a dense 2-D array as CSV at full precision.
 
     NaN entries are written as empty cells when `nan_as_empty` is set (used for
-    the undefined diagonal of pairwise loss matrices).
+    the undefined diagonal of pairwise loss matrices).  Each row is one
+    newline-terminated line, so a matrix without rows is an empty file.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
@@ -65,21 +66,20 @@ def write_matrix_csv(path: str | Path, matrix: np.ndarray, *, nan_as_empty: bool
     if nan_as_empty:
         for i in np.flatnonzero(np.isnan(m).any(axis=1)):
             lines[i] = ",".join("" if c == "nan" else c for c in lines[i].split(","))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n" if lines else "")
 
 
 def read_matrix_csv(path: str | Path, *, empty_as_nan: bool = False) -> np.ndarray:
-    """Inverse of :func:`write_matrix_csv`."""
-    rows: list[list[float]] = []
+    """Inverse of :func:`write_matrix_csv`: a blank line is one empty cell in a
+    one-column file, and skipped in a file with more columns."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split(",")
-            rows.append(
-                [np.nan if (empty_as_nan and c == "") else float(c) for c in cells]
-            )
+        lines = fh.read().splitlines()
+    if any("," in line for line in lines):
+        lines = [line for line in lines if line]
+    rows = [
+        [np.nan if (empty_as_nan and c == "") else float(c) for c in line.split(",")]
+        for line in lines
+    ]
     return np.asarray(rows, dtype=float)
 
 

@@ -6,7 +6,8 @@ per-coordinate Gaussian noise of variance ``delta**2 * sigma**2``, applies the
 step, and forwards the token along the transition matrix.  Local DP-SGD runs
 the same update with an i.i.d. uniform node schedule; central DP-SGD averages
 all clipped node gradients per round under a trusted aggregator, with a single
-noise draw scaled down by ``1/n``.
+noise draw scaled down by ``1/n``.  All three are one loop, `_descent_loop`,
+fed a different schedule of nodes per step.
 
 Step sizes can be given explicitly or derived from the strongly convex
 convergence analysis (`step_size_theorem2`), whose predicted error ceiling is
@@ -17,9 +18,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -62,10 +64,12 @@ class Objective(Protocol):
     dim: int
     smoothness: float
     strong_convexity: float
+    #: Samples held by each node; minibatch rows index into a node's samples.
+    local_sizes: np.ndarray
 
-    def gradient(
-        self, node: int, x: np.ndarray, rng: np.random.Generator, batch_size: int | None
-    ) -> np.ndarray: ...
+    def gradient(self, node: int, x: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+        """Gradient of ``f_node`` at `x` over the local samples `rows` (all if None)."""
+        ...
 
     def objective_value(self, x: np.ndarray) -> float: ...
 
@@ -95,9 +99,10 @@ class AveragingObjective:
         self.dim = raw.shape[1]
         self.smoothness = 2.0
         self.strong_convexity = 2.0
+        self.local_sizes = np.ones(self.n_nodes, dtype=np.int64)
         self._mean = raw.mean(axis=0)
 
-    def gradient(self, node, x, rng, batch_size):
+    def gradient(self, node, x, rows):
         return 2.0 * (x - self.values[node])
 
     def objective_value(self, x):
@@ -118,24 +123,16 @@ class LogisticObjective:
 
     ``f_v(x) = mean over v's samples of log(1 + exp(-y a.x)) + (reg/2)||x||^2``.
     Rows are unit-norm after preprocessing, so smoothness is ``1/4 + reg``.
-    Stochastic gradients subsample the local dataset uniformly with
-    replacement (unbiased for the local gradient).
     """
 
     def __init__(self, dataset: Dataset, reg: float = 0.0):
         if reg < 0:
             raise ConfigError(f"regularization must be nonnegative, got {reg}")
-        # scipy.special takes ~0.3 s to import and only logistic runs need it.
-        # Importing it here rather than in `gradient` keeps that cost out of a
-        # run's recorded wall clock.  `expit` is kept over 1/(1+exp(-x)),
-        # which differs in the last ulp, so runs stay bitwise reproducible.
-        from scipy.special import expit
-
-        self._expit = expit
         self._blocks = [
             (dataset.features[idx], dataset.labels[idx]) for idx in dataset.partition
         ]
         self.n_nodes = len(self._blocks)
+        self.local_sizes = np.array([len(idx) for idx in dataset.partition], dtype=np.int64)
         self.dim = dataset.features.shape[1]
         self.reg = reg
         self.smoothness = 0.25 + reg
@@ -145,14 +142,12 @@ class LogisticObjective:
         test = dataset.test_indices
         self._test = (dataset.features[test], dataset.labels[test])
 
-    def gradient(self, node, x, rng, batch_size):
+    def gradient(self, node, x, rows):
         feats, labels = self._blocks[node]
-        m = feats.shape[0]
-        if batch_size is not None and batch_size < m:
-            idx = rng.integers(0, m, size=batch_size)
-            feats, labels = feats[idx], labels[idx]
+        if rows is not None:
+            feats, labels = feats[rows], labels[rows]
         margins = labels * (feats @ x)
-        weights = -labels * self._expit(-margins)
+        weights = -labels * np.array([_expit(-m) for m in margins.tolist()])
         return feats.T @ weights / feats.shape[0] + self.reg * x
 
     def objective_value(self, x):
@@ -241,11 +236,20 @@ class RunRecord:
 # --------------------------------------------------------------------------- #
 
 
+def _expit(z: float) -> float:
+    """Logistic sigmoid ``1 / (1 + e^-z)``: scipy.special.expit's expression
+    and C library ``exp``, so bit for bit the same without scipy's ~0.3 s import."""
+    try:
+        return 1.0 / (1.0 + math.exp(-z))
+    except OverflowError:  # e^-z beyond the double range: the sigmoid is 0
+        return 0.0
+
+
 def clip(g: np.ndarray, delta: float) -> np.ndarray:
     """Rescale `g` onto the L2 ball of radius `delta` (no-op inside it)."""
     if not delta > 0.0:
         raise ConfigError(f"clip threshold must be positive, got {delta}")
-    norm = float(np.linalg.norm(g))
+    norm = math.sqrt(g.ravel() @ g.ravel())  # np.linalg.norm's formula, minus its overhead
     if norm <= delta:
         return g
     return g * (delta / norm)
@@ -334,8 +338,6 @@ def _resolve_dist0(obj: Objective, cfg: SgdConfig, x0: np.ndarray) -> float:
 def _resolve_gamma(
     obj: Objective, cfg: SgdConfig, x0: np.ndarray, tau_mix: float
 ) -> float:
-    if cfg.gamma is not None:
-        return cfg.gamma
     zeta = obj.heterogeneity()
     if obj.strong_convexity <= 0.0:
         raise ConfigError(
@@ -357,26 +359,63 @@ def _mixing_estimate(w: TransitionMatrix) -> float:
     return float(max(mixing_time_spectral_bound(w), 1))
 
 
+def _draw_rows(
+    obj: Objective, nodes: np.ndarray, rng: np.random.Generator, batch_size: int | None
+) -> Iterator[np.ndarray | None]:
+    """Minibatch rows of each gradient call on `nodes`, in call order: `batch_size`
+    uniform draws with replacement, or None (all rows) for a node holding no more.
+
+    One ``integers`` call with a per-draw bound draws what one call per gradient would.
+    """
+    if batch_size is None:
+        return repeat(None)
+    sizes = obj.local_sizes[nodes]
+    sampled = sizes > batch_size
+    drawn = iter(rng.integers(0, np.repeat(sizes[sampled], batch_size)).reshape(-1, batch_size))
+    return (next(drawn) if s else None for s in sampled.tolist())
+
+
 def _descent_loop(
     obj: Objective,
     cfg: SgdConfig,
-    node_at,
-    noise_only_at,
+    schedule: np.ndarray,
+    noise_only: np.ndarray,
     gamma: float,
     algorithm: str,
     trajectory: Trajectory | None,
 ) -> RunRecord:
-    """Shared token-update loop; `node_at(t)` supplies the schedule."""
+    """The update loop of every algorithm.
+
+    Step t averages the clipped gradients of the k nodes in row t of
+    `schedule`, summed in row order (k = 1 for the walk and local DP-SGD, n
+    for a central round), and adds noise of per-coordinate std
+    ``clip_threshold * sigma / k``; steps flagged in `noise_only` (a visit
+    over the contribution cap) add the noise alone.  Noise and minibatch
+    rows are drawn up front in one call each, which yields the same numbers
+    as one draw per step.
+    """
     start = time.perf_counter()
-    root = np.random.SeedSequence(cfg.seed)
-    _, noise_child, batch_child = root.spawn(3)
-    noise_rng = np.random.default_rng(noise_child)
-    batch_rng = np.random.default_rng(batch_child)
+    _, noise_child, batch_child = np.random.SeedSequence(cfg.seed).spawn(3)
+    steps, k = schedule.shape
+    burn_in = cfg.burn_in
+    grad_nodes = schedule[burn_in:][~noise_only[burn_in:]].ravel()
+    rows = _draw_rows(obj, grad_nodes, np.random.default_rng(batch_child), cfg.batch_size)
+    calls = zip(grad_nodes.tolist(), rows)
+    skip = noise_only.tolist()
+
+    n_updates = max(steps - burn_in, 0)
+    noise_std = cfg.clip_threshold * cfg.sigma / k
+    noise = None
+    if noise_std > 0.0:
+        noise = np.random.default_rng(noise_child).normal(0.0, noise_std, size=(n_updates, obj.dim))
+    if cfg.schedule == "constant":
+        gammas = [gamma] * n_updates
+    else:
+        gammas = (gamma / np.arange(1, n_updates + 1)).tolist()
 
     x = _initial_point(obj, cfg)
     optimum = obj.optimum()
-    noise_std = cfg.clip_threshold * cfg.sigma
-    stride = max(1, cfg.steps // max(cfg.trace_points, 1))
+    stride = max(1, steps // max(cfg.trace_points, 1))
 
     ts: list[int] = []
     objective: list[float] = []
@@ -392,20 +431,25 @@ def _descent_loop(
         if track_acc:
             accuracy.append(obj.accuracy(x))
 
+    gradient, delta = obj.gradient, cfg.clip_threshold
     record(0)
-    updates = 0
-    for t in range(cfg.steps):
-        if t >= cfg.burn_in:
-            updates += 1
-            gamma_t = gamma if cfg.schedule == "constant" else gamma / updates
-            if noise_only_at(t):
+    for t in range(steps):
+        if t >= burn_in:
+            u = t - burn_in
+            if skip[t]:
                 g = np.zeros(obj.dim)
             else:
-                g = clip(obj.gradient(node_at(t), x, batch_rng, cfg.batch_size), cfg.clip_threshold)
-            if noise_std > 0.0:
-                g = g + noise_rng.normal(0.0, noise_std, size=obj.dim)
-            x = x - gamma_t * g
-        if (t + 1) % stride == 0 or t + 1 == cfg.steps:
+                v, r = next(calls)
+                g = clip(gradient(v, x, r), delta)
+                if k > 1:
+                    for _ in range(k - 1):
+                        v, r = next(calls)
+                        g = g + clip(gradient(v, x, r), delta)
+                    g = g / k
+            if noise is not None:
+                g = g + noise[u]
+            x = x - gammas[u] * g
+        if (t + 1) % stride == 0 or t + 1 == steps:
             record(t + 1)
 
     return RunRecord(
@@ -431,28 +475,14 @@ def run_rw_dpsgd(w: TransitionMatrix, obj: Objective, cfg: SgdConfig) -> RunReco
     """
     if w.n != obj.n_nodes:
         raise ConfigError(f"chain has {w.n} nodes but objective has {obj.n_nodes}")
-    root = np.random.SeedSequence(cfg.seed)
-    walk_child = root.spawn(3)[0]
-    traj = simulate(
-        w,
-        cfg.start_node,
-        cfg.steps,
-        walk_child,
-        contribution_cap=cfg.contribution_cap,
-        burn_in=cfg.burn_in,
-    )
-    x0 = _initial_point(obj, cfg)
+    walk_child = np.random.SeedSequence(cfg.seed).spawn(3)[0]
+    traj = simulate(w, cfg.start_node, cfg.steps, walk_child,
+                    contribution_cap=cfg.contribution_cap, burn_in=cfg.burn_in)
     gamma = cfg.gamma if cfg.gamma is not None else _resolve_gamma(
-        obj, cfg, x0, _mixing_estimate(w)
+        obj, cfg, _initial_point(obj, cfg), _mixing_estimate(w)
     )
     return _descent_loop(
-        obj,
-        cfg,
-        node_at=lambda t: int(traj.nodes[t]),
-        noise_only_at=lambda t: bool(traj.noise_only[t]),
-        gamma=gamma,
-        algorithm="rw_dpsgd",
-        trajectory=traj,
+        obj, cfg, traj.nodes[:-1, None], traj.noise_only[:-1], gamma, "rw_dpsgd", traj
     )
 
 
@@ -464,19 +494,11 @@ def run_local_dpsgd(obj: Objective, cfg: SgdConfig, n: int) -> RunRecord:
     """
     if n != obj.n_nodes:
         raise ConfigError(f"n={n} but objective has {obj.n_nodes} nodes")
-    root = np.random.SeedSequence(cfg.seed)
-    schedule_child = root.spawn(3)[0]
+    schedule_child = np.random.SeedSequence(cfg.seed).spawn(3)[0]
     schedule = np.random.default_rng(schedule_child).integers(0, n, size=max(cfg.steps, 1))
     gamma = cfg.gamma if cfg.gamma is not None else _resolve_gamma(obj, cfg, _initial_point(obj, cfg), 1.0)
-    return _descent_loop(
-        obj,
-        cfg,
-        node_at=lambda t: int(schedule[t]),
-        noise_only_at=lambda t: False,
-        gamma=gamma,
-        algorithm="local_dpsgd",
-        trajectory=None,
-    )
+    no_cap = np.zeros(cfg.steps, dtype=bool)
+    return _descent_loop(obj, cfg, schedule[: cfg.steps, None], no_cap, gamma, "local_dpsgd", None)
 
 
 def run_central_dpsgd(obj: Objective, cfg: SgdConfig) -> RunRecord:
@@ -484,60 +506,14 @@ def run_central_dpsgd(obj: Objective, cfg: SgdConfig) -> RunRecord:
 
     ``cfg.steps`` counts rounds.  Each round every node contributes its full
     clipped local gradient; one Gaussian draw of per-coordinate std
-    ``clip_threshold * sigma / n`` is added to the average.
+    ``clip_threshold * sigma / n`` is added to the average.  ``burn_in`` and
+    ``batch_size`` do not apply.
     """
-    start = time.perf_counter()
-    n = obj.n_nodes
-    root = np.random.SeedSequence(cfg.seed)
-    _, noise_child, batch_child = root.spawn(3)
-    noise_rng = np.random.default_rng(noise_child)
-    batch_rng = np.random.default_rng(batch_child)
-
-    x = _initial_point(obj, cfg)
-    gamma = cfg.gamma if cfg.gamma is not None else _resolve_gamma(obj, cfg, x, 1.0)
-    optimum = obj.optimum()
-    noise_std = cfg.clip_threshold * cfg.sigma / n
-    track_acc = obj.accuracy(x) is not None
-    stride = max(1, cfg.steps // max(cfg.trace_points, 1))
-
-    ts: list[int] = []
-    objective: list[float] = []
-    sq_distance: list[float] = []
-    accuracy: list[float] = []
-
-    def record(t: int) -> None:
-        ts.append(t)
-        objective.append(obj.objective_value(x))
-        if optimum is not None:
-            sq_distance.append(float(np.sum((x - optimum) ** 2)))
-        if track_acc:
-            accuracy.append(obj.accuracy(x))
-
-    record(0)
-    for t in range(cfg.steps):
-        acc_g = np.zeros(obj.dim)
-        for v in range(n):
-            acc_g += clip(obj.gradient(v, x, batch_rng, None), cfg.clip_threshold)
-        g = acc_g / n
-        if noise_std > 0.0:
-            g = g + noise_rng.normal(0.0, noise_std, size=obj.dim)
-        gamma_t = gamma if cfg.schedule == "constant" else gamma / (t + 1)
-        x = x - gamma_t * g
-        if (t + 1) % stride == 0 or t + 1 == cfg.steps:
-            record(t + 1)
-
-    return RunRecord(
-        algorithm="central_dpsgd",
-        ts=np.asarray(ts, dtype=np.int64),
-        objective=np.asarray(objective),
-        sq_distance=np.asarray(sq_distance) if optimum is not None else None,
-        accuracy=np.asarray(accuracy) if track_acc else None,
-        final_x=x,
-        gamma=gamma,
-        stride=stride,
-        wall_clock=time.perf_counter() - start,
-        trajectory=None,
-    )
+    cfg = replace(cfg, burn_in=0, batch_size=None)
+    gamma = cfg.gamma if cfg.gamma is not None else _resolve_gamma(obj, cfg, _initial_point(obj, cfg), 1.0)
+    schedule = np.broadcast_to(np.arange(obj.n_nodes), (cfg.steps, obj.n_nodes))
+    no_cap = np.zeros(cfg.steps, dtype=bool)
+    return _descent_loop(obj, cfg, schedule, no_cap, gamma, "central_dpsgd", None)
 
 
 # --------------------------------------------------------------------------- #

@@ -144,7 +144,9 @@ class FactorialWeights:
     """``c_i = 1/i!``; the series sums to ``exp(x) - 1``."""
 
     def weight(self, i: int) -> float:
-        return 1.0 / math.factorial(i)
+        # int / int is correctly rounded down to subnormals (1.0 / i! overflows
+        # converting i! from i = 171); from i = 178 on, 1/i! rounds to 0.
+        return 1 / math.factorial(i) if i < 178 else 0.0
 
     def series_sum(self, x: float) -> float:
         return math.expm1(x)

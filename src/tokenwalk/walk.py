@@ -8,6 +8,8 @@ without coordination.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,7 +91,8 @@ def simulate(
     Each move inverts the CDF of the current row against one uniform from a
     Philox stream keyed by `seed` (an int, or a ``numpy.random.SeedSequence``
     for spawned replicas).  Zero-probability targets are never selected, so
-    consecutive nodes always lie in the support of W.
+    consecutive nodes always lie in the support of W.  Entries must be
+    nonnegative and rows must sum to 1 (to 1e-9).
     """
     n = w.n
     if not 0 <= v0 < n:
@@ -99,25 +102,25 @@ def simulate(
     if burn_in < 0 or burn_in > steps:
         raise TokenwalkError(f"burn_in must be in [0, steps], got {burn_in}")
     row_sums = w.w.sum(axis=1)
-    if not np.allclose(row_sums, 1.0, atol=1e-9, rtol=0.0):
+    if np.any(w.w < 0.0) or not np.allclose(row_sums, 1.0, atol=1e-9, rtol=0.0):
         raise TokenwalkError("simulate requires a row-stochastic matrix")
 
-    # Absorb rounding so every uniform lands in a cell: 1.0 goes on each row's
-    # last support cell and every cell after it, never on a zero-mass cell.
-    cums = np.cumsum(w.w, axis=1)
-    last_support = n - 1 - np.argmax(w.w[:, ::-1] > 0.0, axis=1)
-    cums[np.arange(n) >= last_support[:, None]] = 1.0
+    # Each row's CDF over its support only, stepped by `bisect` with no NumPy
+    # call per step.  The last support cell's CDF is 1.0, so a uniform in the
+    # row-sum rounding gap never lands on a zero-mass cell.
+    support = [np.flatnonzero(row > 0.0) for row in w.w]
+    targets = [array("q", cols.astype(np.int64).tobytes()) for cols in support]
+    cdfs = [array("d", np.append(cum[cols[:-1]], 1.0).tobytes())
+            for cum, cols in zip(np.cumsum(w.w, axis=1), support)]
 
     key = _philox_key(seed)
     rng = np.random.Generator(np.random.Philox(key=key))
-    uniforms = rng.random(steps)
-
-    nodes = np.empty(steps + 1, dtype=np.int64)
-    nodes[0] = v0
+    path = [v0]
     cur = v0
-    for t in range(steps):
-        cur = int(np.searchsorted(cums[cur], uniforms[t], side="right"))
-        nodes[t + 1] = cur
+    for u in rng.random(steps).tolist():
+        cur = targets[cur][bisect_right(cdfs[cur], u)]
+        path.append(cur)
+    nodes = np.array(path, dtype=np.int64)
 
     noise_only = np.zeros(steps + 1, dtype=bool)
     if contribution_cap is not None:

@@ -32,13 +32,14 @@ def test_cli_import_does_not_load_scipy():
     assert "scipy" not in _modules_after("import tokenwalk.cli")
 
 
-def test_logistic_objective_is_the_one_scipy_user():
-    # Logistic runs need scipy.special.expit; constructing the objective loads it.
+def test_logistic_sgd_run_does_not_load_scipy(tmp_path):
+    # A whole logistic run: dataset, chain, calibration, all three descent loops.
     code = (
-        "from tokenwalk import datasets, optim\n"
-        "optim.LogisticObjective(datasets.synth_linear(n_users=4, per_user=2, d=3, margin=0.3, seed=0))"
+        "from tokenwalk.cli import main\n"
+        "assert main(['sgd', '--preset', 'fig2', '--synthetic', '--n', '8', '--epochs', '2', "
+        f"'--out', {str(tmp_path / 'fig2')!r}]) == 0"
     )
-    assert "scipy" in _modules_after(code)
+    assert "scipy" not in _modules_after(code)
 
 
 # --------------------------------------------------------------------------- #

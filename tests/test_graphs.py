@@ -46,6 +46,35 @@ def test_edges_canonical_sorted():
     assert len(np.unique(e, axis=0)) == len(e)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GraphSpec(family="complete", n=7),
+        GraphSpec(family="ring", n=3),
+        GraphSpec(family="ring", n=10),
+        GraphSpec(family="star", n=6),
+        GraphSpec(family="grid2d", rows=1, cols=5),
+        GraphSpec(family="grid2d", rows=4, cols=1),
+        GraphSpec(family="grid2d", rows=3, cols=4),
+        GraphSpec(family="hypercube", dim=4),
+        GraphSpec(family="erdos_renyi", n=30, q=0.2, seed=4),
+    ],
+)
+def test_canonical_builders_are_not_resorted(monkeypatch, spec):
+    # The builders emit canonical rows, so `generate` neither deduplicates
+    # them nor sorts the CSR, connectivity BFS included.
+    def refuse(*args, **kwargs):
+        raise AssertionError("canonical edges were sorted again")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    monkeypatch.setattr(np, "lexsort", refuse)
+    g = generate(spec)
+    monkeypatch.undo()
+    e = g.edges
+    assert np.all(e[:, 0] < e[:, 1])
+    assert np.array_equal(e, np.unique(e, axis=0))
+
+
 def test_degrees():
     star = generate(GraphSpec(family="star", n=9))
     assert star.degrees[0] == 8

@@ -49,6 +49,9 @@ def test_clip_hand_values():
 def test_clip_properties(g, delta):
     out = clip(g, delta)
     assert np.linalg.norm(out) <= delta * (1 + 1e-12)
+    # bit for bit what the np.linalg.norm formulation gives
+    norm = float(np.linalg.norm(g))
+    assert out.tobytes() == (g if norm <= delta else g * (delta / norm)).tobytes()
     # direction is preserved: the output is a nonnegative multiple of g
     if np.linalg.norm(g) > 0:
         cos = float(g @ out)
@@ -118,7 +121,7 @@ def test_averaging_objective_formulas():
     assert np.array_equal(obj.optimum(), [4.0])
     assert obj.heterogeneity() == 6.0  # 2 * max|mean - y_v|
     x = np.array([2.0])
-    assert np.array_equal(obj.gradient(1, x, None, None), [-2.0])
+    assert np.array_equal(obj.gradient(1, x, None), [-2.0])
     # mean of ||x - y_v||^2 at x = 2: (1 + 1 + 9 + 25) / 4
     assert obj.objective_value(x) == 9.0
     assert obj.accuracy(x) is None
@@ -146,7 +149,7 @@ def test_logistic_gradient_matches_finite_differences():
         return float(np.mean(np.logaddexp(0.0, -margins)) + 0.5 * obj.reg * (point @ point))
 
     for node in (0, 3, 5):
-        full = obj.gradient(node, x, rng, None)  # full local batch
+        full = obj.gradient(node, x, None)  # full local batch
         h = 1e-6
         numeric = np.zeros(4)
         for k in range(4):
@@ -160,11 +163,40 @@ def test_logistic_minibatch_unbiased_in_expectation():
     ds = synth_linear(2, 40, d=3, margin=0.2, seed=1)
     obj = LogisticObjective(ds)
     x = np.array([0.1, -0.2, 0.3])
-    full = obj.gradient(0, x, np.random.default_rng(0), None)
+    full = obj.gradient(0, x, None)
+    m = int(obj.local_sizes[0])
     draws = np.mean(
-        [obj.gradient(0, x, np.random.default_rng(s), 5) for s in range(4000)], axis=0
+        [obj.gradient(0, x, np.random.default_rng(s).integers(0, m, size=5)) for s in range(4000)],
+        axis=0,
     )
     assert np.allclose(draws, full, atol=0.01)
+
+
+def test_scalar_expit_matches_scipy_bitwise():
+    special = pytest.importorskip("scipy.special")  # the referee, in tests only
+    rng = np.random.default_rng(7)
+    sweep = [rng.normal(size=20_000) * scale for scale in (0.1, 1.0, 10.0, 100.0, 300.0)]
+    edges = np.array([709.78, 709.79, 709.8, 710.0, 744.4, 745.0, 745.2, 746.0, 1e308, np.inf])
+    z = np.concatenate(sweep + [edges, -edges, [0.0, -0.0, 5e-324, -5e-324]])
+    ours = np.array([optim._expit(v) for v in z.tolist()])
+    assert ours.tobytes() == special.expit(z).tobytes()
+
+
+def test_block_drawn_rows_match_per_call_draws():
+    class Sizes:
+        # 3 * 2**30 rejects a quarter of raw draws, exercising the retry path
+        local_sizes = np.array([1, 3, 5, 6, 8, 100, 3 * 2**30, 2**32 - 5])
+
+    nodes = np.random.default_rng(2).integers(0, 8, size=3000)
+    for batch_size in (1, 2, 5, None):
+        rng = np.random.default_rng(np.random.SeedSequence(9))
+        rows = optim._draw_rows(Sizes(), nodes, np.random.default_rng(np.random.SeedSequence(9)), batch_size)
+        for node, got in zip(nodes.tolist(), rows):
+            m = int(Sizes.local_sizes[node])
+            if batch_size is None or batch_size >= m:
+                assert got is None
+            else:
+                assert np.array_equal(got, rng.integers(0, m, size=batch_size))
 
 
 def test_logistic_accuracy_on_separable_data():

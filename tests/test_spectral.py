@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.linalg import expm, logm
@@ -158,6 +161,18 @@ def test_factorial_weights_matches_expm(er_chain):
     # remove the rank-one unit part expm leaves on the centered matrix:
     # exp(M) includes the identity on the orthogonal complement only
     assert np.allclose(out, ref, atol=1e-10)
+
+
+def test_factorial_weights_correctly_rounded_past_overflow(er_chain):
+    w = FactorialWeights()
+    for i in (1, 2, 3, 23, 100, 170, 171, 172, 177, 178, 200):
+        got = w.weight(i)
+        # within half an ulp of the exact 1/i! (5e-324 apart below the normals)
+        assert abs(Fraction(got) - Fraction(1, math.factorial(i))) < Fraction(math.ulp(got)) / 2
+    assert 0.0 < w.weight(177) < 2.3e-308 and w.weight(178) == 0.0
+    assert w.weight(10**6) == 0.0
+    out = communicability(er_chain, w, truncation=200)
+    assert np.allclose(out, communicability(er_chain, w), atol=1e-14)
 
 
 def test_geometric_weights_closed_form(two_state):
