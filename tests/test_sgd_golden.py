@@ -5,11 +5,16 @@ SHA-256 of its little-endian bytes, so any change to the arithmetic, to the
 order of random draws or to the walk sampler shows up here.  The expected
 digests were recorded from the per-step reference loops (one
 ``rng.integers`` / ``rng.normal`` call and one ``np.searchsorted`` per step)
-before the hot loops were rewritten.
+before the hot loops were rewritten.  The single-sample cases on unequal
+blocks, the singleton-node walk, the capped single-sample walk and the
+mixed-clip central run were recorded from the per-call gradient code
+(fancy-indexed ``(1, d)`` blocks, one ``gradient`` + ``clip`` call per node
+of a central round) before the row-view and stacked evaluators replaced it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -71,6 +76,22 @@ def _unequal_blocks() -> tuple[transition.TransitionMatrix, LogisticObjective]:
     return transition.with_self_loops(g, 0.25), LogisticObjective(ds, reg=0.01)
 
 
+def _singleton_block() -> tuple[transition.TransitionMatrix, LogisticObjective]:
+    """Five nodes on a lazy ring; node 2 holds a single training row."""
+    ds = datasets.synth_linear(5, 6, d=3, margin=0.1, seed=7)
+    train = ds.train_indices
+    cuts = np.cumsum([7, 8, 1, 6])
+    ds = dataclasses.replace(ds, partition=tuple(np.split(train, cuts)))
+    assert [len(p) for p in ds.partition] == [7, 8, 1, 6, 8]
+    g = graphs.generate(graphs.GraphSpec(family="ring", n=5))
+    return transition.with_self_loops(g, 0.5), LogisticObjective(ds, reg=0.02)
+
+
+#: Clip threshold of "central-unequal-mixed-clip": between the smallest and the
+#: largest norm of the seven full node gradients at x0 = 0.
+MIXED_CLIP = 0.2
+
+
 def _lazy_ring_averaging() -> tuple[transition.TransitionMatrix, AveragingObjective]:
     g = graphs.generate(graphs.GraphSpec(family="ring", n=9))
     values = np.random.default_rng(4).normal(size=(9, 3))
@@ -120,6 +141,24 @@ def _run(case: str):
     if case == "central-unequal":
         _, obj = _unequal_blocks()
         return run_central_dpsgd(obj, SgdConfig(**dict(logistic, steps=30)))
+    if case == "rw-unequal-b1":
+        tm, obj = _unequal_blocks()
+        return run_rw_dpsgd(tm, obj, SgdConfig(batch_size=1, start_node=2, **logistic))
+    if case == "local-unequal-b1":
+        _, obj = _unequal_blocks()
+        return run_local_dpsgd(obj, SgdConfig(batch_size=1, **logistic), 7)
+    if case == "rw-singleton-b1":
+        tm, obj = _singleton_block()
+        return run_rw_dpsgd(tm, obj, SgdConfig(batch_size=1, **logistic))
+    if case == "rw-unequal-b1-cap":
+        tm, obj = _unequal_blocks()
+        return run_rw_dpsgd(
+            tm, obj, SgdConfig(batch_size=1, contribution_cap=60, burn_in=25, **logistic)
+        )
+    if case == "central-unequal-mixed-clip":
+        _, obj = _unequal_blocks()
+        cfg = dict(logistic, steps=30, clip_threshold=MIXED_CLIP)
+        return run_central_dpsgd(obj, SgdConfig(**cfg))
     if case == "rw-averaging-lazy-ring":
         tm, obj = _lazy_ring_averaging()
         return run_rw_dpsgd(tm, obj, SgdConfig(steps=500, sigma=0.4, clip_threshold=1.5, seed=12))
@@ -237,6 +276,52 @@ GOLDEN: dict[str, dict] = {
         "accuracy": "c70067ec88084452",
         "gamma": "0x1.999999999999ap-4",
     },
+    "rw-unequal-b1": {
+        "final_x": "62783683f7eefd66",
+        "ts": "bb3377b43dc0792f",
+        "objective": "5d27dca2118cbaaa",
+        "sq_distance": None,
+        "accuracy": "6db83748e53c177c",
+        "gamma": "0x1.999999999999ap-4",
+        "nodes": "04b25cecafdfba3f",
+        "noise_only": "1b94bb6a330c9159",
+    },
+    "local-unequal-b1": {
+        "final_x": "96555fb3b753e524",
+        "ts": "bb3377b43dc0792f",
+        "objective": "de78fdc7f1eaf482",
+        "sq_distance": None,
+        "accuracy": "0665beb1e94947ae",
+        "gamma": "0x1.999999999999ap-4",
+    },
+    "rw-singleton-b1": {
+        "final_x": "5faa12277ec3608b",
+        "ts": "bb3377b43dc0792f",
+        "objective": "5a055f16541d9101",
+        "sq_distance": None,
+        "accuracy": "ab47896a063e15cb",
+        "gamma": "0x1.999999999999ap-4",
+        "nodes": "e573b26a492d031b",
+        "noise_only": "1b94bb6a330c9159",
+    },
+    "rw-unequal-b1-cap": {
+        "final_x": "9a20f5a98b217a49",
+        "ts": "bb3377b43dc0792f",
+        "objective": "524ff755ba0a11bd",
+        "sq_distance": None,
+        "accuracy": "3738de19135f6920",
+        "gamma": "0x1.999999999999ap-4",
+        "nodes": "33ce958993e80e62",
+        "noise_only": "ee241de8f2082d6c",
+    },
+    "central-unequal-mixed-clip": {
+        "final_x": "dd9d2b5644fc0529",
+        "ts": "3a769b546b52d0c3",
+        "objective": "40a3b3c1c0a96a79",
+        "sq_distance": None,
+        "accuracy": "1a2154cd0fd5643b",
+        "gamma": "0x1.999999999999ap-4",
+    },
     "rw-averaging-lazy-ring": {
         "final_x": "f9aa2ed5d5621e5f",
         "ts": "6c0fa99e682ba28a",
@@ -279,6 +364,23 @@ GOLDEN: dict[str, dict] = {
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_run_is_bitwise_golden(case):
     assert _record_digests(_run(case)) == GOLDEN[case]
+
+
+def test_golden_fixtures_exercise_their_branches():
+    """The singleton node takes whole-block steps between single-sample steps;
+    the mixed-clip threshold clips some node gradients at x0 and not others;
+    the capped run has both noise-only steps and gradient steps after burn-in."""
+    rec = _run("rw-singleton-b1")
+    visits = rec.trajectory.nodes[:-1]
+    assert 0 < np.count_nonzero(visits == 2) < visits.size
+
+    _, obj = _unequal_blocks()
+    norms = [np.linalg.norm(obj.gradient(v, np.zeros(obj.dim), None)) for v in range(7)]
+    assert min(norms) < MIXED_CLIP < max(norms)
+
+    rec = _run("rw-unequal-b1-cap")
+    skipped = rec.trajectory.noise_only[25:-1]
+    assert 0 < np.count_nonzero(skipped) < skipped.size
 
 
 def _walk(case: str):
