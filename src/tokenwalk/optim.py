@@ -6,8 +6,9 @@ per-coordinate Gaussian noise of variance ``delta**2 * sigma**2``, applies the
 step, and forwards the token along the transition matrix.  Local DP-SGD runs
 the same update with an i.i.d. uniform node schedule; central DP-SGD averages
 all clipped node gradients per round under a trusted aggregator, with a single
-noise draw scaled down by ``1/n``.  All three are one loop, `_descent_loop`,
-fed a different schedule of nodes per step.
+noise draw scaled down by ``1/n``.  All three are one loop, `_descent_loop`:
+the walk and local DP-SGD feed it one node per step, and a central round
+evaluates every node's full gradient in one stacked pass.
 
 Step sizes can be given explicitly or derived from the strongly convex
 convergence analysis (`step_size_theorem2`), whose predicted error ceiling is
@@ -58,7 +59,14 @@ THEOREM2_C = 13.0
 
 @runtime_checkable
 class Objective(Protocol):
-    """Node-decomposed objective ``f = (1/n) sum_v f_v``."""
+    """Node-decomposed objective ``f = (1/n) sum_v f_v``.
+
+    `gradient` takes the node's local sample `rows` as None (every sample of
+    the node), a plain ``int`` (one sample: a single-sample step) or an int
+    array (a minibatch drawn with replacement, repeats counted).
+    `node_gradients` is the stacked evaluator of a central round: every node's
+    full local gradient at once, row v bit for bit ``gradient(v, x, None)``.
+    """
 
     n_nodes: int
     dim: int
@@ -67,8 +75,12 @@ class Objective(Protocol):
     #: Samples held by each node; minibatch rows index into a node's samples.
     local_sizes: np.ndarray
 
-    def gradient(self, node: int, x: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    def gradient(self, node: int, x: np.ndarray, rows: int | np.ndarray | None) -> np.ndarray:
         """Gradient of ``f_node`` at `x` over the local samples `rows` (all if None)."""
+        ...
+
+    def node_gradients(self, x: np.ndarray) -> np.ndarray:
+        """Full local gradients of all nodes at `x`, stacked ``(n_nodes, dim)``."""
         ...
 
     def objective_value(self, x: np.ndarray) -> float: ...
@@ -105,6 +117,9 @@ class AveragingObjective:
     def gradient(self, node, x, rows):
         return 2.0 * (x - self.values[node])
 
+    def node_gradients(self, x):
+        return 2.0 * (x - self.values)
+
     def objective_value(self, x):
         return float(np.mean(np.sum((x[None, :] - self.values) ** 2, axis=1)))
 
@@ -123,16 +138,26 @@ class LogisticObjective:
 
     ``f_v(x) = mean over v's samples of log(1 + exp(-y a.x)) + (reg/2)||x||^2``.
     Rows are unit-norm after preprocessing, so smoothness is ``1/4 + reg``.
+
+    Nodes holding the same number of samples share one ``(n_g, m, d)``
+    feature stack, and each node's block is a view into it, so a central
+    round costs one stacked pass per block size.
     """
 
     def __init__(self, dataset: Dataset, reg: float = 0.0):
         if reg < 0:
             raise ConfigError(f"regularization must be nonnegative, got {reg}")
-        self._blocks = [
-            (dataset.features[idx], dataset.labels[idx]) for idx in dataset.partition
-        ]
-        self.n_nodes = len(self._blocks)
         self.local_sizes = np.array([len(idx) for idx in dataset.partition], dtype=np.int64)
+        self.n_nodes = len(self.local_sizes)
+        self._groups = []  # (nodes, features (n_g, m, d), labels (n_g, m)) per block size m
+        self._blocks = [None] * self.n_nodes
+        for m in sorted(set(self.local_sizes.tolist())):  # np.unique's SIMD sort pages in ~1 MB
+            nodes = np.flatnonzero(self.local_sizes == m)
+            idx = np.array([dataset.partition[v] for v in nodes.tolist()], dtype=np.int64)
+            feats, labels = dataset.features[idx], dataset.labels[idx]
+            self._groups.append((nodes, feats, labels))
+            for j, v in enumerate(nodes.tolist()):
+                self._blocks[v] = (feats[j], labels[j])
         self.dim = dataset.features.shape[1]
         self.reg = reg
         self.smoothness = 0.25 + reg
@@ -144,11 +169,26 @@ class LogisticObjective:
 
     def gradient(self, node, x, rows):
         feats, labels = self._blocks[node]
+        if isinstance(rows, int):  # one sample on a row view: the (1, d) block's arithmetic
+            a, y = feats[rows], labels[rows]
+            return a * (-y * _expit(-(y * a.dot(x)))) + self.reg * x
         if rows is not None:
             feats, labels = feats[rows], labels[rows]
         margins = labels * (feats @ x)
         weights = -labels * np.array([_expit(-m) for m in margins.tolist()])
         return feats.T @ weights / feats.shape[0] + self.reg * x
+
+    def node_gradients(self, x):
+        # Stacked matmuls run one gemv per block, the same as `gradient`'s; one
+        # flat (sum m_v, d) @ x product would not be bit for bit the same.
+        out = np.empty((self.n_nodes, self.dim))
+        for nodes, feats, labels in self._groups:
+            margins = labels * np.matmul(feats, x)
+            expits = [_expit(-m) for m in margins.ravel().tolist()]
+            weights = -labels * np.array(expits).reshape(margins.shape)
+            grads = np.matmul(feats.transpose(0, 2, 1), weights[..., None])[..., 0]
+            out[nodes] = grads / feats.shape[1] + self.reg * x
+        return out
 
     def objective_value(self, x):
         feats, labels = self._train
@@ -249,7 +289,8 @@ def clip(g: np.ndarray, delta: float) -> np.ndarray:
     """Rescale `g` onto the L2 ball of radius `delta` (no-op inside it)."""
     if not delta > 0.0:
         raise ConfigError(f"clip threshold must be positive, got {delta}")
-    norm = math.sqrt(g.ravel() @ g.ravel())  # np.linalg.norm's formula, minus its overhead
+    flat = g.ravel()
+    norm = math.sqrt(flat.dot(flat))  # np.linalg.norm's formula, minus its overhead
     if norm <= delta:
         return g
     return g * (delta / norm)
@@ -361,9 +402,10 @@ def _mixing_estimate(w: TransitionMatrix) -> float:
 
 def _draw_rows(
     obj: Objective, nodes: np.ndarray, rng: np.random.Generator, batch_size: int | None
-) -> Iterator[np.ndarray | None]:
+) -> Iterator[int | np.ndarray | None]:
     """Minibatch rows of each gradient call on `nodes`, in call order: `batch_size`
-    uniform draws with replacement, or None (all rows) for a node holding no more.
+    uniform draws with replacement (a plain int when `batch_size` is 1), or None
+    (all rows) for a node holding no more.
 
     One ``integers`` call with a per-draw bound draws what one call per gradient would.
     """
@@ -371,14 +413,27 @@ def _draw_rows(
         return repeat(None)
     sizes = obj.local_sizes[nodes]
     sampled = sizes > batch_size
-    drawn = iter(rng.integers(0, np.repeat(sizes[sampled], batch_size)).reshape(-1, batch_size))
+    drawn = rng.integers(0, np.repeat(sizes[sampled], batch_size))
+    drawn = iter(drawn.tolist() if batch_size == 1 else drawn.reshape(-1, batch_size))
     return (next(drawn) if s else None for s in sampled.tolist())
+
+
+def _clipped_sum(grads: np.ndarray, delta: float) -> np.ndarray:
+    """Sum over rows of `grads`, each `clip`ped to `delta`, added in row order.
+
+    Each row's norm is its own dot product and a row inside the ball is scaled
+    by exactly 1.0, so every clipped row is bit for bit ``clip(row, delta)``;
+    ``cumsum`` adds the rows one after another, as a running sum would.
+    """
+    norms = np.sqrt(np.matmul(grads[:, None, :], grads[:, :, None]).ravel())
+    scale = delta / np.maximum(norms, delta)
+    return np.cumsum(grads * scale[:, None], axis=0)[-1]
 
 
 def _descent_loop(
     obj: Objective,
     cfg: SgdConfig,
-    schedule: np.ndarray,
+    schedule: np.ndarray | None,
     noise_only: np.ndarray,
     gamma: float,
     algorithm: str,
@@ -386,21 +441,25 @@ def _descent_loop(
 ) -> RunRecord:
     """The update loop of every algorithm.
 
-    Step t averages the clipped gradients of the k nodes in row t of
-    `schedule`, summed in row order (k = 1 for the walk and local DP-SGD, n
-    for a central round), and adds noise of per-coordinate std
-    ``clip_threshold * sigma / k``; steps flagged in `noise_only` (a visit
-    over the contribution cap) add the noise alone.  Noise and minibatch
-    rows are drawn up front in one call each, which yields the same numbers
-    as one draw per step.
+    With a `schedule` (the walk and local DP-SGD), step t applies the clipped
+    gradient of node ``schedule[t]`` on its minibatch; with ``schedule=None``
+    (central DP-SGD), step t is a round that averages the clipped full
+    gradients of all n nodes, summed in node order.  Noise has per-coordinate
+    std ``clip_threshold * sigma / k`` (k = 1, or n for a round); steps
+    flagged in `noise_only` (a visit over the contribution cap) add the noise
+    alone.  Noise and minibatch rows are drawn up front in one call each,
+    which yields the same numbers as one draw per step.
     """
     start = time.perf_counter()
     _, noise_child, batch_child = np.random.SeedSequence(cfg.seed).spawn(3)
-    steps, k = schedule.shape
+    steps = noise_only.shape[0]
     burn_in = cfg.burn_in
-    grad_nodes = schedule[burn_in:][~noise_only[burn_in:]].ravel()
-    rows = _draw_rows(obj, grad_nodes, np.random.default_rng(batch_child), cfg.batch_size)
-    calls = zip(grad_nodes.tolist(), rows)
+    central = schedule is None
+    k = obj.n_nodes if central else 1
+    if not central:
+        grad_nodes = schedule[burn_in:][~noise_only[burn_in:]]
+        rows = _draw_rows(obj, grad_nodes, np.random.default_rng(batch_child), cfg.batch_size)
+        calls = zip(grad_nodes.tolist(), rows)
     skip = noise_only.tolist()
 
     n_updates = max(steps - burn_in, 0)
@@ -438,14 +497,11 @@ def _descent_loop(
             u = t - burn_in
             if skip[t]:
                 g = np.zeros(obj.dim)
+            elif central:
+                g = _clipped_sum(obj.node_gradients(x), delta) / k
             else:
                 v, r = next(calls)
                 g = clip(gradient(v, x, r), delta)
-                if k > 1:
-                    for _ in range(k - 1):
-                        v, r = next(calls)
-                        g = g + clip(gradient(v, x, r), delta)
-                    g = g / k
             if noise is not None:
                 g = g + noise[u]
             x = x - gammas[u] * g
@@ -482,7 +538,7 @@ def run_rw_dpsgd(w: TransitionMatrix, obj: Objective, cfg: SgdConfig) -> RunReco
         obj, cfg, _initial_point(obj, cfg), _mixing_estimate(w)
     )
     return _descent_loop(
-        obj, cfg, traj.nodes[:-1, None], traj.noise_only[:-1], gamma, "rw_dpsgd", traj
+        obj, cfg, traj.nodes[:-1], traj.noise_only[:-1], gamma, "rw_dpsgd", traj
     )
 
 
@@ -498,22 +554,22 @@ def run_local_dpsgd(obj: Objective, cfg: SgdConfig, n: int) -> RunRecord:
     schedule = np.random.default_rng(schedule_child).integers(0, n, size=max(cfg.steps, 1))
     gamma = cfg.gamma if cfg.gamma is not None else _resolve_gamma(obj, cfg, _initial_point(obj, cfg), 1.0)
     no_cap = np.zeros(cfg.steps, dtype=bool)
-    return _descent_loop(obj, cfg, schedule[: cfg.steps, None], no_cap, gamma, "local_dpsgd", None)
+    return _descent_loop(obj, cfg, schedule[: cfg.steps], no_cap, gamma, "local_dpsgd", None)
 
 
 def run_central_dpsgd(obj: Objective, cfg: SgdConfig) -> RunRecord:
     """Trusted-aggregator baseline: per-round averaged clipped gradients.
 
     ``cfg.steps`` counts rounds.  Each round every node contributes its full
-    clipped local gradient; one Gaussian draw of per-coordinate std
+    clipped local gradient (all n evaluated at once by
+    `Objective.node_gradients`); one Gaussian draw of per-coordinate std
     ``clip_threshold * sigma / n`` is added to the average.  ``burn_in`` and
     ``batch_size`` do not apply.
     """
     cfg = replace(cfg, burn_in=0, batch_size=None)
     gamma = cfg.gamma if cfg.gamma is not None else _resolve_gamma(obj, cfg, _initial_point(obj, cfg), 1.0)
-    schedule = np.broadcast_to(np.arange(obj.n_nodes), (cfg.steps, obj.n_nodes))
     no_cap = np.zeros(cfg.steps, dtype=bool)
-    return _descent_loop(obj, cfg, schedule, no_cap, gamma, "central_dpsgd", None)
+    return _descent_loop(obj, cfg, None, no_cap, gamma, "central_dpsgd", None)
 
 
 # --------------------------------------------------------------------------- #

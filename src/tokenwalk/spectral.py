@@ -309,10 +309,11 @@ def mixing_time_empirical(tm: TransitionMatrix, iota: float) -> int:
     """Smallest ``t`` with ``max_v TV(W^t[v, :], pi) <= iota``.
 
     TV is half the L1 distance.  Worst-case distance to stationarity is
-    non-increasing in ``t``, so for symmetric chains the threshold is located
-    by doubling then bisecting on ``t``, evaluating ``W^t`` spectrally; other
-    chains fall back to step-by-step matrix products.  A hard cap of 10^6
-    steps guards non-mixing chains.
+    non-increasing in ``t`` for any chain, so the threshold is located by
+    doubling then bisecting on ``t``.  Symmetric chains evaluate ``W^t``
+    spectrally; other chains square ``W`` repeatedly and bisect with the
+    stored powers ``W^(2^j)``, at most about ``2 log2(10^6)`` products.  A
+    chain still above `iota` when doubling passes 10^6 steps does not mix.
     """
     if not 0.0 < iota < 1.0:
         raise SpectralError(f"iota must be in (0, 1), got {iota}")
@@ -345,12 +346,21 @@ def mixing_time_empirical(tm: TransitionMatrix, iota: float) -> int:
                 lo = mid
         return hi
 
-    p_t = np.eye(n)
-    for t in range(1, _EMPIRICAL_MIXING_CAP + 1):
-        p_t = p_t @ tm.w
-        if _max_tv_from_rows(p_t, pi) <= iota:
-            return t
-    raise SpectralError(f"no mixing within {_EMPIRICAL_MIXING_CAP} steps (iota={iota})")
+    powers = [tm.w]  # powers[j] = W^(2^j)
+    while _max_tv_from_rows(powers[-1], pi) > iota:
+        if 2 ** len(powers) > _EMPIRICAL_MIXING_CAP:
+            raise SpectralError(f"no mixing within {_EMPIRICAL_MIXING_CAP} steps (iota={iota})")
+        powers.append(powers[-1] @ powers[-1])
+    if len(powers) == 1:
+        return 1
+    # W^lo is above iota and W^(2 lo) is not: add each lower power of two that
+    # keeps the product above iota; the last such t is one short of the answer.
+    lo, p_lo = 2 ** (len(powers) - 2), powers[-2]
+    for j in range(len(powers) - 3, -1, -1):
+        p_mid = p_lo @ powers[j]
+        if _max_tv_from_rows(p_mid, pi) > iota:
+            lo, p_lo = lo + 2**j, p_mid
+    return lo + 1
 
 
 # --------------------------------------------------------------------------- #

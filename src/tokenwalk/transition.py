@@ -290,17 +290,14 @@ def validate(
     )
 
 
-#: Convergence threshold and iteration cap for the power-iteration fallback.
-_STATIONARY_L1_TOL = 1e-10
-_STATIONARY_MAX_ITER = 10**6
-
-
 def stationary_distribution(tm: TransitionMatrix) -> np.ndarray:
     """Stationary law of the chain.
 
     Doubly stochastic chains get the exact uniform law.  Other row-stochastic
-    matrices are power-iterated (pi <- pi W) until the L1 residual
-    ``||pi W - pi||_1`` drops below 1e-10.
+    matrices solve ``pi W = pi, sum(pi) = 1`` in one linear solve (the last
+    balance equation, implied by the others, is replaced by the sum), so
+    periodic chains get their law too.  A chain with more than one closed
+    class has no unique law: its system is singular and this raises.
     """
     n = tm.n
     if tm.bistochastic:
@@ -308,16 +305,16 @@ def stationary_distribution(tm: TransitionMatrix) -> np.ndarray:
     rows = tm.w.sum(axis=1)
     if not np.allclose(rows, 1.0, atol=1e-6, rtol=0.0):
         raise TransitionError("stationary distribution undefined: rows do not sum to 1")
-    pi = np.full(n, 1.0 / n)
-    for _ in range(_STATIONARY_MAX_ITER):
-        nxt = pi @ tm.w
-        nxt /= nxt.sum()
-        if float(np.abs(nxt - pi).sum()) <= _STATIONARY_L1_TOL:
-            return nxt
-        pi = nxt
-    raise TransitionError(
-        f"power iteration failed to converge within {_STATIONARY_MAX_ITER} iterations"
-    )
+    system = tm.w.T - np.eye(n)
+    system[-1] = 1.0
+    if np.linalg.matrix_rank(system) < n:
+        raise TransitionError(
+            "stationary distribution is not unique: the chain has more than one closed class"
+        )
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    pi = np.maximum(np.linalg.solve(system, rhs), 0.0)  # transient states solve to ~±1e-17
+    return pi / pi.sum()
 
 
 # --------------------------------------------------------------------------- #

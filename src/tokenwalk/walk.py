@@ -101,6 +101,8 @@ def simulate(
         raise TokenwalkError(f"steps must be nonnegative, got {steps}")
     if burn_in < 0 or burn_in > steps:
         raise TokenwalkError(f"burn_in must be in [0, steps], got {burn_in}")
+    if contribution_cap is not None and contribution_cap < 0:
+        raise TokenwalkError(f"contribution_cap must be >= 0, got {contribution_cap}")
     row_sums = w.w.sum(axis=1)
     if np.any(w.w < 0.0) or not np.allclose(row_sums, 1.0, atol=1e-9, rtol=0.0):
         raise TokenwalkError("simulate requires a row-stochastic matrix")
@@ -124,13 +126,16 @@ def simulate(
 
     noise_only = np.zeros(steps + 1, dtype=bool)
     if contribution_cap is not None:
-        if contribution_cap < 0:
-            raise TokenwalkError(f"contribution_cap must be >= 0, got {contribution_cap}")
-        counts = np.zeros(n, dtype=np.int64)
-        for t in range(burn_in, steps):
-            counts[nodes[t]] += 1
-            if counts[nodes[t]] > contribution_cap:
-                noise_only[t] = True
+        # A visit is over the cap when its node already had `contribution_cap`
+        # visits since burn-in: its 0-based rank among that node's visits,
+        # read off one stable sort by node.
+        visits = nodes[burn_in:steps]
+        order = np.argsort(visits, kind="stable")
+        counts = np.bincount(visits, minlength=n)
+        first = np.cumsum(counts) - counts  # where each node's visits start in `order`
+        rank = np.empty_like(order)
+        rank[order] = np.arange(visits.size) - first[visits[order]]
+        noise_only[burn_in:steps] = rank >= contribution_cap
 
     nodes.setflags(write=False)
     noise_only.setflags(write=False)

@@ -355,6 +355,27 @@ def test_sgd_averaging_preset(tmp_path):
     assert (out / "averaging_seed1.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "name, rc, message",
+    [("two-closed-classes", 2, "not unique"), ("star-walk", 3, "no mixing within")],
+)
+def test_sgd_step_size_on_nonmixing_chain_exit_codes(tmp_path, capsys, monkeypatch, name, rc, message):
+    # The averaging preset derives gamma from the chain's empirical mixing time,
+    # which needs the stationary law of a chain that need not be doubly stochastic.
+    w = np.zeros((4, 4))
+    if name == "two-closed-classes":
+        w[:2, :2] = [[0.9, 0.1], [0.5, 0.5]]
+        w[2:, 2:] = [[0.2, 0.8], [0.6, 0.4]]
+    else:
+        w[0, 1:] = 1.0 / 3.0
+        w[1:, 0] = 1.0
+    monkeypatch.setattr(transition, "with_self_loops", lambda g, kappa: transition.from_array(w))
+    out = tmp_path / name
+    argv = ["sgd", "--preset", "averaging", "--n", "4", "--steps", "50", "--out", str(out)]
+    assert main(argv) == rc
+    assert message in capsys.readouterr().err
+
+
 def test_sgd_heterogeneity_preset(tmp_path):
     out = tmp_path / "het"
     rc = main(

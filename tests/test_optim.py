@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -11,7 +12,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tokenwalk import optim
-from tokenwalk.datasets import synth_linear
+from tokenwalk.datasets import RawTable, preprocess, synth_linear
 from tokenwalk.errors import ConfigError
 from tokenwalk.optim import (
     THEOREM2_C,
@@ -195,8 +196,79 @@ def test_block_drawn_rows_match_per_call_draws():
             m = int(Sizes.local_sizes[node])
             if batch_size is None or batch_size >= m:
                 assert got is None
+            elif batch_size == 1:  # a single-sample step gets a plain int
+                assert type(got) is int and got == rng.integers(0, m, size=1)[0]
             else:
                 assert np.array_equal(got, rng.integers(0, m, size=batch_size))
+
+
+def _reference_block_gradient(feats, labels, x, reg):
+    """The per-call logistic gradient over a 2-D block of rows."""
+    margins = labels * (feats @ x)
+    weights = -labels * np.array([optim._expit(-m) for m in margins.tolist()])
+    return feats.T @ weights / feats.shape[0] + reg * x
+
+
+@pytest.mark.parametrize("d", [1, 3, 8, 13])
+def test_single_sample_gradient_matches_block_form(d):
+    ds = synth_linear(4, 6, d=d, margin=0.1, seed=d)
+    obj = LogisticObjective(ds, reg=0.03)
+    rng = np.random.default_rng(d)
+    for scale in (0.01, 1.0, 30.0, 800.0):  # 800: margins past exp's range saturate
+        x = rng.normal(size=d) * scale
+        for v, idx in enumerate(ds.partition):
+            for r in range(len(idx)):
+                row = idx[[r]]  # the (1, d) block of sample r
+                ref = _reference_block_gradient(ds.features[row], ds.labels[row], x, 0.03)
+                assert obj.gradient(v, x, r).tobytes() == ref.tobytes()
+
+
+def _mixed_size_objective():
+    """Nine nodes holding 1 to 6 training rows, so the stacked pass has five groups."""
+    rng = np.random.default_rng(5)
+    raw = RawTable(features=rng.normal(size=(40, 4)), labels=rng.normal(size=40),
+                   feature_names=("a", "b", "c", "d"), label_name="y")
+    ds = preprocess(raw, n_users=1, seed=1)
+    sizes = [3, 1, 5, 6, 1, 4, 6, 3, 3]
+    parts = np.split(ds.train_indices[: sum(sizes)], np.cumsum(sizes)[:-1])
+    ds = dataclasses.replace(ds, partition=tuple(parts))
+    return ds, LogisticObjective(ds, reg=0.05)
+
+
+def test_stacked_central_step_matches_per_node_loop():
+    ds, obj = _mixed_size_objective()
+    rng = np.random.default_rng(3)
+    for scale in (0.0, 0.5, 5.0, 800.0):
+        x = rng.normal(size=obj.dim) * scale
+        grads = obj.node_gradients(x)
+        assert grads.shape == (9, obj.dim)
+        for v, idx in enumerate(ds.partition):
+            ref = _reference_block_gradient(ds.features[idx], ds.labels[idx], x, 0.05)
+            assert grads[v].tobytes() == ref.tobytes()
+            assert obj.gradient(v, x, None).tobytes() == ref.tobytes()
+        norms = np.linalg.norm(grads, axis=1)
+        delta = float(np.median(norms))
+        assert norms.min() < delta < norms.max()  # some rows clipped, some not
+        ref = clip(obj.gradient(0, x, None), delta)
+        for v in range(1, obj.n_nodes):
+            ref = ref + clip(obj.gradient(v, x, None), delta)
+        assert optim._clipped_sum(grads, delta).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_averaging_stacked_round_matches_per_node_loop(dim):
+    # dim 1: a (n, 1) sum over axis 0 would be pairwise, not in node order
+    rng = np.random.default_rng(dim)
+    obj = AveragingObjective(rng.normal(size=(256, dim)) * 10.0 ** rng.uniform(-3, 3, size=(256, 1)))
+    x = rng.normal(size=dim)
+    stacked = obj.node_gradients(x)
+    for v in range(256):
+        assert stacked[v].tobytes() == obj.gradient(v, x, None).tobytes()
+    delta = float(np.median(np.linalg.norm(stacked, axis=1)))
+    ref = clip(obj.gradient(0, x, None), delta)
+    for v in range(1, 256):
+        ref = ref + clip(obj.gradient(v, x, None), delta)
+    assert optim._clipped_sum(stacked, delta).tobytes() == ref.tobytes()
 
 
 def test_logistic_accuracy_on_separable_data():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,12 @@ from tokenwalk.spectral import (
     mixing_time_spectral_bound,
     spectral_gap,
 )
-from tokenwalk.transition import from_array, hamilton_weighting, with_self_loops
+from tokenwalk.transition import (
+    from_array,
+    hamilton_weighting,
+    stationary_distribution,
+    with_self_loops,
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -284,6 +290,38 @@ def test_mixing_time_empirical_fallback_branch():
         return float(np.max(np.abs(p - pi).sum(axis=1)) / 2.0)
 
     assert max_tv(t) <= 0.05 < max_tv(t - 1)
+
+
+def _max_tv_by_matrix_power(w: np.ndarray, pi: np.ndarray, t: int) -> float:
+    p = np.linalg.matrix_power(w, t)
+    return float(np.max(np.abs(p - pi).sum(axis=1)) / 2.0)
+
+
+def test_mixing_time_empirical_nonsymmetric_matches_step_search():
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        w = rng.random((7, 7)) ** 4  # skewed rows: slow, non-symmetric mixing
+        w /= w.sum(axis=1, keepdims=True)
+        tm = from_array(w)
+        pi = stationary_distribution(tm)
+        for iota in (0.3, 0.05, 1e-3, 1e-6):
+            t = mixing_time_empirical(tm, iota)
+            assert _max_tv_by_matrix_power(w, pi, t) <= iota
+            assert t == 0 or _max_tv_by_matrix_power(w, pi, t - 1) > iota
+
+
+@pytest.mark.parametrize("name", ["directed-3-cycle", "star-walk"])
+def test_mixing_time_empirical_nonsymmetric_periodic_fails_fast(name):
+    if name == "directed-3-cycle":
+        w = np.roll(np.eye(3), 1, axis=1)
+    else:
+        w = np.zeros((5, 5))
+        w[0, 1:] = 0.25
+        w[1:, 0] = 1.0
+    start = time.perf_counter()
+    with pytest.raises(SpectralError, match="no mixing within 1000000 steps"):
+        mixing_time_empirical(from_array(w), 0.1)
+    assert time.perf_counter() - start < 2.0  # ~20 squarings, not 10^6 products
 
 
 def test_mixing_time_empirical_periodic_raises():

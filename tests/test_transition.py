@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -210,6 +211,33 @@ def test_stationary_general_hand_value():
     pi = stationary_distribution(tm)
     assert np.allclose(pi, [5.0 / 6.0, 1.0 / 6.0], atol=1e-9)
     assert np.allclose(pi @ tm.w, pi, atol=1e-9)
+
+
+def test_stationary_periodic_chain_solved_directly():
+    # simple random walk on a 5-node star: period 2, not doubly stochastic
+    w = np.zeros((5, 5))
+    w[0, 1:] = 0.25
+    w[1:, 0] = 1.0
+    start = time.perf_counter()
+    pi = stationary_distribution(from_array(w))
+    assert time.perf_counter() - start < 2.0  # one solve; power iteration never settled
+    assert np.allclose(pi, [0.5, 0.125, 0.125, 0.125, 0.125], rtol=0.0, atol=1e-15)
+
+
+def test_stationary_with_transient_state():
+    # node 2 leaks into the closed class {0, 1} and is never re-entered
+    tm = from_array(np.array([[0.9, 0.1, 0.0], [0.5, 0.5, 0.0], [0.3, 0.3, 0.4]]))
+    pi = stationary_distribution(tm)
+    assert np.all(pi >= 0.0) and pi.sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(pi, [5.0 / 6.0, 1.0 / 6.0, 0.0], atol=1e-12)
+
+
+def test_stationary_rejects_two_closed_classes():
+    w = np.zeros((4, 4))
+    w[:2, :2] = [[0.9, 0.1], [0.5, 0.5]]
+    w[2:, 2:] = [[0.2, 0.8], [0.6, 0.4]]
+    with pytest.raises(TransitionError, match="not unique"):
+        stationary_distribution(from_array(w))
 
 
 def test_stationary_requires_row_stochastic():

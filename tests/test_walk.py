@@ -181,6 +181,27 @@ def test_cap_flags_match_manual_recount(lazy_ring):
     assert not np.any(free.noise_only)
 
 
+@pytest.mark.parametrize("burn_in", [0, 777])
+def test_cap_flags_match_per_step_loop_on_long_walk(burn_in):
+    from tokenwalk import graphs
+    from tokenwalk.transition import hamilton_weighting
+
+    g = graphs.generate(graphs.GraphSpec(family="erdos_renyi", n=64, q=0.1, seed=4))
+    tm, steps = hamilton_weighting(g), 200_000
+    for cap in (0, 1, 2900, 10**6):  # ~3125 visits per node: 2900 caps some, not all
+        traj = simulate(tm, 5, steps, 21, contribution_cap=cap, burn_in=burn_in)
+        expected = np.zeros(steps + 1, dtype=bool)
+        counts = [0] * 64
+        path = traj.nodes.tolist()
+        for t in range(burn_in, steps):
+            counts[path[t]] += 1
+            if counts[path[t]] > cap:
+                expected[t] = True
+        assert traj.noise_only.tobytes() == expected.tobytes()
+        if cap == 2900:
+            assert 0 < np.count_nonzero(expected) < steps - burn_in
+
+
 def test_cap_does_not_change_the_path(lazy_ring):
     a = simulate(lazy_ring(4), 0, 100, 3)
     b = simulate(lazy_ring(4), 0, 100, 3, contribution_cap=1)
