@@ -832,16 +832,23 @@ def mean_loss_by_distance(
             f"shape mismatch: losses {eps.shape} vs distances {dist.shape}"
         )
     mask = ~np.eye(eps.shape[0], dtype=bool)
+    # A stable sort keeps each distance's losses in row-major order, so every
+    # group is the array `eps[mask & (dist == d)]` would give, in one pass.
+    keys = dist[mask]
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], eps[mask][order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first).tolist()
     out: list[DistanceBucket] = []
-    for d in sorted(set(int(x) for x in np.unique(dist[mask]))):
-        sel = mask & (dist == d)
-        vals = eps[sel]
+    for lo, hi in zip(starts, starts[1:] + [keys.size]):
+        group = vals[lo:hi]
         out.append(
             DistanceBucket(
-                distance=d,
-                mean=float(np.mean(vals)),
-                std=float(np.std(vals)),
-                count=int(vals.size),
+                distance=int(keys[lo]),
+                mean=float(np.mean(group)),
+                std=float(np.std(group)),
+                count=int(group.size),
             )
         )
     return out

@@ -63,10 +63,10 @@ def write_matrix_csv(path: str | Path, matrix: np.ndarray, *, nan_as_empty: bool
         raise ValueError(f"expected a 2-D array, got shape {m.shape}")
     row_fmt = ",".join([_FLOAT_FMT] * m.shape[1])
     lines = [row_fmt % tuple(row) for row in m.tolist()]
+    text = "\n".join(lines) + "\n" if lines else ""
     if nan_as_empty:
-        for i in np.flatnonzero(np.isnan(m).any(axis=1)):
-            lines[i] = ",".join("" if c == "nan" else c for c in lines[i].split(","))
-    atomic_write_text(path, "\n".join(lines) + "\n" if lines else "")
+        text = text.replace("nan", "")  # %.17g writes every NaN, and nothing else, as "nan"
+    atomic_write_text(path, text)
 
 
 def read_matrix_csv(path: str | Path, *, empty_as_nan: bool = False) -> np.ndarray:

@@ -604,6 +604,22 @@ def test_mean_loss_by_distance_ring8(lazy_ring):
     assert all(a > b for a, b in zip(means, means[1:]))
 
 
+def test_mean_loss_by_distance_equals_per_mask_reference():
+    rng = np.random.default_rng(11)
+    eps = rng.random((64, 64)) * 10.0 ** rng.integers(-3, 3, size=(64, 64))
+    np.fill_diagonal(eps, np.nan)
+    dist = rng.integers(1, 9, size=(64, 64))
+    np.fill_diagonal(dist, 0)
+    # reference: one n x n mask per distance
+    mask = ~np.eye(64, dtype=bool)
+    ref = []
+    for d in sorted(set(int(x) for x in dist[mask])):
+        vals = eps[mask & (dist == d)]
+        ref.append(DistanceBucket(d, float(np.mean(vals)), float(np.std(vals)), int(vals.size)))
+    assert mean_loss_by_distance(eps, dist) == ref
+    assert mean_loss_by_distance(np.full((1, 1), np.nan), np.zeros((1, 1), dtype=int)) == []
+
+
 def test_mean_loss_by_distance_shape_mismatch():
     with pytest.raises(AccountantError, match="shape mismatch"):
         mean_loss_by_distance(np.zeros((3, 3)), np.zeros((4, 4), dtype=int))

@@ -21,8 +21,8 @@ def _read_json(path):
 
 
 def _modules_after(code: str) -> set[str]:
-    """Top-level packages loaded by a fresh interpreter after running `code`."""
-    probe = code + "\nimport sys; print(' '.join(sorted({m.split('.')[0] for m in sys.modules})))"
+    """Modules (full dotted names) loaded by a fresh interpreter after running `code`."""
+    probe = code + "\nimport sys; print(' '.join(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
     return set(proc.stdout.split())
@@ -40,6 +40,20 @@ def test_logistic_sgd_run_does_not_load_scipy(tmp_path):
         f"'--out', {str(tmp_path / 'fig2')!r}]) == 0"
     )
     assert "scipy" not in _modules_after(code)
+
+
+def test_privacy_and_edge_list_runs_do_not_load_numpy_ma(tmp_path):
+    # numpy.ma is what np.unique imports; it costs ~11-16 ms per process
+    edges = tmp_path / "edges.txt"
+    edges.write_text("5 3\n3 9\n9 5\n9 2\n2 7\n7 4\n4 8\n8 7\n3 5\n")  # unsorted, one repeat
+    code = (
+        "from tokenwalk.cli import main\n"
+        "assert main(['privacy', '--family', 'erdos-renyi', '--n', '24', '--q', '0.3', "
+        f"'--steps', '64', '--seeds', '1,2', '--out', {str(tmp_path / 'p')!r}]) == 0\n"
+        f"assert main(['graph', '--family', 'edge-list', '--edge-file', {str(edges)!r}, "
+        f"'--out', {str(tmp_path / 'g')!r}]) == 0"
+    )
+    assert "numpy.ma" not in _modules_after(code)
 
 
 # --------------------------------------------------------------------------- #

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import deque
 
 import numpy as np
 import pytest
@@ -336,6 +337,118 @@ def test_hop_levels_blocks_and_unreached(monkeypatch):
     assert np.array_equal(graphs.shortest_path_distances(g), whole)
     levels = graphs.hop_levels(5, np.array([[0, 1], [2, 3], [3, 4]]), [0, 4])
     assert levels.tolist() == [[0, 1, -1, -1, -1], [-1, -1, 2, 1, 0]]
+
+
+def _deque_levels(n, edges, sources):
+    """Reference: one plain queue BFS per source over Python adjacency lists."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges.tolist():
+        adj[u].append(v)
+        adj[v].append(u)
+    out = []
+    for s in sources:
+        level = [-1] * n
+        level[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        out.append(level)
+    return np.array(out, dtype=np.int64).reshape(len(out), n)
+
+
+def _levels_each_way(monkeypatch, n, edges, sources):
+    """hop_levels with the cost rule, then forced all-push, then forced all-pull."""
+    rule = graphs._prefer_pull
+    runs = []
+    for choose in (rule, lambda *_: False, lambda *_: True):
+        monkeypatch.setattr(graphs, "_prefer_pull", choose)
+        runs.append(graphs.hop_levels(n, edges, sources))
+    monkeypatch.setattr(graphs, "_prefer_pull", rule)
+    return runs
+
+
+_SBM3 = GraphSpec(
+    family="sbm",
+    cluster_sizes=(60, 50, 40),
+    prob_matrix=((0.3, 0.01, 0.01), (0.01, 0.3, 0.01), (0.01, 0.01, 0.3)),
+    seed=1,
+)
+
+
+# Under the cost rule the ring pushes at every level; the others pull on
+# their dense levels (the star only at the hub's).
+@pytest.mark.parametrize(
+    "spec, sources",
+    [
+        (GraphSpec(family="star", n=300), [0]),
+        (GraphSpec(family="star", n=300), [7]),
+        (GraphSpec(family="complete", n=300), [0, 299, 150]),
+        (GraphSpec(family="ring", n=301), [0, 1, 150, 151, 300]),
+        (GraphSpec(family="grid2d", rows=17, cols=19), [0, 18, 161, 322]),
+        (GraphSpec(family="hypercube", dim=8), [0, 255, 85]),
+        (GraphSpec(family="erdos_renyi", n=320, q=0.06, seed=0), [0, 1, 2, 100, 319]),
+        (_SBM3, [0, 60, 110, 149]),
+    ],
+)
+@pytest.mark.parametrize("budget", [None, 1])
+def test_hop_levels_matches_queue_bfs(monkeypatch, spec, sources, budget):
+    g = generate(spec)
+    if budget is not None:  # one source per block
+        monkeypatch.setattr(graphs, "_BFS_BLOCK_ELEMENTS", budget)
+    ref = _deque_levels(g.n, g.edges, sources)
+    for levels in _levels_each_way(monkeypatch, g.n, g.edges, sources):
+        assert levels.dtype == np.int64
+        assert np.array_equal(levels, ref)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GraphSpec(family="complete", n=300),
+        GraphSpec(family="ring", n=301),
+        GraphSpec(family="hypercube", dim=8),
+        GraphSpec(family="erdos_renyi", n=320, q=0.06, seed=0),
+        _SBM3,
+    ],
+)
+def test_all_pairs_same_in_every_direction(monkeypatch, spec):
+    g = generate(spec)
+    rule, push, pull = _levels_each_way(monkeypatch, g.n, g.edges, np.arange(g.n))
+    assert np.array_equal(rule, push) and np.array_equal(rule, pull)
+    assert np.array_equal(rule, rule.T)
+
+
+def test_cost_rule_keeps_sparse_graphs_on_push(monkeypatch):
+    chosen = []
+    rule = graphs._prefer_pull
+
+    def recording_rule(*args):
+        chosen.append(rule(*args))
+        return chosen[-1]
+
+    monkeypatch.setattr(graphs, "_prefer_pull", recording_rule)
+    for spec in (GraphSpec(family="ring", n=301), GraphSpec(family="grid2d", rows=32, cols=32)):
+        graphs.shortest_path_distances(generate(spec))
+    assert chosen and not any(chosen)
+    graphs.shortest_path_distances(generate(GraphSpec(family="complete", n=64)))
+    assert any(chosen)
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_hop_levels_disconnected_every_direction(monkeypatch, budget):
+    # components {0,1,2,3} (a path), {4,5,6} (a triangle), {7..10} (a star), 11 isolated
+    edges = np.array([[0, 1], [1, 2], [2, 3], [4, 5], [5, 6], [4, 6], [7, 8], [7, 9], [7, 10]])
+    sources = [3, 11, 5, 9, 0, 3]
+    if budget is not None:
+        monkeypatch.setattr(graphs, "_BFS_BLOCK_ELEMENTS", budget)
+    ref = _deque_levels(12, edges, sources)
+    assert ref[1].tolist() == [-1] * 11 + [0]
+    for levels in _levels_each_way(monkeypatch, 12, edges, sources):
+        assert np.array_equal(levels, ref)
 
 
 def test_content_hash_is_topology_only():
