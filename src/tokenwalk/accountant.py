@@ -77,7 +77,13 @@ _HARMONIC_DIRECT_MAX = 256
 
 _KERNEL_CACHE_KEY = "privacy_kernel"
 
-#: Eigenvalues within this distance of +-1 are treated as exactly +-1.
+#: Eigenvalues within this distance of +-1 are treated as exactly +-1: the
+#: kernel takes ``H_T`` (or ``H_{T//2} - H_T``) instead of quadrature.  It
+#: only has to absorb ``eigh``'s rounding of exact unit eigenvalues (a few
+#: ulp); the quadrature is accurate up to ``|lambda|`` within 1e-11 of 1.
+#: Replacing ``S_T(1 - d)`` by ``H_T`` errs by about ``T d``, so a looser value
+#: adds error of order ``T * _UNIT_TOL``.  This is not the spectral module's
+#: ``_UNIT_EIGENVALUE_TOL``, which rejects near-disconnected chains.
 _UNIT_TOL = 1e-12
 
 _QUADRATURE_NODES = 256
@@ -385,16 +391,19 @@ def _harmonic_power_sums(eigenvalues: np.ndarray, steps: int) -> np.ndarray:
 
 
 def _privacy_kernel(w: TransitionMatrix, steps: int, mode: str) -> np.ndarray:
-    """Full matrix ``sum_{i=1}^{T} (W^i) / i`` (cached per (steps, mode))."""
+    """Full matrix ``sum_{i=1}^{T} (W^i) / i`` (cached per (steps, mode)).
+
+    This is the privacy-weighted communicability of ``W`` (weights
+    ``c_i = 1/i``, truncated at T) without the ``alpha / sigma2`` factor; its
+    T -> infinity limit on the non-unit eigenspace is ``-matrix_log_term``.
+    """
     key = (_KERNEL_CACHE_KEY, steps, mode)
     cached = w._cache.get(key)
     if cached is not None:
         return cached
     if mode == "spectral":
         dec = decompose(w)
-        sums = _harmonic_power_sums(dec.eigenvalues, steps)
-        k = (dec.eigenvectors * sums) @ dec.eigenvectors.T
-        k = 0.5 * (k + k.T)
+        k = dec.apply(_harmonic_power_sums(dec.eigenvalues, steps))
     elif mode == "powers":
         n = w.n
         k = np.zeros((n, n))
@@ -468,10 +477,11 @@ def pairwise_matrix(
 ) -> PairwiseLossMatrix:
     """All-pairs composed losses ``N_u * single(u, v)``; NaN diagonal.
 
-    ``method="exact"`` uses the finite-sum kernel, ``"closed"`` the spectral
-    closed form.  Cells are independent, deterministic and formed with the
-    division by sigma2 last, so rescaling the noise rescales the whole matrix
-    exactly.
+    ``method="exact"`` uses the finite-sum kernel, the privacy-weighted
+    communicability ``sum_{i<=T} alpha W^i / (sigma2 i)``; ``"closed"`` the
+    spectral closed form built on its untruncated limit.  Cells are
+    independent, deterministic and formed with the division by sigma2 last,
+    so rescaling the noise rescales the whole matrix exactly.
     """
     _require_gate(p)
     n = w.n

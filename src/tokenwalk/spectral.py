@@ -1,9 +1,10 @@
 """Spectral analysis of symmetric transition matrices.
 
-Everything downstream of the eigendecomposition lives here: the matrix
-logarithm ``ln(I - W + (1/n) 11^T)`` that drives the closed-form privacy
-accounting, generalized communicability for arbitrary coefficient series,
-Katz centrality, and spectral/empirical mixing-time estimates.
+Everything downstream of the eigendecomposition lives here: the one
+evaluator of spectral functions, :meth:`SpectralDecomposition.apply`, which
+forms ``sum_k f(lambda_k) phi_k phi_k^T``; the matrix logarithm
+``ln(I - W + (1/n) 11^T)`` that drives the closed-form privacy accounting;
+and spectral/empirical mixing-time estimates.
 
 The decomposition is cached on the :class:`~tokenwalk.transition.TransitionMatrix`
 instance, so repeated derived quantities pay for one ``eigh`` call.
@@ -14,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -25,14 +25,8 @@ from .transition import TransitionMatrix, stationary_distribution
 __all__ = [
     "SpectralDecomposition",
     "SpectralGap",
-    "CoefficientSeries",
-    "PrivacyWeights",
-    "GeometricWeights",
-    "FactorialWeights",
     "decompose",
     "matrix_log_term",
-    "communicability",
-    "katz_centrality",
     "spectral_gap",
     "mixing_time_spectral_bound",
     "mixing_time_empirical",
@@ -42,7 +36,12 @@ __all__ = [
 _CACHE_KEY = "spectral_decomposition"
 
 #: Degeneracy guard: a second eigenvalue this close to 1 means the chain is
-#: disconnected (or numerically indistinguishable from it).
+#: disconnected (or numerically indistinguishable from it).  It guards the
+#: precision of ``ln(1 - lambda_2)`` in the closed form: ``eigh`` resolves
+#: lambda_2 to about 1e-16 absolute, so at ``1 - lambda_2 = 1e-10`` the log
+#: already carries ~1e-6 absolute error.  It is deliberately looser than the
+#: accountant's ``_UNIT_TOL``, which decides a different thing; tightening
+#: this one would let noisier log terms through.
 _UNIT_EIGENVALUE_TOL = 1e-10
 
 _EMPIRICAL_MIXING_CAP = 10**6
@@ -78,9 +77,16 @@ class SpectralDecomposition:
     def lambda_min(self) -> float:
         return float(self.eigenvalues[-1])
 
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the original matrix (round-trip check helper)."""
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """``sum_k values[k] phi_k phi_k^T``, symmetrised.
+
+        ``values[k]`` is ``f(lambda_k)`` for the spectral function ``f``, so
+        ``apply(eigenvalues)`` rebuilds the matrix and ``apply(f(eigenvalues))``
+        is ``f(W)``.  The product is symmetric only up to rounding; averaging
+        it with its transpose makes it exactly symmetric.
+        """
+        m = (self.eigenvectors * values) @ self.eigenvectors.T
+        return 0.5 * (m + m.T)
 
 
 @dataclass(frozen=True)
@@ -90,66 +96,6 @@ class SpectralGap:
     lambda_w: float
     lambda_2: float
     lambda_n: float
-
-
-@runtime_checkable
-class CoefficientSeries(Protocol):
-    """A positive non-increasing coefficient series ``c_1, c_2, ...``.
-
-    `weight` evaluates a single coefficient; `series_sum` evaluates the full
-    power series ``sum_{i>=1} c_i x^i`` in closed form for the untruncated
-    case.
-    """
-
-    def weight(self, i: int) -> float: ...
-
-    def series_sum(self, x: float) -> float: ...
-
-
-@dataclass(frozen=True)
-class PrivacyWeights:
-    """``c_i = alpha / (sigma_sq * i)``; the series sums to a log."""
-
-    alpha: float
-    sigma_sq: float
-
-    def weight(self, i: int) -> float:
-        return self.alpha / (self.sigma_sq * i)
-
-    def series_sum(self, x: float) -> float:
-        if x >= 1.0:
-            raise SpectralError(f"privacy-weight series diverges at x={x}")
-        # sum x^i / i = -ln(1 - x)
-        return -(self.alpha / self.sigma_sq) * math.log1p(-x)
-
-
-@dataclass(frozen=True)
-class GeometricWeights:
-    """``c_i = a^i`` (Katz-style attenuation)."""
-
-    a: float
-
-    def weight(self, i: int) -> float:
-        return self.a**i
-
-    def series_sum(self, x: float) -> float:
-        ax = self.a * x
-        if abs(ax) >= 1.0:
-            raise SpectralError(f"geometric series diverges at a*x={ax}")
-        return ax / (1.0 - ax)
-
-
-@dataclass(frozen=True)
-class FactorialWeights:
-    """``c_i = 1/i!``; the series sums to ``exp(x) - 1``."""
-
-    def weight(self, i: int) -> float:
-        # int / int is correctly rounded down to subnormals (1.0 / i! overflows
-        # converting i! from i = 171); from i = 178 on, 1/i! rounds to 0.
-        return 1 / math.factorial(i) if i < 178 else 0.0
-
-    def series_sum(self, x: float) -> float:
-        return math.expm1(x)
 
 
 # --------------------------------------------------------------------------- #
@@ -213,64 +159,9 @@ def matrix_log_term(tm: TransitionMatrix) -> np.ndarray:
     """
     dec = decompose(tm)
     _require_unit_top(tm, dec, "matrix_log_term")
-    vals = dec.eigenvalues[1:]
-    vecs = dec.eigenvectors[:, 1:]
-    logs = np.log1p(-vals)
-    out = (vecs * logs) @ vecs.T
-    return 0.5 * (out + out.T)
-
-
-def communicability(
-    tm: TransitionMatrix,
-    coeffs: CoefficientSeries,
-    truncation: int | None = None,
-) -> np.ndarray:
-    """Weighted communicability ``sum_i c_i (W - (1/n) 11^T)^i``.
-
-    Evaluated spectrally on the non-unit eigenspace:
-    ``sum_{k>=2} S(lambda_k) phi_k phi_k^T`` with
-    ``S(x) = sum_{i=1}^{T} c_i x^i``.  ``truncation=None`` uses the series'
-    closed-form sum (the untruncated limit).
-    """
-    dec = decompose(tm)
-    _require_unit_top(tm, dec, "communicability")
-    vals = dec.eigenvalues[1:]
-    vecs = dec.eigenvectors[:, 1:]
-    if truncation is None:
-        s = np.array([coeffs.series_sum(float(x)) for x in vals])
-    else:
-        if truncation < 0:
-            raise SpectralError(f"truncation must be nonnegative, got {truncation}")
-        s = np.zeros(vals.shape[0])
-        powers = np.ones(vals.shape[0])
-        for i in range(1, truncation + 1):
-            powers = powers * vals
-            s += coeffs.weight(i) * powers
-    out = (vecs * s) @ vecs.T
-    return 0.5 * (out + out.T)
-
-
-def katz_centrality(tm: TransitionMatrix, attenuation: float) -> np.ndarray:
-    """Row sums of ``sum_{i>=1} a^i W^i``, i.e. ``((I - aW)^{-1} - I) 1``.
-
-    Requires ``a * rho(W) < 1``; for a stochastic matrix that means ``a < 1``.
-    On bistochastic chains the result is the constant vector ``a/(1-a)``.
-    """
-    if attenuation < 0:
-        raise SpectralError(f"attenuation must be nonnegative, got {attenuation}")
-    if attenuation == 0.0:
-        return np.zeros(tm.n)
-    if tm.symmetric:
-        rho = float(np.max(np.abs(decompose(tm).eigenvalues)))
-    else:
-        rho = float(np.max(np.abs(np.linalg.eigvals(tm.w))))
-    if attenuation * rho >= 1.0:
-        raise SpectralError(
-            f"series diverges: attenuation {attenuation} * spectral radius {rho:.6g} >= 1"
-        )
-    n = tm.n
-    ones = np.ones(n)
-    return np.linalg.solve(np.eye(n) - attenuation * tm.w, ones) - ones
+    # lambda_1 may round to just above 1, where log1p(-lambda_1) is NaN: its
+    # entry is the constant 0, not a value computed and then overwritten.
+    return dec.apply(np.concatenate(([0.0], np.log1p(-dec.eigenvalues[1:]))))
 
 
 # --------------------------------------------------------------------------- #
@@ -310,10 +201,9 @@ def mixing_time_empirical(tm: TransitionMatrix, iota: float) -> int:
 
     TV is half the L1 distance.  Worst-case distance to stationarity is
     non-increasing in ``t`` for any chain, so the threshold is located by
-    doubling then bisecting on ``t``.  Symmetric chains evaluate ``W^t``
-    spectrally; other chains square ``W`` repeatedly and bisect with the
-    stored powers ``W^(2^j)``, at most about ``2 log2(10^6)`` products.  A
-    chain still above `iota` when doubling passes 10^6 steps does not mix.
+    squaring ``W`` repeatedly, then bisecting with the stored powers
+    ``W^(2^j)``: at most about ``2 log2(10^6)`` products.  A chain still above
+    `iota` when doubling passes 10^6 steps does not mix.
     """
     if not 0.0 < iota < 1.0:
         raise SpectralError(f"iota must be in (0, 1), got {iota}")
@@ -321,30 +211,6 @@ def mixing_time_empirical(tm: TransitionMatrix, iota: float) -> int:
     n = tm.n
     if _max_tv_from_rows(np.eye(n), pi) <= iota:
         return 0
-
-    if tm.symmetric and tm.bistochastic:
-        dec = decompose(tm)
-        vals, vecs = dec.eigenvalues, dec.eigenvectors
-
-        def dist(t: int) -> float:
-            p_t = (vecs * vals**t) @ vecs.T
-            return _max_tv_from_rows(p_t, pi)
-
-        hi = 1
-        while dist(hi) > iota:
-            hi *= 2
-            if hi > _EMPIRICAL_MIXING_CAP:
-                raise SpectralError(
-                    f"no mixing within {_EMPIRICAL_MIXING_CAP} steps (iota={iota})"
-                )
-        lo = hi // 2  # dist(lo) > iota (or lo == 0, handled above)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if dist(mid) <= iota:
-                hi = mid
-            else:
-                lo = mid
-        return hi
 
     powers = [tm.w]  # powers[j] = W^(2^j)
     while _max_tv_from_rows(powers[-1], pi) > iota:

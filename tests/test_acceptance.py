@@ -157,17 +157,10 @@ def test_accounting_scaling_identities(er_chain):
     ]
     assert losses[0] < losses[1] < losses[2]
 
-    # the weighted-communicability machinery reproduces both accountant kernels
-    weights = spectral.PrivacyWeights(alpha=ALPHA, sigma_sq=SIGMA2)
-    untruncated = spectral.communicability(er_chain, weights)
-    log_term = spectral.matrix_log_term(er_chain)
-    assert float(np.max(np.abs(untruncated + (ALPHA / SIGMA2) * log_term))) <= 1e-10
-    t = 200
-    truncated = spectral.communicability(er_chain, weights, truncation=t)
-    h_t = sum(1.0 / i for i in range(1, t + 1))
-    kernel = _dense_power_kernel(er_chain.w, t)
-    expected = (ALPHA / SIGMA2) * (kernel - h_t / er_chain.n)
-    assert float(np.max(np.abs(truncated - expected))) <= 1e-10
+    # the exact kernel is the privacy-weighted communicability sum_i W^i / i
+    scale = ALPHA * params.n_contributions(er_chain.n) / SIGMA2
+    expected = scale * _dense_power_kernel(er_chain.w, params.steps)
+    assert float(np.max(np.abs(base[off] - expected[off]))) <= 1e-10
 
 
 def test_decentralized_averaging_tracks_error_bound():

@@ -247,6 +247,69 @@ def test_kernel_cost_independent_of_steps(lazy_ring):
     np.testing.assert_allclose(got[off], expect[off], rtol=1e-9, atol=0.0)
 
 
+def test_kernel_matches_ring_fourier_sum_at_paper_scale():
+    # Lazy ring n=1024: lambda_k = 1/3 + (2/3) cos(2 pi k / n) with Fourier
+    # eigenvectors, so K[u, u+d] = (1/n) sum_k S_T(lambda_k) cos(2 pi k d / n)
+    # without eigh.  S_T itself is refereed by mpmath above.
+    n, steps, kappa = 1024, 262144, 1.0 / 3.0
+    tm = with_self_loops(generate(GraphSpec(family="ring", n=n)), kappa)
+    k = np.arange(n)
+    lam = (1.0 - kappa) * np.cos(2.0 * np.pi * k / n) + kappa
+    s_t = acc._harmonic_power_sums(lam, steps)
+    by_offset = np.cos(2.0 * np.pi * (np.outer(k, k) % n) / n) @ s_t / n
+    got = acc._privacy_kernel(tm, steps, "spectral")
+    assert float(np.max(np.abs(got - by_offset[(k[None, :] - k[:, None]) % n]))) <= 5e-13
+
+    # closed_form_ring swaps each S_T(lambda_k) for -ln(1 - lambda_k) plus a
+    # bound on |tail_k| >= |S_T - (-ln(1 - lambda_k))|, so it lies above the
+    # exact loss by at most twice the summed tail bounds.
+    p = P(alpha=2.0, sigma2=16.0, steps=steps)
+    slack = 2.0 * p.alpha * sum(acc._tail_bound(x, steps) for x in lam[1:]) / (n * p.sigma2)
+    for d in (1, 2, 17, 512):
+        exact = single_contribution_exact(tm, 0, d, p)
+        assert exact <= closed_form_ring(n, 0, d, p) <= exact + slack
+
+
+def test_kernel_matches_hypercube_krawtchouk_sum_at_paper_scale():
+    # Lazy hypercube dim 10: characters (-1)^{s.x} with eigenvalue
+    # 1/3 + (2/3)(1 - 2|s|/dim); summing them over |s| = w gives the
+    # Krawtchouk polynomial K_w(h) of the Hamming distance h = |u xor v|.
+    dim, steps, kappa = 10, 262144, 1.0 / 3.0
+    n = 1 << dim
+    tm = with_self_loops(generate(GraphSpec(family="hypercube", dim=dim)), kappa)
+    lam = (1.0 - kappa) * (1.0 - 2.0 * np.arange(dim + 1) / dim) + kappa
+    kraw = np.array(
+        [
+            [
+                sum((-1) ** j * math.comb(h, j) * math.comb(dim - h, w - j) for j in range(w + 1))
+                for h in range(dim + 1)
+            ]
+            for w in range(dim + 1)
+        ],
+        dtype=float,
+    )
+    by_distance = acc._harmonic_power_sums(lam, steps) @ kraw / n
+    nodes = np.arange(n)
+    weight = np.array([bin(x).count("1") for x in nodes])
+    got = acc._privacy_kernel(tm, steps, "spectral")
+    ref = by_distance[weight[nodes[:, None] ^ nodes[None, :]]]
+    assert float(np.max(np.abs(got - ref))) <= 1e-14
+
+
+def test_kernel_matches_complete_graph_two_point_spectrum_at_paper_scale():
+    # Hamilton complete n=2048: spectrum {1, -1/(n-1)}, so
+    # K = H_T J/n + S_T(mu) (I - J/n), and S_T(mu) = -ln(1 - mu) once mu^T
+    # underflows.
+    n, steps = 2048, 524288
+    tm = hamilton_weighting(generate(GraphSpec(family="complete", n=n)))
+    s_mu = -math.log1p(1.0 / (n - 1))
+    h_t = harmonic_number(steps)
+    got = acc._privacy_kernel(tm, steps, "spectral")
+    off = ~np.eye(n, dtype=bool)
+    assert float(np.max(np.abs(got[off] - (h_t - s_mu) / n))) <= 1e-14
+    assert float(np.max(np.abs(np.diag(got) - (h_t / n + s_mu * (1.0 - 1.0 / n))))) <= 1e-14
+
+
 def test_kernel_rejects_out_of_range_eigenvalues():
     tm = from_array(np.array([[0.5, 0.7], [0.7, 0.5]]))  # eigenvalues 1.2, -0.2
     p = P(alpha=2.0, sigma2=16.0, steps=100)

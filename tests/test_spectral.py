@@ -1,10 +1,8 @@
-"""Spectral quantities: decomposition, log term, communicability, mixing."""
+"""Spectral quantities: decomposition, spectral functions, log term, mixing."""
 
 from __future__ import annotations
 
-import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,12 +12,7 @@ from tokenwalk import spectral
 from tokenwalk.errors import SpectralError
 from tokenwalk.graphs import GraphSpec, generate
 from tokenwalk.spectral import (
-    FactorialWeights,
-    GeometricWeights,
-    PrivacyWeights,
-    communicability,
     decompose,
-    katz_centrality,
     matrix_log_term,
     mixing_time_empirical,
     mixing_time_spectral_bound,
@@ -48,7 +41,7 @@ def test_lazy_ring4_eigenvalues(lazy_ring):
 
 def test_reconstruct_and_orthonormal(er_chain):
     dec = decompose(er_chain)
-    assert np.allclose(dec.reconstruct(), er_chain.w, atol=1e-12)
+    assert np.allclose(dec.apply(dec.eigenvalues), er_chain.w, atol=1e-12)
     gram = dec.eigenvectors.T @ dec.eigenvectors
     assert np.allclose(gram, np.eye(dec.n), atol=1e-12)
 
@@ -118,7 +111,7 @@ def test_log_term_requires_bistochastic():
 
 
 # --------------------------------------------------------------------------- #
-# Communicability
+# Spectral functions
 # --------------------------------------------------------------------------- #
 
 
@@ -127,106 +120,24 @@ def _centered(w: np.ndarray) -> np.ndarray:
     return w - np.full((n, n), 1.0 / n)
 
 
-def test_privacy_weights_untruncated_equals_neg_scaled_log(lazy_ring):
-    tm = lazy_ring(8)
-    alpha, sigma2 = 4.0, 16.0
-    out = communicability(tm, PrivacyWeights(alpha=alpha, sigma_sq=sigma2))
-    ref = -(alpha / sigma2) * matrix_log_term(tm)
-    assert np.allclose(out, ref, atol=1e-15)
-
-
-def test_privacy_weights_truncated_matches_power_sum(lazy_ring):
-    tm = lazy_ring(6)
-    alpha, sigma2, t_max = 2.0, 8.0, 40
-    out = communicability(tm, PrivacyWeights(alpha=alpha, sigma_sq=sigma2), truncation=t_max)
-    m = _centered(tm.w)
-    acc = np.zeros_like(m)
-    p = np.eye(6)
-    for i in range(1, t_max + 1):
-        p = p @ m
-        acc += (alpha / (sigma2 * i)) * p
-    assert np.allclose(out, acc, atol=1e-12)
-
-
-def test_truncation_converges_to_series_sum(lazy_ring):
-    tm = lazy_ring(16)
-    w = PrivacyWeights(alpha=2.0, sigma_sq=16.0)
-    limit = communicability(tm, w)
-    gaps = [
-        float(np.max(np.abs(communicability(tm, w, truncation=t) - limit)))
-        for t in (10, 100, 1000)
-    ]
-    # eigenvalues are within [-1/3, 1/3], so the tail shrinks geometrically
-    assert gaps[0] > gaps[1] > gaps[2]
-    assert gaps[2] <= 1e-15
-
-
 def test_factorial_weights_matches_expm(er_chain):
-    out = communicability(er_chain, FactorialWeights())
+    # sum_i (W - J/n)^i / i! = exp(lambda) - 1 on the non-unit eigenspace, 0 on 1
+    dec = decompose(er_chain)
+    out = dec.apply(np.concatenate(([0.0], np.expm1(dec.eigenvalues[1:]))))
     ref = expm(_centered(er_chain.w)) - np.eye(er_chain.n)
-    # remove the rank-one unit part expm leaves on the centered matrix:
-    # exp(M) includes the identity on the orthogonal complement only
     assert np.allclose(out, ref, atol=1e-10)
-
-
-def test_factorial_weights_correctly_rounded_past_overflow(er_chain):
-    w = FactorialWeights()
-    for i in (1, 2, 3, 23, 100, 170, 171, 172, 177, 178, 200):
-        got = w.weight(i)
-        # within half an ulp of the exact 1/i! (5e-324 apart below the normals)
-        assert abs(Fraction(got) - Fraction(1, math.factorial(i))) < Fraction(math.ulp(got)) / 2
-    assert 0.0 < w.weight(177) < 2.3e-308 and w.weight(178) == 0.0
-    assert w.weight(10**6) == 0.0
-    out = communicability(er_chain, w, truncation=200)
-    assert np.allclose(out, communicability(er_chain, w), atol=1e-14)
 
 
 def test_geometric_weights_closed_form(two_state):
     a = 0.5
-    out = communicability(two_state, GeometricWeights(a=a))
+    dec = decompose(two_state)
+    lam = dec.eigenvalues[1:]
+    out = dec.apply(np.concatenate(([0.0], a * lam / (1 - a * lam))))
     # non-unit eigenvalue 1/2: series a*x/(1 - a*x) at x = 1/2 is 1/3
-    lam = 0.5
-    expected_scalar = a * lam / (1 - a * lam)
+    expected_scalar = a * 0.5 / (1 - a * 0.5)
     vec = np.array([1.0, -1.0]) / np.sqrt(2)
     ref = expected_scalar * np.outer(vec, vec)
     assert np.allclose(out, ref, atol=1e-14)
-
-
-def test_negative_truncation_rejected(two_state):
-    with pytest.raises(SpectralError, match="truncation"):
-        communicability(two_state, FactorialWeights(), truncation=-1)
-
-
-# --------------------------------------------------------------------------- #
-# Katz centrality
-# --------------------------------------------------------------------------- #
-
-
-def test_katz_bistochastic_constant(lazy_ring):
-    tm = lazy_ring(8)
-    a = 0.3
-    out = katz_centrality(tm, a)
-    assert np.allclose(out, a / (1 - a), atol=1e-12)
-
-
-def test_katz_general_matches_partial_sums():
-    tm = from_array(np.array([[0.9, 0.1], [0.5, 0.5]]))
-    a = 0.5
-    out = katz_centrality(tm, a)
-    acc = np.zeros(2)
-    p = np.eye(2)
-    for i in range(1, 400):
-        p = p @ tm.w
-        acc += a**i * p.sum(axis=1)
-    assert np.allclose(out, acc, atol=1e-12)
-
-
-def test_katz_edge_cases(two_state):
-    assert np.array_equal(katz_centrality(two_state, 0.0), np.zeros(2))
-    with pytest.raises(SpectralError, match="diverges"):
-        katz_centrality(two_state, 1.0)
-    with pytest.raises(SpectralError, match="nonnegative"):
-        katz_centrality(two_state, -0.5)
 
 
 # --------------------------------------------------------------------------- #
@@ -277,6 +188,21 @@ def test_mixing_time_empirical_threshold_property(lazy_ring):
 
 def test_mixing_time_empirical_uniform_is_one(uniform_chain):
     assert mixing_time_empirical(uniform_chain(8), 0.01) == 1
+
+
+@pytest.mark.parametrize(
+    "family, n, kappa, iota",
+    [("ring", 4, 1.0 / 3.0, 0.25), ("complete", 4, None, 0.25), ("complete", 10, None, 0.1)],
+    ids=["lazy-ring-4", "complete-4", "complete-10"],
+)
+def test_mixing_time_empirical_exact_tie_is_mixed(family, n, kappa, iota):
+    # In exact arithmetic the TV at t = 1 equals iota (lazy ring n=4: rows
+    # (1/3, 1/3, 0, 1/3) against 1/4; Hamilton complete: 1/n), and a tie counts
+    # as mixed.  Rounding W^1 spectrally lands just above iota.
+    g = generate(GraphSpec(family=family, n=n))
+    tm = hamilton_weighting(g) if kappa is None else with_self_loops(g, kappa)
+    assert _max_tv_by_matrix_power(tm.w, stationary_distribution(tm), 1) <= iota
+    assert mixing_time_empirical(tm, iota) == 1
 
 
 def test_mixing_time_empirical_fallback_branch():
