@@ -195,9 +195,8 @@ def hop_levels(n: int, edges: np.ndarray, sources) -> np.ndarray:
     seen to take 100x its usual time in some processes.
     """
     sources = np.asarray(sources, dtype=np.int64).reshape(-1)
-    indptr, nbr = _csr(n, edges)
-    deg = np.diff(indptr)
-    packed = None  # built at the first pull level
+    deg = np.bincount(edges.ravel(), minlength=n)
+    csr = packed = None  # each built at the first level that needs it
     levels = np.full((sources.shape[0], n), -1, dtype=np.int64)
     block = max(1, _BFS_BLOCK_ELEMENTS // max(1, 2 * edges.shape[0]))
     for start in range(0, sources.shape[0], block):
@@ -220,6 +219,9 @@ def hop_levels(n: int, edges: np.ndarray, sources) -> np.ndarray:
                 hit, node = np.nonzero(fresh & (lv[src] < 0))
                 row = src[hit]
             else:
+                if csr is None:
+                    csr = _csr(n, edges)
+                indptr, nbr = csr
                 first = np.cumsum(counts) - counts
                 pos = np.arange(deg_sum) + np.repeat(indptr[node] - first, counts)
                 row, node = np.repeat(row, counts), nbr[pos]
@@ -245,20 +247,23 @@ def _finalize(
 ) -> Graph:
     if n < 2:
         raise GraphError(f"need at least 2 nodes, got n={n}")
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)  # a copy: the caller's array stays writable
     loops = edges[:, 0] == edges[:, 1]
     if loops.any():
         u, v = edges[np.argmax(loops)]
         raise GraphError(f"self-edge rejected: ({u}, {v})")
-    outside = np.any((edges < 0) | (edges >= n), axis=1)
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    outside = (lo < 0) | (hi >= n)
     if outside.any():
         u, v = edges[np.argmax(outside)]
         raise GraphError(f"edge ({u}, {v}) outside node range 0..{n - 1}")
-    key = edges.min(axis=1) * n + edges.max(axis=1)
-    if np.any(key[1:] <= key[:-1]):  # the family builders emit canonical rows
+    key = lo * n + hi
+    # The family builders emit canonical rows (u < v, sorted, no repeats).
+    if np.any(key[1:] <= key[:-1]) or not np.array_equal(lo, edges[:, 0]):
         key = np.sort(key)
         key = key[np.concatenate([[True], key[1:] != key[:-1]])]  # drop repeats, as np.unique would
-    edges = np.column_stack([key // n, key % n])
+        edges = np.column_stack([key // n, key % n])
     edges.setflags(write=False)
     if np.any(hop_levels(n, edges, [0])[0] < 0):
         raise GraphError(f"graph with n={n} is not connected")

@@ -83,10 +83,14 @@ class SpectralDecomposition:
         ``values[k]`` is ``f(lambda_k)`` for the spectral function ``f``, so
         ``apply(eigenvalues)`` rebuilds the matrix and ``apply(f(eigenvalues))``
         is ``f(W)``.  The product is symmetric only up to rounding; averaging
-        it with its transpose makes it exactly symmetric.
+        it with its transpose makes it exactly symmetric.  The average is taken
+        in place; NumPy buffers the overlapping ``m.T``, so it is bitwise
+        ``0.5 * (m + m.T)``.
         """
         m = (self.eigenvectors * values) @ self.eigenvectors.T
-        return 0.5 * (m + m.T)
+        m += m.T
+        m *= 0.5
+        return m
 
 
 @dataclass(frozen=True)

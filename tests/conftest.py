@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -49,3 +51,19 @@ def er_chain():
     """Hamilton chain on a moderate Erdos-Renyi graph (irregular degrees)."""
     g = graphs.generate(graphs.GraphSpec(family="erdos_renyi", n=24, q=0.3, seed=1))
     return transition.hamilton_weighting(g)
+
+
+@pytest.fixture
+def traced_peak():
+    """Peak bytes allocated while ``fn(*args, **kwargs)`` runs; NumPy reports
+    its array buffers to tracemalloc, so arrays count."""
+
+    def measure(fn, *args, **kwargs) -> int:
+        tracemalloc.start()
+        try:
+            fn(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return measure

@@ -234,6 +234,22 @@ def test_harmonic_power_sums_match_mpmath(steps):
             assert abs(mpmath.mpf(value) - ref) <= 1e-12, (lam, steps)
 
 
+def test_quadrature_table_matches_leggauss():
+    nodes, weights = acc._quadrature_rule()
+    x, c = np.polynomial.legendre.leggauss(256)
+    assert nodes.shape == weights.shape == (256,)
+    np.testing.assert_array_max_ulp(nodes, 0.5 * (x + 1.0), maxulp=1)
+    np.testing.assert_array_max_ulp(weights, 0.5 * c, maxulp=1)
+
+
+def test_quadrature_table_moments():
+    # The 256-node rule integrates polynomials of degree <= 511 exactly.
+    nodes, weights = acc._quadrature_rule()
+    assert math.fsum(weights) == pytest.approx(1.0, rel=1e-15)
+    for k in range(512):
+        assert math.fsum(weights * nodes**k) == pytest.approx(1.0 / (k + 1), rel=1e-12), k
+
+
 def test_kernel_cost_independent_of_steps(lazy_ring):
     # T = 10^12: only the unit eigenvalue keeps a T-dependence (H_T); every
     # other power sum has converged to -ln(1 - lambda), so the kernel is
@@ -440,9 +456,10 @@ def test_local_baseline_is_not_gated():
 
 def test_star_hand_values():
     p = P(alpha=2.0, sigma2=16.0, steps=10)
+    # kappa = 0: mu_pm = +-1/2 and mu_0 = 0, so leaf<->leaf is -ln(3/4) / (2 (n-1))
     leaf_leaf = closed_form_star(5, 1, 2, p)
-    assert leaf_leaf == pytest.approx(-2.0 * math.log1p(-0.25) / (4.0 * 16.0), abs=1e-15)
-    assert leaf_leaf == pytest.approx(0.008990064764118153, abs=1e-12)
+    assert leaf_leaf == pytest.approx(-2.0 * math.log1p(-0.25) / (2.0 * 4.0 * 16.0), abs=1e-15)
+    assert leaf_leaf == pytest.approx(0.00449503238205908, abs=1e-15)
     hub_leaf = closed_form_star(5, 0, 1, p)
     assert hub_leaf == pytest.approx(2.0 * math.log(3.0) / (2.0 * 2.0 * 16.0), abs=1e-15)
     # leaves enjoy amplification the hub does not
@@ -466,6 +483,26 @@ def test_star_upper_bounds_exact_walk():
         exact = single_contribution_exact(ref, u, v, p, mode="powers")
         closed = closed_form_star(n, u, v, p, kappa=kappa)
         assert exact <= closed + 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 5, 33, 1025, 10**6])
+@pytest.mark.parametrize("kappa", [0.0, 1e-6, 0.3, 0.9, 0.999])
+def test_star_closed_form_matches_three_eigenvalue_series_in_mpmath(n, kappa):
+    # -ln(I - M) on M's eigenvalues mu_pm = (k +- (1-k) sqrt(n-1)) / (n-1) and
+    # mu_0 = k / (n-1), at 50 digits: the three logs, not the merged log1p forms.
+    mpmath = pytest.importorskip("mpmath")
+    p = P(alpha=2.0, sigma2=16.0, steps=10)
+    with mpmath.workdps(50):
+        k, m = mpmath.mpf(kappa), mpmath.mpf(n - 1)
+        root = mpmath.sqrt(m)
+        l_plus, l_minus, l_zero = (
+            mpmath.log(1 - mu) for mu in ((k + (1 - k) * root) / m, (k - (1 - k) * root) / m, k / m)
+        )
+        hub_leaf = 2 * (l_minus - l_plus) / (2 * 16 * root)
+        leaf_leaf = 2 * (-(l_plus + l_minus) / (2 * m) + l_zero / m) / 16
+        for value, ref in ((closed_form_star(n, 0, 1, p, kappa), hub_leaf),
+                           (closed_form_star(n, 1, 2, p, kappa), leaf_leaf)):
+            assert abs((mpmath.mpf(value) - ref) / ref) <= 1e-15
 
 
 def test_star_validation():
@@ -667,25 +704,62 @@ def test_mean_loss_by_distance_ring8(lazy_ring):
     assert all(a > b for a, b in zip(means, means[1:]))
 
 
+def _per_mask_buckets(eps: np.ndarray, dist: np.ndarray) -> list[DistanceBucket]:
+    """Reference aggregation: one n x n mask per distance."""
+    mask = ~np.eye(eps.shape[0], dtype=bool)
+    out = []
+    for d in sorted(set(int(x) for x in dist[mask])):
+        vals = eps[mask & (dist == d)]
+        out.append(DistanceBucket(d, float(np.mean(vals)), float(np.std(vals)), int(vals.size)))
+    return out
+
+
 def test_mean_loss_by_distance_equals_per_mask_reference():
     rng = np.random.default_rng(11)
     eps = rng.random((64, 64)) * 10.0 ** rng.integers(-3, 3, size=(64, 64))
     np.fill_diagonal(eps, np.nan)
     dist = rng.integers(1, 9, size=(64, 64))
     np.fill_diagonal(dist, 0)
-    # reference: one n x n mask per distance
-    mask = ~np.eye(64, dtype=bool)
-    ref = []
-    for d in sorted(set(int(x) for x in dist[mask])):
-        vals = eps[mask & (dist == d)]
-        ref.append(DistanceBucket(d, float(np.mean(vals)), float(np.std(vals)), int(vals.size)))
-    assert mean_loss_by_distance(eps, dist) == ref
+    assert mean_loss_by_distance(eps, dist) == _per_mask_buckets(eps, dist)
     assert mean_loss_by_distance(np.full((1, 1), np.nan), np.zeros((1, 1), dtype=int)) == []
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
+@pytest.mark.parametrize("span", [3, 300, 70_000])
+def test_mean_loss_by_distance_any_integer_keys(dtype, span):
+    # Spans past 255 and 65535 move the sort keys to 16 and 32 bits; -1
+    # (unreached) and a diagonal that is not 0 are ordinary distances.
+    rng = np.random.default_rng(span)
+    n = 40
+    eps = rng.random((n, n))
+    np.fill_diagonal(eps, np.nan)
+    lo = -1 if np.issubdtype(dtype, np.signedinteger) else 0
+    hi = min(lo + span, int(np.iinfo(dtype).max))
+    dist = rng.integers(lo, hi, size=(n, n)).astype(dtype)
+    dist[0, 1], dist[1, 0] = lo, hi  # both ends of the range
+    np.fill_diagonal(dist, 5)
+    assert mean_loss_by_distance(eps, dist) == _per_mask_buckets(eps, dist)
 
 
 def test_mean_loss_by_distance_shape_mismatch():
     with pytest.raises(AccountantError, match="shape mismatch"):
         mean_loss_by_distance(np.zeros((3, 3)), np.zeros((4, 4), dtype=int))
+    with pytest.raises(AccountantError, match="integers"):
+        mean_loss_by_distance(np.zeros((3, 3)), np.ones((3, 3)))
+
+
+def test_privacy_path_memory_bounds(traced_peak):
+    n = 512
+    tm = with_self_loops(generate(GraphSpec(family="ring", n=n)), 0.25)
+    p = P(alpha=2.0, sigma2=16.0, steps=1000)
+    m = pairwise_matrix(tm, p, method="exact")  # fills the kernel cache
+    # beyond the cached kernel, only the returned matrix
+    assert traced_peak(pairwise_matrix, tm, p, method="exact") <= 1.1 * n * n * 8
+    # the worst case for aggregation: nearly every pair in one group
+    dist = np.ones((n, n), dtype=np.int64)
+    dist[0, 1] = 2
+    np.fill_diagonal(dist, 0)
+    assert traced_peak(mean_loss_by_distance, m, dist) <= 2.5 * n * n * 8
 
 
 def test_pairwise_csv_round_trip(tmp_path, lazy_ring):

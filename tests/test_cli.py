@@ -56,6 +56,16 @@ def test_privacy_and_edge_list_runs_do_not_load_numpy_ma(tmp_path):
     assert "numpy.ma" not in _modules_after(code)
 
 
+def test_exact_privacy_run_does_not_load_numpy_polynomial(tmp_path):
+    # The quadrature rule is a committed table, not a per-process leggauss call.
+    code = (
+        "from tokenwalk.cli import main\n"
+        "assert main(['privacy', '--family', 'ring', '--n', '12', '--steps', '64', "
+        f"'--method', 'exact', '--out', {str(tmp_path / 'p')!r}]) == 0"
+    )
+    assert "numpy.polynomial" not in _modules_after(code)
+
+
 # --------------------------------------------------------------------------- #
 # graph
 # --------------------------------------------------------------------------- #

@@ -76,6 +76,34 @@ def test_canonical_builders_are_not_resorted(monkeypatch, spec):
     assert np.array_equal(e, np.unique(e, axis=0))
 
 
+def test_complete_connectivity_check_builds_no_csr(monkeypatch):
+    # Every level of a complete graph pulls, so the push CSR is never built.
+    def refuse(*args):
+        raise AssertionError("CSR built")
+
+    monkeypatch.setattr(graphs, "_csr", refuse)
+    g = generate(GraphSpec(family="complete", n=64))
+    assert len(g.edges) == 64 * 63 // 2
+
+
+@pytest.mark.parametrize(
+    "rows, want",
+    [
+        ([[0, 1], [0, 2], [1, 2]], [[0, 1], [0, 2], [1, 2]]),  # canonical
+        ([[1, 0], [0, 2], [1, 2]], [[0, 1], [0, 2], [1, 2]]),  # sorted keys, one row flipped
+        ([[1, 2], [0, 1], [2, 0], [1, 0]], [[0, 1], [0, 2], [1, 2]]),  # unsorted, repeated
+    ],
+)
+def test_finalize_returns_a_fresh_read_only_copy(rows, want):
+    given_edges = np.array(rows, dtype=np.int64)
+    before = given_edges.copy()
+    g = graphs._finalize(3, given_edges, family=None, seed=None)
+    assert g.edges.dtype == np.int64 and not g.edges.flags.writeable
+    assert g.edges.tolist() == want
+    assert not np.shares_memory(g.edges, given_edges)
+    assert given_edges.flags.writeable and np.array_equal(given_edges, before)
+
+
 def test_degrees():
     star = generate(GraphSpec(family="star", n=9))
     assert star.degrees[0] == 8

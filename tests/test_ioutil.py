@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from tokenwalk import ioutil
 from tokenwalk.ioutil import read_matrix_csv, write_matrix_csv
 
 _TINY = 5e-324  # smallest subnormal
@@ -36,8 +37,18 @@ def _special_values() -> np.ndarray:
     return m
 
 
+def _multi_block() -> np.ndarray:
+    """150 x 7: the writer's three 64-row blocks, NaN rows on both sides of each block edge."""
+    rng = np.random.default_rng(9)
+    m = rng.standard_normal((150, 7)) * 10.0 ** rng.integers(-20, 20, size=(150, 7))
+    m[[0, 63, 64, 127, 128, 149], :] = np.nan
+    m[np.arange(150), np.arange(150) % 7] = np.nan
+    return m
+
+
 _CASES = {
     "special": _special_values(),
+    "150x7-blocks": _multi_block(),
     "1x1": np.array([[0.1]]),
     "1x1-nan": np.array([[np.nan]]),
     "1x5": np.array([[1.0, np.nan, -0.0, 1 / 3, -np.inf]]),
@@ -64,3 +75,30 @@ def test_write_matrix_csv_matches_per_cell_reference(tmp_path, name, nan_as_empt
 def test_write_matrix_csv_rejects_non_2d(tmp_path):
     with pytest.raises(ValueError, match="2-D"):
         write_matrix_csv(tmp_path / "m.csv", np.zeros(3))
+
+
+def test_write_matrix_csv_failure_mid_stream_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"old contents\n")
+    blocks = []
+    format_block = ioutil._csv_block
+
+    def fail_on_second_block(*args):
+        if blocks:
+            raise OSError("disk full")
+        blocks.append(format_block(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(ioutil, "_csv_block", fail_on_second_block)
+    with pytest.raises(OSError, match="disk full"):
+        write_matrix_csv(path, _multi_block(), nan_as_empty=True)
+    assert len(blocks) == 1  # the first block was written to the temp file
+    assert path.read_bytes() == b"old contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
+
+
+def test_write_matrix_csv_memory_is_one_block(tmp_path, traced_peak):
+    # The whole text of this matrix is ~5.5 MB; the writer holds one block's.
+    m = np.random.default_rng(3).random((512, 512)) * 1e-3
+    np.fill_diagonal(m, np.nan)
+    assert traced_peak(write_matrix_csv, tmp_path / "m.csv", m, nan_as_empty=True) <= 2 * 2**20
