@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Wall clock and peak RSS of the two paper-scale CLI commands.
+"""Wall clock and peak RSS of the paper-scale CLI commands.
 
 Usage, from the repository root::
 
@@ -8,8 +8,8 @@ Usage, from the repository root::
 Each command runs K times (default 1), each time in a fresh child process
 that imports ``tokenwalk.cli`` and calls ``main``, as the ``tokenwalk``
 console script does, with its outputs in a temporary directory.  The script
-prints one line per run: the command, its wall clock in seconds (spawn to
-exit) and the child's peak resident set size in MB (``ru_maxrss`` from
+prints one line per run: the command and its ``--method``, its wall clock in
+seconds (spawn to exit) and the child's peak resident set size in MB (``ru_maxrss`` from
 ``os.wait4``).  A command that exits nonzero stops the script.
 """
 
@@ -27,6 +27,9 @@ COMMANDS = (
      "--steps", "262144", "--method", "exact"),
     ("calibrate", "--family", "complete", "--n", "2048", "--steps", "524288",
      "--method", "exact", "--target-eps", "1"),
+    # The CLI's default method.
+    ("calibrate", "--family", "complete", "--n", "2048", "--steps", "524288",
+     "--method", "closed", "--target-eps", "1"),
 )
 
 LAUNCH = "import sys; from tokenwalk.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -51,11 +54,12 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=1, help="runs per command")
     args = parser.parse_args()
-    print(f"{'command':<10} {'wall s':>8} {'peak MB':>8}")
+    print(f"{'command':<18} {'wall s':>8} {'peak MB':>8}")
     for command in COMMANDS:
+        label = f"{command[0]} {command[command.index('--method') + 1]}"
         for _ in range(max(1, args.repeat)):
             wall, rss = run_once(command)
-            print(f"{command[0]:<10} {wall:>8.3f} {rss:>8.1f}", flush=True)
+            print(f"{label:<18} {wall:>8.3f} {rss:>8.1f}", flush=True)
 
 
 if __name__ == "__main__":

@@ -18,15 +18,6 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from . import (  # noqa: F401
-    accountant,
-    datasets,
-    graphs,
-    optim,
-    spectral,
-    transition,
-    walk,
-)
 from .errors import (  # noqa: F401
     AccountantError,
     CalibrationError,
@@ -37,3 +28,21 @@ from .errors import (  # noqa: F401
     TokenwalkError,
     TransitionError,
 )
+
+# Submodules load on first attribute access (PEP 562), so a command imports
+# only the layers it runs.
+_SUBMODULES = frozenset(
+    {"accountant", "datasets", "graphs", "optim", "spectral", "transition", "walk"}
+)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        from importlib import import_module
+
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _SUBMODULES)

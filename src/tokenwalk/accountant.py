@@ -33,7 +33,7 @@ import numpy as np
 from . import _gauss_legendre
 from .errors import AccountantError, CalibrationError
 from .ioutil import dump_json, read_matrix_csv, write_matrix_csv, write_rows_csv
-from .spectral import decompose, matrix_log_term
+from .spectral import decompose, matrix_log_spectrum, matrix_log_term
 from .transition import HASH_VERSION, TransitionMatrix
 
 __all__ = [
@@ -171,9 +171,8 @@ class PairwiseLossMatrix:
         return self.eps.shape[0]
 
     def offdiagonal(self) -> np.ndarray:
-        """Flat array of the n(n-1) defined entries."""
-        mask = ~np.eye(self.n, dtype=bool)
-        return self.eps[mask]
+        """Flat array of the n(n-1) defined entries, in row-major order."""
+        return np.ravel(_offdiagonal_view(self.eps))
 
 
 @dataclass(frozen=True)
@@ -208,19 +207,41 @@ class Statistic:
     distance: int | None = None
 
     def apply(self, matrix: np.ndarray, dist: np.ndarray | None = None) -> float:
-        mask = ~np.eye(matrix.shape[0], dtype=bool)
+        """The statistic over the off-diagonal cells of `matrix`.
+
+        Reads them through :func:`_offdiagonal_view`, so no n x n mask is
+        formed; the mean is bitwise that of ``matrix[~np.eye(n, dtype=bool)]``.
+        """
+        cells = _offdiagonal_view(np.asarray(matrix))
         if self.kind == "mean_pairs":
-            return float(np.mean(matrix[mask]))
+            return float(np.mean(np.ravel(cells)))
         if self.kind == "max_pairs":
-            return float(np.max(matrix[mask]))
+            return float(np.max(cells))
         if self.kind == "mean_at_distance":
             if dist is None:
                 raise AccountantError("mean_at_distance requires a hop-distance matrix")
-            sel = mask & (dist == self.distance)
+            if np.shape(dist) != np.shape(matrix):
+                raise AccountantError(
+                    f"shape mismatch: losses {np.shape(matrix)} vs distances {np.shape(dist)}"
+                )
+            sel = _offdiagonal_view(np.asarray(dist)) == self.distance
             if not np.any(sel):
                 raise AccountantError(f"no pairs at hop distance {self.distance}")
-            return float(np.mean(matrix[sel]))
+            return float(np.mean(cells[sel]))
         raise AccountantError(f"unknown statistic kind {self.kind!r}")
+
+
+def _offdiagonal_view(m: np.ndarray) -> np.ndarray:
+    """The off-diagonal cells of a square array as an (n-1, n) array, row-major.
+
+    Between the diagonal cells ``i (n+1)`` and ``(i+1)(n+1)`` of the flat array
+    lie exactly the n off-diagonal cells of row i's tail and row i+1's head, so
+    dropping the first flat cell and the last column of an ``(n-1, n+1)``
+    reshape leaves every off-diagonal cell once, in row-major order.  A view,
+    unless `m` is not C-contiguous.
+    """
+    n = m.shape[0]
+    return np.ascontiguousarray(m).reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
 
 
 MEAN_PAIRS = Statistic("mean_pairs")
@@ -802,19 +823,33 @@ def calibrate_sigma(
     :class:`CalibrationResult` for the gap semantics, and
     :class:`CalibrationError` for infeasible targets (carries the feasible
     bound).
+
+    With ``mode="spectral"``, :data:`MEAN_PAIRS` (the CLI default) never forms
+    the n x n kernel or matrix log: its mean pair is read off the
+    eigendecomposition by :meth:`SpectralDecomposition.offdiagonal_mean`.
+    The other statistics, and ``mode="powers"``, take the mean or max of the
+    full matrix.
     """
     n = w.n
     n_u = p_template.n_contributions(n)
-    if method == "closed":
-        if p_template.steps < 1:
-            raise AccountantError("closed form requires steps >= 1")
-        base = math.log(p_template.steps) / n - matrix_log_term(w)
-    elif method == "exact":
-        base = _privacy_kernel(w, p_template.steps, mode)
-    else:
+    if method not in ("exact", "closed"):
         raise AccountantError(f"method must be 'exact' or 'closed', got {method!r}")
-    stat_base = n_u * statistic.apply(np.asarray(base), dist)
-    return _calibrate_scaled(stat_base, target, alpha_grid, True, statistic, method)
+    if method == "closed" and p_template.steps < 1:
+        raise AccountantError("closed form requires steps >= 1")
+    if mode == "spectral" and statistic.kind == "mean_pairs":
+        if method == "closed":
+            dec, log_values = matrix_log_spectrum(w)
+            stat = math.log(p_template.steps) / n - dec.offdiagonal_mean(log_values)
+        else:
+            dec = decompose(w)
+            stat = dec.offdiagonal_mean(_harmonic_power_sums(dec.eigenvalues, p_template.steps))
+    else:
+        if method == "closed":
+            base = math.log(p_template.steps) / n - matrix_log_term(w)
+        else:
+            base = _privacy_kernel(w, p_template.steps, mode)
+        stat = statistic.apply(base, dist)
+    return _calibrate_scaled(n_u * stat, target, alpha_grid, True, statistic, method)
 
 
 def calibrate_sigma_local(

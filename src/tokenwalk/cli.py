@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, accountant, datasets, graphs, optim, spectral, transition, walk
+from . import __version__, accountant, graphs, transition
 from .errors import (
     AccountantError,
     CalibrationError,
@@ -272,6 +272,8 @@ def cmd_privacy(args: argparse.Namespace) -> int:
 
 
 def _load_houses_or_die(n_users: int, seed: int) -> datasets.Dataset:
+    from . import datasets
+
     path = datasets.find_houses_csv()
     if path is None:
         raise DataError(
@@ -281,10 +283,6 @@ def _load_houses_or_die(n_users: int, seed: int) -> datasets.Dataset:
         )
     raw = datasets.load_csv(path, label_column="median_house_value")
     return datasets.preprocess(raw, n_users=n_users, seed=seed)
-
-
-def _synthetic_dataset(n_users: int, per_user: int, seed: int) -> datasets.Dataset:
-    return datasets.synth_linear(n_users=n_users, per_user=per_user, d=8, margin=0.3, seed=seed)
 
 
 def _summary_row(rec: optim.RunRecord) -> dict:
@@ -305,6 +303,9 @@ def cmd_sgd(args: argparse.Namespace) -> int:
     _resolve_flags(args, {"preset", "n", "epochs", "steps", "gamma", "sigma",
                           "clip", "target_eps", "delta", "seeds", "synthetic",
                           "per_user", "out"})
+    # Only sgd samples data and runs descent loops; the other commands never load them.
+    from . import datasets, optim
+
     out = _out_dir(args)
     seeds = _parse_seeds(args.seeds)
     manifest = _Manifest(out, f"sgd:{args.preset}", _public_config(args), seeds)
@@ -360,8 +361,8 @@ def cmd_sgd(args: argparse.Namespace) -> int:
         else:
             ds = _load_houses_or_die(n, seed=seeds[0])
         obj = optim.LogisticObjective(ds)
-        g = graphs.generate(graphs.GraphSpec(family="complete", n=n))
-        tm = transition.hamilton_weighting(g)
+        # No graph stays alive beside the chain: calibration's eigh sets the peak.
+        tm = transition.hamilton_weighting(graphs.generate(graphs.GraphSpec(family="complete", n=n)))
         template = accountant.PrivacyParams(alpha=2.0, sigma2=16.0, steps=steps)
         targets = [args.target_eps or 1.0] if args.preset == "fig2" else [0.5, 1.0, 2.0]
         for eps_target in targets:
@@ -405,17 +406,18 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     manifest = _Manifest(out, "calibrate", _public_config(args),
                          [args.seed] if args.seed is not None else [])
-    g = graphs.generate(_graph_spec_from_args(args, args.seed))
-    tm = _build_chain(g, args.kappa, args.steps)
     template = accountant.PrivacyParams(alpha=2.0, sigma2=16.0, steps=args.steps)
     target = accountant.DpPoint(epsilon=args.target_eps, delta=args.delta)
     stat_name = args.statistic.replace("-", "_")
+    g = graphs.generate(_graph_spec_from_args(args, args.seed))
     if stat_name == "mean_at_distance":
         statistic = accountant.mean_at_distance(args.distance)
         dist = graphs.shortest_path_distances(g)
     else:
         statistic = accountant.Statistic(stat_name)
         dist = None
+    tm = _build_chain(g, args.kappa, args.steps)
+    del g  # calibration's eigh sets the run's peak memory: hold no edge list beside it
     result = accountant.calibrate_sigma(
         tm, template, target, statistic, dist=dist, method=args.method
     )

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 import tempfile
@@ -19,6 +18,7 @@ __all__ = [
     "write_matrix_csv",
     "read_matrix_csv",
     "write_rows_csv",
+    "new_sha256",
     "sha256_of_file",
     "sha256_of_text",
     "dump_json",
@@ -123,8 +123,19 @@ def write_rows_csv(path: str | Path, header: Iterable[str], rows: Iterable[Itera
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def new_sha256(data: bytes = b""):
+    """``hashlib.sha256(data)``, with `hashlib` imported at the first hash.
+
+    Importing `hashlib` maps OpenSSL's libcrypto (a few MB of resident memory),
+    so a run that hashes only its outputs maps it after its numerical work.
+    """
+    import hashlib
+
+    return hashlib.sha256(data)
+
+
 def sha256_of_file(path: str | Path) -> str:
-    h = hashlib.sha256()
+    h = new_sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
@@ -132,7 +143,7 @@ def sha256_of_file(path: str | Path) -> str:
 
 
 def sha256_of_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return new_sha256(text.encode("utf-8")).hexdigest()
 
 
 def dump_json(path: str | Path, obj: Any) -> None:

@@ -26,6 +26,7 @@ __all__ = [
     "SpectralDecomposition",
     "SpectralGap",
     "decompose",
+    "matrix_log_spectrum",
     "matrix_log_term",
     "spectral_gap",
     "mixing_time_spectral_bound",
@@ -92,6 +93,23 @@ class SpectralDecomposition:
         m *= 0.5
         return m
 
+    def offdiagonal_mean(self, values: np.ndarray) -> float:
+        """Mean off-diagonal entry of ``apply(values)``, never forming it.
+
+        With ``c = V^T 1`` the entries of ``sum_k values[k] phi_k phi_k^T`` sum
+        to ``values . c^2`` and its trace is ``sum(values)``, so the n(n-1)
+        off-diagonal entries average ``(values . c^2 - sum(values)) / (n(n-1))``.
+        This is exact algebra for any symmetric matrix (substochastic chains
+        included); no n x n matrix of the kernel is made.
+        """
+        n = self.n
+        # NumPy adds the rows of a C-contiguous array one after another, and
+        # ``V.sum(axis=0)`` drifts by up to ~n ulp: for the unit eigenvector of
+        # complete n = 2048 it put ``c_1^2`` 8e-14 off n.  The rows of the
+        # transposed copy are summed pairwise.
+        c = np.ascontiguousarray(self.eigenvectors.T).sum(axis=1)
+        return float((values @ (c * c) - values.sum()) / (n * (n - 1)))
+
 
 @dataclass(frozen=True)
 class SpectralGap:
@@ -153,19 +171,30 @@ def _require_unit_top(tm: TransitionMatrix, dec: SpectralDecomposition, op: str)
 # --------------------------------------------------------------------------- #
 
 
-def matrix_log_term(tm: TransitionMatrix) -> np.ndarray:
-    """Matrix logarithm ``ln(I - W + (1/n) 11^T)``.
+def matrix_log_spectrum(tm: TransitionMatrix) -> tuple[SpectralDecomposition, np.ndarray]:
+    """The decomposition of `tm` and the eigenvalues of ``ln(I - W + (1/n) 11^T)``.
 
-    Computed spectrally as ``sum_{k>=2} ln(1 - lambda_k) phi_k phi_k^T``; the
-    unit-eigenvalue component is excluded by construction (its image under the
-    argument has eigenvalue 1, contributing ln 1 = 0).  Uses ``log1p(-lambda)``
-    for accuracy near small eigenvalues.
+    Those are ``0`` for the unit eigenvalue (its image under the argument has
+    eigenvalue 1, contributing ln 1 = 0) and ``log1p(-lambda_k)`` for k >= 2,
+    accurate near small eigenvalues.  Pass them to
+    :meth:`SpectralDecomposition.apply` for the matrix, or to
+    :meth:`~SpectralDecomposition.offdiagonal_mean` for its mean pair.
     """
     dec = decompose(tm)
     _require_unit_top(tm, dec, "matrix_log_term")
     # lambda_1 may round to just above 1, where log1p(-lambda_1) is NaN: its
     # entry is the constant 0, not a value computed and then overwritten.
-    return dec.apply(np.concatenate(([0.0], np.log1p(-dec.eigenvalues[1:]))))
+    return dec, np.concatenate(([0.0], np.log1p(-dec.eigenvalues[1:])))
+
+
+def matrix_log_term(tm: TransitionMatrix) -> np.ndarray:
+    """Matrix logarithm ``ln(I - W + (1/n) 11^T)``.
+
+    Computed spectrally as ``sum_{k>=2} ln(1 - lambda_k) phi_k phi_k^T`` from
+    :func:`matrix_log_spectrum`.
+    """
+    dec, values = matrix_log_spectrum(tm)
+    return dec.apply(values)
 
 
 # --------------------------------------------------------------------------- #

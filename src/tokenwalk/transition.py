@@ -9,7 +9,6 @@ Lazy-walk variants mix in self-loops with weight ``kappa``.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import TransitionError
 from .graphs import Graph, hop_levels
-from .ioutil import read_matrix_csv, write_matrix_csv
+from .ioutil import new_sha256, read_matrix_csv, write_matrix_csv
 
 __all__ = [
     "HASH_VERSION",
@@ -43,6 +42,9 @@ DEFAULT_ATOL = 1e-12
 HASH_VERSION = 2
 
 _HASH_CACHE_KEY = "content_hash"
+
+# Edges per block of `hamilton_weighting`'s scatter.
+_EDGE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ class TransitionMatrix:
         digest = self._cache.get(_HASH_CACHE_KEY)
         if digest is None:
             payload = np.ascontiguousarray(self.w, dtype="<f8").tobytes()
-            digest = hashlib.sha256(f"{self.n}|".encode() + payload).hexdigest()
+            digest = new_sha256(f"{self.n}|".encode() + payload).hexdigest()
             self._cache[_HASH_CACHE_KEY] = digest
         return digest
 
@@ -129,8 +131,12 @@ def hamilton_weighting(graph: Graph) -> TransitionMatrix:
     n = graph.n
     deg = graph.degrees
     w = np.zeros((n, n), dtype=float)
-    u, v = graph.edges.T
-    w[u, v] = w[v, u] = 1.0 / np.maximum(deg[u], deg[v])
+    # Edge blocks keep the index and weight temporaries at a few MB whatever m:
+    # unblocked, at complete n = 2048 they lift calibrate's peak RSS above
+    # that of `eigh` (210 against 196 MB).
+    for start in range(0, len(graph.edges), _EDGE_BLOCK):
+        u, v = graph.edges[start : start + _EDGE_BLOCK].T
+        w[u, v] = w[v, u] = 1.0 / np.maximum(deg[u], deg[v])
     residual = 1.0 - w.sum(axis=1)
     # Residuals are nonnegative: each row sums to sum_v 1/max(d_u, d_v) <= 1.
     np.fill_diagonal(w, np.maximum(residual, 0.0))

@@ -166,6 +166,55 @@ def test_statistic_kinds():
         Statistic("median_pairs").apply(m)
 
 
+def _mask_statistics(m, dist, distances):
+    """The statistics as the n x n mask formula computes them (the reference)."""
+    mask = ~np.eye(m.shape[0], dtype=bool)
+    at = [float(np.mean(m[mask & (dist == d)])) for d in distances]
+    return float(np.mean(m[mask])), float(np.max(m[mask])), at, m[mask]
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 300])
+def test_statistics_bitwise_equal_mask_formula(n):
+    rng = np.random.default_rng(n)
+    m = rng.lognormal(size=(n, n))
+    np.fill_diagonal(m, np.nan)
+    dist = rng.integers(1, 4, size=(n, n))
+    np.fill_diagonal(dist, 0)
+    distances = [d for d in (1, 2, 3) if np.any((dist == d) & ~np.eye(n, dtype=bool))]
+    mean, mx, at, cells = _mask_statistics(m, dist, distances)
+    for matrix in (m, np.asfortranarray(m)):  # a non-contiguous layout is read the same
+        assert MEAN_PAIRS.apply(matrix) == mean
+        assert MAX_PAIRS.apply(matrix) == mx
+        assert [mean_at_distance(d).apply(matrix, dist) for d in distances] == at
+    pl = acc.PairwiseLossMatrix(eps=m, params=P(alpha=2.0, sigma2=16.0, steps=1), method="exact",
+                                w_hash="")
+    got = pl.offdiagonal()
+    assert got.flags.c_contiguous and got.tobytes() == cells.tobytes()
+    with pytest.raises(AccountantError, match="shape mismatch"):
+        mean_at_distance(1).apply(m, dist[:-1, :-1])
+
+
+def test_statistics_memory_bounds(traced_peak):
+    # One n(n-1) vector for a mean, one reduction buffer (64 kB) for the max,
+    # and the selected cells plus one n(n-1) boolean selection (256 kB) for a
+    # mean at a distance.  The mask formula took three n x n boolean masks
+    # (768 kB) on top.
+    n = 512
+    rng = np.random.default_rng(0)
+    m = rng.random((n, n))
+    np.fill_diagonal(m, np.nan)
+    dist = rng.integers(1, 4, size=(n, n))
+    np.fill_diagonal(dist, 0)
+    cell = 8 * n * (n - 1)
+    assert traced_peak(MEAN_PAIRS.apply, m) <= 1.02 * cell
+    assert traced_peak(MAX_PAIRS.apply, m) <= 2**17
+    selected = 8 * int(np.count_nonzero(dist == 2))
+    assert traced_peak(mean_at_distance(2).apply, m, dist) <= selected + 2**19
+    pl = acc.PairwiseLossMatrix(eps=m, params=P(alpha=2.0, sigma2=16.0, steps=1), method="exact",
+                                w_hash="")
+    assert traced_peak(pl.offdiagonal) <= 1.02 * cell
+
+
 # --------------------------------------------------------------------------- #
 # Single-contribution losses
 # --------------------------------------------------------------------------- #
@@ -676,6 +725,84 @@ def test_calibrate_round_trip_exact_method(lazy_ring):
     stat = MAX_PAIRS.apply(recomputed.eps)
     assert rdp_to_dp(res.alpha, stat, 1e-6).epsilon == pytest.approx(res.epsilon, rel=1e-10)
     assert res.epsilon <= 1.0 + 1e-12
+
+
+@pytest.fixture(scope="module")
+def paper_scale_chains():
+    """Chains of ~1024 nodes, each decomposed once for every test that uses it."""
+    ring = with_self_loops(generate(GraphSpec(family="ring", n=1024)), 1.0 / 3.0)
+    er = hamilton_weighting(generate(GraphSpec(family="erdos_renyi", n=1024, q=0.02, seed=0)))
+    complete = hamilton_weighting(generate(GraphSpec(family="complete", n=1024)))
+    return {"erdos_renyi": er, "lazy_ring": ring, "complete": complete,
+            "star": star_walk_matrix(1025, 0.25)}
+
+
+def _spectral_mean(tm, steps, method):
+    if method == "exact":
+        dec = acc.decompose(tm)
+        return dec.offdiagonal_mean(acc._harmonic_power_sums(dec.eigenvalues, steps))
+    dec, values = acc.matrix_log_spectrum(tm)
+    return math.log(steps) / tm.n - dec.offdiagonal_mean(values)
+
+
+def _matrix_mean(tm, steps, method, mode="spectral"):
+    if method == "exact":
+        return MEAN_PAIRS.apply(acc._privacy_kernel(tm, steps, mode))
+    return MEAN_PAIRS.apply(math.log(steps) / tm.n - matrix_log_term(tm))
+
+
+@pytest.mark.parametrize(
+    "chain, method",
+    [("erdos_renyi", "exact"), ("erdos_renyi", "closed"), ("lazy_ring", "exact"),
+     ("lazy_ring", "closed"), ("complete", "exact"), ("complete", "closed"), ("star", "exact")],
+)
+def test_offdiagonal_mean_matches_full_kernel_at_paper_scale(paper_scale_chains, chain, method):
+    # The star chain is substochastic (no unit eigenvector, no closed form):
+    # the identity behind offdiagonal_mean needs only symmetry.
+    tm, steps = paper_scale_chains[chain], 262144
+    got, want = _spectral_mean(tm, steps, method), _matrix_mean(tm, steps, method)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize(
+    "tm, steps",
+    [
+        (hamilton_weighting(generate(GraphSpec(family="erdos_renyi", n=24, q=0.3, seed=1))), 500),
+        (hamilton_weighting(generate(GraphSpec(family="ring", n=16))), 500),  # lambda_n = -1
+        (with_self_loops(generate(GraphSpec(family="ring", n=16)), 1.0 / 2000**2), 2000),
+        (star_walk_matrix(33, 0.1), 300),
+    ],
+)
+def test_offdiagonal_mean_matches_dense_powers(tm, steps):
+    want = _matrix_mean(tm, steps, "exact", mode="powers")
+    assert abs(_spectral_mean(tm, steps, "exact") - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("chain", ["erdos_renyi", "lazy_ring", "complete"])
+@pytest.mark.parametrize("method", ["exact", "closed"])
+def test_calibrate_mean_pairs_identical_to_matrix_path(paper_scale_chains, chain, method):
+    tm = paper_scale_chains[chain]
+    template = P(alpha=2.0, sigma2=16.0, steps=262144)
+    stat = template.n_contributions(tm.n) * _matrix_mean(tm, template.steps, method)
+    for eps in (0.95, 2.0):
+        target = DpPoint(eps, 1e-6)
+        got = calibrate_sigma(tm, template, target, method=method)
+        want = acc._calibrate_scaled(stat, target, acc.ALPHA_GRID, True, MEAN_PAIRS, method)
+        assert (got.sigma2, got.alpha, got.gap_limited) == (want.sigma2, want.alpha, want.gap_limited)
+        assert got.epsilon == pytest.approx(want.epsilon, rel=1e-12, abs=0.0)
+        assert got.rdp_statistic == pytest.approx(want.rdp_statistic, rel=1e-12, abs=0.0)
+
+
+def test_calibrate_mean_pairs_never_forms_the_kernel(monkeypatch, lazy_ring):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the mean-pairs calibration formed an n x n matrix")
+
+    tm = lazy_ring(64)
+    monkeypatch.setattr(acc, "_privacy_kernel", refuse)
+    monkeypatch.setattr(acc, "matrix_log_term", refuse)
+    monkeypatch.setattr(acc, "pairwise_matrix", refuse)
+    for method in ("exact", "closed"):
+        calibrate_sigma(tm, P(alpha=2.0, sigma2=16.0, steps=4096), DpPoint(2.0, 1e-6), method=method)
 
 
 def test_calibrate_degenerate_statistic(uniform_chain):

@@ -32,6 +32,38 @@ def test_cli_import_does_not_load_scipy():
     assert "scipy" not in _modules_after("import tokenwalk.cli")
 
 
+def test_cli_import_loads_only_the_layers_it_needs():
+    # sgd imports optim and datasets itself; no command uses walk directly,
+    # and hashlib (OpenSSL's libcrypto) loads at the first hash.
+    loaded = _modules_after("import tokenwalk.cli")
+    assert not loaded & {"tokenwalk.optim", "tokenwalk.datasets", "tokenwalk.walk", "_hashlib"}
+    resolved = _modules_after(
+        "import tokenwalk\n"
+        "assert {'optim', 'walk'} <= set(dir(tokenwalk))\n"
+        "assert tokenwalk.optim.run_rw_dpsgd\n"
+        "from tokenwalk import walk\n"
+        "assert walk.simulate"
+    )
+    assert {"tokenwalk.optim", "tokenwalk.datasets", "tokenwalk.walk"} <= resolved
+
+
+def test_calibrate_loads_hashlib_after_the_eigensolver(tmp_path):
+    # A deterministic graph needs no hash until the manifest is written.
+    code = (
+        "import sys\n"
+        "from tokenwalk import accountant, cli\n"
+        "decompose = accountant.decompose\n"
+        "def probe(tm):\n"
+        "    assert '_hashlib' not in sys.modules\n"
+        "    return decompose(tm)\n"
+        "accountant.decompose = probe\n"
+        "assert cli.main(['calibrate', '--family', 'complete', '--n', '16', '--steps', '256', "
+        f"'--target-eps', '2', '--method', 'exact', '--out', {str(tmp_path)!r}]) == 0"
+    )
+    assert "_hashlib" in _modules_after(code)
+    assert "manifest.json" in {p.name for p in tmp_path.iterdir()}
+
+
 def test_logistic_sgd_run_does_not_load_scipy(tmp_path):
     # A whole logistic run: dataset, chain, calibration, all three descent loops.
     code = (

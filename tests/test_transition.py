@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import struct
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -58,6 +57,21 @@ def test_hamilton_regular_graph_has_no_self_loops():
     tm = hamilton_weighting(g)
     assert np.all(np.diag(tm.w) == 0.0)
     assert np.allclose(tm.w.sum(axis=1), 1.0)
+
+
+@pytest.mark.parametrize("spec", [GraphSpec(family="complete", n=512),
+                                  GraphSpec(family="erdos_renyi", n=300, q=0.2, seed=2)])
+def test_hamilton_edge_blocks_bitwise_and_bounded(spec, traced_peak):
+    # 130 816 and ~9 000 edges: several 65 536-edge blocks, and one.
+    g = generate(spec)
+    n, deg = g.n, g.degrees
+    ref = np.zeros((n, n))
+    u, v = g.edges.T
+    ref[u, v] = ref[v, u] = 1.0 / np.maximum(deg[u], deg[v])
+    np.fill_diagonal(ref, np.maximum(1.0 - ref.sum(axis=1), 0.0))
+    assert hamilton_weighting(g).w.tobytes() == ref.tobytes()
+    # W plus one block's index and weight arrays (2 MiB), not W plus ~4 m doubles.
+    assert traced_peak(hamilton_weighting, g) <= 8 * n * n + 2**21
 
 
 def test_with_self_loops_ring():
@@ -288,7 +302,7 @@ def test_content_hash_computed_once_per_chain(monkeypatch, lazy_ring):
         calls.append(len(data))
         return hashlib.sha256(data)
 
-    monkeypatch.setattr(transition, "hashlib", SimpleNamespace(sha256=counting_sha256))
+    monkeypatch.setattr(transition, "new_sha256", counting_sha256)
     tm = lazy_ring(6)
     traj = simulate(tm, 0, 20, 1)
     m = pairwise_matrix(tm, PrivacyParams(alpha=2.0, sigma2=16.0, steps=20), method="exact")
