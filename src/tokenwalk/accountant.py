@@ -33,7 +33,7 @@ import numpy as np
 from . import _gauss_legendre
 from .errors import AccountantError, CalibrationError
 from .ioutil import dump_json, read_matrix_csv, write_matrix_csv, write_rows_csv
-from .spectral import decompose, matrix_log_spectrum, matrix_log_term
+from .spectral import SpectralDecomposition, decompose, matrix_log_spectrum
 from .transition import HASH_VERSION, TransitionMatrix
 
 __all__ = [
@@ -75,8 +75,6 @@ ALPHA_GRID = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 _EULER_GAMMA = float(np.euler_gamma)
 _HARMONIC_DIRECT_MAX = 256
-
-_KERNEL_CACHE_KEY = "privacy_kernel"
 
 #: Eigenvalues within this distance of +-1 are treated as exactly +-1: the
 #: kernel takes ``H_T`` (or ``H_{T//2} - H_T``) instead of quadrature.  It
@@ -412,36 +410,49 @@ def _harmonic_power_sums(eigenvalues: np.ndarray, steps: int) -> np.ndarray:
     return s
 
 
-def _privacy_kernel(w: TransitionMatrix, steps: int, mode: str) -> np.ndarray:
-    """Full matrix ``sum_{i=1}^{T} (W^i) / i`` (cached per (steps, mode)).
+def _kernel_spectrum(
+    w: TransitionMatrix, steps: int, method: str
+) -> tuple[SpectralDecomposition, np.ndarray, float]:
+    """The one map from `method` to a privacy kernel, ``shift + dec.apply(values)``.
 
-    This is the privacy-weighted communicability of ``W`` (weights
-    ``c_i = 1/i``, truncated at T) without the ``alpha / sigma2`` factor; its
-    T -> infinity limit on the non-unit eigenspace is ``-matrix_log_term``.
+    ``"exact"`` is ``sum_{i=1}^{T} W^i / i``, the privacy-weighted
+    communicability, from harmonic power sums with no shift; ``"closed"`` its
+    closed form ``ln(T) / n - ln(I - W + (1/n) 11^T)``, the T -> infinity
+    limit on the non-unit eigenspace.  Neither has the ``alpha / sigma2``.
     """
-    key = (_KERNEL_CACHE_KEY, steps, mode)
+    if method == "exact":
+        dec = decompose(w)
+        return dec, _harmonic_power_sums(dec.eigenvalues, steps), 0.0
+    if method != "closed":
+        raise AccountantError(f"method must be 'exact' or 'closed', got {method!r}")
+    if steps < 1:
+        raise AccountantError("closed form requires steps >= 1")
+    dec, log_values = matrix_log_spectrum(w)
+    # -x and c + (-x) are exact, so this is bitwise c - ln(...).
+    return dec, -log_values, math.log(steps) / w.n
+
+
+def _kernel(w: TransitionMatrix, steps: int, method: str) -> np.ndarray:
+    """A new n x n array holding the kernel of :func:`_kernel_spectrum`."""
+    dec, values, shift = _kernel_spectrum(w, steps, method)
+    k = dec.apply(values)
+    k += shift
+    return k
+
+
+def _privacy_kernel(w: TransitionMatrix, steps: int, method: str) -> np.ndarray:
+    """:func:`_kernel`, read-only and cached on `w` per (steps, method) for the per-pair losses."""
+    key = ("privacy_kernel", steps, method)
     cached = w._cache.get(key)
     if cached is not None:
         return cached
-    if mode == "spectral":
-        dec = decompose(w)
-        k = dec.apply(_harmonic_power_sums(dec.eigenvalues, steps))
-    elif mode == "powers":
-        n = w.n
-        k = np.zeros((n, n))
-        p_i = np.eye(n)
-        for i in range(1, steps + 1):
-            p_i = p_i @ w.w
-            k += p_i / i
-    else:
-        raise AccountantError(f"mode must be 'spectral' or 'powers', got {mode!r}")
+    k = _kernel(w, steps, method)
     k.setflags(write=False)
     w._cache[key] = k
     return k
 
 
-def _check_pair(w: TransitionMatrix, u: int, v: int) -> None:
-    n = w.n
+def _check_pair(n: int, u: int, v: int) -> None:
     if not (0 <= u < n and 0 <= v < n):
         raise AccountantError(f"nodes ({u}, {v}) outside range 0..{n - 1}")
     if u == v:
@@ -454,21 +465,15 @@ def _check_pair(w: TransitionMatrix, u: int, v: int) -> None:
 
 
 def single_contribution_exact(
-    w: TransitionMatrix,
-    u: int,
-    v: int,
-    p: PrivacyParams,
-    mode: str = "spectral",
+    w: TransitionMatrix, u: int, v: int, p: PrivacyParams
 ) -> float:
     """Exact finite-sum loss ``sum_{i=1}^{T} (W^i)_uv * alpha / (sigma2 i)``.
 
-    ``mode="spectral"`` evaluates per-eigenvalue harmonic power sums (fast);
-    ``mode="powers"`` accumulates dense matrix powers (the oracle).  The two
-    agree to ~1e-12 on well-conditioned chains.
+    Read off per-eigenvalue harmonic power sums (dense powers are the tests' oracle).
     """
-    _check_pair(w, u, v)
+    _check_pair(w.n, u, v)
     _require_gate(p)
-    k = _privacy_kernel(w, p.steps, mode)
+    k = _privacy_kernel(w, p.steps, "exact")
     return (p.alpha * float(k[u, v])) / p.sigma2
 
 
@@ -482,20 +487,14 @@ def single_contribution_closed(
     sits within ``alpha/(sigma2 n)`` below and a geometric tail above the
     exact value for large T.
     """
-    _check_pair(w, u, v)
+    _check_pair(w.n, u, v)
     _require_gate(p)
-    if p.steps < 1:
-        raise AccountantError("closed form requires steps >= 1")
-    log_term = matrix_log_term(w)
-    numer = p.alpha * (math.log(p.steps) / w.n - float(log_term[u, v]))
-    return numer / p.sigma2
+    k = _privacy_kernel(w, p.steps, "closed")
+    return (p.alpha * float(k[u, v])) / p.sigma2
 
 
 def pairwise_matrix(
-    w: TransitionMatrix,
-    p: PrivacyParams,
-    method: str = "closed",
-    mode: str = "spectral",
+    w: TransitionMatrix, p: PrivacyParams, method: str = "closed"
 ) -> PairwiseLossMatrix:
     """All-pairs composed losses ``N_u * single(u, v)``; NaN diagonal.
 
@@ -503,22 +502,12 @@ def pairwise_matrix(
     communicability ``sum_{i<=T} alpha W^i / (sigma2 i)``; ``"closed"`` the
     spectral closed form built on its untruncated limit.  Cells are
     independent, deterministic and formed with the division by sigma2 last,
-    so rescaling the noise rescales the whole matrix exactly.  The scaling
-    runs in place on the one new n x n array; the cached kernel is not copied.
+    so rescaling the noise rescales the whole matrix exactly.  The kernel is
+    formed afresh and scaled in place; nothing n x n is cached on `w`.
     """
     _require_gate(p)
-    n = w.n
-    n_u = p.n_contributions(n)
-    if method == "exact":
-        eps = (p.alpha * n_u) * _privacy_kernel(w, p.steps, mode)
-    elif method == "closed":
-        if p.steps < 1:
-            raise AccountantError("closed form requires steps >= 1")
-        eps = matrix_log_term(w)
-        np.subtract(math.log(p.steps) / n, eps, out=eps)
-        eps *= p.alpha * n_u
-    else:
-        raise AccountantError(f"method must be 'exact' or 'closed', got {method!r}")
+    eps = _kernel(w, p.steps, method)
+    eps *= p.alpha * p.n_contributions(w.n)
     eps /= p.sigma2
     np.fill_diagonal(eps, np.nan)
     eps.setflags(write=False)
@@ -567,10 +556,7 @@ def closed_form_star(
     """
     if n < 3:
         raise AccountantError(f"star needs n >= 3, got {n}")
-    if u == v:
-        raise AccountantError(f"pairwise loss undefined for u == v (got {u})")
-    if not (0 <= u < n and 0 <= v < n):
-        raise AccountantError(f"nodes ({u}, {v}) outside range 0..{n - 1}")
+    _check_pair(n, u, v)
     _require_gate(p)
     root = math.sqrt(n - 1)
     one_minus_plus = 1.0 - (kappa + (1.0 - kappa) * root) / (n - 1)
@@ -623,10 +609,7 @@ def closed_form_ring(
     """
     if n < 3:
         raise AccountantError(f"ring needs n >= 3, got {n}")
-    if u == v:
-        raise AccountantError(f"pairwise loss undefined for u == v (got {u})")
-    if not (0 <= u < n and 0 <= v < n):
-        raise AccountantError(f"nodes ({u}, {v}) outside range 0..{n - 1}")
+    _check_pair(n, u, v)
     _require_gate(p)
     if p.steps < 1:
         raise AccountantError("ring closed form requires steps >= 1")
@@ -659,7 +642,6 @@ def sender_known_loss(
     v: int,
     p: PrivacyParams,
     include_self: bool = True,
-    mode: str = "spectral",
 ) -> float:
     """Loss to an observer v that also learns who sent it the token.
 
@@ -668,14 +650,14 @@ def sender_known_loss(
     self-loops and `include_self` is set).  u itself is skipped -- a user's
     loss to themselves lies outside the pairwise model.
     """
-    _check_pair(w, u, v)
+    _check_pair(w.n, u, v)
     _require_gate(p)
     support = np.flatnonzero(w.w[v] > 0.0)
     candidates = [int(j) for j in support if j != v or (include_self and w.w[v, v] > 0.0)]
     candidates = [j for j in candidates if j != u]
     if not candidates:
         raise AccountantError(f"node {v} has no admissible predecessors besides {u}")
-    return max(single_contribution_exact(w, u, j, p, mode=mode) for j in candidates)
+    return max(single_contribution_exact(w, u, j, p) for j in candidates)
 
 
 def collusion_loss(
@@ -684,7 +666,6 @@ def collusion_loss(
     colluders: Iterable[int],
     p: PrivacyParams,
     composed: bool = False,
-    mode: str = "spectral",
 ) -> float:
     """Loss of u toward a colluding set F that pools its views.
 
@@ -700,7 +681,7 @@ def collusion_loss(
     if not all(0 <= v < w.n for v in f):
         raise AccountantError("colluder ids outside node range")
     _require_gate(p)
-    k = _privacy_kernel(w, p.steps, mode)
+    k = _privacy_kernel(w, p.steps, "exact")
     numer = p.alpha * float(k[u, f].sum())
     if composed:
         numer *= p.n_contributions(w.n)
@@ -812,7 +793,6 @@ def calibrate_sigma(
     *,
     dist: np.ndarray | None = None,
     method: str = "closed",
-    mode: str = "spectral",
     alpha_grid: Sequence[float] = ALPHA_GRID,
 ) -> CalibrationResult:
     """Find sigma2 whose converted pairwise-loss statistic meets `target`.
@@ -824,31 +804,17 @@ def calibrate_sigma(
     :class:`CalibrationError` for infeasible targets (carries the feasible
     bound).
 
-    With ``mode="spectral"``, :data:`MEAN_PAIRS` (the CLI default) never forms
-    the n x n kernel or matrix log: its mean pair is read off the
-    eigendecomposition by :meth:`SpectralDecomposition.offdiagonal_mean`.
-    The other statistics, and ``mode="powers"``, take the mean or max of the
-    full matrix.
+    :data:`MEAN_PAIRS` (the CLI default) never forms the n x n kernel: its
+    mean pair is read off the eigendecomposition by
+    :meth:`SpectralDecomposition.offdiagonal_mean`.  The other statistics
+    take the max or a mean of the full kernel of :func:`_kernel`.
     """
-    n = w.n
-    n_u = p_template.n_contributions(n)
-    if method not in ("exact", "closed"):
-        raise AccountantError(f"method must be 'exact' or 'closed', got {method!r}")
-    if method == "closed" and p_template.steps < 1:
-        raise AccountantError("closed form requires steps >= 1")
-    if mode == "spectral" and statistic.kind == "mean_pairs":
-        if method == "closed":
-            dec, log_values = matrix_log_spectrum(w)
-            stat = math.log(p_template.steps) / n - dec.offdiagonal_mean(log_values)
-        else:
-            dec = decompose(w)
-            stat = dec.offdiagonal_mean(_harmonic_power_sums(dec.eigenvalues, p_template.steps))
+    if statistic.kind == "mean_pairs":
+        dec, values, shift = _kernel_spectrum(w, p_template.steps, method)
+        stat = shift + dec.offdiagonal_mean(values)
     else:
-        if method == "closed":
-            base = math.log(p_template.steps) / n - matrix_log_term(w)
-        else:
-            base = _privacy_kernel(w, p_template.steps, mode)
-        stat = statistic.apply(base, dist)
+        stat = statistic.apply(_kernel(w, p_template.steps, method), dist)
+    n_u = p_template.n_contributions(w.n)
     return _calibrate_scaled(n_u * stat, target, alpha_grid, True, statistic, method)
 
 

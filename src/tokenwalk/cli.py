@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+import tokenwalk  # annotations name datasets and optim, which only sgd loads, through it
+
 from . import __version__, accountant, graphs, transition
 from .errors import (
     AccountantError,
@@ -54,6 +56,8 @@ _DEFAULTS: dict[str, dict[str, object]] = {
     "calibrate": {"method": "closed", "delta": 1e-6, "statistic": "mean_pairs"},
     "report": {"inputs": ()},
 }
+
+_STATISTICS = ("mean_pairs", "max_pairs", "mean_at_distance")
 
 _FAMILY_ALIASES = {"erdos-renyi": "erdos_renyi", "edge-list": "edge_list", "exponential": "hypercube"}
 
@@ -271,7 +275,7 @@ def cmd_privacy(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_houses_or_die(n_users: int, seed: int) -> datasets.Dataset:
+def _load_houses_or_die(n_users: int, seed: int) -> tokenwalk.datasets.Dataset:
     from . import datasets
 
     path = datasets.find_houses_csv()
@@ -285,7 +289,7 @@ def _load_houses_or_die(n_users: int, seed: int) -> datasets.Dataset:
     return datasets.preprocess(raw, n_users=n_users, seed=seed)
 
 
-def _summary_row(rec: optim.RunRecord) -> dict:
+def _summary_row(rec: tokenwalk.optim.RunRecord) -> dict:
     row = {
         "algorithm": rec.algorithm,
         "gamma": rec.gamma,
@@ -409,6 +413,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     template = accountant.PrivacyParams(alpha=2.0, sigma2=16.0, steps=args.steps)
     target = accountant.DpPoint(epsilon=args.target_eps, delta=args.delta)
     stat_name = args.statistic.replace("-", "_")
+    if stat_name not in _STATISTICS:
+        raise ConfigError(f"unknown --statistic {args.statistic!r} ({'|'.join(_STATISTICS)})")
+    if stat_name == "mean_at_distance" and args.distance is None:
+        raise ConfigError("--statistic mean_at_distance needs --distance")
     g = graphs.generate(_graph_spec_from_args(args, args.seed))
     if stat_name == "mean_at_distance":
         statistic = accountant.mean_at_distance(args.distance)
@@ -550,8 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kappa")
     sp.add_argument("--target-eps", dest="target_eps", type=float, required=True)
     sp.add_argument("--delta", type=float)
-    sp.add_argument("--statistic",
-                    help="mean_pairs|max_pairs|mean_at_distance")
+    sp.add_argument("--statistic", help="|".join(_STATISTICS))
     sp.add_argument("--distance", type=int)
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--method", choices=["exact", "closed"])

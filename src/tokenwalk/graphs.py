@@ -86,12 +86,6 @@ class Graph:
         """Per-node degree vector."""
         return np.bincount(self.edges.ravel(), minlength=self.n)
 
-    @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Adjacency lists, sorted ascending."""
-        indptr, nbr = _csr(self.n, self.edges)
-        return tuple(tuple(nbr[a:b].tolist()) for a, b in zip(indptr[:-1], indptr[1:]))
-
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix."""
         a = np.zeros((self.n, self.n), dtype=float)
@@ -104,11 +98,6 @@ class Graph:
         """Stable hash of (n, edge set); identifies the topology."""
         payload = f"{self.n}|" + ";".join(f"{u},{v}" for u, v in self.edges.tolist())
         return sha256_of_text(payload)
-
-    def is_bipartite(self) -> bool:
-        """True iff no odd cycle exists: no edge joins two nodes at the same BFS level."""
-        level = hop_levels(self.n, self.edges, [0])[0]
-        return not np.any(level[self.edges[:, 0]] == level[self.edges[:, 1]])
 
 
 @dataclass(frozen=True)

@@ -81,12 +81,14 @@ class TransitionMatrix:
         """SHA-256 of ``"{n}|"`` and the entries as little-endian doubles.
 
         Identifies the chain bit for bit (scheme :data:`HASH_VERSION`);
-        computed once and kept in `_cache`.
+        computed once and kept in `_cache`.  The entries are hashed in place
+        (a little-endian C-contiguous ``w`` is not copied).
         """
         digest = self._cache.get(_HASH_CACHE_KEY)
         if digest is None:
-            payload = np.ascontiguousarray(self.w, dtype="<f8").tobytes()
-            digest = new_sha256(f"{self.n}|".encode() + payload).hexdigest()
+            h = new_sha256(f"{self.n}|".encode())
+            h.update(np.ascontiguousarray(self.w, dtype="<f8"))
+            digest = h.hexdigest()
             self._cache[_HASH_CACHE_KEY] = digest
         return digest
 

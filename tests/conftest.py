@@ -54,16 +54,40 @@ def er_chain():
 
 
 @pytest.fixture
+def power_kernel():
+    """The exact privacy kernel ``sum_{i=1}^{T} W^i / i`` by repeated dense
+    multiplication: the oracle the spectral accountant is checked against."""
+
+    def kernel(tm: transition.TransitionMatrix, steps: int) -> np.ndarray:
+        k = np.zeros_like(tm.w)
+        power = np.eye(tm.n)
+        for i in range(1, steps + 1):
+            power = power @ tm.w
+            k += power / i
+        return k
+
+    return kernel
+
+
+def _traced(fn, *args, **kwargs) -> tuple[int, int]:
+    """(retained, peak) bytes allocated by ``fn(*args, **kwargs)``; its result
+    is dropped before `retained` is read.  NumPy reports its array buffers to
+    tracemalloc, so arrays count."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
 def traced_peak():
-    """Peak bytes allocated while ``fn(*args, **kwargs)`` runs; NumPy reports
-    its array buffers to tracemalloc, so arrays count."""
+    """Peak bytes allocated while ``fn(*args, **kwargs)`` runs."""
+    return lambda fn, *args, **kwargs: _traced(fn, *args, **kwargs)[1]
 
-    def measure(fn, *args, **kwargs) -> int:
-        tracemalloc.start()
-        try:
-            fn(*args, **kwargs)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    return measure
+@pytest.fixture
+def traced_memory():
+    """``(retained, peak)`` bytes of ``fn(*args, **kwargs)``; see :func:`_traced`."""
+    return _traced

@@ -42,27 +42,17 @@ def _suite_chains():
     return {"complete": complete, "ring": ring, "star": star, "er": er, "cube": cube}
 
 
-def _dense_power_kernel(w: np.ndarray, steps: int) -> np.ndarray:
-    """``sum_{i=1}^{T} W^i / i`` by explicit repeated multiplication."""
-    kernel = np.zeros_like(w)
-    power = np.eye(w.shape[0])
-    for i in range(1, steps + 1):
-        power = power @ w
-        kernel += power / i
-    return kernel
-
-
-def test_spectral_accounting_agrees_with_dense_powers():
+def test_spectral_accounting_agrees_with_dense_powers(power_kernel):
     params = accountant.PrivacyParams(alpha=ALPHA, sigma2=SIGMA2, steps=2000)
     start = time.perf_counter()
     for name, tm in _suite_chains().items():
-        oracle = (params.alpha / params.sigma2) * _dense_power_kernel(tm.w, params.steps)
+        oracle = (params.alpha / params.sigma2) * power_kernel(tm, params.steps)
         worst = 0.0
         for u in range(tm.n):
             for v in range(tm.n):
                 if u == v:
                     continue
-                got = accountant.single_contribution_exact(tm, u, v, params, mode="spectral")
+                got = accountant.single_contribution_exact(tm, u, v, params)
                 worst = max(worst, abs(got - oracle[u, v]))
         assert worst <= 1e-9, f"{name}: spectral path drifts {worst:.2e} from power oracle"
     assert time.perf_counter() - start < 30.0
@@ -81,7 +71,7 @@ def test_uniform_chain_has_no_topology_term():
         assert got == pytest.approx(expected, abs=1e-12)
 
 
-def test_star_closed_form_bounds_exact_loss():
+def test_star_closed_form_bounds_exact_loss(power_kernel):
     # The closed form is the T -> infinity sum of the chain's power series;
     # its eigenvalues are below 0.36 in magnitude here, so at T = 10^4 the
     # dense-power sum has converged to rounding.
@@ -89,9 +79,9 @@ def test_star_closed_form_bounds_exact_loss():
     params = accountant.PrivacyParams(alpha=ALPHA, sigma2=32.0, steps=steps)
     for n in (9, 33):
         for kappa in (1.0 / steps**2, 0.3, 0.9):
-            ref = accountant.star_walk_matrix(n, kappa)
+            kernel = power_kernel(accountant.star_walk_matrix(n, kappa), steps)
             for u, v in [(1, 2), (0, 1)]:  # leaf<->leaf, then hub<->leaf
-                exact = accountant.single_contribution_exact(ref, u, v, params, mode="powers")
+                exact = (params.alpha * float(kernel[u, v])) / params.sigma2
                 closed = accountant.closed_form_star(n, u, v, params, kappa=kappa)
                 assert exact <= closed * (1.0 + 1e-12), (n, kappa, u, v)
                 assert closed - exact <= 1e-12 * closed, (n, kappa, u, v)
@@ -148,7 +138,7 @@ def test_ring_closed_form_bounds_exact_loss():
     assert all(a >= b - 1e-12 for a, b in zip(closed_series, closed_series[1:]))
 
 
-def test_accounting_scaling_identities(er_chain):
+def test_accounting_scaling_identities(er_chain, power_kernel):
     params = accountant.PrivacyParams(alpha=ALPHA, sigma2=SIGMA2, steps=200)
     doubled = accountant.PrivacyParams(alpha=ALPHA, sigma2=2 * SIGMA2, steps=200)
     base = accountant.pairwise_matrix(er_chain, params, method="exact").eps
@@ -173,7 +163,7 @@ def test_accounting_scaling_identities(er_chain):
 
     # the exact kernel is the privacy-weighted communicability sum_i W^i / i
     scale = ALPHA * params.n_contributions(er_chain.n) / SIGMA2
-    expected = scale * _dense_power_kernel(er_chain.w, params.steps)
+    expected = scale * power_kernel(er_chain, params.steps)
     assert float(np.max(np.abs(base[off] - expected[off]))) <= 1e-10
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -38,7 +39,7 @@ from tokenwalk.accountant import (
 )
 from tokenwalk.errors import AccountantError, CalibrationError
 from tokenwalk.graphs import GraphSpec, generate, shortest_path_distances
-from tokenwalk.spectral import matrix_log_term
+from tokenwalk.spectral import SpectralDecomposition, matrix_log_term
 from tokenwalk.transition import HASH_VERSION, from_array, hamilton_weighting, with_self_loops
 
 P = PrivacyParams  # the tests build many of these
@@ -220,21 +221,26 @@ def test_statistics_memory_bounds(traced_peak):
 # --------------------------------------------------------------------------- #
 
 
-def test_uniform_hand_value_exact(uniform_chain):
+def _power_loss(kernel: np.ndarray, u: int, v: int, p: PrivacyParams) -> float:
+    """A single-contribution loss read off the dense-power oracle kernel."""
+    return (p.alpha * float(kernel[u, v])) / p.sigma2
+
+
+def test_uniform_hand_value_exact(uniform_chain, power_kernel):
     # W = J/4, T = 3: K_uv = H_3 / 4 = 11/24, loss = 2 * (11/24) / 16
     tm = uniform_chain(4)
     p = P(alpha=2.0, sigma2=16.0, steps=3)
-    assert single_contribution_exact(tm, 0, 1, p, mode="powers") == 11.0 / 192.0
-    spectral = single_contribution_exact(tm, 0, 1, p, mode="spectral")
+    assert _power_loss(power_kernel(tm, p.steps), 0, 1, p) == 11.0 / 192.0
+    spectral = single_contribution_exact(tm, 0, 1, p)
     assert spectral == pytest.approx(11.0 / 192.0, abs=1e-15)
 
 
-def test_modes_agree(er_chain):
+def test_modes_agree(er_chain, power_kernel):
     p = P(alpha=2.0, sigma2=16.0, steps=500)
+    oracle = power_kernel(er_chain, p.steps)
     for u, v in [(0, 1), (3, 17), (20, 5)]:
-        a = single_contribution_exact(er_chain, u, v, p, mode="spectral")
-        b = single_contribution_exact(er_chain, u, v, p, mode="powers")
-        assert a == pytest.approx(b, abs=1e-12)
+        a = single_contribution_exact(er_chain, u, v, p)
+        assert a == pytest.approx(_power_loss(oracle, u, v, p), abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -245,14 +251,47 @@ def test_modes_agree(er_chain):
         ("ring", {"n": 16}, 1.0 / 2000**2, 2000),  # kappa = 1/T^2: lambda_n ~ -1 + 2/T^2
     ],
 )
-def test_modes_agree_on_hard_chains(family, kwargs, kappa, steps):
+def test_modes_agree_on_hard_chains(family, kwargs, kappa, steps, power_kernel):
     g = generate(GraphSpec(family=family, **kwargs))
     tm = hamilton_weighting(g) if kappa is None else with_self_loops(g, kappa)
     p = P(alpha=2.0, sigma2=16.0, steps=steps)
+    oracle = power_kernel(tm, p.steps)
     for u, v in [(0, 1), (3, 11), (5, 12), (2, 10)]:
-        a = single_contribution_exact(tm, u, v, p, mode="spectral")
-        b = single_contribution_exact(tm, u, v, p, mode="powers")
-        assert a == pytest.approx(b, abs=1e-12)
+        a = single_contribution_exact(tm, u, v, p)
+        assert a == pytest.approx(_power_loss(oracle, u, v, p), abs=1e-12)
+
+
+def test_no_public_function_takes_mode():
+    # `method` alone picks the kernel; the dense-power oracle lives in conftest.
+    for name in acc.__all__:
+        obj = getattr(acc, name)
+        if inspect.isfunction(obj):
+            assert "mode" not in inspect.signature(obj).parameters, name
+
+
+@pytest.mark.parametrize("method", ["exact", "closed"])
+def test_pairwise_matrix_caches_no_square_array(lazy_ring, method):
+    tm = lazy_ring(16)
+    pairwise_matrix(tm, P(alpha=2.0, sigma2=16.0, steps=100), method=method)
+    assert not [k for k, v in tm._cache.items() if isinstance(v, np.ndarray) and v.ndim == 2]
+
+
+def test_closed_singles_form_the_kernel_once(monkeypatch, lazy_ring):
+    calls = []
+    apply = SpectralDecomposition.apply
+
+    def counting_apply(self, values):
+        calls.append(values.shape)
+        return apply(self, values)
+
+    monkeypatch.setattr(SpectralDecomposition, "apply", counting_apply)
+    tm = lazy_ring(16)
+    p = P(alpha=2.0, sigma2=16.0, steps=100)
+    singles = [single_contribution_closed(tm, 0, v, p) for v in (1, 2, 8)]
+    assert calls == [(16,)]
+    log_term = matrix_log_term(tm)  # formed on its own: the second apply
+    for v, got in zip((1, 2, 8), singles):
+        assert got == (p.alpha * (math.log(p.steps) / tm.n - float(log_term[0, v]))) / p.sigma2
 
 
 # --------------------------------------------------------------------------- #
@@ -322,7 +361,7 @@ def test_kernel_matches_ring_fourier_sum_at_paper_scale():
     lam = (1.0 - kappa) * np.cos(2.0 * np.pi * k / n) + kappa
     s_t = acc._harmonic_power_sums(lam, steps)
     by_offset = np.cos(2.0 * np.pi * (np.outer(k, k) % n) / n) @ s_t / n
-    got = acc._privacy_kernel(tm, steps, "spectral")
+    got = acc._privacy_kernel(tm, steps, "exact")
     assert float(np.max(np.abs(got - by_offset[(k[None, :] - k[:, None]) % n]))) <= 5e-13
 
     # closed_form_ring swaps each S_T(lambda_k) for -ln(1 - lambda_k) plus a
@@ -356,7 +395,7 @@ def test_kernel_matches_hypercube_krawtchouk_sum_at_paper_scale():
     by_distance = acc._harmonic_power_sums(lam, steps) @ kraw / n
     nodes = np.arange(n)
     weight = np.array([bin(x).count("1") for x in nodes])
-    got = acc._privacy_kernel(tm, steps, "spectral")
+    got = acc._privacy_kernel(tm, steps, "exact")
     ref = by_distance[weight[nodes[:, None] ^ nodes[None, :]]]
     assert float(np.max(np.abs(got - ref))) <= 1e-14
 
@@ -369,7 +408,7 @@ def test_kernel_matches_complete_graph_two_point_spectrum_at_paper_scale():
     tm = hamilton_weighting(generate(GraphSpec(family="complete", n=n)))
     s_mu = -math.log1p(1.0 / (n - 1))
     h_t = harmonic_number(steps)
-    got = acc._privacy_kernel(tm, steps, "spectral")
+    got = acc._privacy_kernel(tm, steps, "exact")
     off = ~np.eye(n, dtype=bool)
     assert float(np.max(np.abs(got[off] - (h_t - s_mu) / n))) <= 1e-14
     assert float(np.max(np.abs(np.diag(got) - (h_t / n + s_mu * (1.0 - 1.0 / n))))) <= 1e-14
@@ -521,15 +560,15 @@ def test_star_pair_type_invariance():
     assert closed_form_star(9, 0, 1, p) == closed_form_star(9, 5, 0, p)
 
 
-def test_star_upper_bounds_exact_walk():
+def test_star_upper_bounds_exact_walk(power_kernel):
     # the closed form sums the full power series of the reference chain;
     # kappa = 1/T^2 keeps the dropped laziness cross-terms below the slack
     steps = 10_000
     n, kappa = 9, 1.0 / steps**2
     p = P(alpha=2.0, sigma2=32.0, steps=steps)
-    ref = star_walk_matrix(n, kappa)
+    oracle = power_kernel(star_walk_matrix(n, kappa), steps)
     for u, v in [(1, 2), (0, 1), (3, 0)]:
-        exact = single_contribution_exact(ref, u, v, p, mode="powers")
+        exact = _power_loss(oracle, u, v, p)
         closed = closed_form_star(n, u, v, p, kappa=kappa)
         assert exact <= closed + 1e-9
 
@@ -636,16 +675,19 @@ def test_sender_known_no_candidates(tmp_path):
         sender_known_loss(tm, 1, 0, params, include_self=False)
 
 
-def test_collusion_sums_singles(uniform_chain):
+def test_collusion_sums_singles(uniform_chain, power_kernel):
     tm = uniform_chain(4)
     p = P(alpha=2.0, sigma2=16.0, steps=3)
-    assert collusion_loss(tm, 0, [1, 2, 3], p, mode="powers") == 33.0 / 192.0
+    # the oracle sums the three singles of test_uniform_hand_value_exact exactly
+    oracle_sum = float(power_kernel(tm, p.steps)[0, [1, 2, 3]].sum())
+    assert (p.alpha * oracle_sum) / p.sigma2 == 33.0 / 192.0
+    assert collusion_loss(tm, 0, [1, 2, 3], p) == pytest.approx(33.0 / 192.0, abs=1e-15)
     # linear in the set: F1 + F2 = F1 u F2 for disjoint sets
     both = collusion_loss(tm, 0, [1, 2], p)
     assert both == pytest.approx(
         collusion_loss(tm, 0, [1], p) + collusion_loss(tm, 0, [2], p), abs=1e-12
     )
-    composed = collusion_loss(tm, 0, [1, 2, 3], p, composed=True, mode="powers")
+    composed = collusion_loss(tm, 0, [1, 2, 3], p, composed=True)
     assert composed == pytest.approx((3.0 / 4.0) * 33.0 / 192.0, abs=1e-15)
 
 
@@ -745,9 +787,9 @@ def _spectral_mean(tm, steps, method):
     return math.log(steps) / tm.n - dec.offdiagonal_mean(values)
 
 
-def _matrix_mean(tm, steps, method, mode="spectral"):
+def _matrix_mean(tm, steps, method):
     if method == "exact":
-        return MEAN_PAIRS.apply(acc._privacy_kernel(tm, steps, mode))
+        return MEAN_PAIRS.apply(acc._kernel(tm, steps, "exact"))
     return MEAN_PAIRS.apply(math.log(steps) / tm.n - matrix_log_term(tm))
 
 
@@ -773,8 +815,8 @@ def test_offdiagonal_mean_matches_full_kernel_at_paper_scale(paper_scale_chains,
         (star_walk_matrix(33, 0.1), 300),
     ],
 )
-def test_offdiagonal_mean_matches_dense_powers(tm, steps):
-    want = _matrix_mean(tm, steps, "exact", mode="powers")
+def test_offdiagonal_mean_matches_dense_powers(tm, steps, power_kernel):
+    want = MEAN_PAIRS.apply(power_kernel(tm, steps))
     assert abs(_spectral_mean(tm, steps, "exact") - want) <= 1e-12 * abs(want)
 
 
@@ -798,8 +840,8 @@ def test_calibrate_mean_pairs_never_forms_the_kernel(monkeypatch, lazy_ring):
         raise AssertionError("the mean-pairs calibration formed an n x n matrix")
 
     tm = lazy_ring(64)
-    monkeypatch.setattr(acc, "_privacy_kernel", refuse)
-    monkeypatch.setattr(acc, "matrix_log_term", refuse)
+    monkeypatch.setattr(acc, "_kernel", refuse)
+    monkeypatch.setattr(SpectralDecomposition, "apply", refuse)
     monkeypatch.setattr(acc, "pairwise_matrix", refuse)
     for method in ("exact", "closed"):
         calibrate_sigma(tm, P(alpha=2.0, sigma2=16.0, steps=4096), DpPoint(2.0, 1e-6), method=method)
@@ -875,13 +917,16 @@ def test_mean_loss_by_distance_shape_mismatch():
         mean_loss_by_distance(np.zeros((3, 3)), np.ones((3, 3)))
 
 
-def test_privacy_path_memory_bounds(traced_peak):
+def test_privacy_path_memory_bounds(traced_memory, traced_peak):
     n = 512
     tm = with_self_loops(generate(GraphSpec(family="ring", n=n)), 0.25)
     p = P(alpha=2.0, sigma2=16.0, steps=1000)
-    m = pairwise_matrix(tm, p, method="exact")  # fills the kernel cache
-    # beyond the cached kernel, only the returned matrix
-    assert traced_peak(pairwise_matrix, tm, p, method="exact") <= 1.1 * n * n * 8
+    # The cold call the CLI makes: eigh's eigenvectors, the kernel and one
+    # buffered transpose at most; afterwards only the eigenvectors stay.
+    retained, peak = traced_memory(pairwise_matrix, tm, p, method="exact")
+    assert peak <= 3.1 * n * n * 8
+    assert retained <= 1.1 * n * n * 8
+    m = pairwise_matrix(tm, p, method="exact")
     # the worst case for aggregation: nearly every pair in one group
     dist = np.ones((n, n), dtype=np.int64)
     dist[0, 1] = 2

@@ -7,11 +7,12 @@ import math
 import os
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
 
-from tokenwalk import accountant, datasets, graphs, transition
+from tokenwalk import accountant, cli, datasets, graphs, optim, transition
 from tokenwalk.cli import main
 from tokenwalk.ioutil import sha256_of_file
 
@@ -45,6 +46,12 @@ def test_cli_import_loads_only_the_layers_it_needs():
         "assert walk.simulate"
     )
     assert {"tokenwalk.optim", "tokenwalk.datasets", "tokenwalk.walk"} <= resolved
+
+
+def test_sgd_helper_annotations_resolve():
+    # cli does not import datasets or optim at module level, yet names them.
+    assert typing.get_type_hints(cli._summary_row)["rec"] is optim.RunRecord
+    assert typing.get_type_hints(cli._load_houses_or_die)["return"] is datasets.Dataset
 
 
 def test_calibrate_loads_hashlib_after_the_eigensolver(tmp_path):
@@ -388,6 +395,27 @@ def test_calibrate_statistic_choices(tmp_path):
     )
     assert rc == 0
     assert _read_json(out / "calibration.json")["statistic"] == "mean_at_distance"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--statistic", "bogus"], "unknown --statistic 'bogus'"),
+     (["--statistic", "mean-at-distance"], "needs --distance")],
+)
+def test_calibrate_rejects_bad_statistic_before_building_the_graph(
+    tmp_path, capsys, monkeypatch, flags, message
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph generated for an invalid statistic")
+
+    monkeypatch.setattr(graphs, "generate", refuse)
+    out = tmp_path / "c"
+    rc = main(["calibrate", "--family", "ring", "--n", "8", "--steps", "80",
+               "--target-eps", "2.0", *flags, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not (out / "calibration.json").exists()
 
 
 # --------------------------------------------------------------------------- #
