@@ -8,9 +8,10 @@ Usage, from the repository root::
 Each command runs K times (default 1), each time in a fresh child process
 that imports ``tokenwalk.cli`` and calls ``main``, as the ``tokenwalk``
 console script does, with its outputs in a temporary directory.  The script
-prints one line per run: the command and its ``--method``, its wall clock in
-seconds (spawn to exit) and the child's peak resident set size in MB (``ru_maxrss`` from
-``os.wait4``).  A command that exits nonzero stops the script.
+prints one line per run: the command and its ``--method`` (or ``--preset``),
+its wall clock in seconds (spawn to exit) and the child's peak resident set
+size in MB (``ru_maxrss`` from ``os.wait4``).  A command that exits nonzero
+stops the script.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ COMMANDS = (
     # The CLI's default method.
     ("calibrate", "--family", "complete", "--n", "2048", "--steps", "524288",
      "--method", "closed", "--target-eps", "1"),
+    # The preset's own size: n = 2048, 256 epochs.
+    ("sgd", "--preset", "fig2", "--synthetic"),
 )
 
 LAUNCH = "import sys; from tokenwalk.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -56,7 +59,8 @@ def main() -> None:
     args = parser.parse_args()
     print(f"{'command':<18} {'wall s':>8} {'peak MB':>8}")
     for command in COMMANDS:
-        label = f"{command[0]} {command[command.index('--method') + 1]}"
+        flag = "--preset" if "--preset" in command else "--method"
+        label = f"{command[0]} {command[command.index(flag) + 1]}"
         for _ in range(max(1, args.repeat)):
             wall, rss = run_once(command)
             print(f"{label:<18} {wall:>8.3f} {rss:>8.1f}", flush=True)

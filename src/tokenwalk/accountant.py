@@ -204,6 +204,12 @@ class Statistic:
     kind: str  # mean_pairs | max_pairs | mean_at_distance
     distance: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("mean_pairs", "max_pairs", "mean_at_distance"):
+            raise AccountantError(f"unknown statistic kind {self.kind!r}")
+        if self.kind == "mean_at_distance" and self.distance is None:
+            raise AccountantError("mean_at_distance requires a distance")
+
     def apply(self, matrix: np.ndarray, dist: np.ndarray | None = None) -> float:
         """The statistic over the off-diagonal cells of `matrix`.
 
@@ -215,18 +221,16 @@ class Statistic:
             return float(np.mean(np.ravel(cells)))
         if self.kind == "max_pairs":
             return float(np.max(cells))
-        if self.kind == "mean_at_distance":
-            if dist is None:
-                raise AccountantError("mean_at_distance requires a hop-distance matrix")
-            if np.shape(dist) != np.shape(matrix):
-                raise AccountantError(
-                    f"shape mismatch: losses {np.shape(matrix)} vs distances {np.shape(dist)}"
-                )
-            sel = _offdiagonal_view(np.asarray(dist)) == self.distance
-            if not np.any(sel):
-                raise AccountantError(f"no pairs at hop distance {self.distance}")
-            return float(np.mean(cells[sel]))
-        raise AccountantError(f"unknown statistic kind {self.kind!r}")
+        if dist is None:
+            raise AccountantError("mean_at_distance requires a hop-distance matrix")
+        if np.shape(dist) != np.shape(matrix):
+            raise AccountantError(
+                f"shape mismatch: losses {np.shape(matrix)} vs distances {np.shape(dist)}"
+            )
+        sel = _offdiagonal_view(np.asarray(dist)) == self.distance
+        if not np.any(sel):
+            raise AccountantError(f"no pairs at hop distance {self.distance}")
+        return float(np.mean(cells[sel]))
 
 
 def _offdiagonal_view(m: np.ndarray) -> np.ndarray:
@@ -809,6 +813,8 @@ def calibrate_sigma(
     :meth:`SpectralDecomposition.offdiagonal_mean`.  The other statistics
     take the max or a mean of the full kernel of :func:`_kernel`.
     """
+    if statistic.kind == "mean_at_distance" and dist is None:
+        raise AccountantError("mean_at_distance requires a hop-distance matrix")
     if statistic.kind == "mean_pairs":
         dec, values, shift = _kernel_spectrum(w, p_template.steps, method)
         stat = shift + dec.offdiagonal_mean(values)

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import DataError
 from .graphs import Graph
-from .ioutil import dump_json, write_matrix_csv, write_rows_csv
 
 __all__ = [
     "RawTable",
@@ -29,8 +28,6 @@ __all__ = [
     "synth_linear",
     "synth_heterogeneous_geometric",
     "find_houses_csv",
-    "sample_houses_path",
-    "save_dataset",
     "DATA_DIR_ENV",
 ]
 
@@ -309,7 +306,7 @@ def synth_heterogeneous_geometric(
 
 
 # --------------------------------------------------------------------------- #
-# Data discovery and caching
+# Data discovery
 # --------------------------------------------------------------------------- #
 
 
@@ -321,23 +318,3 @@ def find_houses_csv() -> Path | None:
     candidate = Path(base) / "houses.csv"
     return candidate if candidate.exists() else None
 
-
-def sample_houses_path() -> Path:
-    """The committed 256-row sample shipped with the repository."""
-    return Path(__file__).resolve().parents[2] / "data" / "houses_sample.csv"
-
-
-def save_dataset(ds: Dataset, out_dir: str | Path) -> None:
-    """Cache a preprocessed dataset: features/labels CSVs + partition JSON."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_matrix_csv(out / "features.csv", ds.features)
-    write_rows_csv(out / "labels.csv", ["label"], [(float(y),) for y in ds.labels])
-    dump_json(
-        out / "partition.json",
-        {
-            "train": [int(i) for i in ds.train_indices],
-            "test": [int(i) for i in ds.test_indices],
-            "partition": {str(v): [int(i) for i in idx] for v, idx in enumerate(ds.partition)},
-        },
-    )

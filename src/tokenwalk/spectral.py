@@ -14,12 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import SpectralError
-from .ioutil import write_rows_csv
 from .transition import TransitionMatrix, stationary_distribution
 
 __all__ = [
@@ -31,7 +29,6 @@ __all__ = [
     "spectral_gap",
     "mixing_time_spectral_bound",
     "mixing_time_empirical",
-    "save_spectrum_csv",
 ]
 
 _CACHE_KEY = "spectral_decomposition"
@@ -261,13 +258,3 @@ def mixing_time_empirical(tm: TransitionMatrix, iota: float) -> int:
             lo, p_lo = lo + 2**j, p_mid
     return lo + 1
 
-
-# --------------------------------------------------------------------------- #
-# Export
-# --------------------------------------------------------------------------- #
-
-
-def save_spectrum_csv(dec: SpectralDecomposition, path: str | Path) -> None:
-    """Write (index, eigenvalue) rows, eigenvalues in descending order."""
-    rows = [(k, float(v)) for k, v in enumerate(dec.eigenvalues)]
-    write_rows_csv(path, ["index", "eigenvalue"], rows)

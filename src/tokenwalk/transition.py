@@ -10,14 +10,13 @@ Lazy-walk variants mix in self-loops with weight ``kappa``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from .errors import TransitionError
 from .graphs import Graph, hop_levels
-from .ioutil import new_sha256, read_matrix_csv, write_matrix_csv
+from .ioutil import new_sha256
 
 __all__ = [
     "HASH_VERSION",
@@ -29,8 +28,6 @@ __all__ = [
     "from_array",
     "validate",
     "stationary_distribution",
-    "save_csv",
-    "load_csv",
 ]
 
 # Absolute tolerance on stochasticity sums; dense double-precision arithmetic
@@ -52,8 +49,8 @@ class TransitionMatrix:
     """A dense transition matrix together with cheap-to-check metadata.
 
     The array is treated as immutable after construction.  `symmetric` and
-    `bistochastic` record what the builder guaranteed; arbitrary arrays loaded
-    from disk get these flags recomputed.  `_cache` holds the spectral
+    `bistochastic` record what the builder guaranteed; arbitrary arrays wrapped
+    by :func:`from_array` get these flags recomputed.  `_cache` holds the spectral
     decomposition and the content hash once computed (see
     :mod:`tokenwalk.spectral`).
     """
@@ -324,26 +321,3 @@ def stationary_distribution(tm: TransitionMatrix) -> np.ndarray:
     pi = np.maximum(np.linalg.solve(system, rhs), 0.0)  # transient states solve to ~±1e-17
     return pi / pi.sum()
 
-
-# --------------------------------------------------------------------------- #
-# Round-trip CSV persistence
-# --------------------------------------------------------------------------- #
-
-
-def save_csv(tm: TransitionMatrix, path: str | Path) -> None:
-    """Write the matrix as CSV with 17 significant digits (lossless for f64)."""
-    write_matrix_csv(path, tm.w)
-
-
-def load_csv(path: str | Path) -> TransitionMatrix:
-    """Read a matrix CSV back; metadata flags are recomputed from the entries."""
-    path = Path(path)
-    if not path.exists():
-        raise TransitionError(f"transition CSV not found: {path}")
-    try:
-        w = read_matrix_csv(path)
-    except ValueError as exc:
-        raise TransitionError(f"failed to parse transition CSV {path}: {exc}") from exc
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise TransitionError(f"{path}: expected a square matrix, got shape {w.shape}")
-    return from_array(w)

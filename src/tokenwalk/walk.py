@@ -11,27 +11,13 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import TokenwalkError
-from .ioutil import atomic_write_bytes, dump_json, write_rows_csv
-from .transition import HASH_VERSION, TransitionMatrix
+from .transition import TransitionMatrix
 
-__all__ = [
-    "Trajectory",
-    "NodeView",
-    "simulate",
-    "visit_counts",
-    "view_of",
-    "save_trajectory_csv",
-    "save_trajectory_binary",
-    "load_trajectory_binary",
-    "TRAJECTORY_MAGIC",
-]
-
-TRAJECTORY_MAGIC = b"TWLK0001"
+__all__ = ["Trajectory", "simulate"]
 
 
 @dataclass(frozen=True)
@@ -55,18 +41,6 @@ class Trajectory:
     @property
     def steps(self) -> int:
         return self.nodes.shape[0] - 1
-
-
-@dataclass(frozen=True)
-class NodeView:
-    """What node `owner` observes: its visit times and forwarding targets.
-
-    `events` holds ``(t, successor)`` pairs, successor ``None`` for a final
-    visit at t = T (the token stops there).
-    """
-
-    owner: int
-    events: tuple[tuple[int, int | None], ...]
 
 
 def _philox_key(seed) -> int:
@@ -107,21 +81,30 @@ def simulate(
     if np.any(w.w < 0.0) or not np.allclose(row_sums, 1.0, atol=1e-9, rtol=0.0):
         raise TokenwalkError("simulate requires a row-stochastic matrix")
 
+    # The uniforms and `path` are allocated before the n^2 tables below, and
+    # the tables are freed before `nodes` is allocated: no block that outlives
+    # them sits above them on the heap, so their memory (64 MiB at n = 2048)
+    # goes back to the system.  `path` holds int64s, not an int object per step.
+    key = _philox_key(seed)
+    uniforms = np.random.Generator(np.random.Philox(key=key)).random(steps).tolist()
+    path = array("q", [v0]) * (steps + 1)
+
     # Each row's CDF over its support only, stepped by `bisect` with no NumPy
     # call per step.  The last support cell's CDF is 1.0, so a uniform in the
-    # row-sum rounding gap never lands on a zero-mass cell.
-    support = [np.flatnonzero(row > 0.0) for row in w.w]
-    targets = [array("q", cols.astype(np.int64).tobytes()) for cols in support]
-    cdfs = [array("d", np.append(cum[cols[:-1]], 1.0).tobytes())
-            for cum, cols in zip(np.cumsum(w.w, axis=1), support)]
+    # row-sum rounding gap never lands on a zero-mass cell.  `cumsum` adds in
+    # order, so the support's sums are bitwise those of a full-row `cumsum`
+    # (the zeros it skips are exact).
+    targets, cdfs = [], []
+    for row in w.w:
+        cols = np.flatnonzero(row > 0.0)
+        targets.append(array("q", cols.astype(np.int64).tobytes()))
+        cdfs.append(array("d", np.append(np.cumsum(row[cols[:-1]]), 1.0).tobytes()))
 
-    key = _philox_key(seed)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    path = [v0]
     cur = v0
-    for u in rng.random(steps).tolist():
+    for t, u in enumerate(uniforms, 1):
         cur = targets[cur][bisect_right(cdfs[cur], u)]
-        path.append(cur)
+        path[t] = cur
+    del targets, cdfs
     nodes = np.array(path, dtype=np.int64)
 
     noise_only = np.zeros(steps + 1, dtype=bool)
@@ -149,61 +132,3 @@ def simulate(
         noise_only=noise_only,
     )
 
-
-def visit_counts(traj: Trajectory) -> np.ndarray:
-    """Visits per node over the whole trajectory; sums to steps + 1."""
-    return np.bincount(traj.nodes, minlength=traj.n)
-
-
-def view_of(traj: Trajectory, v: int) -> NodeView:
-    """The visit/forward events observable by node `v`."""
-    if not 0 <= v < traj.n:
-        raise TokenwalkError(f"node {v} outside range 0..{traj.n - 1}")
-    times = np.flatnonzero(traj.nodes == v)
-    events = tuple(
-        (int(t), int(traj.nodes[t + 1]) if t < traj.steps else None) for t in times
-    )
-    return NodeView(owner=v, events=events)
-
-
-# --------------------------------------------------------------------------- #
-# Persistence
-# --------------------------------------------------------------------------- #
-
-
-def _sidecar(traj: Trajectory) -> dict:
-    return {
-        "n": traj.n,
-        "steps": traj.steps,
-        "seed": traj.seed if traj.seed.bit_length() <= 63 else str(traj.seed),
-        "w_hash": traj.w_hash,
-        "hash_version": HASH_VERSION,
-        "burn_in": traj.burn_in,
-        "contribution_cap": traj.contribution_cap,
-    }
-
-
-def save_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
-    """(t, node) rows plus a JSON sidecar with walk metadata."""
-    path = Path(path)
-    write_rows_csv(path, ["t", "node"], [(t, int(v)) for t, v in enumerate(traj.nodes)])
-    dump_json(path.with_suffix(path.suffix + ".json"), _sidecar(traj))
-
-
-def save_trajectory_binary(traj: Trajectory, path: str | Path) -> None:
-    """8-byte magic header followed by the node sequence as little-endian u32."""
-    payload = TRAJECTORY_MAGIC + traj.nodes.astype("<u4").tobytes()
-    path = Path(path)
-    atomic_write_bytes(path, payload)
-    dump_json(path.with_suffix(path.suffix + ".json"), _sidecar(traj))
-
-
-def load_trajectory_binary(path: str | Path) -> np.ndarray:
-    """Read back a binary trajectory; returns the node id sequence."""
-    data = Path(path).read_bytes()
-    if len(data) < len(TRAJECTORY_MAGIC) or data[: len(TRAJECTORY_MAGIC)] != TRAJECTORY_MAGIC:
-        raise TokenwalkError(f"{path}: missing {TRAJECTORY_MAGIC!r} header")
-    body = data[len(TRAJECTORY_MAGIC) :]
-    if len(body) % 4 != 0:
-        raise TokenwalkError(f"{path}: truncated u32 payload ({len(body)} bytes)")
-    return np.frombuffer(body, dtype="<u4").astype(np.int64)

@@ -164,7 +164,9 @@ def test_statistic_kinds():
     with pytest.raises(AccountantError, match="no pairs"):
         mean_at_distance(7).apply(m, dist)
     with pytest.raises(AccountantError, match="unknown statistic"):
-        Statistic("median_pairs").apply(m)
+        Statistic("median_pairs")
+    with pytest.raises(AccountantError, match="requires a distance"):
+        Statistic("mean_at_distance")
 
 
 def _mask_statistics(m, dist, distances):
@@ -845,6 +847,14 @@ def test_calibrate_mean_pairs_never_forms_the_kernel(monkeypatch, lazy_ring):
     monkeypatch.setattr(acc, "pairwise_matrix", refuse)
     for method in ("exact", "closed"):
         calibrate_sigma(tm, P(alpha=2.0, sigma2=16.0, steps=4096), DpPoint(2.0, 1e-6), method=method)
+
+
+def test_calibrate_rejects_missing_distances_before_the_kernel(lazy_ring):
+    tm = lazy_ring(8)
+    with pytest.raises(AccountantError, match="hop-distance"):
+        calibrate_sigma(tm, P(alpha=2.0, sigma2=16.0, steps=64), DpPoint(1.0, 1e-6),
+                        mean_at_distance(1), method="exact")
+    assert not tm._cache  # no eigendecomposition, kernel or hash was computed
 
 
 def test_calibrate_degenerate_statistic(uniform_chain):

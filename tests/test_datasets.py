@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from tokenwalk.datasets import (
     RawTable,
     load_csv,
     preprocess,
-    sample_houses_path,
     synth_heterogeneous_geometric,
     synth_linear,
 )
@@ -269,7 +270,8 @@ def test_find_houses_csv_env(tmp_path, monkeypatch):
 
 
 def test_sample_houses_loads_and_trains():
-    raw = load_csv(sample_houses_path(), "median_house_value")
+    sample = Path(__file__).resolve().parents[1] / "data" / "houses_sample.csv"
+    raw = load_csv(sample, "median_house_value")
     assert raw.features.shape[0] == 256
     assert "median_income" in raw.feature_names
     ds = preprocess(raw, n_users=16, seed=0)
@@ -278,16 +280,3 @@ def test_sample_houses_loads_and_trains():
     assert rec.accuracy is not None
     assert rec.accuracy[-1] >= 0.6  # informative features beat chance
 
-
-def test_save_dataset(tmp_path):
-    ds = synth_linear(4, 6, d=3, margin=0.2, seed=1)
-    datasets.save_dataset(ds, tmp_path)
-    feats = np.loadtxt(tmp_path / "features.csv", delimiter=",")
-    assert feats.shape == (ds.features.shape[0], 3)
-    assert np.allclose(feats, ds.features, atol=0)
-    labels = np.loadtxt(tmp_path / "labels.csv", delimiter=",", skiprows=1)
-    assert np.array_equal(labels, ds.labels)
-    meta = __import__("json").loads((tmp_path / "partition.json").read_text())
-    assert meta["train"] == [int(i) for i in ds.train_indices]
-    assert len(meta["partition"]) == 4
-    assert sorted(meta["partition"]["0"]) == [int(i) for i in ds.partition[0]]

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, logm
 
-from tokenwalk import spectral
 from tokenwalk.errors import SpectralError
 from tokenwalk.graphs import GraphSpec, generate
 from tokenwalk.spectral import (
@@ -261,19 +260,3 @@ def test_mixing_time_empirical_iota_range(two_state, iota):
     with pytest.raises(SpectralError, match="iota"):
         mixing_time_empirical(two_state, iota)
 
-
-# --------------------------------------------------------------------------- #
-# Export
-# --------------------------------------------------------------------------- #
-
-
-def test_save_spectrum_csv(tmp_path, lazy_ring):
-    dec = decompose(lazy_ring(4))
-    path = tmp_path / "spectrum.csv"
-    spectral.save_spectrum_csv(dec, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "index,eigenvalue"
-    assert len(lines) == 5
-    values = [float(line.split(",")[1]) for line in lines[1:]]
-    assert values == sorted(values, reverse=True)
-    assert values[0] == pytest.approx(1.0)

@@ -261,20 +261,8 @@ def test_stationary_requires_row_stochastic():
 
 
 # --------------------------------------------------------------------------- #
-# Serialization
+# Content hash
 # --------------------------------------------------------------------------- #
-
-
-def test_save_load_bitwise(tmp_path):
-    g = generate(GraphSpec(family="erdos_renyi", n=12, q=0.5, seed=3))
-    tm = blend_self_loops(hamilton_weighting(g), 1e-4)
-    path = tmp_path / "w.csv"
-    transition.save_csv(tm, path)
-    back = transition.load_csv(path)
-    assert np.array_equal(back.w, tm.w)
-    assert back.symmetric == tm.symmetric
-    assert back.bistochastic == tm.bistochastic
-    assert back.content_hash() == tm.content_hash()
 
 
 def test_content_hash_sensitive_to_entries():
@@ -309,9 +297,3 @@ def test_content_hash_computed_once_per_chain(monkeypatch, lazy_ring):
     assert traj.w_hash == m.w_hash == tm.content_hash()
     assert calls == [b"6|"]  # the entries follow by update(), uncopied
 
-
-def test_load_rejects_ragged_csv(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("0.5,0.5\n1.0\n")
-    with pytest.raises(TransitionError):
-        transition.load_csv(p)
