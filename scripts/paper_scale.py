@@ -10,7 +10,7 @@ that imports ``tokenwalk.cli`` and calls ``main``, as the ``tokenwalk``
 console script does, with its outputs in a temporary directory.  The script
 prints one line per run: the command and its ``--method`` (or ``--preset``),
 its wall clock in seconds (spawn to exit) and the child's peak resident set
-size in MB (``ru_maxrss`` from ``os.wait4``).  A command that exits nonzero
+size in MiB (``ru_maxrss`` from ``os.wait4``).  A command that exits nonzero
 stops the script.
 """
 
@@ -39,7 +39,7 @@ LAUNCH = "import sys; from tokenwalk.cli import main; sys.exit(main(sys.argv[1:]
 
 
 def run_once(args: tuple[str, ...]) -> tuple[float, float]:
-    """Run one CLI command in a child process; return (wall s, peak RSS MB)."""
+    """Run one CLI command in a child process; return (wall s, peak RSS MiB)."""
     with tempfile.TemporaryDirectory(prefix="paper_scale_") as out:
         t0 = time.perf_counter()
         child = subprocess.Popen(
@@ -50,14 +50,14 @@ def run_once(args: tuple[str, ...]) -> tuple[float, float]:
         child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
     if child.returncode != 0:
         sys.exit(f"{' '.join(args)}: exit status {child.returncode}")
-    return wall, usage.ru_maxrss / 1024.0  # Linux reports kB
+    return wall, usage.ru_maxrss / 1024.0  # Linux reports KiB
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=1, help="runs per command")
     args = parser.parse_args()
-    print(f"{'command':<18} {'wall s':>8} {'peak MB':>8}")
+    print(f"{'command':<18} {'wall s':>8} {'peak MiB':>8}")
     for command in COMMANDS:
         flag = "--preset" if "--preset" in command else "--method"
         label = f"{command[0]} {command[command.index(flag) + 1]}"

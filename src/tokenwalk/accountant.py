@@ -536,7 +536,7 @@ def star_walk_matrix(n: int, kappa: float) -> TransitionMatrix:
     a[0, 1:] = 1.0
     a[1:, 0] = 1.0
     m = ((1.0 - kappa) * a + kappa * np.eye(n)) / (n - 1)
-    return TransitionMatrix(w=m, symmetric=True, bistochastic=False, self_loop_kappa=0.0)
+    return TransitionMatrix(w=m, symmetric=True, bistochastic=False)
 
 
 def closed_form_star(
@@ -815,6 +815,10 @@ def calibrate_sigma(
     """
     if statistic.kind == "mean_at_distance" and dist is None:
         raise AccountantError("mean_at_distance requires a hop-distance matrix")
+    if statistic.kind == "mean_at_distance" and np.shape(dist) != (w.n, w.n):
+        raise AccountantError(
+            f"shape mismatch: losses {(w.n, w.n)} vs distances {np.shape(dist)}"
+        )
     if statistic.kind == "mean_pairs":
         dec, values, shift = _kernel_spectrum(w, p_template.steps, method)
         stat = shift + dec.offdiagonal_mean(values)

@@ -1,8 +1,12 @@
 """Graph construction: synthetic families and edge-list ingestion.
 
 All graphs are simple, undirected, connected, with node ids exactly
-``0..n-1``.  Random families retry generation with derived sub-seeds until a
-connected draw is found (bounded retry count, recorded on the result).
+``0..n-1`` and edges as canonical rows ``u < v``, sorted, without repeats.
+The family builders emit that form and generated edges are used as built;
+only edge lists read from a file are checked (:func:`load_edge_list`).
+Connectivity is checked where it can fail: random families redraw with
+derived sub-seeds until a draw is connected (bounded retry count, recorded on
+the result), and an edge list must be connected.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GraphError
-from .ioutil import dump_json, sha256_of_text
+from .ioutil import atomic_write_text, dump_json, sha256_of_text
 
 __all__ = [
     "Graph",
@@ -37,19 +41,6 @@ MAX_CONNECTIVITY_RETRIES = 100
 _BFS_BLOCK_ELEMENTS = 1 << 18
 
 RANDOM_FAMILIES = frozenset({"erdos_renyi", "geometric", "sbm"})
-FAMILIES = frozenset(
-    {
-        "complete",
-        "ring",
-        "star",
-        "grid2d",
-        "hypercube",
-        "erdos_renyi",
-        "geometric",
-        "sbm",
-        "edge_list",
-    }
-)
 
 
 # --------------------------------------------------------------------------- #
@@ -225,45 +216,13 @@ def hop_levels(n: int, edges: np.ndarray, sources) -> np.ndarray:
     return levels
 
 
-def _finalize(
-    n: int,
-    edges: np.ndarray | list[tuple[int, int]],
-    *,
-    family: str | None,
-    seed: int | None,
-    retries: int = 0,
-    positions: np.ndarray | None = None,
-) -> Graph:
-    if n < 2:
-        raise GraphError(f"need at least 2 nodes, got n={n}")
-    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)  # a copy: the caller's array stays writable
-    loops = edges[:, 0] == edges[:, 1]
-    if loops.any():
-        u, v = edges[np.argmax(loops)]
-        raise GraphError(f"self-edge rejected: ({u}, {v})")
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    outside = (lo < 0) | (hi >= n)
-    if outside.any():
-        u, v = edges[np.argmax(outside)]
-        raise GraphError(f"edge ({u}, {v}) outside node range 0..{n - 1}")
-    key = lo * n + hi
-    # The family builders emit canonical rows (u < v, sorted, no repeats).
-    if np.any(key[1:] <= key[:-1]) or not np.array_equal(lo, edges[:, 0]):
-        key = np.sort(key)
-        key = key[np.concatenate([[True], key[1:] != key[:-1]])]  # drop repeats, as np.unique would
-        edges = np.column_stack([key // n, key % n])
-    edges.setflags(write=False)
-    if np.any(hop_levels(n, edges, [0])[0] < 0):
-        raise GraphError(f"graph with n={n} is not connected")
-    return Graph(
-        n=n, edges=edges, positions=positions, family=family, seed=seed, retries=retries
-    )
-
-
 def default_geometric_radius(n: int) -> float:
     """Connectivity-threshold radius sqrt(2 ln n / n), scaled by 1.1."""
     return 1.1 * math.sqrt(2.0 * math.log(n) / n)
+
+
+def _connected(n: int, edges: np.ndarray) -> bool:
+    return bool(np.all(hop_levels(n, edges, [0])[0] >= 0))
 
 
 def _require(condition: bool, message: str) -> None:
@@ -276,70 +235,92 @@ def _need_n(spec: GraphSpec) -> int:
     return int(spec.n)  # type: ignore[arg-type]
 
 
+Built = tuple[int, np.ndarray, "np.ndarray | None"]  # (n, edges, positions)
+
+
 # --------------------------------------------------------------------------- #
-# Family builders (one connected attempt each; random ones may raise)
+# Family builders: (spec, rng) -> (n, edges, positions), with canonical rows
+# (u < v, sorted, no repeats).  `rng` is None for deterministic families, whose
+# graphs must be connected by construction: `generate` does not check them.
 # --------------------------------------------------------------------------- #
 
 
-def _complete(n: int) -> np.ndarray:
-    return np.column_stack(np.triu_indices(n, k=1))
+def _complete(spec: GraphSpec, rng: None) -> Built:
+    n = _need_n(spec)
+    return n, np.column_stack(np.triu_indices(n, k=1)), None
 
 
-def _ring(n: int) -> np.ndarray:
+def _ring(spec: GraphSpec, rng: None) -> Built:
+    n = _need_n(spec)
     _require(n >= 3, "ring requires n >= 3")
     u = np.arange(n - 1)
-    return np.insert(np.column_stack([u, u + 1]), 1, [0, n - 1], axis=0)  # (0, n-1) sorts second
+    # The wrap-around edge (0, n-1) sorts second.
+    return n, np.insert(np.column_stack([u, u + 1]), 1, [0, n - 1], axis=0), None
 
 
-def _star(n: int) -> np.ndarray:
+def _star(spec: GraphSpec, rng: None) -> Built:
+    n = _need_n(spec)
     _require(n >= 3, "star requires n >= 3")
     leaves = np.arange(1, n)
-    return np.column_stack([np.zeros_like(leaves), leaves])
+    return n, np.column_stack([np.zeros_like(leaves), leaves]), None
 
 
-def _grid2d(rows: int, cols: int) -> np.ndarray:
+def _grid2d(spec: GraphSpec, rng: None) -> Built:
+    _require(spec.rows is not None and spec.cols is not None, "grid2d requires rows and cols")
+    rows, cols = int(spec.rows), int(spec.cols)  # type: ignore[arg-type]
     _require(rows >= 1 and cols >= 1 and rows * cols >= 2, "grid2d needs rows*cols >= 2")
     u = np.arange(rows * cols)
     # Each node's right then lower neighbour, so the rows come out sorted.
     v = np.column_stack([u + 1, u + cols]).ravel()
     keep = np.column_stack([u % cols < cols - 1, u < (rows - 1) * cols]).ravel()
-    return np.column_stack([np.repeat(u, 2)[keep], v[keep]])
+    return rows * cols, np.column_stack([np.repeat(u, 2)[keep], v[keep]]), None
 
 
-def _hypercube(dim: int) -> np.ndarray:
+def _hypercube(spec: GraphSpec, rng: None) -> Built:
+    if spec.dim is not None:
+        dim = int(spec.dim)
+    else:
+        n = _need_n(spec)
+        dim = round(math.log2(n)) if n > 0 else 0
+        _require(n >= 2 and (1 << dim) == n, "hypercube requires dim, or n a power of 2")
     _require(dim >= 1, "hypercube requires dim >= 1")
     u = np.repeat(np.arange(1 << dim), dim)
     v = u ^ np.tile(1 << np.arange(dim), 1 << dim)
     keep = u < v
-    return np.column_stack([u[keep], v[keep]])
+    return 1 << dim, np.column_stack([u[keep], v[keep]]), None
 
 
-def _erdos_renyi(n: int, q: float, rng: np.random.Generator) -> np.ndarray:
+def _erdos_renyi(spec: GraphSpec, rng: np.random.Generator) -> Built:
+    n = _need_n(spec)
+    _require(spec.q is not None and 0.0 < spec.q <= 1.0, "erdos_renyi requires q in (0,1]")
     iu, ju = np.triu_indices(n, k=1)
-    mask = rng.random(iu.shape[0]) < q
-    return np.column_stack([iu[mask], ju[mask]])
+    # Select by index: the pair-sized mask is freed before the edge rows are
+    # allocated, so the rows, which outlive the call, do not pin the heap above it.
+    keep = np.flatnonzero(rng.random(iu.shape[0]) < float(spec.q))  # type: ignore[arg-type]
+    return n, np.column_stack([iu[keep], ju[keep]]), None
 
 
-def _geometric(
-    n: int, radius: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+def _geometric(spec: GraphSpec, rng: np.random.Generator) -> Built:
+    n = _need_n(spec)
+    radius = spec.radius if spec.radius is not None else default_geometric_radius(n)
+    _require(0.0 < radius <= math.sqrt(2.0), "geometric requires radius in (0, sqrt(2)]")
     pos = rng.random((n, 2))
     diff = pos[:, None, :] - pos[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
     iu, ju = np.triu_indices(n, k=1)
-    mask = dist[iu, ju] <= radius
-    return np.column_stack([iu[mask], ju[mask]]), pos
+    keep = np.flatnonzero(dist[iu, ju] <= float(radius))
+    return n, np.column_stack([iu[keep], ju[keep]]), pos
 
 
-def _sbm(
-    cluster_sizes: tuple[int, ...],
-    prob_matrix: tuple[tuple[float, ...], ...],
-    rng: np.random.Generator,
-) -> tuple[int, np.ndarray]:
-    sizes = [int(s) for s in cluster_sizes]
+def _sbm(spec: GraphSpec, rng: np.random.Generator) -> Built:
+    _require(
+        spec.cluster_sizes is not None and spec.prob_matrix is not None,
+        "sbm requires cluster_sizes and prob_matrix",
+    )
+    sizes = [int(s) for s in spec.cluster_sizes]  # type: ignore[union-attr]
     _require(all(s > 0 for s in sizes), "sbm cluster sizes must be positive")
     k = len(sizes)
-    p = np.asarray(prob_matrix, dtype=float)
+    p = np.asarray(spec.prob_matrix, dtype=float)
     _require(p.shape == (k, k), "sbm prob_matrix shape must match cluster count")
     _require(np.allclose(p, p.T), "sbm prob_matrix must be symmetric")
     _require(bool(np.all((p >= 0.0) & (p <= 1.0))), "sbm probabilities must be in [0,1]")
@@ -347,8 +328,20 @@ def _sbm(
     membership = np.repeat(np.arange(k), sizes)
     iu, ju = np.triu_indices(n, k=1)
     probs = p[membership[iu], membership[ju]]
-    mask = rng.random(iu.shape[0]) < probs
-    return n, np.column_stack([iu[mask], ju[mask]])
+    keep = np.flatnonzero(rng.random(iu.shape[0]) < probs)
+    return n, np.column_stack([iu[keep], ju[keep]]), None
+
+
+_BUILDERS = {
+    "complete": _complete,
+    "ring": _ring,
+    "star": _star,
+    "grid2d": _grid2d,
+    "hypercube": _hypercube,
+    "erdos_renyi": _erdos_renyi,
+    "geometric": _geometric,
+    "sbm": _sbm,
+}
 
 
 # --------------------------------------------------------------------------- #
@@ -359,81 +352,33 @@ def _sbm(
 def generate(spec: GraphSpec) -> Graph:
     """Build a connected graph from `spec`.
 
-    Deterministic families are built directly.  Random families draw with
-    sub-seeds derived from ``spec.seed`` and retry on disconnected draws, up to
-    :data:`MAX_CONNECTIVITY_RETRIES` attempts; the retry count is recorded on
-    the returned graph.
+    Deterministic families are built once; they are connected by
+    construction.  Random families draw attempt k from the k-th child of
+    ``SeedSequence(spec.seed or 0)`` until a draw is connected, at most
+    :data:`MAX_CONNECTIVITY_RETRIES` times, and record the redraws on the
+    graph.  Builder edges are canonical and used as built; only ``edge_list``
+    input is checked, by :func:`load_edge_list`.
     """
     fam = spec.family
-    if fam not in FAMILIES:
-        raise GraphError(f"unknown graph family '{fam}' (expected one of {sorted(FAMILIES)})")
-
     if fam == "edge_list":
         _require(spec.path is not None, "edge_list family requires path")
-        g, _ = load_edge_list(spec.path)  # type: ignore[arg-type]
-        return g
-
-    if fam == "complete":
-        n = _need_n(spec)
-        return _finalize(n, _complete(n), family=fam, seed=spec.seed)
-    if fam == "ring":
-        n = _need_n(spec)
-        return _finalize(n, _ring(n), family=fam, seed=spec.seed)
-    if fam == "star":
-        n = _need_n(spec)
-        return _finalize(n, _star(n), family=fam, seed=spec.seed)
-    if fam == "grid2d":
-        _require(spec.rows is not None and spec.cols is not None, "grid2d requires rows and cols")
-        rows, cols = int(spec.rows), int(spec.cols)  # type: ignore[arg-type]
-        return _finalize(rows * cols, _grid2d(rows, cols), family=fam, seed=spec.seed)
-    if fam == "hypercube":
-        if spec.dim is not None:
-            dim = int(spec.dim)
-        else:
-            n = _need_n(spec)
-            dim = round(math.log2(n)) if n > 0 else 0
-            _require(n >= 2 and (1 << dim) == n, "hypercube requires dim, or n a power of 2")
-        return _finalize(1 << dim, _hypercube(dim), family=fam, seed=spec.seed)
-
-    # Random families: rejection-sample connected draws with derived sub-seeds.
-    root = np.random.SeedSequence(spec.seed if spec.seed is not None else 0)
-    children = root.spawn(MAX_CONNECTIVITY_RETRIES)
-    last_error: GraphError | None = None
-    for attempt in range(MAX_CONNECTIVITY_RETRIES):
-        rng = np.random.default_rng(children[attempt])
-        positions: np.ndarray | None = None
-        try:
-            if fam == "erdos_renyi":
-                n = _need_n(spec)
-                _require(spec.q is not None and 0.0 < spec.q <= 1.0, "erdos_renyi requires q in (0,1]")
-                edges = _erdos_renyi(n, float(spec.q), rng)  # type: ignore[arg-type]
-            elif fam == "geometric":
-                n = _need_n(spec)
-                radius = spec.radius if spec.radius is not None else default_geometric_radius(n)
-                _require(0.0 < radius <= math.sqrt(2.0), "geometric requires radius in (0, sqrt(2)]")
-                edges, positions = _geometric(n, float(radius), rng)
-            else:  # sbm
-                _require(
-                    spec.cluster_sizes is not None and spec.prob_matrix is not None,
-                    "sbm requires cluster_sizes and prob_matrix",
-                )
-                n, edges = _sbm(spec.cluster_sizes, spec.prob_matrix, rng)  # type: ignore[arg-type]
-            return _finalize(
-                n,
-                edges,
-                family=fam,
-                seed=spec.seed,
-                retries=attempt,
-                positions=positions,
-            )
-        except GraphError as exc:
-            if "not connected" in str(exc):
-                last_error = exc
-                continue
-            raise
+        return load_edge_list(spec.path)[0]  # type: ignore[arg-type]
+    build = _BUILDERS.get(fam)
+    if build is None:
+        expected = sorted([*_BUILDERS, "edge_list"])
+        raise GraphError(f"unknown graph family '{fam}' (expected one of {expected})")
+    rngs = [None]
+    if fam in RANDOM_FAMILIES:
+        children = np.random.SeedSequence(spec.seed or 0).spawn(MAX_CONNECTIVITY_RETRIES)
+        rngs = map(np.random.default_rng, children)
+    for attempt, rng in enumerate(rngs):
+        n, edges, positions = build(spec, rng)
+        _require(n >= 2, f"need at least 2 nodes, got n={n}")
+        if rng is None or _connected(n, edges):
+            edges.setflags(write=False)
+            return Graph(n, edges, positions, family=fam, seed=spec.seed, retries=attempt)
     raise GraphError(
-        f"no connected draw for family '{fam}' within {MAX_CONNECTIVITY_RETRIES} retries "
-        f"(last error: {last_error})"
+        f"no connected draw for family '{fam}' within {MAX_CONNECTIVITY_RETRIES} retries"
     )
 
 
@@ -442,20 +387,17 @@ def load_edge_list(path: str | Path) -> tuple[Graph, dict[int, int]]:
 
     Lines starting with ``#`` are comments.  Node ids are remapped to a dense
     ``0..n-1`` range in first-appearance order; the original->dense mapping is
-    returned alongside the graph.  Self-edges and malformed lines are rejected
-    with the offending line number.
+    returned alongside the graph.  Malformed lines, non-integer ids and
+    self-edges are rejected with the offending line number.  This is the one
+    path where edges come from outside the program, so it is the one that
+    canonicalises them (rows ``u < v``, sorted, repeats merged) and rejects a
+    disconnected graph.
     """
     path = Path(path)
     if not path.exists():
         raise GraphError(f"edge-list file not found: {path}")
     mapping: dict[int, int] = {}
     pairs: list[tuple[int, int]] = []
-
-    def dense(orig: int) -> int:
-        if orig not in mapping:
-            mapping[orig] = len(mapping)
-        return mapping[orig]
-
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -470,11 +412,20 @@ def load_edge_list(path: str | Path) -> tuple[Graph, dict[int, int]]:
                 raise GraphError(f"{path}:{lineno}: non-integer node id in {stripped!r}") from None
             if a == b:
                 raise GraphError(f"{path}:{lineno}: self-edge rejected: {a} {b}")
-            pairs.append((dense(a), dense(b)))
-    if len(mapping) < 2:
+            for orig in (a, b):
+                mapping.setdefault(orig, len(mapping))
+            pairs.append((mapping[a], mapping[b]))
+    n = len(mapping)
+    if n < 2:
         raise GraphError(f"{path}: fewer than 2 nodes in edge list")
-    g = _finalize(len(mapping), pairs, family="edge_list", seed=None)
-    return g, mapping
+    uv = np.array(pairs, dtype=np.int64)
+    key = np.sort(uv.min(axis=1) * n + uv.max(axis=1))
+    key = key[np.concatenate([[True], key[1:] != key[:-1]])]  # dedupe; np.unique loads numpy.ma
+    edges = np.column_stack([key // n, key % n])
+    edges.setflags(write=False)
+    if not _connected(n, edges):
+        raise GraphError(f"graph with n={n} is not connected")
+    return Graph(n, edges, family="edge_list"), mapping
 
 
 def shortest_path_distances(g: Graph) -> np.ndarray:
@@ -489,8 +440,6 @@ def save_edge_list(g: Graph, path: str | Path) -> None:
     """Write `u v` lines plus a JSON sidecar with provenance metadata."""
     path = Path(path)
     lines = [f"{u} {v}" for u, v in g.edges.tolist()]
-    from .ioutil import atomic_write_text
-
     atomic_write_text(path, "\n".join(lines) + "\n")
     sidecar = {
         "n": g.n,

@@ -219,10 +219,10 @@ class SgdConfig:
     """Knobs for one optimization run.
 
     ``gamma=None`` derives the step size from the strongly convex analysis
-    (`step_size_theorem2`), which needs an initial distance: provided via
-    `dist0_override`, else ``||x0 - x*||^2`` when the optimum is known, else
-    the ``||x0||^2 + 1`` heuristic.  ``sigma`` is the noise multiplier (0 for
-    non-private runs); per-coordinate noise std is ``clip_threshold * sigma``.
+    (`step_size_theorem2`), which needs an initial distance: ``||x0 - x*||^2``
+    when the optimum is known, else the ``||x0||^2 + 1`` heuristic.  ``sigma``
+    is the noise multiplier (0 for non-private runs); per-coordinate noise std
+    is ``clip_threshold * sigma``.
     """
 
     steps: int
@@ -236,7 +236,6 @@ class SgdConfig:
     batch_size: int | None = 1
     start_node: int = 0
     x0: float | np.ndarray | None = None
-    dist0_override: float | None = None
     trace_points: int = 512
 
     def __post_init__(self) -> None:
@@ -366,9 +365,7 @@ def _initial_point(obj: Objective, cfg: SgdConfig) -> np.ndarray:
     return x0.copy()
 
 
-def _resolve_dist0(obj: Objective, cfg: SgdConfig, x0: np.ndarray) -> float:
-    if cfg.dist0_override is not None:
-        return float(cfg.dist0_override)
+def _resolve_dist0(obj: Objective, x0: np.ndarray) -> float:
     optimum = obj.optimum()
     if optimum is not None:
         return float(np.sum((x0 - optimum) ** 2))
@@ -388,7 +385,7 @@ def _resolve_gamma(
         obj.smoothness,
         obj.strong_convexity,
         max(cfg.steps, 1),
-        _resolve_dist0(obj, cfg, x0),
+        _resolve_dist0(obj, x0),
         tau_mix,
         zeta if zeta is not None else 0.0,
     )

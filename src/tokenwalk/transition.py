@@ -58,7 +58,6 @@ class TransitionMatrix:
     w: np.ndarray
     symmetric: bool = True
     bistochastic: bool = True
-    self_loop_kappa: float = 0.0
     _cache: dict[str, Any] = field(
         default_factory=dict, repr=False, compare=False, hash=False
     )
@@ -139,7 +138,7 @@ def hamilton_weighting(graph: Graph) -> TransitionMatrix:
     residual = 1.0 - w.sum(axis=1)
     # Residuals are nonnegative: each row sums to sum_v 1/max(d_u, d_v) <= 1.
     np.fill_diagonal(w, np.maximum(residual, 0.0))
-    return TransitionMatrix(w=w, symmetric=True, bistochastic=True, self_loop_kappa=0.0)
+    return TransitionMatrix(w=w, symmetric=True, bistochastic=True)
 
 
 def with_self_loops(graph: Graph, kappa: float) -> TransitionMatrix:
@@ -162,7 +161,7 @@ def with_self_loops(graph: Graph, kappa: float) -> TransitionMatrix:
     d = float(deg[0])
     w = graph.adjacency_matrix() * ((1.0 - kappa) / d)
     np.fill_diagonal(w, kappa)
-    return TransitionMatrix(w=w, symmetric=True, bistochastic=True, self_loop_kappa=kappa)
+    return TransitionMatrix(w=w, symmetric=True, bistochastic=True)
 
 
 def blend_self_loops(tm: TransitionMatrix, kappa: float) -> TransitionMatrix:
@@ -174,12 +173,7 @@ def blend_self_loops(tm: TransitionMatrix, kappa: float) -> TransitionMatrix:
     if not 0.0 <= kappa < 1.0:
         raise TransitionError(f"kappa must be in [0, 1), got {kappa}")
     w = (1.0 - kappa) * tm.w + kappa * np.eye(tm.n)
-    return TransitionMatrix(
-        w=w,
-        symmetric=tm.symmetric,
-        bistochastic=tm.bistochastic,
-        self_loop_kappa=kappa + (1.0 - kappa) * tm.self_loop_kappa,
-    )
+    return TransitionMatrix(w=w, symmetric=tm.symmetric, bistochastic=tm.bistochastic)
 
 
 def from_array(w: np.ndarray, *, atol: float = DEFAULT_ATOL) -> TransitionMatrix:
@@ -193,13 +187,7 @@ def from_array(w: np.ndarray, *, atol: float = DEFAULT_ATOL) -> TransitionMatrix
     symmetric = bool(np.allclose(w, w.T, atol=atol, rtol=0.0))
     rows_ok = bool(np.allclose(w.sum(axis=1), 1.0, atol=atol, rtol=0.0))
     cols_ok = bool(np.allclose(w.sum(axis=0), 1.0, atol=atol, rtol=0.0))
-    kappa = float(np.min(np.diag(w))) if w.shape[0] else 0.0
-    return TransitionMatrix(
-        w=w.copy(),
-        symmetric=symmetric,
-        bistochastic=rows_ok and cols_ok,
-        self_loop_kappa=max(kappa, 0.0),
-    )
+    return TransitionMatrix(w=w.copy(), symmetric=symmetric, bistochastic=rows_ok and cols_ok)
 
 
 # --------------------------------------------------------------------------- #

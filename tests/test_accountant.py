@@ -857,6 +857,14 @@ def test_calibrate_rejects_missing_distances_before_the_kernel(lazy_ring):
     assert not tm._cache  # no eigendecomposition, kernel or hash was computed
 
 
+def test_calibrate_rejects_misshapen_distances_before_the_eigensolver(lazy_ring):
+    tm = lazy_ring(64)
+    with pytest.raises(AccountantError, match="shape mismatch"):
+        calibrate_sigma(tm, P(alpha=2.0, sigma2=16.0, steps=4096), DpPoint(1.0, 1e-6),
+                        mean_at_distance(1), dist=np.zeros((3, 3), dtype=np.int64), method="exact")
+    assert "spectral_decomposition" not in tm._cache
+
+
 def test_calibrate_degenerate_statistic(uniform_chain):
     # a zero-step walk leaks nothing; there is no finite noise level to find
     zero_steps = P(alpha=2.0, sigma2=1.0, steps=0)

@@ -87,7 +87,6 @@ def test_with_self_loops_ring():
         dtype=float,
     ) / 3.0
     assert np.allclose(tm.w, expected, atol=1e-15)
-    assert tm.self_loop_kappa == pytest.approx(1.0 / 3.0)
 
 
 def test_with_self_loops_requires_regular():
@@ -112,7 +111,6 @@ def test_blend_composes_kappas():
     combined = b + (1 - b) * a
     direct = with_self_loops(g, combined)
     assert np.allclose(twice.w, direct.w, atol=1e-15)
-    assert twice.self_loop_kappa == pytest.approx(combined)
 
 
 def test_blend_on_plain_hamilton():
