@@ -104,23 +104,15 @@ class PrivacyParams:
         Renyi order, > 1.
     sigma2 : float
         Noise multiplier squared; the token noise variance per coordinate is
-        ``delta_sens**2 * sigma2``.
+        ``sigma2`` times the squared clip threshold.
     steps : int
-        Total walk length T.
-    delta_sens : float
-        Gradient sensitivity (clip threshold).
-    contributions : str
-        ``"expected"`` composes over ``T/n`` contributions; ``"capped"`` over
-        ``min(T/n, max_contributions)`` (the simulator enforces the cap with
-        noise-only updates).
+        Total walk length T; each node is accounted over its expected ``T/n``
+        contributions.
     """
 
     alpha: float
     sigma2: float
     steps: int
-    delta_sens: float = 1.0
-    contributions: str = "expected"
-    max_contributions: float | None = None
 
     def __post_init__(self) -> None:
         if not self.alpha > 1.0:
@@ -129,22 +121,10 @@ class PrivacyParams:
             raise AccountantError(f"sigma2 must be positive, got {self.sigma2}")
         if self.steps < 0:
             raise AccountantError(f"steps must be nonnegative, got {self.steps}")
-        if not self.delta_sens > 0.0:
-            raise AccountantError(f"delta_sens must be positive, got {self.delta_sens}")
-        if self.contributions not in ("expected", "capped"):
-            raise AccountantError(
-                f"contributions must be 'expected' or 'capped', got {self.contributions!r}"
-            )
-        if self.contributions == "capped":
-            if self.max_contributions is None or self.max_contributions <= 0:
-                raise AccountantError("capped contributions require max_contributions > 0")
 
     def n_contributions(self, n: int) -> float:
-        """Composition count N_u on an n-node graph (a real number)."""
-        expected = self.steps / n
-        if self.contributions == "capped":
-            return min(expected, float(self.max_contributions))
-        return expected
+        """Composition count ``N_u = T/n`` on an n-node graph (a real number)."""
+        return self.steps / n
 
     def scaled(self, **changes) -> PrivacyParams:
         """Copy with fields replaced (convenience for sweeps)."""
@@ -833,22 +813,17 @@ def calibrate_sigma_local(
     target: DpPoint,
     n: int,
     *,
-    contributions_override: float | None = None,
     alpha_grid: Sequence[float] = ALPHA_GRID,
 ) -> CalibrationResult:
     """Calibrate the no-amplification Gaussian baseline to `target`.
 
     The per-contribution loss is ``alpha / (2 sigma2)`` with no sigma2 gate,
     so the achievable curve is continuous and the target is always hit
-    exactly (above the conversion floor).  `contributions_override` replaces
-    the ``T/n`` composition count (used by the central baseline, which
-    composes over rounds).
+    exactly (above the conversion floor).  It composes over ``T/n``
+    contributions, which is also the round count of the central baseline
+    when n divides T.
     """
-    n_u = (
-        float(contributions_override)
-        if contributions_override is not None
-        else p_template.n_contributions(n)
-    )
+    n_u = p_template.n_contributions(n)
     if n_u <= 0:
         raise CalibrationError("composition count must be positive")
     return _calibrate_scaled(
@@ -923,8 +898,9 @@ def save_pairwise_csv(m: PairwiseLossMatrix, path: str | Path) -> None:
             "alpha": m.params.alpha,
             "sigma2": m.params.sigma2,
             "steps": m.params.steps,
-            "contributions": m.params.contributions,
-            "max_contributions": m.params.max_contributions,
+            # schema keys: every node composes over its expected T/n contributions
+            "contributions": "expected",
+            "max_contributions": None,
             "method": m.method,
             "graph_hash": m.w_hash,
             "hash_version": HASH_VERSION,

@@ -69,19 +69,30 @@ _FAMILY_ALIASES = {"erdos-renyi": "erdos_renyi", "edge-list": "edge_list", "expo
 
 def _parse_seeds(text: str) -> list[int]:
     try:
-        return [int(s) for s in text.split(",") if s.strip() != ""]
+        seeds = [int(s) for s in text.split(",") if s.strip() != ""]
     except ValueError:
         raise ConfigError(f"invalid seed list {text!r} (expected comma-separated ints)") from None
+    if not seeds:
+        raise ConfigError(f"empty seed list {text!r}")
+    return seeds
+
+
+def _parse_numbers(text: str, parse, flag: str) -> tuple:
+    """The comma-separated numbers `text` of `flag`, each read by `parse`."""
+    try:
+        return tuple(parse(s) for s in text.split(","))
+    except ValueError:
+        raise ConfigError(f"invalid {flag} {text!r} (expected comma-separated numbers)") from None
 
 
 def _graph_spec_from_args(args: argparse.Namespace, seed: int | None) -> graphs.GraphSpec:
     family = _FAMILY_ALIASES.get(args.family, args.family)
     cluster_sizes = prob_matrix = None
     if args.cluster_sizes:
-        cluster_sizes = tuple(int(s) for s in args.cluster_sizes.split(","))
+        cluster_sizes = _parse_numbers(args.cluster_sizes, int, "--cluster-sizes")
     if args.prob_matrix:
         prob_matrix = tuple(
-            tuple(float(x) for x in row.split(",")) for row in args.prob_matrix.split(";")
+            _parse_numbers(row, float, "--prob-matrix row") for row in args.prob_matrix.split(";")
         )
     return graphs.GraphSpec(
         family=family,
@@ -114,6 +125,17 @@ def _build_chain(g: graphs.Graph, kappa_text: str | None, steps: int | None) -> 
     return transition.blend_self_loops(tm, kappa)
 
 
+def _read_json_object(path: Path, what: str) -> dict:
+    """The JSON object in `path`; anything else there is a config error."""
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: {what} must be a JSON object")
+    return obj
+
+
 def _resolve_flags(args: argparse.Namespace, keys: set[str]) -> None:
     """Overlay a JSON config stanza, then fill every flag still unset.
 
@@ -126,12 +148,7 @@ def _resolve_flags(args: argparse.Namespace, keys: set[str]) -> None:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        try:
-            stanza = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-        if not isinstance(stanza, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
+        stanza = _read_json_object(path, "config")
         version = stanza.pop("schema_version", None)
         if version != SCHEMA_VERSION:
             raise ConfigError(f"{path}: schema_version must be {SCHEMA_VERSION}, got {version!r}")
@@ -469,7 +486,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         meta_path = path.with_suffix(path.suffix + ".json")
         method = graph_name = ""
         if meta_path.exists():
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+            meta = _read_json_object(meta_path, "sidecar")
             method = str(meta.get("method", ""))
             graph_name = str(meta.get("graph", meta.get("graph_hash", "")))[:12]
         for b in buckets:

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
-from itertools import repeat
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Protocol, runtime_checkable
 
@@ -62,8 +61,7 @@ class Objective(Protocol):
     """Node-decomposed objective ``f = (1/n) sum_v f_v``.
 
     `gradient` takes the node's local sample `rows` as None (every sample of
-    the node), a plain ``int`` (one sample: a single-sample step) or an int
-    array (a minibatch drawn with replacement, repeats counted).
+    the node) or an ``int`` (one sample: a single-sample step).
     `node_gradients` is the stacked evaluator of a central round: every node's
     full local gradient at once, row v bit for bit ``gradient(v, x, None)``.
     """
@@ -72,11 +70,11 @@ class Objective(Protocol):
     dim: int
     smoothness: float
     strong_convexity: float
-    #: Samples held by each node; minibatch rows index into a node's samples.
+    #: Samples held by each node; a sampled row indexes into a node's samples.
     local_sizes: np.ndarray
 
-    def gradient(self, node: int, x: np.ndarray, rows: int | np.ndarray | None) -> np.ndarray:
-        """Gradient of ``f_node`` at `x` over the local samples `rows` (all if None)."""
+    def gradient(self, node: int, x: np.ndarray, rows: int | None) -> np.ndarray:
+        """Gradient of ``f_node`` at `x` on local sample `rows` (all samples if None)."""
         ...
 
     def node_gradients(self, x: np.ndarray) -> np.ndarray:
@@ -169,11 +167,9 @@ class LogisticObjective:
 
     def gradient(self, node, x, rows):
         feats, labels = self._blocks[node]
-        if isinstance(rows, int):  # one sample on a row view: the (1, d) block's arithmetic
+        if rows is not None:  # one sample on a row view: the (1, d) block's arithmetic
             a, y = feats[rows], labels[rows]
             return a * (-y * _expit(-(y * a.dot(x)))) + self.reg * x
-        if rows is not None:
-            feats, labels = feats[rows], labels[rows]
         margins = labels * (feats @ x)
         weights = -labels * np.array([_expit(-m) for m in margins.tolist()])
         return feats.T @ weights / feats.shape[0] + self.reg * x
@@ -229,12 +225,7 @@ class SgdConfig:
     gamma: float | None = None
     sigma: float = 0.0
     clip_threshold: float = 1.0
-    schedule: str = "constant"
-    burn_in: int = 0
     seed: int = 0
-    contribution_cap: int | None = None
-    batch_size: int | None = 1
-    start_node: int = 0
     x0: float | np.ndarray | None = None
     trace_points: int = 512
 
@@ -247,10 +238,6 @@ class SgdConfig:
             raise ConfigError(f"sigma must be nonnegative, got {self.sigma}")
         if not self.clip_threshold > 0.0:
             raise ConfigError(f"clip_threshold must be positive, got {self.clip_threshold}")
-        if self.schedule not in ("constant", "inverse_t"):
-            raise ConfigError(f"schedule must be 'constant' or 'inverse_t', got {self.schedule!r}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -267,7 +254,6 @@ class RunRecord:
     stride: int
     wall_clock: float
     trajectory: Trajectory | None = None
-    extras: dict = field(default_factory=dict)
 
 
 # --------------------------------------------------------------------------- #
@@ -398,20 +384,16 @@ def _mixing_estimate(w: TransitionMatrix) -> float:
 
 
 def _draw_rows(
-    obj: Objective, nodes: np.ndarray, rng: np.random.Generator, batch_size: int | None
-) -> Iterator[int | np.ndarray | None]:
-    """Minibatch rows of each gradient call on `nodes`, in call order: `batch_size`
-    uniform draws with replacement (a plain int when `batch_size` is 1), or None
-    (all rows) for a node holding no more.
+    obj: Objective, nodes: np.ndarray, rng: np.random.Generator
+) -> Iterator[int | None]:
+    """The sampled row of each gradient call on `nodes`, in call order: one
+    uniform draw, or None for a node that holds a single row.
 
     One ``integers`` call with a per-draw bound draws what one call per gradient would.
     """
-    if batch_size is None:
-        return repeat(None)
     sizes = obj.local_sizes[nodes]
-    sampled = sizes > batch_size
-    drawn = rng.integers(0, np.repeat(sizes[sampled], batch_size))
-    drawn = iter(drawn.tolist() if batch_size == 1 else drawn.reshape(-1, batch_size))
+    sampled = sizes > 1
+    drawn = iter(rng.integers(0, sizes[sampled]).tolist())
     return (next(drawn) if s else None for s in sampled.tolist())
 
 
@@ -431,7 +413,6 @@ def _descent_loop(
     obj: Objective,
     cfg: SgdConfig,
     schedule: np.ndarray | None,
-    noise_only: np.ndarray,
     gamma: float,
     algorithm: str,
     trajectory: Trajectory | None,
@@ -439,35 +420,26 @@ def _descent_loop(
     """The update loop of every algorithm.
 
     With a `schedule` (the walk and local DP-SGD), step t applies the clipped
-    gradient of node ``schedule[t]`` on its minibatch; with ``schedule=None``
-    (central DP-SGD), step t is a round that averages the clipped full
-    gradients of all n nodes, summed in node order.  Noise has per-coordinate
-    std ``clip_threshold * sigma / k`` (k = 1, or n for a round); steps
-    flagged in `noise_only` (a visit over the contribution cap) add the noise
-    alone.  Noise and minibatch rows are drawn up front in one call each,
+    gradient of node ``schedule[t]`` on one sampled row; with
+    ``schedule=None`` (central DP-SGD), step t is a round that averages the
+    clipped full gradients of all n nodes, summed in node order.  Noise has
+    per-coordinate std ``clip_threshold * sigma / k`` (k = 1, or n for a
+    round).  Noise and sampled rows are drawn up front in one call each,
     which yields the same numbers as one draw per step.
     """
     start = time.perf_counter()
-    _, noise_child, batch_child = np.random.SeedSequence(cfg.seed).spawn(3)
-    steps = noise_only.shape[0]
-    burn_in = cfg.burn_in
+    _, noise_child, rows_child = np.random.SeedSequence(cfg.seed).spawn(3)
+    steps = cfg.steps
     central = schedule is None
     k = obj.n_nodes if central else 1
     if not central:
-        grad_nodes = schedule[burn_in:][~noise_only[burn_in:]]
-        rows = _draw_rows(obj, grad_nodes, np.random.default_rng(batch_child), cfg.batch_size)
-        calls = zip(grad_nodes.tolist(), rows)
-    skip = noise_only.tolist()
+        rows = _draw_rows(obj, schedule, np.random.default_rng(rows_child))
+        calls = zip(schedule.tolist(), rows)
 
-    n_updates = max(steps - burn_in, 0)
     noise_std = cfg.clip_threshold * cfg.sigma / k
     noise = None
     if noise_std > 0.0:
-        noise = np.random.default_rng(noise_child).normal(0.0, noise_std, size=(n_updates, obj.dim))
-    if cfg.schedule == "constant":
-        gammas = [gamma] * n_updates
-    else:
-        gammas = (gamma / np.arange(1, n_updates + 1)).tolist()
+        noise = np.random.default_rng(noise_child).normal(0.0, noise_std, size=(steps, obj.dim))
 
     x = _initial_point(obj, cfg)
     optimum = obj.optimum()
@@ -490,18 +462,14 @@ def _descent_loop(
     gradient, delta = obj.gradient, cfg.clip_threshold
     record(0)
     for t in range(steps):
-        if t >= burn_in:
-            u = t - burn_in
-            if skip[t]:
-                g = np.zeros(obj.dim)
-            elif central:
-                g = _clipped_sum(obj.node_gradients(x), delta) / k
-            else:
-                v, r = next(calls)
-                g = clip(gradient(v, x, r), delta)
-            if noise is not None:
-                g = g + noise[u]
-            x = x - gammas[u] * g
+        if central:
+            g = _clipped_sum(obj.node_gradients(x), delta) / k
+        else:
+            v, r = next(calls)
+            g = clip(gradient(v, x, r), delta)
+        if noise is not None:
+            g = g + noise[t]
+        x = x - gamma * g
         if (t + 1) % stride == 0 or t + 1 == steps:
             record(t + 1)
 
@@ -522,21 +490,18 @@ def _descent_loop(
 def run_rw_dpsgd(w: TransitionMatrix, obj: Objective, cfg: SgdConfig) -> RunRecord:
     """Private random-walk gradient descent over the chain `w`.
 
-    The walk, the Gaussian noise, and minibatch sampling draw from three
-    sub-streams spawned from ``cfg.seed``, so runs are bitwise reproducible
-    and the schedule is independent of the noise.
+    The token starts at node 0.  The walk, the Gaussian noise, and row
+    sampling draw from three sub-streams spawned from ``cfg.seed``, so runs
+    are bitwise reproducible and the schedule is independent of the noise.
     """
     if w.n != obj.n_nodes:
         raise ConfigError(f"chain has {w.n} nodes but objective has {obj.n_nodes}")
     walk_child = np.random.SeedSequence(cfg.seed).spawn(3)[0]
-    traj = simulate(w, cfg.start_node, cfg.steps, walk_child,
-                    contribution_cap=cfg.contribution_cap, burn_in=cfg.burn_in)
+    traj = simulate(w, 0, cfg.steps, walk_child)
     gamma = cfg.gamma if cfg.gamma is not None else _resolve_gamma(
         obj, cfg, _initial_point(obj, cfg), _mixing_estimate(w)
     )
-    return _descent_loop(
-        obj, cfg, traj.nodes[:-1], traj.noise_only[:-1], gamma, "rw_dpsgd", traj
-    )
+    return _descent_loop(obj, cfg, traj.nodes[:-1], gamma, "rw_dpsgd", traj)
 
 
 def run_local_dpsgd(obj: Objective, cfg: SgdConfig, n: int) -> RunRecord:
@@ -550,8 +515,7 @@ def run_local_dpsgd(obj: Objective, cfg: SgdConfig, n: int) -> RunRecord:
     schedule_child = np.random.SeedSequence(cfg.seed).spawn(3)[0]
     schedule = np.random.default_rng(schedule_child).integers(0, n, size=max(cfg.steps, 1))
     gamma = cfg.gamma if cfg.gamma is not None else _resolve_gamma(obj, cfg, _initial_point(obj, cfg), 1.0)
-    no_cap = np.zeros(cfg.steps, dtype=bool)
-    return _descent_loop(obj, cfg, schedule[: cfg.steps], no_cap, gamma, "local_dpsgd", None)
+    return _descent_loop(obj, cfg, schedule[: cfg.steps], gamma, "local_dpsgd", None)
 
 
 def run_central_dpsgd(obj: Objective, cfg: SgdConfig) -> RunRecord:
@@ -560,13 +524,10 @@ def run_central_dpsgd(obj: Objective, cfg: SgdConfig) -> RunRecord:
     ``cfg.steps`` counts rounds.  Each round every node contributes its full
     clipped local gradient (all n evaluated at once by
     `Objective.node_gradients`); one Gaussian draw of per-coordinate std
-    ``clip_threshold * sigma / n`` is added to the average.  ``burn_in`` and
-    ``batch_size`` do not apply.
+    ``clip_threshold * sigma / n`` is added to the average.
     """
-    cfg = replace(cfg, burn_in=0, batch_size=None)
     gamma = cfg.gamma if cfg.gamma is not None else _resolve_gamma(obj, cfg, _initial_point(obj, cfg), 1.0)
-    no_cap = np.zeros(cfg.steps, dtype=bool)
-    return _descent_loop(obj, cfg, None, no_cap, gamma, "central_dpsgd", None)
+    return _descent_loop(obj, cfg, None, gamma, "central_dpsgd", None)
 
 
 # --------------------------------------------------------------------------- #

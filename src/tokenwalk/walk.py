@@ -22,21 +22,12 @@ __all__ = ["Trajectory", "simulate"]
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A realized walk v_0, ..., v_T (length ``steps + 1``).
-
-    `noise_only[t]` marks update opportunities (t < T) where the visited
-    node had exhausted its contribution cap; the optimizer then injects noise
-    without a gradient.  Burn-in steps are not flagged -- they carry no update
-    at all and are recorded via `burn_in`.
-    """
+    """A realized walk v_0, ..., v_T (length ``steps + 1``)."""
 
     nodes: np.ndarray
     n: int
     seed: int
     w_hash: str
-    burn_in: int = 0
-    contribution_cap: int | None = None
-    noise_only: np.ndarray | None = None
 
     @property
     def steps(self) -> int:
@@ -51,15 +42,7 @@ def _philox_key(seed) -> int:
     return int(seed) % (1 << 128)
 
 
-def simulate(
-    w: TransitionMatrix,
-    v0: int,
-    steps: int,
-    seed,
-    *,
-    contribution_cap: int | None = None,
-    burn_in: int = 0,
-) -> Trajectory:
+def simulate(w: TransitionMatrix, v0: int, steps: int, seed) -> Trajectory:
     """Run the token for `steps` transitions starting at `v0`.
 
     Each move inverts the CDF of the current row against one uniform from a
@@ -73,10 +56,6 @@ def simulate(
         raise TokenwalkError(f"start node {v0} outside range 0..{n - 1}")
     if steps < 0:
         raise TokenwalkError(f"steps must be nonnegative, got {steps}")
-    if burn_in < 0 or burn_in > steps:
-        raise TokenwalkError(f"burn_in must be in [0, steps], got {burn_in}")
-    if contribution_cap is not None and contribution_cap < 0:
-        raise TokenwalkError(f"contribution_cap must be >= 0, got {contribution_cap}")
     row_sums = w.w.sum(axis=1)
     if np.any(w.w < 0.0) or not np.allclose(row_sums, 1.0, atol=1e-9, rtol=0.0):
         raise TokenwalkError("simulate requires a row-stochastic matrix")
@@ -106,29 +85,6 @@ def simulate(
         path[t] = cur
     del targets, cdfs
     nodes = np.array(path, dtype=np.int64)
-
-    noise_only = np.zeros(steps + 1, dtype=bool)
-    if contribution_cap is not None:
-        # A visit is over the cap when its node already had `contribution_cap`
-        # visits since burn-in: its 0-based rank among that node's visits,
-        # read off one stable sort by node.
-        visits = nodes[burn_in:steps]
-        order = np.argsort(visits, kind="stable")
-        counts = np.bincount(visits, minlength=n)
-        first = np.cumsum(counts) - counts  # where each node's visits start in `order`
-        rank = np.empty_like(order)
-        rank[order] = np.arange(visits.size) - first[visits[order]]
-        noise_only[burn_in:steps] = rank >= contribution_cap
-
     nodes.setflags(write=False)
-    noise_only.setflags(write=False)
-    return Trajectory(
-        nodes=nodes,
-        n=n,
-        seed=key,
-        w_hash=w.content_hash(),
-        burn_in=burn_in,
-        contribution_cap=contribution_cap,
-        noise_only=noise_only,
-    )
+    return Trajectory(nodes=nodes, n=n, seed=key, w_hash=w.content_hash())
 

@@ -215,9 +215,6 @@ def test_private_rw_beats_local_on_regression():
 
     cal_rw = accountant.calibrate_sigma(tm, template, target, method="exact")
     cal_local = accountant.calibrate_sigma_local(template, target, n)
-    cal_central = accountant.calibrate_sigma_local(
-        template, target, n, contributions_override=steps // n
-    )
     assert cal_rw.sigma2 < cal_local.sigma2  # amplification buys smaller noise
 
     obj = optim.LogisticObjective(data)
@@ -230,7 +227,8 @@ def test_private_rw_beats_local_on_regression():
     )
     rec_central = optim.run_central_dpsgd(
         obj,
-        optim.SgdConfig(steps=steps // n, sigma=math.sqrt(cal_central.sigma2), **common),
+        # steps // n rounds compose like the T/n local contributions (n divides T)
+        optim.SgdConfig(steps=steps // n, sigma=math.sqrt(cal_local.sigma2), **common),
     )
     acc_rw = obj.accuracy(rec_rw.final_x)
     acc_local = obj.accuracy(rec_local.final_x)

@@ -134,23 +134,12 @@ def test_privacy_params_validation():
         P(alpha=2.0, sigma2=0.0, steps=10)
     with pytest.raises(AccountantError, match="steps"):
         P(alpha=2.0, sigma2=4.0, steps=-1)
-    with pytest.raises(AccountantError, match="delta_sens"):
-        P(alpha=2.0, sigma2=4.0, steps=10, delta_sens=0.0)
-    with pytest.raises(AccountantError, match="contributions"):
-        P(alpha=2.0, sigma2=4.0, steps=10, contributions="bounded")
-    with pytest.raises(AccountantError, match="max_contributions"):
-        P(alpha=2.0, sigma2=4.0, steps=10, contributions="capped")
 
 
 def test_contribution_counts():
     expected = P(alpha=2.0, sigma2=4.0, steps=100)
     assert expected.n_contributions(4) == 25.0
     assert expected.n_contributions(3) == pytest.approx(100.0 / 3.0)
-    capped = expected.scaled(contributions="capped", max_contributions=2)
-    assert capped.n_contributions(4) == 2.0
-    # cap above the expectation is inert
-    loose = expected.scaled(contributions="capped", max_contributions=1000)
-    assert loose.n_contributions(4) == 25.0
 
 
 def test_statistic_kinds():
@@ -490,15 +479,6 @@ def test_pairwise_matrix_structure(lazy_ring):
     assert m.eps[0, 2] == pytest.approx(10.0 * single, rel=1e-14)
 
 
-def test_pairwise_matrix_capped_composition(lazy_ring):
-    tm = lazy_ring(4)
-    expected = P(alpha=2.0, sigma2=16.0, steps=100)
-    capped = expected.scaled(contributions="capped", max_contributions=2.0)
-    m_exp = pairwise_matrix(tm, expected, method="exact")
-    m_cap = pairwise_matrix(tm, capped, method="exact")
-    assert np.allclose(m_cap.offdiagonal() * (25.0 / 2.0), m_exp.offdiagonal(), rtol=1e-14)
-
-
 def test_pairwise_matrix_method_validation(uniform_chain):
     with pytest.raises(AccountantError, match="method"):
         pairwise_matrix(uniform_chain(4), P(alpha=2.0, sigma2=16.0, steps=10), method="series")
@@ -751,12 +731,11 @@ def test_calibrate_local_hits_exactly():
     assert base == pytest.approx(res.rdp_statistic, rel=1e-12)
 
 
-def test_calibrate_local_override():
-    direct = calibrate_sigma_local(
-        P(alpha=2.0, sigma2=1.0, steps=999), DpPoint(2.0, 1e-6), 7, contributions_override=30
-    )
+def test_calibrate_local_composes_over_steps_per_node():
+    # 210 steps on 7 nodes compose like 30 rounds of the central baseline
+    rounds = calibrate_sigma_local(P(alpha=2.0, sigma2=1.0, steps=30), DpPoint(2.0, 1e-6), 1)
     same = calibrate_sigma_local(P(alpha=2.0, sigma2=1.0, steps=210), DpPoint(2.0, 1e-6), 7)
-    assert direct.sigma2 == pytest.approx(same.sigma2, rel=1e-12)
+    assert rounds.sigma2 == same.sigma2
 
 
 def test_calibrate_round_trip_exact_method(lazy_ring):
@@ -871,9 +850,7 @@ def test_calibrate_degenerate_statistic(uniform_chain):
     with pytest.raises(CalibrationError, match="degenerate"):
         calibrate_sigma(uniform_chain(4), zero_steps, DpPoint(1.0, 1e-6), method="exact")
     with pytest.raises(CalibrationError, match="must be positive"):
-        calibrate_sigma_local(
-            P(alpha=2.0, sigma2=1.0, steps=100), DpPoint(1.0, 1e-6), 4, contributions_override=0
-        )
+        calibrate_sigma_local(P(alpha=2.0, sigma2=1.0, steps=0), DpPoint(1.0, 1e-6), 4)
 
 
 # --------------------------------------------------------------------------- #

@@ -311,6 +311,29 @@ def test_privacy_bad_seed_list(tmp_path, capsys):
     assert "seed list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["privacy", "--family", "ring", "--n", "6", "--steps", "60"],
+    ["sgd", "--preset", "fig2", "--synthetic", "--n", "6", "--epochs", "2"],
+])
+def test_empty_seed_list_rejected(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main([*argv, "--seeds", ",", "--out", str(out)]) == 2
+    assert "empty seed list" in capsys.readouterr().err
+    assert list(out.iterdir()) == []  # no header-only series
+
+
+@pytest.mark.parametrize("sizes, probs, bad_flag", [
+    ("a,b", "0.5,0.1;0.1,0.5", "--cluster-sizes"),
+    ("3,3", "0.5,x;0.1,0.5", "--prob-matrix"),
+])
+def test_non_numeric_sbm_flags_rejected(tmp_path, capsys, sizes, probs, bad_flag):
+    rc = main(["graph", "--family", "sbm", "--cluster-sizes", sizes, "--prob-matrix", probs,
+               "--seed", "1", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and bad_flag in err
+
+
 # --------------------------------------------------------------------------- #
 # exit codes
 # --------------------------------------------------------------------------- #
@@ -549,6 +572,15 @@ def test_report_rejects_malformed_series(tmp_path, capsys):
     rc = main(["report", str(bad), "--out", str(tmp_path / "rep")])
     assert rc == 2
     assert "unreadable distance series" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sidecar", ["{not json", "[1, 2]"])
+def test_report_rejects_malformed_sidecar(tmp_path, capsys, sidecar):
+    a = _series(tmp_path, "a.csv", [(1, 0.5, 0.0, 4)])
+    (tmp_path / "a.csv.json").write_text(sidecar)
+    assert main(["report", str(a), "--out", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "a.csv.json" in err
 
 
 def test_report_missing_input(tmp_path, capsys):

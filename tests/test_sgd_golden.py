@@ -5,11 +5,11 @@ SHA-256 of its little-endian bytes, so any change to the arithmetic, to the
 order of random draws or to the walk sampler shows up here.  The expected
 digests were recorded from the per-step reference loops (one
 ``rng.integers`` / ``rng.normal`` call and one ``np.searchsorted`` per step)
-before the hot loops were rewritten.  The single-sample cases on unequal
-blocks, the singleton-node walk, the capped single-sample walk and the
-mixed-clip central run were recorded from the per-call gradient code
-(fancy-indexed ``(1, d)`` blocks, one ``gradient`` + ``clip`` call per node
-of a central round) before the row-view and stacked evaluators replaced it.
+before the hot loops were rewritten.  The single-sample case on unequal
+blocks, the singleton-node walk and the mixed-clip central run were recorded
+from the per-call gradient code (fancy-indexed ``(1, d)`` blocks, one
+``gradient`` + ``clip`` call per node of a central round) before the
+row-view and stacked evaluators replaced it.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ def _record_digests(rec) -> dict:
     }
     if rec.trajectory is not None:
         out["nodes"] = _digest(rec.trajectory.nodes)
-        out["noise_only"] = _digest(rec.trajectory.noise_only)
     return out
 
 
@@ -61,7 +60,7 @@ def _equal_blocks() -> tuple[transition.TransitionMatrix, LogisticObjective]:
     return transition.hamilton_weighting(g), LogisticObjective(ds)
 
 
-def _unequal_blocks() -> tuple[transition.TransitionMatrix, LogisticObjective]:
+def _unequal_blocks() -> LogisticObjective:
     """Seven nodes holding six or five training rows (40 rows split unevenly)."""
     rng = np.random.default_rng(11)
     raw = datasets.RawTable(
@@ -72,8 +71,7 @@ def _unequal_blocks() -> tuple[transition.TransitionMatrix, LogisticObjective]:
     )
     ds = datasets.preprocess(raw, n_users=7, seed=2)
     assert sorted({len(p) for p in ds.partition}) == [5, 6]
-    g = graphs.generate(graphs.GraphSpec(family="ring", n=7))
-    return transition.with_self_loops(g, 0.25), LogisticObjective(ds, reg=0.01)
+    return LogisticObjective(ds, reg=0.01)
 
 
 def _singleton_block() -> tuple[transition.TransitionMatrix, LogisticObjective]:
@@ -98,65 +96,28 @@ def _lazy_ring_averaging() -> tuple[transition.TransitionMatrix, AveragingObject
     return transition.with_self_loops(g, 1.0 / 3.0), AveragingObjective(values)
 
 
-def _blended_geometric() -> tuple[transition.TransitionMatrix, AveragingObjective]:
-    g = graphs.generate(graphs.GraphSpec(family="geometric", n=20, seed=2))
-    tm = transition.blend_self_loops(transition.hamilton_weighting(g), 0.2)
-    values = np.random.default_rng(8).normal(size=(20, 2)) * 3.0
-    return tm, AveragingObjective(values)
-
-
 def _run(case: str):
     logistic = dict(steps=600, gamma=0.1, sigma=0.7, clip_threshold=0.5, seed=5, trace_points=64)
     if case == "rw-equal-b1":
         tm, obj = _equal_blocks()
-        return run_rw_dpsgd(tm, obj, SgdConfig(batch_size=1, **logistic))
-    if case == "rw-equal-full":
-        tm, obj = _equal_blocks()
-        return run_rw_dpsgd(tm, obj, SgdConfig(batch_size=None, **logistic))
+        return run_rw_dpsgd(tm, obj, SgdConfig(**logistic))
     if case == "local-equal-b1":
         _, obj = _equal_blocks()
-        return run_local_dpsgd(obj, SgdConfig(batch_size=1, **logistic), 6)
-    if case == "local-equal-full":
-        _, obj = _equal_blocks()
-        return run_local_dpsgd(obj, SgdConfig(batch_size=None, **logistic), 6)
+        return run_local_dpsgd(obj, SgdConfig(**logistic), 6)
     if case == "central-equal":
         _, obj = _equal_blocks()
         return run_central_dpsgd(obj, SgdConfig(**dict(logistic, steps=40)))
-    if case == "central-equal-inverse-t":
-        _, obj = _equal_blocks()
-        return run_central_dpsgd(
-            obj, SgdConfig(schedule="inverse_t", burn_in=3, **dict(logistic, steps=40))
-        )
-    if case == "rw-unequal-b5":
-        tm, obj = _unequal_blocks()
-        return run_rw_dpsgd(tm, obj, SgdConfig(batch_size=5, start_node=3, **logistic))
-    if case == "rw-unequal-b2-cap":
-        tm, obj = _unequal_blocks()
-        return run_rw_dpsgd(
-            tm, obj, SgdConfig(batch_size=2, contribution_cap=70, burn_in=20, **logistic)
-        )
-    if case == "local-unequal-b5":
-        _, obj = _unequal_blocks()
-        return run_local_dpsgd(obj, SgdConfig(batch_size=5, **logistic), 7)
     if case == "central-unequal":
-        _, obj = _unequal_blocks()
+        obj = _unequal_blocks()
         return run_central_dpsgd(obj, SgdConfig(**dict(logistic, steps=30)))
-    if case == "rw-unequal-b1":
-        tm, obj = _unequal_blocks()
-        return run_rw_dpsgd(tm, obj, SgdConfig(batch_size=1, start_node=2, **logistic))
     if case == "local-unequal-b1":
-        _, obj = _unequal_blocks()
-        return run_local_dpsgd(obj, SgdConfig(batch_size=1, **logistic), 7)
+        obj = _unequal_blocks()
+        return run_local_dpsgd(obj, SgdConfig(**logistic), 7)
     if case == "rw-singleton-b1":
         tm, obj = _singleton_block()
-        return run_rw_dpsgd(tm, obj, SgdConfig(batch_size=1, **logistic))
-    if case == "rw-unequal-b1-cap":
-        tm, obj = _unequal_blocks()
-        return run_rw_dpsgd(
-            tm, obj, SgdConfig(batch_size=1, contribution_cap=60, burn_in=25, **logistic)
-        )
+        return run_rw_dpsgd(tm, obj, SgdConfig(**logistic))
     if case == "central-unequal-mixed-clip":
-        _, obj = _unequal_blocks()
+        obj = _unequal_blocks()
         cfg = dict(logistic, steps=30, clip_threshold=MIXED_CLIP)
         return run_central_dpsgd(obj, SgdConfig(**cfg))
     if case == "rw-averaging-lazy-ring":
@@ -168,22 +129,6 @@ def _run(case: str):
     if case == "central-averaging":
         _, obj = _lazy_ring_averaging()
         return run_central_dpsgd(obj, SgdConfig(steps=60, gamma=0.2, sigma=0.9, seed=12))
-    if case == "rw-blended-geometric":
-        tm, obj = _blended_geometric()
-        cfg = SgdConfig(
-            steps=700,
-            gamma=0.3,
-            sigma=0.3,
-            clip_threshold=2.0,
-            schedule="inverse_t",
-            burn_in=30,
-            contribution_cap=15,
-            start_node=4,
-            seed=21,
-            trace_points=50,
-            x0=1.0,
-        )
-        return run_rw_dpsgd(tm, obj, cfg)
     raise AssertionError(case)
 
 
@@ -196,17 +141,6 @@ GOLDEN: dict[str, dict] = {
         "accuracy": "81e7e76407f73032",
         "gamma": "0x1.999999999999ap-4",
         "nodes": "81a7dc64ba645163",
-        "noise_only": "1b94bb6a330c9159",
-    },
-    "rw-equal-full": {
-        "final_x": "604b10a2ea9381a9",
-        "ts": "bb3377b43dc0792f",
-        "objective": "0adfb7546bb4d1e1",
-        "sq_distance": None,
-        "accuracy": "42e8c44062f113f1",
-        "gamma": "0x1.999999999999ap-4",
-        "nodes": "81a7dc64ba645163",
-        "noise_only": "1b94bb6a330c9159",
     },
     "local-equal-b1": {
         "final_x": "a25546e29b2f0db0",
@@ -214,14 +148,6 @@ GOLDEN: dict[str, dict] = {
         "objective": "142989cb30ddad85",
         "sq_distance": None,
         "accuracy": "81e7e76407f73032",
-        "gamma": "0x1.999999999999ap-4",
-    },
-    "local-equal-full": {
-        "final_x": "1f39170db77d159c",
-        "ts": "bb3377b43dc0792f",
-        "objective": "95584f3a7027674b",
-        "sq_distance": None,
-        "accuracy": "42e8c44062f113f1",
         "gamma": "0x1.999999999999ap-4",
     },
     "central-equal": {
@@ -232,42 +158,6 @@ GOLDEN: dict[str, dict] = {
         "accuracy": "cd8e32fe25fc1e3d",
         "gamma": "0x1.999999999999ap-4",
     },
-    "central-equal-inverse-t": {
-        "final_x": "4a7289b953058f44",
-        "ts": "dc56578ae9f1cb6e",
-        "objective": "77b9f62013e32138",
-        "sq_distance": None,
-        "accuracy": "cd8e32fe25fc1e3d",
-        "gamma": "0x1.999999999999ap-4",
-    },
-    "rw-unequal-b5": {
-        "final_x": "68a68838e6edb538",
-        "ts": "bb3377b43dc0792f",
-        "objective": "698460b96e14cd73",
-        "sq_distance": None,
-        "accuracy": "42a23eb2a05c3ee3",
-        "gamma": "0x1.999999999999ap-4",
-        "nodes": "b0518b794e23e5a6",
-        "noise_only": "1b94bb6a330c9159",
-    },
-    "rw-unequal-b2-cap": {
-        "final_x": "876848e711cca3bf",
-        "ts": "bb3377b43dc0792f",
-        "objective": "1ba6d2729c1f1cb5",
-        "sq_distance": None,
-        "accuracy": "4b3db46d47b39d51",
-        "gamma": "0x1.999999999999ap-4",
-        "nodes": "33ce958993e80e62",
-        "noise_only": "23633465033890a6",
-    },
-    "local-unequal-b5": {
-        "final_x": "0e21830c80ee5f1b",
-        "ts": "bb3377b43dc0792f",
-        "objective": "b3c2a53eaf85c182",
-        "sq_distance": None,
-        "accuracy": "f710389b10ee82f9",
-        "gamma": "0x1.999999999999ap-4",
-    },
     "central-unequal": {
         "final_x": "015cf30e420a586c",
         "ts": "3a769b546b52d0c3",
@@ -275,16 +165,6 @@ GOLDEN: dict[str, dict] = {
         "sq_distance": None,
         "accuracy": "c70067ec88084452",
         "gamma": "0x1.999999999999ap-4",
-    },
-    "rw-unequal-b1": {
-        "final_x": "62783683f7eefd66",
-        "ts": "bb3377b43dc0792f",
-        "objective": "5d27dca2118cbaaa",
-        "sq_distance": None,
-        "accuracy": "6db83748e53c177c",
-        "gamma": "0x1.999999999999ap-4",
-        "nodes": "04b25cecafdfba3f",
-        "noise_only": "1b94bb6a330c9159",
     },
     "local-unequal-b1": {
         "final_x": "96555fb3b753e524",
@@ -302,17 +182,6 @@ GOLDEN: dict[str, dict] = {
         "accuracy": "ab47896a063e15cb",
         "gamma": "0x1.999999999999ap-4",
         "nodes": "e573b26a492d031b",
-        "noise_only": "1b94bb6a330c9159",
-    },
-    "rw-unequal-b1-cap": {
-        "final_x": "9a20f5a98b217a49",
-        "ts": "bb3377b43dc0792f",
-        "objective": "524ff755ba0a11bd",
-        "sq_distance": None,
-        "accuracy": "3738de19135f6920",
-        "gamma": "0x1.999999999999ap-4",
-        "nodes": "33ce958993e80e62",
-        "noise_only": "ee241de8f2082d6c",
     },
     "central-unequal-mixed-clip": {
         "final_x": "dd9d2b5644fc0529",
@@ -330,7 +199,6 @@ GOLDEN: dict[str, dict] = {
         "accuracy": None,
         "gamma": "0x1.0000000000000p-1",
         "nodes": "c85820c93bd4da07",
-        "noise_only": "01064fb25c62c76b",
     },
     "local-averaging": {
         "final_x": "391b09101e375048",
@@ -348,16 +216,6 @@ GOLDEN: dict[str, dict] = {
         "accuracy": None,
         "gamma": "0x1.999999999999ap-3",
     },
-    "rw-blended-geometric": {
-        "final_x": "32ea77e2e6cf3d79",
-        "ts": "e8d4fe6538edc03a",
-        "objective": "8e0e6d37aacf18d1",
-        "sq_distance": "eb2c7f8407d2e330",
-        "accuracy": None,
-        "gamma": "0x1.3333333333333p-2",
-        "nodes": "ae36924c16356584",
-        "noise_only": "1302192588115ae5",
-    },
 }
 
 
@@ -368,19 +226,14 @@ def test_run_is_bitwise_golden(case):
 
 def test_golden_fixtures_exercise_their_branches():
     """The singleton node takes whole-block steps between single-sample steps;
-    the mixed-clip threshold clips some node gradients at x0 and not others;
-    the capped run has both noise-only steps and gradient steps after burn-in."""
+    the mixed-clip threshold clips some node gradients at x0 and not others."""
     rec = _run("rw-singleton-b1")
     visits = rec.trajectory.nodes[:-1]
     assert 0 < np.count_nonzero(visits == 2) < visits.size
 
-    _, obj = _unequal_blocks()
+    obj = _unequal_blocks()
     norms = [np.linalg.norm(obj.gradient(v, np.zeros(obj.dim), None)) for v in range(7)]
     assert min(norms) < MIXED_CLIP < max(norms)
-
-    rec = _run("rw-unequal-b1-cap")
-    skipped = rec.trajectory.noise_only[25:-1]
-    assert 0 < np.count_nonzero(skipped) < skipped.size
 
 
 def _walk(case: str):
@@ -390,8 +243,7 @@ def _walk(case: str):
     if case == "complete-spawned-seed":
         g = graphs.generate(graphs.GraphSpec(family="complete", n=64))
         seed = np.random.SeedSequence(5).spawn(3)[0]
-        return simulate(transition.hamilton_weighting(g), 0, 20_000, seed, burn_in=100,
-                        contribution_cap=300)
+        return simulate(transition.hamilton_weighting(g), 0, 20_000, seed)
     if case == "nonsymmetric-zero-last-column":
         w = np.random.default_rng(1).random((12, 12))
         w[:, -1] = 0.0
@@ -402,17 +254,16 @@ def _walk(case: str):
     raise AssertionError(case)
 
 
-WALK_GOLDEN: dict[str, tuple[str, str]] = {
-    "er-hamilton": ("dcf54704b98542c1", "ccd78c2346312d23"),
-    "complete-spawned-seed": ("5b22a53d6f549ca8", "6753673f21a0a5df"),
-    "nonsymmetric-zero-last-column": ("15da45ca9f46e3d8", "ccd78c2346312d23"),
+WALK_GOLDEN: dict[str, str] = {
+    "er-hamilton": "dcf54704b98542c1",
+    "complete-spawned-seed": "5b22a53d6f549ca8",
+    "nonsymmetric-zero-last-column": "15da45ca9f46e3d8",
 }
 
 
 @pytest.mark.parametrize("case", sorted(WALK_GOLDEN))
 def test_walk_is_bitwise_golden(case):
-    traj = _walk(case)
-    assert (_digest(traj.nodes), _digest(traj.noise_only)) == WALK_GOLDEN[case]
+    assert _digest(_walk(case).nodes) == WALK_GOLDEN[case]
 
 
 CLI_FIG2_GOLDEN = {

@@ -1,4 +1,4 @@
-"""Token walk simulation: determinism, support, contribution caps, memory."""
+"""Token walk simulation: determinism, support, memory."""
 
 from __future__ import annotations
 
@@ -115,68 +115,12 @@ def test_simulate_validation(lazy_ring):
         simulate(tm, 4, 10, 0)
     with pytest.raises(TokenwalkError, match="steps"):
         simulate(tm, 0, -1, 0)
-    with pytest.raises(TokenwalkError, match="burn_in"):
-        simulate(tm, 0, 10, 0, burn_in=11)
-    with pytest.raises(TokenwalkError, match="burn_in"):
-        simulate(tm, 0, 10, 0, burn_in=-1)
-    with pytest.raises(TokenwalkError, match="contribution_cap"):
-        simulate(tm, 0, 10, 0, contribution_cap=-1)
 
 
 def test_simulate_requires_row_stochastic():
     tm = from_array(np.array([[0.5, 0.4], [0.5, 0.5]]))
     with pytest.raises(TokenwalkError, match="row-stochastic"):
         simulate(tm, 0, 10, 0)
-
-
-# --------------------------------------------------------------------------- #
-# Contribution caps
-# --------------------------------------------------------------------------- #
-
-
-def test_cap_zero_flags_every_update_step(lazy_ring):
-    traj = simulate(lazy_ring(4), 0, 40, 13, contribution_cap=0, burn_in=5)
-    assert traj.noise_only is not None
-    assert np.all(traj.noise_only[5:40])
-    assert not np.any(traj.noise_only[:5])  # burn-in carries no updates
-    assert not traj.noise_only[40]  # the final node never updates
-
-
-def test_cap_flags_match_manual_recount(lazy_ring):
-    cap = 2
-    traj = simulate(lazy_ring(4), 0, 200, 17, contribution_cap=cap, burn_in=10)
-    counts = np.zeros(4, dtype=int)
-    for t in range(10, 200):
-        node = traj.nodes[t]
-        counts[node] += 1
-        assert traj.noise_only[t] == (counts[node] > cap)
-    # uncapped runs leave the mask all-False
-    free = simulate(lazy_ring(4), 0, 200, 17)
-    assert not np.any(free.noise_only)
-
-
-@pytest.mark.parametrize("burn_in", [0, 777])
-def test_cap_flags_match_per_step_loop_on_long_walk(burn_in):
-    g = graphs.generate(graphs.GraphSpec(family="erdos_renyi", n=64, q=0.1, seed=4))
-    tm, steps = hamilton_weighting(g), 200_000
-    for cap in (0, 1, 2900, 10**6):  # ~3125 visits per node: 2900 caps some, not all
-        traj = simulate(tm, 5, steps, 21, contribution_cap=cap, burn_in=burn_in)
-        expected = np.zeros(steps + 1, dtype=bool)
-        counts = [0] * 64
-        path = traj.nodes.tolist()
-        for t in range(burn_in, steps):
-            counts[path[t]] += 1
-            if counts[path[t]] > cap:
-                expected[t] = True
-        assert traj.noise_only.tobytes() == expected.tobytes()
-        if cap == 2900:
-            assert 0 < np.count_nonzero(expected) < steps - burn_in
-
-
-def test_cap_does_not_change_the_path(lazy_ring):
-    a = simulate(lazy_ring(4), 0, 100, 3)
-    b = simulate(lazy_ring(4), 0, 100, 3, contribution_cap=1)
-    assert np.array_equal(a.nodes, b.nodes)
 
 
 # --------------------------------------------------------------------------- #
