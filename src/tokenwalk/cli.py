@@ -5,6 +5,12 @@ Five subcommands cover the pipeline: ``graph`` (generate/export topologies),
 experiment runs), ``calibrate`` (noise search for a DP target), and
 ``report`` (merge distance series into one long-format CSV).
 
+Each flag is declared once, in :data:`_FLAGS`, which drives the parser, the
+``--config`` keys and the defaults.  A config file is a JSON object with
+``"schema_version": 1`` and flag names (``_`` for ``-``) as keys, each value
+typed and checked like its flag.  Command line > config file > default, and a
+required flag may come from the config file.
+
 Every command writes a ``manifest.json`` with the resolved config hash, tool
 version, output checksums, wall clock, and seeds, so identical configs can be
 verified to reproduce identical artifacts.
@@ -48,15 +54,6 @@ _EXIT_ACCOUNTANT = 3
 _EXIT_DATA = 4
 _EXIT_CALIBRATION = 5
 
-# Values of flags given neither on the command line nor in a config file,
-# per subcommand; every other flag defaults to None.
-_DEFAULTS: dict[str, dict[str, object]] = {
-    "privacy": {"alpha": 2.0, "sigma2": 16.0, "method": "closed", "delta": 1e-6, "seeds": "0"},
-    "sgd": {"synthetic": False, "seeds": "0"},
-    "calibrate": {"method": "closed", "delta": 1e-6, "statistic": "mean_pairs"},
-    "report": {"inputs": ()},
-}
-
 _STATISTICS = ("mean_pairs", "max_pairs", "mean_at_distance")
 
 _FAMILY_ALIASES = {"erdos-renyi": "erdos_renyi", "edge-list": "edge_list", "exponential": "hypercube"}
@@ -74,6 +71,8 @@ def _parse_seeds(text: str) -> list[int]:
         raise ConfigError(f"invalid seed list {text!r} (expected comma-separated ints)") from None
     if not seeds:
         raise ConfigError(f"empty seed list {text!r}")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"duplicate seed in {text!r}")
     return seeds
 
 
@@ -97,14 +96,14 @@ def _graph_spec_from_args(args: argparse.Namespace, seed: int | None) -> graphs.
     return graphs.GraphSpec(
         family=family,
         n=args.n,
-        rows=getattr(args, "rows", None),
-        cols=getattr(args, "cols", None),
-        dim=getattr(args, "dim", None),
-        q=getattr(args, "q", None),
-        radius=getattr(args, "radius", None),
+        rows=args.rows,
+        cols=args.cols,
+        dim=args.dim,
+        q=args.q,
+        radius=args.radius,
         cluster_sizes=cluster_sizes,
         prob_matrix=prob_matrix,
-        path=getattr(args, "edge_file", None),
+        path=args.edge_file,
         seed=seed,
     )
 
@@ -136,32 +135,56 @@ def _read_json_object(path: Path, what: str) -> dict:
     return obj
 
 
-def _resolve_flags(args: argparse.Namespace, keys: set[str]) -> None:
-    """Overlay a JSON config stanza, then fill every flag still unset.
+def _config_value(value, options: dict, where: str):
+    """Config `value` read as the command line reads the flag with argparse `options`."""
+    if options.get("action") == "store_true":
+        expected, ok = "true or false", isinstance(value, bool)
+    elif "nargs" in options:
+        expected, ok = "a list of strings", isinstance(value, list) and all(isinstance(v, str) for v in value)
+    elif "type" in options:
+        expected, ok = "a number", isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        expected, ok = "a string", isinstance(value, str)
+    if not ok:
+        raise ConfigError(f"{where} must be {expected}, got {value!r}")
+    if "type" in options:
+        try:  # the number's string form, as on the command line: 6.5 is no int
+            value = options["type"](str(value))
+        except ValueError:
+            raise ConfigError(f"{where}: invalid {options['type'].__name__} value {value!r}") from None
+    if "choices" in options and value not in options["choices"]:
+        raise ConfigError(f"{where}: invalid choice {value!r} (choose from {', '.join(options['choices'])})")
+    return value
+
+
+def _resolve_flags(args: argparse.Namespace) -> None:
+    """Overlay the ``--config`` stanza, then fill every flag still unset.
 
     Flags are parsed with ``default=argparse.SUPPRESS``, so the namespace
     holds exactly the flags given on the command line: those win over the
-    config file, which wins over :data:`_DEFAULTS` (``None`` when not listed).
-    Unknown config keys fail.
+    config file, which wins over the default declared in :data:`_FLAGS`.
     """
-    if getattr(args, "config", None):
+    flags = _FLAGS[args.command]
+    stanza = {}
+    if "config" in args:
         path = Path(args.config)
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         stanza = _read_json_object(path, "config")
         version = stanza.pop("schema_version", None)
         if version != SCHEMA_VERSION:
             raise ConfigError(f"{path}: schema_version must be {SCHEMA_VERSION}, got {version!r}")
-        unknown = set(stanza) - keys
+        options = {key: opts for key, _, _, _, opts in flags}
+        unknown = set(stanza) - set(options)
         if unknown:
             raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-        for key, value in stanza.items():
-            if not hasattr(args, key):
-                setattr(args, key, value)
-    defaults = _DEFAULTS.get(args.command, {})
-    for key in keys:
-        if not hasattr(args, key):
-            setattr(args, key, defaults.get(key))
+        stanza = {key: _config_value(value, options[key], f"{path}: {key}") for key, value in stanza.items()}
+    for key, name, default, required, _ in flags:
+        if key in args:
+            continue
+        if key not in stanza and required:
+            raise ConfigError(f"{name} is required (on the command line or in --config)")
+        setattr(args, key, stanza.get(key, default))
 
 
 class _Manifest:
@@ -213,8 +236,6 @@ def _public_config(args: argparse.Namespace) -> dict:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    _resolve_flags(args, {"family", "n", "rows", "cols", "dim", "q", "radius",
-                          "cluster_sizes", "prob_matrix", "edge_file", "seed", "out"})
     out = _out_dir(args)
     manifest = _Manifest(out, "graph", _public_config(args), [args.seed] if args.seed is not None else [])
     g = graphs.generate(_graph_spec_from_args(args, args.seed))
@@ -239,13 +260,12 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_privacy(args: argparse.Namespace) -> int:
-    _resolve_flags(args, {"family", "n", "rows", "cols", "dim", "q", "radius",
-                          "cluster_sizes", "prob_matrix", "edge_file", "kappa",
-                          "alpha", "sigma2", "steps", "method", "delta", "seeds", "out"})
     out = _out_dir(args)
     seeds = _parse_seeds(args.seeds)
     manifest = _Manifest(out, "privacy", _public_config(args), seeds)
     p = accountant.PrivacyParams(alpha=args.alpha, sigma2=args.sigma2, steps=args.steps)
+    accountant.DpPoint(epsilon=0.0, delta=args.delta)  # rejects delta outside (0, 1) before any graph
+    tail = float(np.log(1.0 / args.delta) / (args.alpha - 1.0))
 
     per_seed_series: list[list[accountant.DistanceBucket]] = []
     for seed in seeds:
@@ -269,7 +289,6 @@ def cmd_privacy(args: argparse.Namespace) -> int:
             merged.setdefault(b.distance, []).append(b)
     averaged = []
     converted = []
-    tail = float(np.log(1.0 / args.delta) / (args.alpha - 1.0))
     for d in sorted(merged):
         means = np.array([b.mean for b in merged[d]])
         counts = sum(b.count for b in merged[d])
@@ -320,10 +339,12 @@ def _summary_row(rec: tokenwalk.optim.RunRecord) -> dict:
     return row
 
 
+def _preset(value, default):
+    """A flag's value, or the preset's `default` when the flag is unset (0 is a value)."""
+    return default if value is None else value
+
+
 def cmd_sgd(args: argparse.Namespace) -> int:
-    _resolve_flags(args, {"preset", "n", "epochs", "steps", "gamma", "sigma",
-                          "clip", "target_eps", "delta", "seeds", "synthetic",
-                          "per_user", "out"})
     # Only sgd samples data and runs descent loops; the other commands never load them.
     from . import datasets, optim
 
@@ -333,16 +354,16 @@ def cmd_sgd(args: argparse.Namespace) -> int:
     summary: dict = {"preset": args.preset, "runs": []}
 
     if args.preset == "averaging":
-        n = args.n or 32
-        steps = args.steps or (args.epochs or 1563) * n
+        n = _preset(args.n, 32)
+        steps = _preset(args.steps, _preset(args.epochs, 1563) * n)
         g = graphs.generate(graphs.GraphSpec(family="ring", n=n))
         tm = transition.with_self_loops(g, 1.0 / 3.0)
         for seed in seeds:
             values = np.random.default_rng(np.random.SeedSequence(seed)).normal(size=n)
             obj = optim.AveragingObjective(values)
             cfg = optim.SgdConfig(
-                steps=steps, gamma=args.gamma, sigma=args.sigma or 0.0,
-                clip_threshold=args.clip or 1e9, seed=seed, x0=100.0,
+                steps=steps, gamma=args.gamma, sigma=_preset(args.sigma, 0.0),
+                clip_threshold=_preset(args.clip, 1e9), seed=seed, x0=100.0,
             )
             rec = optim.run_rw_dpsgd(tm, obj, cfg)
             optim.save_run_csv(rec, manifest.add(out / f"averaging_seed{seed}.csv"))
@@ -353,16 +374,16 @@ def cmd_sgd(args: argparse.Namespace) -> int:
             summary["runs"].append(row)
 
     elif args.preset == "heterogeneity":
-        n = args.n or 200
+        n = _preset(args.n, 200)
         g = graphs.generate(graphs.GraphSpec(family="geometric", n=n, seed=seeds[0]))
         tm = transition.blend_self_loops(transition.hamilton_weighting(g), 0.1)
-        steps = args.steps or (args.epochs or 50) * n
+        steps = _preset(args.steps, _preset(args.epochs, 50) * n)
         for shuffled in (False, True):
             ds = datasets.synth_heterogeneous_geometric(g, seed=seeds[0], shuffled=shuffled)
             obj = optim.LogisticObjective(ds)
             cfg = optim.SgdConfig(
-                steps=steps, gamma=args.gamma or 1.0, sigma=args.sigma or 0.0,
-                clip_threshold=args.clip or 1.0, seed=seeds[0],
+                steps=steps, gamma=_preset(args.gamma, 1.0), sigma=_preset(args.sigma, 0.0),
+                clip_threshold=_preset(args.clip, 1.0), seed=seeds[0],
             )
             rec = optim.run_rw_dpsgd(tm, obj, cfg)
             tag = "shuffled" if shuffled else "spatial"
@@ -372,28 +393,27 @@ def cmd_sgd(args: argparse.Namespace) -> int:
             row["shuffled"] = shuffled
             summary["runs"].append(row)
 
-    elif args.preset in ("fig2", "table1-rw"):
-        n = args.n or 2048
-        epochs = args.epochs or 256
-        steps = args.steps or epochs * n
-        delta = args.delta or 1e-6
+    else:  # fig2 or table1-rw
+        n = _preset(args.n, 2048)
+        steps = _preset(args.steps, _preset(args.epochs, 256) * n)
+        delta = _preset(args.delta, 1e-6)
         if args.synthetic:
-            ds = datasets.synth_linear(n, args.per_user or 8, d=8, margin=0.3, seed=seeds[0])
+            ds = datasets.synth_linear(n, _preset(args.per_user, 8), d=8, margin=0.3, seed=seeds[0])
         else:
             ds = _load_houses_or_die(n, seed=seeds[0])
         obj = optim.LogisticObjective(ds)
         # No graph stays alive beside the chain: calibration's eigh sets the peak.
         tm = transition.hamilton_weighting(graphs.generate(graphs.GraphSpec(family="complete", n=n)))
         template = accountant.PrivacyParams(alpha=2.0, sigma2=16.0, steps=steps)
-        targets = [args.target_eps or 1.0] if args.preset == "fig2" else [0.5, 1.0, 2.0]
+        targets = [_preset(args.target_eps, 1.0)] if args.preset == "fig2" else [0.5, 1.0, 2.0]
         for eps_target in targets:
             target = accountant.DpPoint(epsilon=eps_target, delta=delta)
             cal_rw = accountant.calibrate_sigma(tm, template, target, method="exact")
             cal_local = accountant.calibrate_sigma_local(template, target, n)
             for seed in seeds:
                 base_cfg = dict(
-                    steps=steps, gamma=args.gamma or 0.1,
-                    clip_threshold=args.clip or 1.0, seed=seed,
+                    steps=steps, gamma=_preset(args.gamma, 0.1),
+                    clip_threshold=_preset(args.clip, 1.0), seed=seed,
                 )
                 runs = [optim.run_rw_dpsgd(tm, obj, optim.SgdConfig(
                     sigma=float(np.sqrt(cal_rw.sigma2)), **base_cfg))]
@@ -411,8 +431,6 @@ def cmd_sgd(args: argparse.Namespace) -> int:
                     row.update(seed=seed, target_eps=eps_target,
                                sigma2_rw=cal_rw.sigma2, sigma2_local=cal_local.sigma2)
                     summary["runs"].append(row)
-    else:
-        raise ConfigError(f"unknown preset {args.preset!r}")
 
     dump_json(manifest.add(out / "summary.json"), summary)
     manifest.write()
@@ -420,10 +438,6 @@ def cmd_sgd(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    _resolve_flags(args, {"family", "n", "rows", "cols", "dim", "q", "radius",
-                          "cluster_sizes", "prob_matrix", "edge_file", "kappa",
-                          "target_eps", "delta", "statistic", "distance",
-                          "steps", "method", "seed", "out"})
     out = _out_dir(args)
     manifest = _Manifest(out, "calibrate", _public_config(args),
                          [args.seed] if args.seed is not None else [])
@@ -465,7 +479,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    _resolve_flags(args, {"inputs", "out"})
     if not args.inputs:
         raise ConfigError("report needs at least one input distance-series CSV")
     out = _out_dir(args)
@@ -505,18 +518,42 @@ def cmd_report(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------- #
 
 
-def _add_graph_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--family", required=True,
-                    help="complete|ring|star|grid2d|hypercube|erdos-renyi|geometric|sbm|edge-list|exponential")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--rows", type=int)
-    sp.add_argument("--cols", type=int)
-    sp.add_argument("--dim", type=int)
-    sp.add_argument("--q", type=float)
-    sp.add_argument("--radius", type=float)
-    sp.add_argument("--cluster-sizes", dest="cluster_sizes")
-    sp.add_argument("--prob-matrix", dest="prob_matrix")
-    sp.add_argument("--edge-file", dest="edge_file")
+def _flag(name: str, default=None, *, required: bool = False, **options) -> tuple:
+    """A row of :data:`_FLAGS`: config key, flag, default, required, argparse options."""
+    return name.lstrip("-").replace("-", "_"), name, default, required, options
+
+
+_GRAPH_FLAGS = (
+    _flag("--family", required=True,
+          help="complete|ring|star|grid2d|hypercube|erdos-renyi|geometric|sbm|edge-list|exponential"),
+    *(_flag(name, type=int) for name in ("--n", "--rows", "--cols", "--dim")),
+    *(_flag(name, type=float) for name in ("--q", "--radius")),
+    *(_flag(name) for name in ("--cluster-sizes", "--prob-matrix", "--edge-file")),
+)
+_KAPPA = _flag("--kappa", help="self-loop mass to blend in, or 'auto' for 1/T^2")
+_STEPS = _flag("--steps", required=True, type=int)
+_METHOD = _flag("--method", "closed", choices=["exact", "closed"])
+_DELTA = _flag("--delta", 1e-6, type=float)
+_OUT = _flag("--out", required=True)
+
+# Every flag of every subcommand.  sgd's numeric flags default to None: each
+# preset fills its own defaults, which stay out of the hashed config.
+_FLAGS: dict[str, tuple] = {
+    "graph": (*_GRAPH_FLAGS, _flag("--seed", type=int), _OUT),
+    "privacy": (*_GRAPH_FLAGS, _KAPPA, _flag("--alpha", 2.0, type=float), _flag("--sigma2", 16.0, type=float),
+                _STEPS, _METHOD, _DELTA, _flag("--seeds", "0"), _OUT),
+    "sgd": (
+        _flag("--preset", required=True, choices=["fig2", "table1-rw", "heterogeneity", "averaging"]),
+        *(_flag(name, type=int) for name in ("--n", "--epochs", "--steps", "--per-user")),
+        *(_flag(name, type=float) for name in ("--gamma", "--sigma", "--clip", "--target-eps", "--delta")),
+        _flag("--synthetic", False, action="store_true", help="use the synthetic linear dataset instead of Houses"),
+        _flag("--seeds", "0"), _OUT,
+    ),
+    "calibrate": (*_GRAPH_FLAGS, _KAPPA, _flag("--target-eps", required=True, type=float), _DELTA,
+                  _flag("--statistic", "mean_pairs", help="|".join(_STATISTICS)), _flag("--distance", type=int),
+                  _STEPS, _METHOD, _flag("--seed", type=int), _OUT),
+    "report": (_flag("inputs", (), nargs="*", metavar="CSV[=label]"), _OUT),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -530,66 +567,20 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         parser_class=functools.partial(argparse.ArgumentParser, argument_default=argparse.SUPPRESS),
     )
-
-    sp = sub.add_parser("graph", help="generate a graph and export edge list + stats")
-    _add_graph_flags(sp)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--config")
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_graph)
-
-    sp = sub.add_parser("privacy", help="pairwise loss matrices and distance series")
-    _add_graph_flags(sp)
-    sp.add_argument("--kappa", help="self-loop mass to blend in, or 'auto' for 1/T^2")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--sigma2", type=float)
-    sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--method", choices=["exact", "closed"])
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--seeds")
-    sp.add_argument("--config")
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_privacy)
-
-    sp = sub.add_parser("sgd", help="run a preset experiment")
-    sp.add_argument("--preset", required=True,
-                    choices=["fig2", "table1-rw", "heterogeneity", "averaging"])
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--gamma", type=float)
-    sp.add_argument("--sigma", type=float)
-    sp.add_argument("--clip", type=float)
-    sp.add_argument("--target-eps", dest="target_eps", type=float)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--per-user", dest="per_user", type=int)
-    sp.add_argument("--synthetic", action="store_true",
-                    help="use the synthetic linear dataset instead of Houses")
-    sp.add_argument("--seeds")
-    sp.add_argument("--config")
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_sgd)
-
-    sp = sub.add_parser("calibrate", help="search sigma2 for a DP target")
-    _add_graph_flags(sp)
-    sp.add_argument("--kappa")
-    sp.add_argument("--target-eps", dest="target_eps", type=float, required=True)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--statistic", help="|".join(_STATISTICS))
-    sp.add_argument("--distance", type=int)
-    sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--method", choices=["exact", "closed"])
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--config")
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_calibrate)
-
-    sp = sub.add_parser("report", help="merge distance series into a long-format CSV")
-    sp.add_argument("inputs", nargs="*", metavar="CSV[=label]")
-    sp.add_argument("--config")
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_report)
-
+    for command, func, help_text in (
+        ("graph", cmd_graph, "generate a graph and export edge list + stats"),
+        ("privacy", cmd_privacy, "pairwise loss matrices and distance series"),
+        ("sgd", cmd_sgd, "run a preset experiment"),
+        ("calibrate", cmd_calibrate, "search sigma2 for a DP target"),
+        ("report", cmd_report, "merge distance series into a long-format CSV"),
+    ):
+        sp = sub.add_parser(command, help=help_text)
+        for _, name, _, required, options in _FLAGS[command]:
+            if required:  # not argparse's `required`: the config file may give it
+                options = {**options, "help": f"{options.get('help', '')} (required, here or in --config)".lstrip()}
+            sp.add_argument(name, **options)
+        sp.add_argument("--config", help="JSON file of flag values (schema_version 1)")
+        sp.set_defaults(func=func)
     return parser
 
 
@@ -597,6 +588,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _resolve_flags(args)
         return args.func(args)
     except CalibrationError as exc:
         print(f"calibration infeasible: {exc}", file=sys.stderr)

@@ -149,6 +149,33 @@ def test_identical_configs_hash_identically(tmp_path):
     assert _read_json(a / "manifest.json")["config_hash"] == ha  # ...else stable
 
 
+# config_hash of each benchmark workload's command line (perfbench/run.py, seed
+# 0, `--out o`) and of one config-file run: a manifest promises that an
+# unchanged config keeps its hash, whatever the parser's internals.
+PINNED_CONFIG_HASHES = {
+    "privacy-er": ("privacy --family erdos-renyi --n 320 --q 0.06 --steps 65536 --method exact --seeds 0",
+                   "9cf7b9b4c82ab7625e48d4ab9d213e05ade936b20eedc84ae6a8367050092357"),
+    "privacy-ring-lazy": ("privacy --family ring --n 256 --kappa auto --steps 50000 --method exact --seeds 0",
+                          "16c3f8bae8612d30d5cc0ca27206b9a66bb613f9956203340ce63a5080a06cb1"),
+    "calibrate-complete": ("calibrate --family complete --n 512 --steps 65536 --target-eps 0.95 --method exact --seed 0",
+                           "4c6ccb5a178214e11e8b7a62a0cf5f1534e53d8f40bd6aa67102f025bc897a5c"),
+    "sgd-fig2": ("sgd --preset fig2 --synthetic --n 256 --epochs 32 --seeds 0",
+                 "872179f4af31ff9371c8ba3b1985154aedc9bb3d4eed47543a616621a2de0bb2"),
+    "privacy-config": ("privacy --family ring --steps 64 --config cfg.json",
+                       "2839ddb1c65dca17b9f2fedb47a66369ee77cfcc95f1ae5f50cc400e04513604"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CONFIG_HASHES)
+def test_config_hash_is_pinned(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"schema_version": 1, "n": 12, "alpha": 3.0, "kappa": "0.25", "seeds": "1,2", "method": "exact"}))
+    line, digest = PINNED_CONFIG_HASHES[name]
+    assert main([*line.split(), "--out", "o"]) == 0
+    assert _read_json(tmp_path / "o" / "manifest.json")["config_hash"] == digest
+
+
 def test_graph_seeded_random_family(tmp_path):
     out = tmp_path / "er"
     rc = main(
@@ -225,6 +252,107 @@ def test_config_missing_file(tmp_path, capsys):
     )
     assert rc == 2
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", ["", "."])
+def test_config_directory_is_not_found(tmp_path, capsys, monkeypatch, config):
+    monkeypatch.chdir(tmp_path)
+    assert main(["graph", "--family", "ring", "--n", "6", "--config", config, "--out", "o"]) == 2
+    assert "config file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["privacy", "--family", "ring", "--n", "6", "--steps", "20"], "alpha", "2"),
+    (["graph", "--family", "ring"], "n", 6.5),
+    (["sgd", "--preset", "fig2", "--n", "8", "--epochs", "1"], "synthetic", "no"),
+    (["privacy", "--family", "ring", "--n", "6", "--steps", "20"], "method", "bogus"),
+    (["privacy", "--family", "ring", "--n", "6", "--steps", "20"], "seeds", 3),
+    (["graph", "--family", "sbm", "--prob-matrix", "0.9,0.1;0.1,0.9", "--seed", "1"], "cluster_sizes", [3, 3]),
+    (["report"], "inputs", "a.csv"),
+    (["calibrate", "--family", "ring", "--n", "6", "--steps", "20"], "target_eps", True),
+])
+def test_bad_config_value_exits_2_naming_file_and_key(tmp_path, capsys, argv, key, value):
+    # Each value is one the command line could not give its flag.
+    cfg = _config(tmp_path, {"schema_version": 1, key: value})
+    out = tmp_path / "o"
+    assert main([*argv, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}: {key}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, payload, output", [
+    (["graph"], {"family": "ring", "n": 6}, "stats.json"),
+    (["privacy"], {"family": "ring", "n": 6, "steps": 20}, "distance_dp.csv"),
+    (["sgd"], {"preset": "fig2", "synthetic": True, "n": 8, "epochs": 1, "target_eps": 2.0}, "summary.json"),
+    (["calibrate", "--family", "complete", "--n", "8"], {"steps": 80, "target_eps": 2}, "calibration.json"),
+    (["report", "s.csv"], {}, "report.csv"),
+])
+def test_required_flags_may_come_from_config(tmp_path, monkeypatch, argv, payload, output):
+    monkeypatch.chdir(tmp_path)
+    _series(tmp_path, "s.csv", [(1, 0.5, 0.0, 4)])
+    assert main([*argv, "--config", _config(tmp_path, {"schema_version": 1, "out": "o", **payload})]) == 0
+    assert (tmp_path / "o" / output).exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["privacy", "--family", "ring", "--n", "6", "--out", "o"], "--steps"),
+    (["calibrate", "--family", "ring", "--n", "6", "--steps", "20", "--out", "o"], "--target-eps"),
+    (["sgd", "--out", "o"], "--preset"),
+    (["graph", "--family", "ring", "--n", "6"], "--out"),
+])
+def test_required_flag_given_nowhere_exits_2_naming_it(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    cfg = _config(tmp_path, {"schema_version": 1})
+    assert main([*argv, "--config", cfg]) == 2
+    assert f"config error: {flag} is required" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+def test_config_number_hashes_like_the_flag(tmp_path):
+    # A JSON 2 for a float flag is the float 2.0 that `--alpha 2` gives.
+    out = str(tmp_path / "o")
+    argv = ["privacy", "--family", "ring", "--n", "6", "--steps", "20", "--out", out]
+    assert main([*argv, "--alpha", "2"]) == 0
+    from_flag = _read_json(tmp_path / "o" / "manifest.json")["config_hash"]
+    assert main([*argv, "--config", _config(tmp_path, {"schema_version": 1, "alpha": 2})]) == 0
+    assert _read_json(tmp_path / "o" / "manifest.json")["config_hash"] == from_flag
+
+
+def _flag_and_config(name, options):
+    """Command-line tokens and a JSON config value that give flag `name` the same value."""
+    if options.get("action") == "store_true":
+        return [name], True
+    if "nargs" in options:  # report's positional CSVs
+        return ["a.csv"], ["a.csv"]
+    if "choices" in options:
+        return [name, options["choices"][0]], options["choices"][0]
+    if "type" in options:
+        return [name, "3"], 3  # a JSON int, also for float flags
+    return [name, "ring"], "ring"
+
+
+_REQUIRED_ARGV = {"family": ["--family", "ring"], "steps": ["--steps", "3"], "target_eps": ["--target-eps", "3"],
+                  "preset": ["--preset", "fig2"], "out": ["--out", "o"]}
+
+
+@pytest.mark.parametrize("command, key", [(command, row[0]) for command, flags in cli._FLAGS.items() for row in flags])
+def test_flag_and_config_value_resolve_alike(tmp_path, command, key):
+    _, name, _, _, options = next(row for row in cli._FLAGS[command] if row[0] == key)
+    tokens, value = _flag_and_config(name, options)
+    others = [t for k, _, _, required, _ in cli._FLAGS[command] if required and k != key for t in _REQUIRED_ARGV[k]]
+    cfg = _config(tmp_path, {"schema_version": 1, key: value})
+    resolved = []
+    for argv in ([command, *others, *tokens], [command, *others, "--config", cfg]):
+        args = cli.build_parser().parse_args(argv)
+        cli._resolve_flags(args)
+        vars(args).pop("config", None)
+        out = tmp_path / str(len(resolved))
+        out.mkdir()
+        cli._Manifest(out, command, cli._public_config(args), []).write()
+        typed = {k: (type(v), v) for k, v in vars(args).items()}
+        resolved.append((typed, _read_json(out / "manifest.json")["config_hash"]))
+    assert resolved[0] == resolved[1]
 
 
 # --------------------------------------------------------------------------- #
@@ -311,15 +439,40 @@ def test_privacy_bad_seed_list(tmp_path, capsys):
     assert "seed list" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
+_SEEDED_ARGV = [
     ["privacy", "--family", "ring", "--n", "6", "--steps", "60"],
     ["sgd", "--preset", "fig2", "--synthetic", "--n", "6", "--epochs", "2"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", _SEEDED_ARGV)
 def test_empty_seed_list_rejected(tmp_path, capsys, argv):
     out = tmp_path / "o"
     assert main([*argv, "--seeds", ",", "--out", str(out)]) == 2
     assert "empty seed list" in capsys.readouterr().err
     assert list(out.iterdir()) == []  # no header-only series
+
+
+@pytest.mark.parametrize("argv", _SEEDED_ARGV)
+def test_duplicate_seed_rejected(tmp_path, capsys, argv):
+    # A repeated seed would be accounted twice and overwrite its own files.
+    out = tmp_path / "o"
+    assert main([*argv, "--seeds", "0,1,0", "--out", str(out)]) == 2
+    assert "duplicate seed in '0,1,0'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("delta", ["0", "2", "-1"])
+def test_privacy_rejects_delta_outside_unit_interval_before_the_graph(tmp_path, capsys, monkeypatch, delta):
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph generated for an invalid delta")
+
+    monkeypatch.setattr(graphs, "generate", refuse)
+    out = tmp_path / "o"
+    argv = ["privacy", "--family", "ring", "--n", "6", "--steps", "60", "--delta", delta, "--out", str(out)]
+    assert main(argv) == 3
+    assert "accounting error: delta must be in (0, 1)" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("sizes, probs, bad_flag", [
@@ -514,6 +667,30 @@ def test_sgd_fig2_synthetic(tmp_path):
     # calibrated noise recorded for reproduction
     assert all(r["sigma2_rw"] > 0 and r["sigma2_local"] > 0 for r in summary["runs"])
     assert (out / "rw_dpsgd_eps1.0_seed0.csv").exists()
+
+
+# Exit code and message of fig2 with one flag set to 0, which the preset's
+# default must not replace.
+_ZERO_FLAG_OUTCOMES = {
+    "--gamma": (0, ""),
+    "--n": (4, "data error: n_users, per_user, d must all be positive"),
+    "--delta": (3, "accounting error: delta must be in (0, 1), got 0.0"),
+    "--clip": (2, "config error: clip_threshold must be positive, got 0.0"),
+    "--target-eps": (5, "calibration infeasible: target epsilon 0.0 is below the conversion floor"),
+    "--epochs": (5, "calibration infeasible: degenerate statistic 0.0"),
+    "--steps": (5, "calibration infeasible: degenerate statistic 0.0"),
+}
+
+
+@pytest.mark.parametrize("flag", _ZERO_FLAG_OUTCOMES)
+def test_sgd_explicit_zero_is_not_replaced_by_the_preset_default(tmp_path, capsys, flag):
+    rc, message = _ZERO_FLAG_OUTCOMES[flag]
+    out = tmp_path / "fig2"
+    argv = ["sgd", "--preset", "fig2", "--synthetic", "--n", "8", "--epochs", "2", flag, "0", "--out", str(out)]
+    assert main(argv) == rc
+    assert message in capsys.readouterr().err
+    if rc == 0:  # gamma = 0: every run takes zero-length steps
+        assert {r["gamma"] for r in _read_json(out / "summary.json")["runs"]} == {0.0}
 
 
 def test_sgd_unknown_preset(tmp_path, capsys):
