@@ -9,7 +9,8 @@ Each flag is declared once, in :data:`_FLAGS`, which drives the parser, the
 ``--config`` keys and the defaults.  A config file is a JSON object with
 ``"schema_version": 1`` and flag names (``_`` for ``-``) as keys, each value
 typed and checked like its flag.  Command line > config file > default, and a
-required flag may come from the config file.
+required flag may come from the config file.  :data:`_PRESETS` holds the flags
+each ``sgd`` preset reads and its defaults; any other flag given there exits 2.
 
 Every command writes a ``manifest.json`` with the resolved config hash, tool
 version, output checksums, wall clock, and seeds, so identical configs can be
@@ -325,7 +326,7 @@ def _load_houses_or_die(n_users: int, seed: int) -> tokenwalk.datasets.Dataset:
     return datasets.preprocess(raw, n_users=n_users, seed=seed)
 
 
-def _summary_row(rec: tokenwalk.optim.RunRecord) -> dict:
+def _summary_row(rec: tokenwalk.optim.RunRecord, **extra) -> dict:
     row = {
         "algorithm": rec.algorithm,
         "gamma": rec.gamma,
@@ -336,12 +337,38 @@ def _summary_row(rec: tokenwalk.optim.RunRecord) -> dict:
         row["final_accuracy"] = float(rec.accuracy[-1])
     if rec.sq_distance is not None:
         row["final_sq_distance"] = float(rec.sq_distance[-1])
-    return row
+    return {**row, **extra}
 
 
-def _preset(value, default):
-    """A flag's value, or the preset's `default` when the flag is unset (0 is a value)."""
-    return default if value is None else value
+# The flags each sgd preset reads, with its defaults (None: the library's).  Only
+# fig2 of the two regression presets reads --target-eps; table1-rw runs 0.5, 1 and 2.
+_REGRESSION = {"n": 2048, "epochs": 256, "steps": None, "per_user": 8, "gamma": 0.1, "clip": 1.0,
+               "delta": 1e-6, "synthetic": False}
+_PRESETS = {
+    "fig2": {**_REGRESSION, "target_eps": 1.0},
+    "table1-rw": _REGRESSION,
+    "heterogeneity": {"n": 200, "epochs": 50, "steps": None, "gamma": 1.0, "sigma": 0.0, "clip": 1.0},
+    "averaging": {"n": 32, "epochs": 1563, "steps": None, "gamma": None, "sigma": 0.0, "clip": 1e9},
+}
+
+
+def _preset_options(args: argparse.Namespace, seeds: list[int]) -> dict:
+    """Each flag `args.preset` reads, else the preset's default; a given flag it does not read is an error."""
+    reads = dict(_PRESETS[args.preset])
+    if args.steps is not None:  # --steps replaces --epochs
+        del reads["epochs"]
+    if not args.synthetic:  # only the synthetic dataset has a per-user row count
+        reads.pop("per_user", None)
+    unread = [name for key, name, default, _, _ in _FLAGS["sgd"]
+              if key not in (*reads, "preset", "seeds", "out") and getattr(args, key) != default]
+    if unread:
+        raise ConfigError(f"--preset {args.preset} does not read {', '.join(unread)}")
+    if args.preset == "heterogeneity" and len(seeds) > 1:
+        raise ConfigError(f"--preset heterogeneity runs one seed, got --seeds {args.seeds}")
+    options = {key: default if getattr(args, key) is None else getattr(args, key) for key, default in reads.items()}
+    if options["steps"] is None:
+        options["steps"] = options.pop("epochs") * options["n"]
+    return options
 
 
 def cmd_sgd(args: argparse.Namespace) -> int:
@@ -350,71 +377,50 @@ def cmd_sgd(args: argparse.Namespace) -> int:
 
     out = _out_dir(args)
     seeds = _parse_seeds(args.seeds)
+    opts = _preset_options(args, seeds)
+    n, steps = opts["n"], opts["steps"]
+    descent = dict(steps=steps, gamma=opts["gamma"], clip_threshold=opts["clip"])
     manifest = _Manifest(out, f"sgd:{args.preset}", _public_config(args), seeds)
     summary: dict = {"preset": args.preset, "runs": []}
 
     if args.preset == "averaging":
-        n = _preset(args.n, 32)
-        steps = _preset(args.steps, _preset(args.epochs, 1563) * n)
-        g = graphs.generate(graphs.GraphSpec(family="ring", n=n))
-        tm = transition.with_self_loops(g, 1.0 / 3.0)
+        tm = transition.with_self_loops(graphs.generate(graphs.GraphSpec(family="ring", n=n)), 1.0 / 3.0)
         for seed in seeds:
             values = np.random.default_rng(np.random.SeedSequence(seed)).normal(size=n)
-            obj = optim.AveragingObjective(values)
-            cfg = optim.SgdConfig(
-                steps=steps, gamma=args.gamma, sigma=_preset(args.sigma, 0.0),
-                clip_threshold=_preset(args.clip, 1e9), seed=seed, x0=100.0,
-            )
-            rec = optim.run_rw_dpsgd(tm, obj, cfg)
+            cfg = optim.SgdConfig(sigma=opts["sigma"], seed=seed, x0=100.0, **descent)
+            rec = optim.run_rw_dpsgd(tm, optim.AveragingObjective(values), cfg)
             optim.save_run_csv(rec, manifest.add(out / f"averaging_seed{seed}.csv"))
             manifest.add(out / f"averaging_seed{seed}.csv.json")
-            row = _summary_row(rec)
-            row["seed"] = seed
-            row["var_y"] = float(np.var(values))
-            summary["runs"].append(row)
+            summary["runs"].append(_summary_row(rec, seed=seed, var_y=float(np.var(values))))
 
     elif args.preset == "heterogeneity":
-        n = _preset(args.n, 200)
         g = graphs.generate(graphs.GraphSpec(family="geometric", n=n, seed=seeds[0]))
         tm = transition.blend_self_loops(transition.hamilton_weighting(g), 0.1)
-        steps = _preset(args.steps, _preset(args.epochs, 50) * n)
+        cfg = optim.SgdConfig(sigma=opts["sigma"], seed=seeds[0], **descent)
         for shuffled in (False, True):
             ds = datasets.synth_heterogeneous_geometric(g, seed=seeds[0], shuffled=shuffled)
-            obj = optim.LogisticObjective(ds)
-            cfg = optim.SgdConfig(
-                steps=steps, gamma=_preset(args.gamma, 1.0), sigma=_preset(args.sigma, 0.0),
-                clip_threshold=_preset(args.clip, 1.0), seed=seeds[0],
-            )
-            rec = optim.run_rw_dpsgd(tm, obj, cfg)
+            rec = optim.run_rw_dpsgd(tm, optim.LogisticObjective(ds), cfg)
             tag = "shuffled" if shuffled else "spatial"
             optim.save_run_csv(rec, manifest.add(out / f"heterogeneity_{tag}.csv"))
             manifest.add(out / f"heterogeneity_{tag}.csv.json")
-            row = _summary_row(rec)
-            row["shuffled"] = shuffled
-            summary["runs"].append(row)
+            summary["runs"].append(_summary_row(rec, shuffled=shuffled))
 
     else:  # fig2 or table1-rw
-        n = _preset(args.n, 2048)
-        steps = _preset(args.steps, _preset(args.epochs, 256) * n)
-        delta = _preset(args.delta, 1e-6)
-        if args.synthetic:
-            ds = datasets.synth_linear(n, _preset(args.per_user, 8), d=8, margin=0.3, seed=seeds[0])
+        if opts["synthetic"]:
+            ds = datasets.synth_linear(n, opts["per_user"], d=8, margin=0.3, seed=seeds[0])
         else:
             ds = _load_houses_or_die(n, seed=seeds[0])
         obj = optim.LogisticObjective(ds)
         # No graph stays alive beside the chain: calibration's eigh sets the peak.
         tm = transition.hamilton_weighting(graphs.generate(graphs.GraphSpec(family="complete", n=n)))
         template = accountant.PrivacyParams(alpha=2.0, sigma2=16.0, steps=steps)
-        targets = [_preset(args.target_eps, 1.0)] if args.preset == "fig2" else [0.5, 1.0, 2.0]
+        targets = [opts["target_eps"]] if args.preset == "fig2" else [0.5, 1.0, 2.0]
         for eps_target in targets:
-            target = accountant.DpPoint(epsilon=eps_target, delta=delta)
+            target = accountant.DpPoint(epsilon=eps_target, delta=opts["delta"])
             cal_rw = accountant.calibrate_sigma(tm, template, target, method="exact")
             cal_local = accountant.calibrate_sigma_local(template, target, n)
             for seed in seeds:
-                base_cfg = dict(
-                    steps=steps, gamma=_preset(args.gamma, 0.1),
-                    clip_threshold=_preset(args.clip, 1.0), seed=seed,
-                )
+                base_cfg = dict(descent, seed=seed)
                 runs = [optim.run_rw_dpsgd(tm, obj, optim.SgdConfig(
                     sigma=float(np.sqrt(cal_rw.sigma2)), **base_cfg))]
                 if args.preset == "fig2":
@@ -427,10 +433,8 @@ def cmd_sgd(args: argparse.Namespace) -> int:
                     name = f"{rec.algorithm}_eps{eps_target}_seed{seed}.csv"
                     optim.save_run_csv(rec, manifest.add(out / name))
                     manifest.add(out / (name + ".json"))
-                    row = _summary_row(rec)
-                    row.update(seed=seed, target_eps=eps_target,
-                               sigma2_rw=cal_rw.sigma2, sigma2_local=cal_local.sigma2)
-                    summary["runs"].append(row)
+                    summary["runs"].append(_summary_row(rec, seed=seed, target_eps=eps_target,
+                                                        sigma2_rw=cal_rw.sigma2, sigma2_local=cal_local.sigma2))
 
     dump_json(manifest.add(out / "summary.json"), summary)
     manifest.write()
@@ -537,7 +541,7 @@ _DELTA = _flag("--delta", 1e-6, type=float)
 _OUT = _flag("--out", required=True)
 
 # Every flag of every subcommand.  sgd's numeric flags default to None: each
-# preset fills its own defaults, which stay out of the hashed config.
+# preset fills its own defaults (:data:`_PRESETS`), which stay out of the hashed config.
 _FLAGS: dict[str, tuple] = {
     "graph": (*_GRAPH_FLAGS, _flag("--seed", type=int), _OUT),
     "privacy": (*_GRAPH_FLAGS, _KAPPA, _flag("--alpha", 2.0, type=float), _flag("--sigma2", 16.0, type=float),

@@ -756,7 +756,8 @@ def paper_scale_chains():
     ring = with_self_loops(generate(GraphSpec(family="ring", n=1024)), 1.0 / 3.0)
     er = hamilton_weighting(generate(GraphSpec(family="erdos_renyi", n=1024, q=0.02, seed=0)))
     complete = hamilton_weighting(generate(GraphSpec(family="complete", n=1024)))
-    return {"erdos_renyi": er, "lazy_ring": ring, "complete": complete,
+    geometric = hamilton_weighting(generate(GraphSpec(family="geometric", n=1024, seed=0)))
+    return {"erdos_renyi": er, "lazy_ring": ring, "complete": complete, "geometric": geometric,
             "star": star_walk_matrix(1025, 0.25)}
 
 
@@ -785,6 +786,31 @@ def test_offdiagonal_mean_matches_full_kernel_at_paper_scale(paper_scale_chains,
     tm, steps = paper_scale_chains[chain], 262144
     got, want = _spectral_mean(tm, steps, method), _matrix_mean(tm, steps, method)
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("chain", ["erdos_renyi", "geometric"])
+def test_exact_kernel_matches_logm_oracle_at_paper_scale(paper_scale_chains, chain):
+    # Once every non-unit |lambda|^T underflows, sum_{i<=T} W^i / i is
+    # H_T J - logm(I - W + J) with J = 11^T / n.  SciPy's logm is a Schur-Pade
+    # method: an oracle on irregular chains that shares no eigh with the kernel.
+    from scipy.linalg import logm
+
+    tm, steps = paper_scale_chains[chain], 262144
+    lam = np.linalg.eigvalsh(tm.w)
+    assert lam[-1] == pytest.approx(1.0, abs=1e-12)
+    assert float(np.max(np.abs(lam[:-1]))) ** steps == 0.0
+    j = np.full((tm.n, tm.n), 1.0 / tm.n)
+    oracle = harmonic_number(steps) * j - logm(np.eye(tm.n) - tm.w + j)
+    assert float(np.max(np.abs(acc._kernel(tm, steps, "exact") - oracle) / np.abs(oracle))) <= 1e-11
+
+    want = MEAN_PAIRS.apply(oracle)
+    for got in (_spectral_mean(tm, steps, "exact"), _matrix_mean(tm, steps, "exact")):
+        assert abs(got - want) <= 1e-11 * want
+    p = P(alpha=2.0, sigma2=16.0, steps=steps)
+    off = ~np.eye(tm.n, dtype=bool)
+    eps = pairwise_matrix(tm, p, method="exact").eps[off]
+    expect = oracle[off] * (p.alpha * p.n_contributions(tm.n)) / p.sigma2
+    assert float(np.max(np.abs(eps - expect) / expect)) <= 1e-11
 
 
 @pytest.mark.parametrize(

@@ -686,11 +686,65 @@ _ZERO_FLAG_OUTCOMES = {
 def test_sgd_explicit_zero_is_not_replaced_by_the_preset_default(tmp_path, capsys, flag):
     rc, message = _ZERO_FLAG_OUTCOMES[flag]
     out = tmp_path / "fig2"
-    argv = ["sgd", "--preset", "fig2", "--synthetic", "--n", "8", "--epochs", "2", flag, "0", "--out", str(out)]
+    epochs = [] if flag == "--steps" else ["--epochs", "2"]  # fig2 does not read --epochs beside --steps
+    argv = ["sgd", "--preset", "fig2", "--synthetic", "--n", "8", *epochs, flag, "0", "--out", str(out)]
     assert main(argv) == rc
     assert message in capsys.readouterr().err
     if rc == 0:  # gamma = 0: every run takes zero-length steps
         assert {r["gamma"] for r in _read_json(out / "summary.json")["runs"]} == {0.0}
+
+
+# Flags a preset would ignore, each once accepted with exit 0 (or, for --per-user
+# on Houses, a data error).  Exit 2 names the preset and every unread flag.
+_UNREAD_FLAG_CASES = {
+    "fig2-sigma": (["fig2", "--synthetic", "--n", "8", "--epochs", "2", "--sigma", "99"], ["--sigma"]),
+    "table1-target-eps": (["table1-rw", "--synthetic", "--n", "8", "--epochs", "2", "--target-eps", "3"],
+                          ["--target-eps"]),
+    "table1-sigma": (["table1-rw", "--synthetic", "--n", "8", "--epochs", "2", "--sigma", "99"], ["--sigma"]),
+    "averaging-regression-flags": (
+        ["averaging", "--n", "8", "--steps", "40", "--synthetic", "--target-eps", "3", "--delta", "0.5",
+         "--per-user", "0"], ["--per-user", "--target-eps", "--delta", "--synthetic"]),
+    "heterogeneity-regression-flags": (
+        ["heterogeneity", "--n", "40", "--steps", "60", "--synthetic", "--target-eps", "3", "--delta", "0.5",
+         "--per-user", "0"], ["--per-user", "--target-eps", "--delta", "--synthetic"]),
+    "heterogeneity-seeds": (["heterogeneity", "--n", "40", "--steps", "60", "--seeds", "0,1,2"],
+                            ["runs one seed", "--seeds 0,1,2"]),
+    "fig2-epochs-beside-steps": (["fig2", "--synthetic", "--n", "8", "--steps", "10", "--epochs", "2"],
+                                 ["--epochs"]),
+    "fig2-per-user-on-houses": (["fig2", "--n", "8", "--epochs", "2", "--per-user", "3"], ["--per-user"]),
+}
+
+
+@pytest.mark.parametrize("case", _UNREAD_FLAG_CASES)
+def test_sgd_refuses_unread_flags_before_any_work(tmp_path, capsys, monkeypatch, case):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sgd built a graph, dataset or calibration for a refused command line")
+
+    for module, name in [(graphs, "generate"), (datasets, "synth_linear"), (datasets, "find_houses_csv"),
+                         (datasets, "synth_heterogeneous_geometric"), (accountant, "calibrate_sigma")]:
+        monkeypatch.setattr(module, name, refuse)
+    argv, named = _UNREAD_FLAG_CASES[case]
+    out = tmp_path / "o"
+    assert main(["sgd", "--preset", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --preset {argv[0]} ")
+    assert all(text in err for text in named)
+    assert list(out.iterdir()) == []
+
+
+def test_sgd_refuses_unread_flag_from_config(tmp_path, capsys):
+    cfg = _config(tmp_path, {"schema_version": 1, "sigma": 99})
+    out = tmp_path / "o"
+    assert main(["sgd", "--preset", "fig2", "--synthetic", "--n", "8", "--epochs", "2",
+                 "--config", cfg, "--out", str(out)]) == 2
+    assert "config error: --preset fig2 does not read --sigma" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_every_sgd_flag_is_read_by_some_preset():
+    flags = {key: options for key, _, _, _, options in cli._FLAGS["sgd"]}
+    assert set().union(*cli._PRESETS.values()) == set(flags) - {"preset", "seeds", "out"}
+    assert set(cli._PRESETS) == set(flags["preset"]["choices"])
 
 
 def test_sgd_unknown_preset(tmp_path, capsys):

@@ -285,3 +285,26 @@ def test_cli_fig2_run_files_are_golden(tmp_path):
         for alg in ("rw_dpsgd", "local_dpsgd", "central_dpsgd")
     }
     assert digests == CLI_FIG2_GOLDEN
+
+
+# Recorded before the sgd presets became one table; table1-rw runs only the
+# walk, once per fixed target.
+CLI_TABLE1_RW_GOLDEN = {
+    "0.5": "fdbc172bf6cac633",
+    "1.0": "5eba34dbe21885b1",
+    "2.0": "57708915de13c87a",
+}
+
+
+def test_cli_table1_rw_run_files_are_golden(tmp_path):
+    from tokenwalk.cli import main
+
+    out = tmp_path / "table1"
+    argv = ["sgd", "--preset", "table1-rw", "--synthetic", "--n", "12", "--epochs", "4",
+            "--seeds", "0", "--out", str(out)]
+    assert main(argv) == 0
+    digests = {
+        eps: hashlib.sha256((out / f"rw_dpsgd_eps{eps}_seed0.csv").read_bytes()).hexdigest()[:16]
+        for eps in CLI_TABLE1_RW_GOLDEN
+    }
+    assert digests == CLI_TABLE1_RW_GOLDEN
