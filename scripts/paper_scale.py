@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Wall clock and peak RSS of the paper-scale CLI commands.
+"""Wall clock, CPU time and peak RSS of the paper-scale CLI commands.
 
 Usage, from the repository root::
 
@@ -9,8 +9,9 @@ Each command runs K times (default 1), each time in a fresh child process
 that imports ``tokenwalk.cli`` and calls ``main``, as the ``tokenwalk``
 console script does, with its outputs in a temporary directory.  The script
 prints one line per run: the command and its ``--method`` (or ``--preset``),
-its wall clock in seconds (spawn to exit) and the child's peak resident set
-size in MiB (``ru_maxrss`` from ``os.wait4``).  A command that exits nonzero
+its wall clock in seconds (spawn to exit), the child's CPU seconds (user plus
+system, ``ru_utime + ru_stime``) and its peak resident set size in MiB
+(``ru_maxrss``), both from ``os.wait4``.  A command that exits nonzero
 stops the script.
 """
 
@@ -38,8 +39,8 @@ COMMANDS = (
 LAUNCH = "import sys; from tokenwalk.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def run_once(args: tuple[str, ...]) -> tuple[float, float]:
-    """Run one CLI command in a child process; return (wall s, peak RSS MiB)."""
+def run_once(args: tuple[str, ...]) -> tuple[float, float, float]:
+    """Run one CLI command in a child process; return (wall s, CPU s, peak RSS MiB)."""
     with tempfile.TemporaryDirectory(prefix="paper_scale_") as out:
         t0 = time.perf_counter()
         child = subprocess.Popen(
@@ -50,20 +51,20 @@ def run_once(args: tuple[str, ...]) -> tuple[float, float]:
         child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
     if child.returncode != 0:
         sys.exit(f"{' '.join(args)}: exit status {child.returncode}")
-    return wall, usage.ru_maxrss / 1024.0  # Linux reports KiB
+    return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0  # Linux reports KiB
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=1, help="runs per command")
     args = parser.parse_args()
-    print(f"{'command':<18} {'wall s':>8} {'peak MiB':>8}")
+    print(f"{'command':<18} {'wall s':>8} {'cpu s':>8} {'peak MiB':>8}")
     for command in COMMANDS:
         flag = "--preset" if "--preset" in command else "--method"
         label = f"{command[0]} {command[command.index(flag) + 1]}"
         for _ in range(max(1, args.repeat)):
-            wall, rss = run_once(command)
-            print(f"{label:<18} {wall:>8.3f} {rss:>8.1f}", flush=True)
+            wall, cpu, rss = run_once(command)
+            print(f"{label:<18} {wall:>8.3f} {cpu:>8.3f} {rss:>8.1f}", flush=True)
 
 
 if __name__ == "__main__":

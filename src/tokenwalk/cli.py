@@ -14,7 +14,8 @@ each ``sgd`` preset reads and its defaults; any other flag given there exits 2.
 
 Every command writes a ``manifest.json`` with the resolved config hash, tool
 version, output checksums, wall clock, and seeds, so identical configs can be
-verified to reproduce identical artifacts.
+verified to reproduce identical artifacts, plus the OpenBLAS environment
+variables it ran under (``diagnostics.blas``, null when unset).
 
 Exit codes: 0 success, 2 config/validation, 3 accounting, 4 data,
 5 infeasible calibration.
@@ -25,9 +26,19 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from pathlib import Path
+
+# OpenBLAS reads this once, when NumPy loads it.  Its idle workers spin for
+# 2^28 TSC cycles (~0.1 s) after the library loads and after each burst of
+# BLAS calls before they sleep: CPU time that buys a CLI process no wall clock.
+# 2^20 cycles (well under 1 ms) keeps both threads, so the threaded eigh
+# keeps its speed.  A user's own value wins, and a process that loaded NumPy
+# first is left as it is.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 
 import numpy as np
 
@@ -213,6 +224,12 @@ class _Manifest:
             "seeds": self.seeds,
             "wall_clock": time.perf_counter() - self.t0,
             "files": {p.name: sha256_of_file(p) for p in self.files if p.exists()},
+            "diagnostics": {
+                "blas": {
+                    "openblas_thread_timeout": os.environ.get("OPENBLAS_THREAD_TIMEOUT"),
+                    "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+                }
+            },
         }
         dump_json(self.out_dir / "manifest.json", payload)
 

@@ -171,7 +171,7 @@ class LogisticObjective:
             a, y = feats[rows], labels[rows]
             return a * (-y * _expit(-(y * a.dot(x)))) + self.reg * x
         margins = labels * (feats @ x)
-        weights = -labels * np.array([_expit(-m) for m in margins.tolist()])
+        weights = -labels * _expit_negated(margins)
         return feats.T @ weights / feats.shape[0] + self.reg * x
 
     def node_gradients(self, x):
@@ -180,8 +180,7 @@ class LogisticObjective:
         out = np.empty((self.n_nodes, self.dim))
         for nodes, feats, labels in self._groups:
             margins = labels * np.matmul(feats, x)
-            expits = [_expit(-m) for m in margins.ravel().tolist()]
-            weights = -labels * np.array(expits).reshape(margins.shape)
+            weights = -labels * _expit_negated(margins).reshape(margins.shape)
             grads = np.matmul(feats.transpose(0, 2, 1), weights[..., None])[..., 0]
             out[nodes] = grads / feats.shape[1] + self.reg * x
         return out
@@ -268,6 +267,18 @@ def _expit(z: float) -> float:
         return 1.0 / (1.0 + math.exp(-z))
     except OverflowError:  # e^-z beyond the double range: the sigmoid is 0
         return 0.0
+
+
+def _expit_negated(margins: np.ndarray) -> np.ndarray:
+    """``_expit(-m)`` for every margin, flat, bit for bit: C library ``exp``
+    per margin (``np.exp`` differs in the last ulp), then NumPy's add and
+    divide, which round as Python's float operators do."""
+    flat = margins.ravel().tolist()
+    try:
+        e = np.fromiter(map(math.exp, flat), float, len(flat))
+    except OverflowError:  # some margin past ~709.78: per row, where that sigmoid is 0
+        return np.array([_expit(-m) for m in flat])
+    return 1.0 / (1.0 + e)
 
 
 def clip(g: np.ndarray, delta: float) -> np.ndarray:

@@ -21,16 +21,40 @@ def _read_json(path):
     return json.loads(path.read_text())
 
 
+def _stdout_of(code: str, env: dict[str, str | None] | None = None) -> str:
+    """What a fresh interpreter prints running `code`, with `env` over this
+    process's environment (None unsets a variable)."""
+    child_env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **(env or {})}
+    child_env = {k: v for k, v in child_env.items() if v is not None}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env, check=True)
+    return proc.stdout
+
+
 def _modules_after(code: str) -> set[str]:
     """Modules (full dotted names) loaded by a fresh interpreter after running `code`."""
-    probe = code + "\nimport sys; print(' '.join(sorted(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
-    return set(proc.stdout.split())
+    return set(_stdout_of(code + "\nimport sys; print(' '.join(sorted(sys.modules)))").split())
 
 
 def test_cli_import_does_not_load_scipy():
     assert "scipy" not in _modules_after("import tokenwalk.cli")
+
+
+def test_package_import_does_not_load_numpy():
+    # so that tokenwalk.cli, imported through the package, still sees NumPy unloaded
+    assert "numpy" not in _modules_after("import tokenwalk")
+
+
+@pytest.mark.parametrize("user_value, first, expected", [
+    (None, "", "20"),
+    ("28", "", "28"),
+    (None, "import numpy\n", "None"),
+], ids=["unset", "user-set", "numpy-first"])
+def test_cli_import_shortens_openblas_idle_spin(user_value, first, expected):
+    # OpenBLAS reads the variable when NumPy loads it, so only a fresh process
+    # that has not loaded NumPy gets the CLI's value, and a user's value wins.
+    code = first + "import os, tokenwalk.cli\nprint(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
+    assert _stdout_of(code, {"OPENBLAS_THREAD_TIMEOUT": user_value}).strip() == expected
 
 
 def test_cli_import_loads_only_the_layers_it_needs():
@@ -136,6 +160,15 @@ def test_manifest_checksums_verify(tmp_path):
         assert sha256_of_file(out / name) == digest
     assert "edges.txt" in manifest["files"]
     assert "stats.json" in manifest["files"]
+
+
+def test_manifest_records_the_openblas_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    out = tmp_path / "g"
+    assert main(["graph", "--family", "ring", "--n", "5", "--out", str(out)]) == 0
+    blas = _read_json(out / "manifest.json")["diagnostics"]["blas"]
+    assert blas == {"openblas_thread_timeout": None, "openblas_num_threads": "2"}
 
 
 def test_identical_configs_hash_identically(tmp_path):

@@ -181,6 +181,20 @@ def test_scalar_expit_matches_scipy_bitwise():
     assert ours.tobytes() == special.expit(z).tobytes()
 
 
+@pytest.mark.parametrize("overflowing", [[], [709.79], [709.79, 1e308, np.inf]],
+                         ids=["in-range", "one-overflowing-row", "several-overflowing-rows"])
+def test_vector_expit_matches_scalar_expit_bitwise(overflowing):
+    # e^m overflows past m = 709.78: math.exp raises there, and the rows fall
+    # back to _expit, whose sigmoid is 0.
+    edges = [0.0, -0.0, 30.0, -30.0, 709.0, -709.0, 709.78, -709.78, -709.79, -1e308, -np.inf]
+    rng = np.random.default_rng(13)
+    margins = np.concatenate([rng.normal(size=4000) * 10.0, edges, overflowing])
+    ref = np.array([optim._expit(-m) for m in margins.tolist()])
+    assert optim._expit_negated(margins).tobytes() == ref.tobytes()
+    stacked = margins[-43 * 93:].reshape(43, 93)  # node_gradients' (n_g, m) margins
+    assert optim._expit_negated(stacked).tobytes() == ref[-43 * 93:].tobytes()
+
+
 def test_block_drawn_rows_match_per_call_draws():
     class Sizes:
         # 3 * 2**30 rejects a quarter of raw draws, exercising the retry path

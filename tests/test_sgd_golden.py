@@ -16,6 +16,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -273,18 +277,36 @@ CLI_FIG2_GOLDEN = {
 }
 
 
+CLI_FIG2_ARGV = ["sgd", "--preset", "fig2", "--synthetic", "--n", "12", "--epochs", "6", "--seeds", "4"]
+
+
+def _fig2_digests(out) -> dict[str, str]:
+    return {
+        alg: hashlib.sha256((out / f"{alg}_eps1.0_seed4.csv").read_bytes()).hexdigest()[:16]
+        for alg in ("rw_dpsgd", "local_dpsgd", "central_dpsgd")
+    }
+
+
 def test_cli_fig2_run_files_are_golden(tmp_path):
     from tokenwalk.cli import main
 
     out = tmp_path / "fig2"
-    argv = ["sgd", "--preset", "fig2", "--synthetic", "--n", "12", "--epochs", "6",
-            "--seeds", "4", "--out", str(out)]
-    assert main(argv) == 0
-    digests = {
-        alg: hashlib.sha256((out / f"{alg}_eps1.0_seed4.csv").read_bytes()).hexdigest()[:16]
-        for alg in ("rw_dpsgd", "local_dpsgd", "central_dpsgd")
-    }
-    assert digests == CLI_FIG2_GOLDEN
+    assert main([*CLI_FIG2_ARGV, "--out", str(out)]) == 0
+    assert _fig2_digests(out) == CLI_FIG2_GOLDEN
+
+
+def test_cli_fig2_run_files_are_golden_in_a_fresh_process(tmp_path):
+    # The tests above run after NumPy is loaded; a fresh CLI process loads it
+    # under the OpenBLAS idle-spin setting that tokenwalk.cli makes.
+    out = tmp_path / "fig2"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    launch = "import sys; from tokenwalk.cli import main; sys.exit(main(sys.argv[1:]))"
+    subprocess.run([sys.executable, "-c", launch, *CLI_FIG2_ARGV, "--out", str(out)],
+                   env=env, check=True, capture_output=True)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["diagnostics"]["blas"]["openblas_thread_timeout"] == "20"
+    assert _fig2_digests(out) == CLI_FIG2_GOLDEN
 
 
 # Recorded before the sgd presets became one table; table1-rw runs only the
