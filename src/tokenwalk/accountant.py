@@ -248,10 +248,7 @@ class CalibrationResult:
     epsilon: float
     alpha: float
     rdp_statistic: float
-    target: DpPoint
     gap_limited: bool
-    statistic: Statistic
-    method: str
 
 
 # --------------------------------------------------------------------------- #
@@ -689,14 +686,7 @@ def local_dp_baseline(p: PrivacyParams, n: int) -> float:
 # --------------------------------------------------------------------------- #
 
 
-def _calibrate_scaled(
-    stat_base: float,
-    target: DpPoint,
-    alpha_grid: Sequence[float],
-    gated: bool,
-    statistic: Statistic,
-    method: str,
-) -> CalibrationResult:
+def _calibrate_scaled(stat_base: float, target: DpPoint, gated: bool) -> CalibrationResult:
     """Shared bisection: losses are ``alpha * stat_base / sigma2`` per alpha.
 
     For each sigma2 the achievable epsilon is the best conversion over the
@@ -707,15 +697,12 @@ def _calibrate_scaled(
     """
     if stat_base <= 0.0:
         raise CalibrationError(f"degenerate statistic {stat_base!r}; nothing to calibrate")
-    alphas = sorted(set(float(a) for a in alpha_grid))
-    if not alphas or alphas[0] <= 1.0:
-        raise CalibrationError(f"invalid alpha grid {alpha_grid!r}")
-    tail = {a: math.log(1.0 / target.delta) / (a - 1.0) for a in alphas}
+    tail = {a: rdp_to_dp(a, 0.0, target.delta).epsilon for a in ALPHA_GRID}
 
-    def admissible(sigma2: float) -> list[float]:
+    def admissible(sigma2: float) -> Sequence[float]:
         if not gated:
-            return alphas
-        return [a for a in alphas if gate_sigma2(a) <= sigma2 * (1.0 + 1e-12)]
+            return ALPHA_GRID
+        return [a for a in ALPHA_GRID if gate_sigma2(a) <= sigma2 * (1.0 + 1e-12)]
 
     def achieved(sigma2: float) -> tuple[float, float]:
         best_eps, best_alpha = math.inf, math.nan
@@ -732,7 +719,7 @@ def _calibrate_scaled(
             f"minimal feasible epsilon at delta={target.delta} is {floor:.6g}",
             min_feasible=floor,
         )
-    lo = gate_sigma2(min(alphas)) if gated else 1e-12
+    lo = gate_sigma2(min(ALPHA_GRID)) if gated else 1e-12
     ceiling, _ = achieved(lo)
     if target.epsilon > ceiling:
         raise CalibrationError(
@@ -762,10 +749,7 @@ def _calibrate_scaled(
         epsilon=eps_star,
         alpha=alpha_star,
         rdp_statistic=(alpha_star * stat_base) / hi,
-        target=target,
         gap_limited=gap_limited,
-        statistic=statistic,
-        method=method,
     )
 
 
@@ -777,13 +761,12 @@ def calibrate_sigma(
     *,
     dist: np.ndarray | None = None,
     method: str = "closed",
-    alpha_grid: Sequence[float] = ALPHA_GRID,
 ) -> CalibrationResult:
     """Find sigma2 whose converted pairwise-loss statistic meets `target`.
 
     The statistic of the pairwise matrix factors as ``alpha * base / sigma2``
     with `base` independent of both, so the search is a scalar bisection; the
-    Renyi order is re-selected from `alpha_grid` at every probe.  See
+    Renyi order is re-selected from :data:`ALPHA_GRID` at every probe.  See
     :class:`CalibrationResult` for the gap semantics, and
     :class:`CalibrationError` for infeasible targets (carries the feasible
     bound).
@@ -805,16 +788,10 @@ def calibrate_sigma(
     else:
         stat = statistic.apply(_kernel(w, p_template.steps, method), dist)
     n_u = p_template.n_contributions(w.n)
-    return _calibrate_scaled(n_u * stat, target, alpha_grid, True, statistic, method)
+    return _calibrate_scaled(n_u * stat, target, True)
 
 
-def calibrate_sigma_local(
-    p_template: PrivacyParams,
-    target: DpPoint,
-    n: int,
-    *,
-    alpha_grid: Sequence[float] = ALPHA_GRID,
-) -> CalibrationResult:
+def calibrate_sigma_local(p_template: PrivacyParams, target: DpPoint, n: int) -> CalibrationResult:
     """Calibrate the no-amplification Gaussian baseline to `target`.
 
     The per-contribution loss is ``alpha / (2 sigma2)`` with no sigma2 gate,
@@ -826,9 +803,7 @@ def calibrate_sigma_local(
     n_u = p_template.n_contributions(n)
     if n_u <= 0:
         raise CalibrationError("composition count must be positive")
-    return _calibrate_scaled(
-        n_u / 2.0, target, alpha_grid, False, Statistic("mean_pairs"), "local"
-    )
+    return _calibrate_scaled(n_u / 2.0, target, False)
 
 
 # --------------------------------------------------------------------------- #

@@ -282,8 +282,8 @@ def cmd_privacy(args: argparse.Namespace) -> int:
     seeds = _parse_seeds(args.seeds)
     manifest = _Manifest(out, "privacy", _public_config(args), seeds)
     p = accountant.PrivacyParams(alpha=args.alpha, sigma2=args.sigma2, steps=args.steps)
-    accountant.DpPoint(epsilon=0.0, delta=args.delta)  # rejects delta outside (0, 1) before any graph
-    tail = float(np.log(1.0 / args.delta) / (args.alpha - 1.0))
+    # The conversion's delta term; it rejects delta outside (0, 1) before any graph.
+    tail = accountant.rdp_to_dp(args.alpha, 0.0, args.delta).epsilon
 
     per_seed_series: list[list[accountant.DistanceBucket]] = []
     for seed in seeds:
@@ -442,7 +442,7 @@ def cmd_sgd(args: argparse.Namespace) -> int:
                     sigma=float(np.sqrt(cal_rw.sigma2)), **base_cfg))]
                 if args.preset == "fig2":
                     runs.append(optim.run_local_dpsgd(obj, optim.SgdConfig(
-                        sigma=float(np.sqrt(cal_local.sigma2)), **base_cfg), n))
+                        sigma=float(np.sqrt(cal_local.sigma2)), **base_cfg)))
                     rounds_cfg = dict(base_cfg, steps=max(1, steps // n))
                     runs.append(optim.run_central_dpsgd(obj, optim.SgdConfig(
                         sigma=float(np.sqrt(cal_local.sigma2)), **rounds_cfg)))
@@ -469,6 +469,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         raise ConfigError(f"unknown --statistic {args.statistic!r} ({'|'.join(_STATISTICS)})")
     if stat_name == "mean_at_distance" and args.distance is None:
         raise ConfigError("--statistic mean_at_distance needs --distance")
+    if stat_name != "mean_at_distance" and args.distance is not None:
+        raise ConfigError(f"--statistic {stat_name} does not read --distance")
     g = graphs.generate(_graph_spec_from_args(args, args.seed))
     if stat_name == "mean_at_distance":
         statistic = accountant.mean_at_distance(args.distance)

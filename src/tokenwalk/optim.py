@@ -515,18 +515,16 @@ def run_rw_dpsgd(w: TransitionMatrix, obj: Objective, cfg: SgdConfig) -> RunReco
     return _descent_loop(obj, cfg, traj.nodes[:-1], gamma, "rw_dpsgd", traj)
 
 
-def run_local_dpsgd(obj: Objective, cfg: SgdConfig, n: int) -> RunRecord:
+def run_local_dpsgd(obj: Objective, cfg: SgdConfig) -> RunRecord:
     """Local DP-SGD baseline: i.i.d. uniform node schedule, no amplification.
 
     Shares the update machinery with the walk variant; only the schedule and
     the externally calibrated `sigma` differ.
     """
-    if n != obj.n_nodes:
-        raise ConfigError(f"n={n} but objective has {obj.n_nodes} nodes")
     schedule_child = np.random.SeedSequence(cfg.seed).spawn(3)[0]
-    schedule = np.random.default_rng(schedule_child).integers(0, n, size=max(cfg.steps, 1))
+    schedule = np.random.default_rng(schedule_child).integers(0, obj.n_nodes, size=cfg.steps)
     gamma = cfg.gamma if cfg.gamma is not None else _resolve_gamma(obj, cfg, _initial_point(obj, cfg), 1.0)
-    return _descent_loop(obj, cfg, schedule[: cfg.steps], gamma, "local_dpsgd", None)
+    return _descent_loop(obj, cfg, schedule, gamma, "local_dpsgd", None)
 
 
 def run_central_dpsgd(obj: Objective, cfg: SgdConfig) -> RunRecord:

@@ -15,7 +15,7 @@ from typing import Any
 import numpy as np
 
 from .errors import TransitionError
-from .graphs import Graph, hop_levels
+from .graphs import Graph
 from .ioutil import new_sha256
 
 __all__ = [
@@ -93,22 +93,21 @@ class TransitionMatrix:
 class ValidationReport:
     """Outcome of :func:`validate`.
 
-    Boolean flags per checked property, the worst violation magnitudes, and
-    human-readable failure messages.  `ok` covers everything except
-    `aperiodic`, which is advisory (a periodic chain is well-defined, it just
-    never mixes; callers decide whether that is fatal).
+    Human-readable `failures` and the worst violation of each checked
+    property: row or column sum error, asymmetry, the smallest entry, and
+    the largest mass off the graph's support (0.0 when no graph was given).
+    `ok` holds when nothing failed.
     """
 
-    ok: bool
-    stochastic: bool
-    symmetric: bool
-    bistochastic: bool
-    support_ok: bool
-    aperiodic: bool
     failures: tuple[str, ...]
     max_row_sum_error: float
     max_asymmetry: float
     min_entry: float
+    max_off_support: float
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
     def raise_if_failed(self) -> None:
         if not self.ok:
@@ -195,91 +194,68 @@ def from_array(w: np.ndarray, *, atol: float = DEFAULT_ATOL) -> TransitionMatrix
 # --------------------------------------------------------------------------- #
 
 
-def _support_is_bipartite(w: np.ndarray, atol: float) -> bool:
-    """2-colorability of the off-diagonal support graph, taken undirected (per component)."""
-    n = w.shape[0]
-    support = np.abs(w) > atol
-    edges = np.argwhere(np.triu(support | support.T, k=1))
-    level = np.full(n, -1, dtype=np.int64)
-    for start in range(n):
-        if level[start] < 0:
-            reached = hop_levels(n, edges, [start])[0]
-            level = np.where(reached >= 0, reached, level)
-    return not np.any(level[edges[:, 0]] == level[edges[:, 1]])
-
-
 def validate(
     tm: TransitionMatrix,
     graph: Graph | None = None,
     *,
     atol: float = DEFAULT_ATOL,
 ) -> ValidationReport:
-    """Check stochasticity, symmetry, bistochasticity, support, aperiodicity.
+    """Check symmetry, row and column sums, nonnegativity and support.
 
     Never raises: every violation is packed into the report so callers decide
     (the CLI maps a failed report to a config error, tests inspect messages).
-    Aperiodicity is detected structurally -- a positive diagonal entry, or a
-    non-bipartite support graph -- and reported as an advisory flag rather
-    than a failure.  When `graph` is given, off-diagonal mass outside its edge
-    set is flagged.
+    When `graph` is given, off-diagonal mass outside its edge set is a
+    failure.  Periodicity is not checked: a bipartite chain is well defined,
+    and the accountant treats its eigenvalue -1 exactly.  One n x n scratch
+    array serves both the asymmetry and the support check.
     """
     w = tm.w
     n = tm.n
     failures: list[str] = []
 
-    asym = float(np.max(np.abs(w - w.T))) if n else 0.0
-    symmetric = asym <= atol
-    if not symmetric:
-        i, j = np.unravel_index(np.argmax(np.abs(w - w.T)), w.shape)
+    scratch = np.subtract(w, w.T)
+    np.abs(scratch, out=scratch)
+    asym = float(scratch.max(initial=0.0))  # initial: a 0 x 0 chain has no violation
+    if not asym <= atol:  # written so that NaN fails, here and for the row sums
+        i, j = np.unravel_index(np.argmax(scratch), w.shape)
         failures.append(f"not symmetric: |W[{i},{j}] - W[{j},{i}]| = {asym:.3g}")
 
-    row_err = float(np.max(np.abs(w.sum(axis=1) - 1.0))) if n else 0.0
-    stochastic = row_err <= atol
-    if not stochastic:
-        i = int(np.argmax(np.abs(w.sum(axis=1) - 1.0)))
-        failures.append(f"row {i} sums to {w.sum(axis=1)[i]!r} (violation {row_err:.3g})")
-    col_err = float(np.max(np.abs(w.sum(axis=0) - 1.0))) if n else 0.0
-    bistochastic = stochastic and col_err <= atol
-    if stochastic and col_err > atol:
-        j = int(np.argmax(np.abs(w.sum(axis=0) - 1.0)))
-        failures.append(f"column {j} sums to {w.sum(axis=0)[j]!r} (violation {col_err:.3g})")
+    rows, cols = w.sum(axis=1), w.sum(axis=0)
+    row_dev, col_dev = np.abs(rows - 1.0), np.abs(cols - 1.0)
+    row_err, col_err = float(row_dev.max(initial=0.0)), float(col_dev.max(initial=0.0))
+    if not row_err <= atol:
+        i = int(np.argmax(row_dev))
+        failures.append(f"row {i} sums to {rows[i]!r} (violation {row_err:.3g})")
+    elif col_err > atol:
+        j = int(np.argmax(col_dev))
+        failures.append(f"column {j} sums to {cols[j]!r} (violation {col_err:.3g})")
 
-    min_entry = float(np.min(w)) if n else 0.0
+    min_entry = float(w.min()) if n else 0.0
     if min_entry < -atol:
         i, j = np.unravel_index(np.argmin(w), w.shape)
         failures.append(f"negative entry W[{i},{j}] = {min_entry:.3g}")
 
-    support_ok = True
-    if graph is not None:
-        if graph.n != n:
-            support_ok = False
-            failures.append(f"graph has {graph.n} nodes but matrix is {n}x{n}")
-        else:
-            allowed = graph.adjacency_matrix().astype(bool)
-            np.fill_diagonal(allowed, True)
-            off_support = np.abs(np.where(allowed, 0.0, w))
-            worst = float(np.max(off_support))
-            if worst > atol:
-                support_ok = False
-                i, j = np.unravel_index(np.argmax(off_support), w.shape)
-                failures.append(
-                    f"mass {worst:.3g} at non-edge ({i},{j}) outside graph support"
-                )
-
-    has_loop = bool(np.any(np.diag(w) > atol))
-    aperiodic = has_loop or not _support_is_bipartite(w, atol)
+    off_support = 0.0
+    if graph is not None and graph.n != n:
+        failures.append(f"graph has {graph.n} nodes but matrix is {n}x{n}")
+    elif graph is not None:
+        np.abs(w, out=scratch)
+        u, v = graph.edges.T
+        scratch[u, v] = scratch[v, u] = 0.0
+        np.fill_diagonal(scratch, 0.0)
+        off_support = float(scratch.max(initial=0.0))
+        if off_support > atol:
+            i, j = np.unravel_index(np.argmax(scratch), w.shape)
+            failures.append(
+                f"mass {off_support:.3g} at non-edge ({i},{j}) outside graph support"
+            )
 
     return ValidationReport(
-        ok=not failures and min_entry >= -atol,
-        stochastic=stochastic,
-        symmetric=symmetric,
-        bistochastic=bistochastic,
-        support_ok=support_ok,
-        aperiodic=aperiodic,
         failures=tuple(failures),
         max_row_sum_error=max(row_err, col_err),
         max_asymmetry=asym,
         min_entry=min_entry,
+        max_off_support=off_support,
     )
 
 

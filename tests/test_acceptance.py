@@ -223,7 +223,7 @@ def test_private_rw_beats_local_on_regression():
         tm, obj, optim.SgdConfig(steps=steps, sigma=math.sqrt(cal_rw.sigma2), **common)
     )
     rec_local = optim.run_local_dpsgd(
-        obj, optim.SgdConfig(steps=steps, sigma=math.sqrt(cal_local.sigma2), **common), n
+        obj, optim.SgdConfig(steps=steps, sigma=math.sqrt(cal_local.sigma2), **common)
     )
     rec_central = optim.run_central_dpsgd(
         obj,

@@ -725,7 +725,6 @@ def test_calibrate_local_hits_exactly():
     assert not res.gap_limited
     assert res.epsilon == pytest.approx(5.0, rel=1e-10)
     assert res.sigma2 == pytest.approx(29.80362662690466, rel=1e-9)
-    assert res.method == "local"
     # achieved loss reproduces from the returned parameters, no gate applied
     base = res.alpha * (100.0 / 4.0) / 2.0 / res.sigma2
     assert base == pytest.approx(res.rdp_statistic, rel=1e-12)
@@ -836,7 +835,7 @@ def test_calibrate_mean_pairs_identical_to_matrix_path(paper_scale_chains, chain
     for eps in (0.95, 2.0):
         target = DpPoint(eps, 1e-6)
         got = calibrate_sigma(tm, template, target, method=method)
-        want = acc._calibrate_scaled(stat, target, acc.ALPHA_GRID, True, MEAN_PAIRS, method)
+        want = acc._calibrate_scaled(stat, target, True)
         assert (got.sigma2, got.alpha, got.gap_limited) == (want.sigma2, want.alpha, want.gap_limited)
         assert got.epsilon == pytest.approx(want.epsilon, rel=1e-12, abs=0.0)
         assert got.rdp_statistic == pytest.approx(want.rdp_statistic, rel=1e-12, abs=0.0)

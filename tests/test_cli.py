@@ -609,7 +609,8 @@ def test_calibrate_statistic_choices(tmp_path):
 @pytest.mark.parametrize(
     "flags, message",
     [(["--statistic", "bogus"], "unknown --statistic 'bogus'"),
-     (["--statistic", "mean-at-distance"], "needs --distance")],
+     (["--statistic", "mean-at-distance"], "needs --distance"),
+     (["--statistic", "mean_pairs", "--distance", "3"], "--statistic mean_pairs does not read --distance")],
 )
 def test_calibrate_rejects_bad_statistic_before_building_the_graph(
     tmp_path, capsys, monkeypatch, flags, message

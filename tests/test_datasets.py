@@ -276,7 +276,7 @@ def test_sample_houses_loads_and_trains():
     assert "median_income" in raw.feature_names
     ds = preprocess(raw, n_users=16, seed=0)
     obj = LogisticObjective(ds)
-    rec = run_local_dpsgd(obj, SgdConfig(steps=500, gamma=1.0), 16)
+    rec = run_local_dpsgd(obj, SgdConfig(steps=500, gamma=1.0))
     assert rec.accuracy is not None
     assert rec.accuracy[-1] >= 0.6  # informative features beat chance
 

@@ -14,7 +14,6 @@ from scipy.sparse.csgraph import shortest_path
 from tokenwalk import graphs
 from tokenwalk.errors import GraphError
 from tokenwalk.graphs import Graph, GraphSpec, generate
-from tokenwalk.transition import from_array, validate
 
 
 _SBM_P = ((0.5, 0.05, 0.05), (0.05, 0.5, 0.05), (0.05, 0.05, 0.5))
@@ -148,9 +147,12 @@ def test_unknown_family():
 
 
 def test_bipartiteness():
-    # A loop-free support is periodic exactly when the graph is bipartite.
+    # A connected graph is bipartite exactly when its simple random walk has
+    # eigenvalue -1, the least eigenvalue of D^-1/2 A D^-1/2.
     def bipartite(spec: GraphSpec) -> bool:
-        return not validate(from_array(generate(spec).adjacency_matrix())).aperiodic
+        a = generate(spec).adjacency_matrix()
+        s = 1.0 / np.sqrt(a.sum(axis=1))
+        return bool(np.isclose(np.linalg.eigvalsh(s[:, None] * a * s)[0], -1.0))
 
     assert bipartite(GraphSpec(family="ring", n=8))
     assert not bipartite(GraphSpec(family="ring", n=5))

@@ -285,7 +285,7 @@ def test_logistic_accuracy_on_separable_data():
     obj = LogisticObjective(ds)
     # sanity: some direction classifies well above chance after a few steps
     cfg = SgdConfig(steps=2000, gamma=0.5, seed=0)
-    rec = run_local_dpsgd(obj, cfg, 8)
+    rec = run_local_dpsgd(obj, cfg)
     assert rec.accuracy is not None
     assert rec.accuracy[-1] >= 0.9
 
@@ -348,12 +348,10 @@ def test_local_baseline_runs_and_differs():
     tm, obj = _ring_setup()
     cfg = SgdConfig(steps=300, gamma=0.05, seed=6)
     rw = run_rw_dpsgd(tm, obj, cfg)
-    local = run_local_dpsgd(obj, cfg, 8)
+    local = run_local_dpsgd(obj, cfg)
     assert local.algorithm == "local_dpsgd"
     assert local.trajectory is None
     assert not np.array_equal(rw.final_x, local.final_x)
-    with pytest.raises(ConfigError, match="nodes"):
-        run_local_dpsgd(obj, cfg, 5)
 
 
 def test_central_converges_fast():

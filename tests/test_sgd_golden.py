@@ -107,7 +107,7 @@ def _run(case: str):
         return run_rw_dpsgd(tm, obj, SgdConfig(**logistic))
     if case == "local-equal-b1":
         _, obj = _equal_blocks()
-        return run_local_dpsgd(obj, SgdConfig(**logistic), 6)
+        return run_local_dpsgd(obj, SgdConfig(**logistic))
     if case == "central-equal":
         _, obj = _equal_blocks()
         return run_central_dpsgd(obj, SgdConfig(**dict(logistic, steps=40)))
@@ -116,7 +116,7 @@ def _run(case: str):
         return run_central_dpsgd(obj, SgdConfig(**dict(logistic, steps=30)))
     if case == "local-unequal-b1":
         obj = _unequal_blocks()
-        return run_local_dpsgd(obj, SgdConfig(**logistic), 7)
+        return run_local_dpsgd(obj, SgdConfig(**logistic))
     if case == "rw-singleton-b1":
         tm, obj = _singleton_block()
         return run_rw_dpsgd(tm, obj, SgdConfig(**logistic))
@@ -129,7 +129,7 @@ def _run(case: str):
         return run_rw_dpsgd(tm, obj, SgdConfig(steps=500, sigma=0.4, clip_threshold=1.5, seed=12))
     if case == "local-averaging":
         _, obj = _lazy_ring_averaging()
-        return run_local_dpsgd(obj, SgdConfig(steps=500, gamma=0.05, sigma=0.4, seed=12), 9)
+        return run_local_dpsgd(obj, SgdConfig(steps=500, gamma=0.05, sigma=0.4, seed=12))
     if case == "central-averaging":
         _, obj = _lazy_ring_averaging()
         return run_central_dpsgd(obj, SgdConfig(steps=60, gamma=0.2, sigma=0.9, seed=12))

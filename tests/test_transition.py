@@ -136,7 +136,7 @@ def test_from_array_never_rejects_bad_rows():
     tm = from_array(np.array([[0.5, 0.1], [0.2, 0.2]]))
     rep = validate(tm)
     assert not rep.ok
-    assert not rep.stochastic
+    assert rep.max_row_sum_error == pytest.approx(0.7)  # column 0 sums to 0.7
     assert any("sums to" in f for f in rep.failures)
     with pytest.raises(TransitionError):
         rep.raise_if_failed()
@@ -161,33 +161,39 @@ def test_validate_support_against_graph():
         ]
     )
     rep = validate(from_array(w), graph=g)
-    assert not rep.support_ok
-    assert not rep.ok
+    assert rep.max_off_support == 0.5
+    assert rep.failures == ("mass 0.5 at non-edge (0,2) outside graph support",)
     # without the graph, support is not checked
-    assert validate(from_array(w)).support_ok
+    assert validate(from_array(w)).ok
 
 
-def test_aperiodicity_flag():
-    even_ring = generate(GraphSpec(family="ring", n=4))
-    bare = hamilton_weighting(even_ring)
-    assert not validate(bare).aperiodic
-    # advisory only: the report is still ok
-    assert validate(bare).ok
-    lazy = with_self_loops(even_ring, 0.2)
-    assert validate(lazy).aperiodic
-    odd_ring = hamilton_weighting(generate(GraphSpec(family="ring", n=5)))
-    assert validate(odd_ring).aperiodic
-    # block-diagonal supports: one odd cycle in any component suffices
-    even_six = hamilton_weighting(generate(GraphSpec(family="ring", n=6)))
-    assert validate(from_array(_block_diag(bare.w, odd_ring.w))).aperiodic
-    assert not validate(from_array(_block_diag(bare.w, even_six.w))).aperiodic
+_GOOD = hamilton_weighting(generate(GraphSpec(family="ring", n=4))).w
 
 
-def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + b.shape[0],) * 2)
-    out[: a.shape[0], : a.shape[0]] = a
-    out[a.shape[0] :, a.shape[0] :] = b
-    return out
+def _edited(entries: dict[tuple[int, int], float]) -> np.ndarray:
+    w = _GOOD.copy()
+    for ij, value in entries.items():
+        w[ij] = value
+    return w
+
+
+@pytest.mark.parametrize(
+    "w, nodes, message",
+    [
+        (_edited({(1, 0): 0.75}), 4, "not symmetric: |W[0,1] - W[1,0]| = 0.25"),
+        # rows still sum to 1, so only the column check fails besides symmetry
+        (_edited({(0, 1): 0.75, (0, 3): 0.25}), 4,
+         "column 1 sums to np.float64(1.25) (violation 0.25)"),
+        (_edited({(0, 0): -0.5, (0, 1): 1.0, (1, 0): 1.0, (1, 1): -0.5}), 4,
+         "negative entry W[0,0] = -0.5"),
+        (_GOOD, 5, "graph has 5 nodes but matrix is 4x4"),
+    ],
+    ids=["asymmetric", "column", "negative", "graph-size"],
+)
+def test_validate_failure_messages(w, nodes, message):
+    rep = validate(from_array(w), graph=generate(GraphSpec(family="ring", n=nodes)))
+    assert not rep.ok
+    assert message in rep.failures
 
 
 def test_validate_passes_for_good_chain():
@@ -197,6 +203,16 @@ def test_validate_passes_for_good_chain():
     assert rep.failures == ()
     assert rep.max_row_sum_error <= 1e-12
     rep.raise_if_failed()  # no-op
+    # a periodic (bipartite, loop-free) chain is a valid chain
+    ring = generate(GraphSpec(family="ring", n=4))
+    assert validate(hamilton_weighting(ring), graph=ring).ok
+
+
+@pytest.mark.parametrize("family", ["ring", "complete"])
+def test_validate_peaks_at_one_scratch_matrix(traced_peak, family):
+    g = generate(GraphSpec(family=family, n=1024))
+    tm = hamilton_weighting(g)
+    assert traced_peak(validate, tm, g) <= 1.1 * g.n * g.n * 8
 
 
 @given(st.integers(min_value=0, max_value=60))
@@ -204,7 +220,8 @@ def test_hamilton_always_validates(seed):
     g = generate(GraphSpec(family="erdos_renyi", n=16, q=0.4, seed=seed))
     rep = validate(hamilton_weighting(g), graph=g)
     assert rep.ok
-    assert rep.symmetric and rep.bistochastic and rep.support_ok
+    assert rep.max_asymmetry == 0.0 and rep.max_off_support == 0.0
+    assert rep.max_row_sum_error <= 1e-12 and rep.min_entry >= 0.0
 
 
 # --------------------------------------------------------------------------- #
