@@ -136,8 +136,13 @@ def test_from_array_never_rejects_bad_rows():
     tm = from_array(np.array([[0.5, 0.1], [0.2, 0.2]]))
     rep = validate(tm)
     assert not rep.ok
-    assert rep.max_row_sum_error == pytest.approx(0.7)  # column 0 sums to 0.7
-    assert any("sums to" in f for f in rep.failures)
+    # rows sum to 0.6 and 0.4, so the row check names row 1 and the column
+    # check stays silent; the residual still counts column 1, which sums to 0.3
+    assert any(
+        f.startswith("row 1 sums to") and f.endswith("(violation 0.6)") for f in rep.failures
+    )
+    assert not any(f.startswith("column") for f in rep.failures)
+    assert rep.max_row_sum_error == pytest.approx(0.7)
     with pytest.raises(TransitionError):
         rep.raise_if_failed()
 
@@ -177,23 +182,26 @@ def _edited(entries: dict[tuple[int, int], float]) -> np.ndarray:
     return w
 
 
+# Each case names the start and end of one failure message; the sum itself
+# sits between them for the row and column messages.
 @pytest.mark.parametrize(
-    "w, nodes, message",
+    "w, nodes, head, tail",
     [
-        (_edited({(1, 0): 0.75}), 4, "not symmetric: |W[0,1] - W[1,0]| = 0.25"),
+        (_edited({(1, 0): 0.75}), 4, "not symmetric: |W[0,1] - W[1,0]| = 0.25", ""),
+        # the same edit makes row 1 sum to 1.25
+        (_edited({(1, 0): 0.75}), 4, "row 1 sums to ", " (violation 0.25)"),
         # rows still sum to 1, so only the column check fails besides symmetry
-        (_edited({(0, 1): 0.75, (0, 3): 0.25}), 4,
-         "column 1 sums to np.float64(1.25) (violation 0.25)"),
+        (_edited({(0, 1): 0.75, (0, 3): 0.25}), 4, "column 1 sums to ", " (violation 0.25)"),
         (_edited({(0, 0): -0.5, (0, 1): 1.0, (1, 0): 1.0, (1, 1): -0.5}), 4,
-         "negative entry W[0,0] = -0.5"),
-        (_GOOD, 5, "graph has 5 nodes but matrix is 4x4"),
+         "negative entry W[0,0] = -0.5", ""),
+        (_GOOD, 5, "graph has 5 nodes but matrix is 4x4", ""),
     ],
-    ids=["asymmetric", "column", "negative", "graph-size"],
+    ids=["asymmetric", "row", "column", "negative", "graph-size"],
 )
-def test_validate_failure_messages(w, nodes, message):
+def test_validate_failure_messages(w, nodes, head, tail):
     rep = validate(from_array(w), graph=generate(GraphSpec(family="ring", n=nodes)))
     assert not rep.ok
-    assert message in rep.failures
+    assert any(f.startswith(head) and f.endswith(tail) for f in rep.failures), rep.failures
 
 
 def test_validate_passes_for_good_chain():
