@@ -86,7 +86,11 @@ class Graph:
         return a
 
     def content_hash(self) -> str:
-        """Stable hash of (n, edge set); identifies the topology."""
+        """Stable hash of (n, edge set); identifies the topology.  Computed once."""
+        return self._content_hash
+
+    @cached_property
+    def _content_hash(self) -> str:
         payload = f"{self.n}|" + ";".join(f"{u},{v}" for u, v in self.edges.tolist())
         return sha256_of_text(payload)
 

@@ -7,8 +7,8 @@ step, and forwards the token along the transition matrix.  Local DP-SGD runs
 the same update with an i.i.d. uniform node schedule; central DP-SGD averages
 all clipped node gradients per round under a trusted aggregator, with a single
 noise draw scaled down by ``1/n``.  All three are one loop, `_descent_loop`:
-the walk and local DP-SGD feed it one node per step, and a central round
-evaluates every node's full gradient in one stacked pass.
+the walk and local DP-SGD feed it one node and one sampled row per step, and
+a central round evaluates every node's full gradient in one stacked pass.
 
 Step sizes can be given explicitly or derived from the strongly convex
 convergence analysis (`step_size_theorem2`), whose predicted error ceiling is
@@ -21,7 +21,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -60,10 +60,10 @@ THEOREM2_C = 13.0
 class Objective(Protocol):
     """Node-decomposed objective ``f = (1/n) sum_v f_v``.
 
-    `gradient` takes the node's local sample `rows` as None (every sample of
-    the node) or an ``int`` (one sample: a single-sample step).
-    `node_gradients` is the stacked evaluator of a central round: every node's
-    full local gradient at once, row v bit for bit ``gradient(v, x, None)``.
+    `gradient` is a single-sample step: the gradient of one local sample,
+    `row` (an ``int`` below the node's `local_sizes` entry).  `node_gradients`
+    is the only full-block evaluator: every node's gradient over all of its
+    samples at once, as a central round takes them.
     """
 
     n_nodes: int
@@ -73,8 +73,8 @@ class Objective(Protocol):
     #: Samples held by each node; a sampled row indexes into a node's samples.
     local_sizes: np.ndarray
 
-    def gradient(self, node: int, x: np.ndarray, rows: int | None) -> np.ndarray:
-        """Gradient of ``f_node`` at `x` on local sample `rows` (all samples if None)."""
+    def gradient(self, node: int, x: np.ndarray, row: int) -> np.ndarray:
+        """Gradient of ``f_node`` at `x` on the node's local sample `row`."""
         ...
 
     def node_gradients(self, x: np.ndarray) -> np.ndarray:
@@ -112,7 +112,7 @@ class AveragingObjective:
         self.local_sizes = np.ones(self.n_nodes, dtype=np.int64)
         self._mean = raw.mean(axis=0)
 
-    def gradient(self, node, x, rows):
+    def gradient(self, node, x, row):
         return 2.0 * (x - self.values[node])
 
     def node_gradients(self, x):
@@ -165,18 +165,15 @@ class LogisticObjective:
         test = dataset.test_indices
         self._test = (dataset.features[test], dataset.labels[test])
 
-    def gradient(self, node, x, rows):
+    def gradient(self, node, x, row):
+        # One sample on a row view: bit for bit the arithmetic of its (1, d) block.
         feats, labels = self._blocks[node]
-        if rows is not None:  # one sample on a row view: the (1, d) block's arithmetic
-            a, y = feats[rows], labels[rows]
-            return a * (-y * _expit(-(y * a.dot(x)))) + self.reg * x
-        margins = labels * (feats @ x)
-        weights = -labels * _expit_negated(margins)
-        return feats.T @ weights / feats.shape[0] + self.reg * x
+        a, y = feats[row], labels[row]
+        return a * (-y * _expit(-(y * a.dot(x)))) + self.reg * x
 
     def node_gradients(self, x):
-        # Stacked matmuls run one gemv per block, the same as `gradient`'s; one
-        # flat (sum m_v, d) @ x product would not be bit for bit the same.
+        # Stacked matmuls run one gemv per node block; one flat
+        # (sum m_v, d) @ x product would not be bit for bit the same.
         out = np.empty((self.n_nodes, self.dim))
         for nodes, feats, labels in self._groups:
             margins = labels * np.matmul(feats, x)
@@ -371,19 +368,23 @@ def _resolve_dist0(obj: Objective, x0: np.ndarray) -> float:
 
 
 def _resolve_gamma(
-    obj: Objective, cfg: SgdConfig, x0: np.ndarray, tau_mix: float
+    obj: Objective, cfg: SgdConfig, x0: np.ndarray, chain: TransitionMatrix | None
 ) -> float:
-    zeta = obj.heterogeneity()
+    """``cfg.gamma``, else `step_size_theorem2` from `x0` with the mixing time
+    of `chain` (1 without one); the mixing estimate runs only in that case."""
+    if cfg.gamma is not None:
+        return cfg.gamma
     if obj.strong_convexity <= 0.0:
         raise ConfigError(
             "automatic step size needs strong convexity > 0; pass gamma explicitly"
         )
+    zeta = obj.heterogeneity()
     return step_size_theorem2(
         obj.smoothness,
         obj.strong_convexity,
         max(cfg.steps, 1),
         _resolve_dist0(obj, x0),
-        tau_mix,
+        1.0 if chain is None else _mixing_estimate(chain),
         zeta if zeta is not None else 0.0,
     )
 
@@ -392,20 +393,6 @@ def _mixing_estimate(w: TransitionMatrix) -> float:
     if w.n <= 256:
         return float(max(mixing_time_empirical(w, 0.25), 1))
     return float(max(mixing_time_spectral_bound(w), 1))
-
-
-def _draw_rows(
-    obj: Objective, nodes: np.ndarray, rng: np.random.Generator
-) -> Iterator[int | None]:
-    """The sampled row of each gradient call on `nodes`, in call order: one
-    uniform draw, or None for a node that holds a single row.
-
-    One ``integers`` call with a per-draw bound draws what one call per gradient would.
-    """
-    sizes = obj.local_sizes[nodes]
-    sampled = sizes > 1
-    drawn = iter(rng.integers(0, sizes[sampled]).tolist())
-    return (next(drawn) if s else None for s in sampled.tolist())
 
 
 def _clipped_sum(grads: np.ndarray, delta: float) -> np.ndarray:
@@ -424,19 +411,22 @@ def _descent_loop(
     obj: Objective,
     cfg: SgdConfig,
     schedule: np.ndarray | None,
-    gamma: float,
     algorithm: str,
-    trajectory: Trajectory | None,
+    trajectory: Trajectory | None = None,
+    chain: TransitionMatrix | None = None,
 ) -> RunRecord:
-    """The update loop of every algorithm.
+    """The update loop of every algorithm, and the one place a run's x0 and
+    step size are resolved (`chain` sets the mixing time of a derived step).
 
     With a `schedule` (the walk and local DP-SGD), step t applies the clipped
-    gradient of node ``schedule[t]`` on one sampled row; with
+    gradient of node ``schedule[t]`` on one uniformly sampled row; a node
+    holding a single row takes row 0 without consuming a draw.  With
     ``schedule=None`` (central DP-SGD), step t is a round that averages the
-    clipped full gradients of all n nodes, summed in node order.  Noise has
-    per-coordinate std ``clip_threshold * sigma / k`` (k = 1, or n for a
-    round).  Noise and sampled rows are drawn up front in one call each,
-    which yields the same numbers as one draw per step.
+    clipped full gradients of all n nodes (`Objective.node_gradients`),
+    summed in node order.  Noise has per-coordinate std
+    ``clip_threshold * sigma / k`` (k = 1, or n for a round).  Noise and
+    sampled rows are drawn up front in one call each, which yields the same
+    numbers as one draw per step.
     """
     start = time.perf_counter()
     _, noise_child, rows_child = np.random.SeedSequence(cfg.seed).spawn(3)
@@ -444,15 +434,17 @@ def _descent_loop(
     central = schedule is None
     k = obj.n_nodes if central else 1
     if not central:
-        rows = _draw_rows(obj, schedule, np.random.default_rng(rows_child))
+        # A bound of 1 returns 0 without consuming the stream.
+        rows = np.random.default_rng(rows_child).integers(0, obj.local_sizes[schedule]).tolist()
         calls = zip(schedule.tolist(), rows)
 
+    x = _initial_point(obj, cfg)
+    gamma = _resolve_gamma(obj, cfg, x, chain)
     noise_std = cfg.clip_threshold * cfg.sigma / k
     noise = None
     if noise_std > 0.0:
         noise = np.random.default_rng(noise_child).normal(0.0, noise_std, size=(steps, obj.dim))
 
-    x = _initial_point(obj, cfg)
     optimum = obj.optimum()
     stride = max(1, steps // max(cfg.trace_points, 1))
 
@@ -509,10 +501,7 @@ def run_rw_dpsgd(w: TransitionMatrix, obj: Objective, cfg: SgdConfig) -> RunReco
         raise ConfigError(f"chain has {w.n} nodes but objective has {obj.n_nodes}")
     walk_child = np.random.SeedSequence(cfg.seed).spawn(3)[0]
     traj = simulate(w, 0, cfg.steps, walk_child)
-    gamma = cfg.gamma if cfg.gamma is not None else _resolve_gamma(
-        obj, cfg, _initial_point(obj, cfg), _mixing_estimate(w)
-    )
-    return _descent_loop(obj, cfg, traj.nodes[:-1], gamma, "rw_dpsgd", traj)
+    return _descent_loop(obj, cfg, traj.nodes[:-1], "rw_dpsgd", traj, w)
 
 
 def run_local_dpsgd(obj: Objective, cfg: SgdConfig) -> RunRecord:
@@ -523,8 +512,7 @@ def run_local_dpsgd(obj: Objective, cfg: SgdConfig) -> RunRecord:
     """
     schedule_child = np.random.SeedSequence(cfg.seed).spawn(3)[0]
     schedule = np.random.default_rng(schedule_child).integers(0, obj.n_nodes, size=cfg.steps)
-    gamma = cfg.gamma if cfg.gamma is not None else _resolve_gamma(obj, cfg, _initial_point(obj, cfg), 1.0)
-    return _descent_loop(obj, cfg, schedule, gamma, "local_dpsgd", None)
+    return _descent_loop(obj, cfg, schedule, "local_dpsgd")
 
 
 def run_central_dpsgd(obj: Objective, cfg: SgdConfig) -> RunRecord:
@@ -535,8 +523,7 @@ def run_central_dpsgd(obj: Objective, cfg: SgdConfig) -> RunRecord:
     `Objective.node_gradients`); one Gaussian draw of per-coordinate std
     ``clip_threshold * sigma / n`` is added to the average.
     """
-    gamma = cfg.gamma if cfg.gamma is not None else _resolve_gamma(obj, cfg, _initial_point(obj, cfg), 1.0)
-    return _descent_loop(obj, cfg, None, gamma, "central_dpsgd", None)
+    return _descent_loop(obj, cfg, None, "central_dpsgd")
 
 
 # --------------------------------------------------------------------------- #

@@ -176,17 +176,18 @@ def blend_self_loops(tm: TransitionMatrix, kappa: float) -> TransitionMatrix:
 
 
 def from_array(w: np.ndarray, *, atol: float = DEFAULT_ATOL) -> TransitionMatrix:
-    """Wrap an arbitrary square array, recomputing the metadata flags.
+    """Wrap an arbitrary square array, with the flags read off :func:`validate`'s
+    residuals at `atol`.
 
     Does not reject invalid chains; run :func:`validate` to get a report.
     """
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise TransitionError(f"transition matrix must be square, got shape {w.shape}")
-    symmetric = bool(np.allclose(w, w.T, atol=atol, rtol=0.0))
-    rows_ok = bool(np.allclose(w.sum(axis=1), 1.0, atol=atol, rtol=0.0))
-    cols_ok = bool(np.allclose(w.sum(axis=0), 1.0, atol=atol, rtol=0.0))
-    return TransitionMatrix(w=w.copy(), symmetric=symmetric, bistochastic=rows_ok and cols_ok)
+    tm = TransitionMatrix(w=np.array(w, dtype=float))  # a copy: the wrapper freezes it
+    rep = validate(tm, atol=atol)
+    return TransitionMatrix(
+        w=tm.w,
+        symmetric=rep.max_asymmetry <= atol,
+        bistochastic=rep.max_row_sum_error <= atol,
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -225,10 +226,10 @@ def validate(
     row_err, col_err = float(row_dev.max(initial=0.0)), float(col_dev.max(initial=0.0))
     if not row_err <= atol:
         i = int(np.argmax(row_dev))
-        failures.append(f"row {i} sums to {rows[i]!r} (violation {row_err:.3g})")
+        failures.append(f"row {i} sums to {float(rows[i])!r} (violation {row_err:.3g})")
     elif col_err > atol:
         j = int(np.argmax(col_dev))
-        failures.append(f"column {j} sums to {cols[j]!r} (violation {col_err:.3g})")
+        failures.append(f"column {j} sums to {float(cols[j])!r} (violation {col_err:.3g})")
 
     min_entry = float(w.min()) if n else 0.0
     if min_entry < -atol:

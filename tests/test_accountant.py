@@ -792,6 +792,7 @@ def test_exact_kernel_matches_logm_oracle_at_paper_scale(paper_scale_chains, cha
     # Once every non-unit |lambda|^T underflows, sum_{i<=T} W^i / i is
     # H_T J - logm(I - W + J) with J = 11^T / n.  SciPy's logm is a Schur-Pade
     # method: an oracle on irregular chains that shares no eigh with the kernel.
+    # The same oracle with ln T in place of H_T is the closed kernel.
     from scipy.linalg import logm
 
     tm, steps = paper_scale_chains[chain], 262144
@@ -799,8 +800,11 @@ def test_exact_kernel_matches_logm_oracle_at_paper_scale(paper_scale_chains, cha
     assert lam[-1] == pytest.approx(1.0, abs=1e-12)
     assert float(np.max(np.abs(lam[:-1]))) ** steps == 0.0
     j = np.full((tm.n, tm.n), 1.0 / tm.n)
-    oracle = harmonic_number(steps) * j - logm(np.eye(tm.n) - tm.w + j)
+    log_term = logm(np.eye(tm.n) - tm.w + j)
+    oracle = harmonic_number(steps) * j - log_term
     assert float(np.max(np.abs(acc._kernel(tm, steps, "exact") - oracle) / np.abs(oracle))) <= 1e-11
+    closed = math.log(steps) * j - log_term
+    assert float(np.max(np.abs(acc._kernel(tm, steps, "closed") - closed) / np.abs(closed))) <= 1e-11
 
     want = MEAN_PAIRS.apply(oracle)
     for got in (_spectral_mean(tm, steps, "exact"), _matrix_mean(tm, steps, "exact")):

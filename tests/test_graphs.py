@@ -556,3 +556,16 @@ def test_content_hash_values_pinned():
     assert ring.content_hash() == "ddc7fb0902b632daa920817ba7b56d829f71ff9e63cc0fe2174d5d63efaba4cb"
     er = generate(GraphSpec(family="erdos_renyi", n=20, q=0.4, seed=9))
     assert er.content_hash() == "58e35b79fc43c0b340711f0d409dd2720386b3dbfd60c1b0570c7bb5d9b7d6a5"
+
+
+def test_content_hash_computed_once_per_graph(monkeypatch):
+    calls = []
+
+    def counting_sha256_of_text(text):
+        calls.append(text)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    monkeypatch.setattr(graphs, "sha256_of_text", counting_sha256_of_text)
+    g = generate(GraphSpec(family="ring", n=6))
+    assert g.content_hash() == g.content_hash()  # the edge-list sidecar, then stats.json
+    assert calls == ["6|0,1;0,5;1,2;2,3;3,4;4,5"]

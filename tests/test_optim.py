@@ -122,7 +122,7 @@ def test_averaging_objective_formulas():
     assert np.array_equal(obj.optimum(), [4.0])
     assert obj.heterogeneity() == 6.0  # 2 * max|mean - y_v|
     x = np.array([2.0])
-    assert np.array_equal(obj.gradient(1, x, None), [-2.0])
+    assert np.array_equal(obj.gradient(1, x, 0), [-2.0])
     # mean of ||x - y_v||^2 at x = 2: (1 + 1 + 9 + 25) / 4
     assert obj.objective_value(x) == 9.0
     assert obj.accuracy(x) is None
@@ -149,8 +149,9 @@ def test_logistic_gradient_matches_finite_differences():
         margins = labels * (feats @ point)
         return float(np.mean(np.logaddexp(0.0, -margins)) + 0.5 * obj.reg * (point @ point))
 
+    grads = obj.node_gradients(x)  # full local batches
     for node in (0, 3, 5):
-        full = obj.gradient(node, x, None)  # full local batch
+        full = grads[node]
         h = 1e-6
         numeric = np.zeros(4)
         for k in range(4):
@@ -165,7 +166,7 @@ def test_logistic_minibatch_unbiased_in_expectation():
     ds = synth_linear(2, 40, d=3, margin=0.2, seed=1)
     obj = LogisticObjective(ds)
     x = np.array([0.1, -0.2, 0.3])
-    full = obj.gradient(0, x, None)
+    full = obj.node_gradients(x)[0]
     m = int(obj.local_sizes[0])
     mean = np.mean([obj.gradient(0, x, r) for r in range(m)], axis=0)
     assert np.allclose(mean, full, rtol=1e-12, atol=1e-15)
@@ -195,20 +196,49 @@ def test_vector_expit_matches_scalar_expit_bitwise(overflowing):
     assert optim._expit_negated(stacked).tobytes() == ref[-43 * 93:].tobytes()
 
 
-def test_block_drawn_rows_match_per_call_draws():
-    class Sizes:
-        # 3 * 2**30 rejects a quarter of raw draws, exercising the retry path
-        local_sizes = np.array([1, 3, 5, 6, 8, 100, 3 * 2**30, 2**32 - 5])
+class _RecordingObjective:
+    """Records each single-sample gradient call; zero gradients, x never moves."""
 
-    nodes = np.random.default_rng(2).integers(0, 8, size=3000)
-    rng = np.random.default_rng(np.random.SeedSequence(9))
-    rows = optim._draw_rows(Sizes(), nodes, np.random.default_rng(np.random.SeedSequence(9)))
-    for node, got in zip(nodes.tolist(), rows):
-        m = int(Sizes.local_sizes[node])
-        if m == 1:  # a single-row node takes its whole block
-            assert got is None
-        else:  # a single-sample step gets a plain int
-            assert type(got) is int and got == rng.integers(0, m, size=1)[0]
+    # 3 * 2**30 rejects a quarter of raw draws, exercising the retry path
+    local_sizes = np.array([1, 3, 5, 6, 1, 8, 100, 3 * 2**30, 2**32 - 5])
+    n_nodes, dim, smoothness, strong_convexity = len(local_sizes), 1, 1.0, 1.0
+
+    def __init__(self):
+        self.calls = []
+
+    def gradient(self, node, x, row):
+        self.calls.append((node, row))
+        return np.zeros(1)
+
+    def node_gradients(self, x):
+        return np.zeros((self.n_nodes, 1))
+
+    def objective_value(self, x):
+        return 0.0
+
+    def optimum(self):
+        return None
+
+    def heterogeneity(self):
+        return None
+
+    def accuracy(self, x):
+        return None
+
+
+def test_block_drawn_rows_match_per_call_draws():
+    obj = _RecordingObjective()
+    assert isinstance(obj, optim.Objective)
+    run_local_dpsgd(obj, SgdConfig(steps=3000, gamma=0.1, seed=9))
+    assert len(obj.calls) == 3000
+    rng = np.random.default_rng(np.random.SeedSequence(9).spawn(3)[2])  # the rows stream
+    for node, got in obj.calls:
+        m = int(obj.local_sizes[node])
+        assert type(got) is int
+        if m == 1:  # a single-row node takes row 0 and consumes no draw
+            assert got == 0
+        else:
+            assert got == rng.integers(0, m, size=1)[0]
 
 
 def _reference_block_gradient(feats, labels, x, reg):
@@ -251,16 +281,16 @@ def test_stacked_central_step_matches_per_node_loop():
         x = rng.normal(size=obj.dim) * scale
         grads = obj.node_gradients(x)
         assert grads.shape == (9, obj.dim)
-        for v, idx in enumerate(ds.partition):
-            ref = _reference_block_gradient(ds.features[idx], ds.labels[idx], x, 0.05)
+        refs = [_reference_block_gradient(ds.features[idx], ds.labels[idx], x, 0.05)
+                for idx in ds.partition]
+        for v, ref in enumerate(refs):
             assert grads[v].tobytes() == ref.tobytes()
-            assert obj.gradient(v, x, None).tobytes() == ref.tobytes()
         norms = np.linalg.norm(grads, axis=1)
         delta = float(np.median(norms))
         assert norms.min() < delta < norms.max()  # some rows clipped, some not
-        ref = clip(obj.gradient(0, x, None), delta)
+        ref = clip(refs[0], delta)
         for v in range(1, obj.n_nodes):
-            ref = ref + clip(obj.gradient(v, x, None), delta)
+            ref = ref + clip(refs[v], delta)
         assert optim._clipped_sum(grads, delta).tobytes() == ref.tobytes()
 
 
@@ -272,11 +302,11 @@ def test_averaging_stacked_round_matches_per_node_loop(dim):
     x = rng.normal(size=dim)
     stacked = obj.node_gradients(x)
     for v in range(256):
-        assert stacked[v].tobytes() == obj.gradient(v, x, None).tobytes()
+        assert stacked[v].tobytes() == obj.gradient(v, x, 0).tobytes()
     delta = float(np.median(np.linalg.norm(stacked, axis=1)))
-    ref = clip(obj.gradient(0, x, None), delta)
+    ref = clip(obj.gradient(0, x, 0), delta)
     for v in range(1, 256):
-        ref = ref + clip(obj.gradient(v, x, None), delta)
+        ref = ref + clip(obj.gradient(v, x, 0), delta)
     assert optim._clipped_sum(stacked, delta).tobytes() == ref.tobytes()
 
 

@@ -229,14 +229,16 @@ def test_run_is_bitwise_golden(case):
 
 
 def test_golden_fixtures_exercise_their_branches():
-    """The singleton node takes whole-block steps between single-sample steps;
-    the mixed-clip threshold clips some node gradients at x0 and not others."""
+    """The singleton node takes its one row between sampled steps on larger
+    blocks; the mixed-clip threshold clips some node gradients at x0 and not
+    others."""
     rec = _run("rw-singleton-b1")
     visits = rec.trajectory.nodes[:-1]
     assert 0 < np.count_nonzero(visits == 2) < visits.size
 
     obj = _unequal_blocks()
-    norms = [np.linalg.norm(obj.gradient(v, np.zeros(obj.dim), None)) for v in range(7)]
+    norms = np.linalg.norm(obj.node_gradients(np.zeros(obj.dim)), axis=1)
+    assert norms.shape == (7,)
     assert min(norms) < MIXED_CLIP < max(norms)
 
 

@@ -202,6 +202,7 @@ def test_validate_failure_messages(w, nodes, head, tail):
     rep = validate(from_array(w), graph=generate(GraphSpec(family="ring", n=nodes)))
     assert not rep.ok
     assert any(f.startswith(head) and f.endswith(tail) for f in rep.failures), rep.failures
+    assert not any("np.float64(" in f for f in rep.failures), rep.failures  # plain floats
 
 
 def test_validate_passes_for_good_chain():
