@@ -25,16 +25,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import _gauss_legendre
 from .errors import AccountantError, CalibrationError
-from .ioutil import dump_json, read_matrix_csv, write_matrix_csv, write_rows_csv
 from .spectral import SpectralDecomposition, decompose, matrix_log_spectrum
-from .transition import HASH_VERSION, TransitionMatrix
+from .transition import TransitionMatrix
 
 __all__ = [
     "ALPHA_GRID",
@@ -64,10 +62,6 @@ __all__ = [
     "calibrate_sigma",
     "calibrate_sigma_local",
     "mean_loss_by_distance",
-    "save_pairwise_csv",
-    "load_pairwise_csv",
-    "save_distance_series_csv",
-    "read_distance_series_csv",
 ]
 
 #: Renyi orders tried by the calibrator (the best converted epsilon wins).
@@ -414,10 +408,21 @@ def _kernel_spectrum(
 
 
 def _kernel(w: TransitionMatrix, steps: int, method: str) -> np.ndarray:
-    """A new n x n array holding the kernel of :func:`_kernel_spectrum`."""
+    """A new n x n array holding the kernel of :func:`_kernel_spectrum`.
+
+    A negative off-diagonal cell of the closed form is no loss bound (T is too
+    short for its T -> infinity limit), so it raises :class:`AccountantError`.
+    """
     dec, values, shift = _kernel_spectrum(w, steps, method)
     k = dec.apply(values)
     k += shift
+    if method == "closed":
+        low = float(np.min(_offdiagonal_view(k), initial=0.0))
+        if low < 0.0:
+            raise AccountantError(
+                f"the closed form gives a negative loss kernel ({low}) at T = {steps}, "
+                "too few steps for its T -> infinity limit; use --method exact"
+            )
     return k
 
 
@@ -862,66 +867,3 @@ def mean_loss_by_distance(
         )
     return out
 
-
-def save_pairwise_csv(m: PairwiseLossMatrix, path: str | Path) -> None:
-    """n x n CSV (NaN diagonal as empty cells) plus a JSON metadata sidecar."""
-    path = Path(path)
-    write_matrix_csv(path, m.eps, nan_as_empty=True)
-    dump_json(
-        path.with_suffix(path.suffix + ".json"),
-        {
-            "alpha": m.params.alpha,
-            "sigma2": m.params.sigma2,
-            "steps": m.params.steps,
-            # schema keys: every node composes over its expected T/n contributions
-            "contributions": "expected",
-            "max_contributions": None,
-            "method": m.method,
-            "graph_hash": m.w_hash,
-            "hash_version": HASH_VERSION,
-        },
-    )
-
-
-def load_pairwise_csv(path: str | Path) -> np.ndarray:
-    """Read back a pairwise CSV (empty cells become NaN)."""
-    return read_matrix_csv(path, empty_as_nan=True)
-
-
-def save_distance_series_csv(buckets: Sequence[DistanceBucket], path: str | Path) -> None:
-    write_rows_csv(
-        path,
-        ["distance", "mean", "std", "count"],
-        [(b.distance, b.mean, b.std, b.count) for b in buckets],
-    )
-
-
-def read_distance_series_csv(path: str | Path) -> list[DistanceBucket]:
-    """Parse a (distance, mean[, std, count]) series; values are pass-through.
-
-    External overlays may omit std/count columns; those default to 0.
-    """
-    path = Path(path)
-    buckets: list[DistanceBucket] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if not header or header[0] != "distance":
-            raise AccountantError(f"{path}: expected a 'distance' first column")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            cells = line.strip().split(",")
-            if len(cells) < 2:
-                raise AccountantError(f"{path}:{lineno}: need at least distance,mean")
-            try:
-                buckets.append(
-                    DistanceBucket(
-                        distance=int(cells[0]),
-                        mean=float(cells[1]),
-                        std=float(cells[2]) if len(cells) > 2 else 0.0,
-                        count=int(cells[3]) if len(cells) > 3 else 0,
-                    )
-                )
-            except ValueError as exc:
-                raise AccountantError(f"{path}:{lineno}: {exc}") from exc
-    return buckets

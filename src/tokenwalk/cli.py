@@ -55,7 +55,15 @@ from .errors import (
     TokenwalkError,
     TransitionError,
 )
-from .ioutil import dump_json, sha256_of_file, sha256_of_text, write_rows_csv
+from .ioutil import (
+    atomic_write_text,
+    dump_json,
+    sha256_of_file,
+    sha256_of_text,
+    sidecar,
+    write_matrix_csv,
+    write_rows_csv,
+)
 
 __all__ = ["main"]
 
@@ -210,8 +218,13 @@ class _Manifest:
         self.t0 = time.perf_counter()
         self.files: list[Path] = []
 
-    def add(self, path: Path) -> Path:
+    def add(self, path: Path, meta: dict | None = None) -> Path:
+        """Record `path`; given `meta`, write it as `path`'s JSON sidecar and record that too."""
         self.files.append(path)
+        if meta is not None:
+            meta_path = sidecar(path)
+            dump_json(meta_path, meta)
+            self.files.append(meta_path)
         return path
 
     def write(self) -> None:
@@ -257,8 +270,10 @@ def cmd_graph(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     manifest = _Manifest(out, "graph", _public_config(args), [args.seed] if args.seed is not None else [])
     g = graphs.generate(_graph_spec_from_args(args, args.seed))
-    graphs.save_edge_list(g, manifest.add(out / "edges.txt"))
-    manifest.add(out / "edges.txt.json")
+    edges = out / "edges.txt"
+    atomic_write_text(edges, "\n".join(f"{u} {v}" for u, v in g.edges.tolist()) + "\n")
+    manifest.add(edges, {"n": g.n, "family": g.family, "seed": g.seed, "retries": g.retries,
+                         "edge_count": len(g.edges), "hash": g.content_hash()})
     deg = g.degrees
     dist = graphs.shortest_path_distances(g)
     dump_json(
@@ -292,13 +307,17 @@ def cmd_privacy(args: argparse.Namespace) -> int:
         report = transition.validate(tm, g)
         report.raise_if_failed()
         matrix = accountant.pairwise_matrix(tm, p, method=args.method)
-        accountant.save_pairwise_csv(matrix, manifest.add(out / f"pairwise_seed{seed}.csv"))
-        manifest.add(out / f"pairwise_seed{seed}.csv.json")
+        pairwise = out / f"pairwise_seed{seed}.csv"
+        write_matrix_csv(pairwise, matrix.eps, nan_as_empty=True)  # the undefined diagonal as empty cells
+        manifest.add(pairwise, {
+            "alpha": p.alpha, "sigma2": p.sigma2, "steps": p.steps,
+            # schema keys: every node composes over its expected T/n contributions
+            "contributions": "expected", "max_contributions": None,
+            "method": matrix.method, "graph_hash": matrix.w_hash, "hash_version": transition.HASH_VERSION,
+        })
         dist = graphs.shortest_path_distances(g)
         buckets = accountant.mean_loss_by_distance(matrix, dist)
-        accountant.save_distance_series_csv(
-            buckets, manifest.add(out / f"distance_seed{seed}.csv")
-        )
+        _write_distance_series(manifest.add(out / f"distance_seed{seed}.csv"), buckets)
         per_seed_series.append(buckets)
 
     merged: dict[int, list[accountant.DistanceBucket]] = {}
@@ -319,7 +338,7 @@ def cmd_privacy(args: argparse.Namespace) -> int:
             )
         )
         converted.append((d, float(means.mean()) + tail, args.delta, counts))
-    accountant.save_distance_series_csv(averaged, manifest.add(out / "distance_mean.csv"))
+    _write_distance_series(manifest.add(out / "distance_mean.csv"), averaged)
     write_rows_csv(
         manifest.add(out / "distance_dp.csv"),
         ["distance", "epsilon_dp", "delta", "count"],
@@ -327,6 +346,41 @@ def cmd_privacy(args: argparse.Namespace) -> int:
     )
     manifest.write()
     return 0
+
+
+def _write_distance_series(path: Path, buckets: list[accountant.DistanceBucket]) -> None:
+    rows = [(b.distance, b.mean, b.std, b.count) for b in buckets]
+    write_rows_csv(path, ["distance", "mean", "std", "count"], rows)
+
+
+def _read_distance_series(path: Path) -> list[accountant.DistanceBucket]:
+    """Parse a (distance, mean[, std, count]) series; values are pass-through.
+
+    External overlays may omit std/count columns; those default to 0.
+    """
+    buckets: list[accountant.DistanceBucket] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        if not header or header[0] != "distance":
+            raise AccountantError(f"{path}: expected a 'distance' first column")
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            cells = line.strip().split(",")
+            if len(cells) < 2:
+                raise AccountantError(f"{path}:{lineno}: need at least distance,mean")
+            try:
+                buckets.append(
+                    accountant.DistanceBucket(
+                        distance=int(cells[0]),
+                        mean=float(cells[1]),
+                        std=float(cells[2]) if len(cells) > 2 else 0.0,
+                        count=int(cells[3]) if len(cells) > 3 else 0,
+                    )
+                )
+            except ValueError as exc:
+                raise AccountantError(f"{path}:{lineno}: {exc}") from exc
+    return buckets
 
 
 def _load_houses_or_die(n_users: int, seed: int) -> tokenwalk.datasets.Dataset:
@@ -341,6 +395,23 @@ def _load_houses_or_die(n_users: int, seed: int) -> tokenwalk.datasets.Dataset:
         )
     raw = datasets.load_csv(path, label_column="median_house_value")
     return datasets.preprocess(raw, n_users=n_users, seed=seed)
+
+
+def _write_run(manifest: _Manifest, path: Path, rec: tokenwalk.optim.RunRecord) -> None:
+    """(t, objective, sq_distance?, accuracy?) rows, blank where untracked, and a
+    sidecar with the algorithm, stride, step size and wall clock."""
+    rows = [
+        (
+            int(t),
+            float(rec.objective[i]),
+            float(rec.sq_distance[i]) if rec.sq_distance is not None else "",
+            float(rec.accuracy[i]) if rec.accuracy is not None else "",
+        )
+        for i, t in enumerate(rec.ts)
+    ]
+    write_rows_csv(path, ["t", "objective", "sq_distance", "accuracy"], rows)
+    manifest.add(path, {"algorithm": rec.algorithm, "stride": rec.stride, "gamma": rec.gamma,
+                        "steps": int(rec.ts[-1]) if rec.ts.size else 0, "wall_clock": rec.wall_clock})
 
 
 def _summary_row(rec: tokenwalk.optim.RunRecord, **extra) -> dict:
@@ -406,8 +477,7 @@ def cmd_sgd(args: argparse.Namespace) -> int:
             values = np.random.default_rng(np.random.SeedSequence(seed)).normal(size=n)
             cfg = optim.SgdConfig(sigma=opts["sigma"], seed=seed, x0=100.0, **descent)
             rec = optim.run_rw_dpsgd(tm, optim.AveragingObjective(values), cfg)
-            optim.save_run_csv(rec, manifest.add(out / f"averaging_seed{seed}.csv"))
-            manifest.add(out / f"averaging_seed{seed}.csv.json")
+            _write_run(manifest, out / f"averaging_seed{seed}.csv", rec)
             summary["runs"].append(_summary_row(rec, seed=seed, var_y=float(np.var(values))))
 
     elif args.preset == "heterogeneity":
@@ -418,8 +488,7 @@ def cmd_sgd(args: argparse.Namespace) -> int:
             ds = datasets.synth_heterogeneous_geometric(g, seed=seeds[0], shuffled=shuffled)
             rec = optim.run_rw_dpsgd(tm, optim.LogisticObjective(ds), cfg)
             tag = "shuffled" if shuffled else "spatial"
-            optim.save_run_csv(rec, manifest.add(out / f"heterogeneity_{tag}.csv"))
-            manifest.add(out / f"heterogeneity_{tag}.csv.json")
+            _write_run(manifest, out / f"heterogeneity_{tag}.csv", rec)
             summary["runs"].append(_summary_row(rec, shuffled=shuffled))
 
     else:  # fig2 or table1-rw
@@ -447,9 +516,7 @@ def cmd_sgd(args: argparse.Namespace) -> int:
                     runs.append(optim.run_central_dpsgd(obj, optim.SgdConfig(
                         sigma=float(np.sqrt(cal_local.sigma2)), **rounds_cfg)))
                 for rec in runs:
-                    name = f"{rec.algorithm}_eps{eps_target}_seed{seed}.csv"
-                    optim.save_run_csv(rec, manifest.add(out / name))
-                    manifest.add(out / (name + ".json"))
+                    _write_run(manifest, out / f"{rec.algorithm}_eps{eps_target}_seed{seed}.csv", rec)
                     summary["runs"].append(_summary_row(rec, seed=seed, target_eps=eps_target,
                                                         sigma2_rw=cal_rw.sigma2, sigma2_local=cal_local.sigma2))
 
@@ -516,13 +583,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         if not path.exists():
             raise ConfigError(f"input not found: {path}")
         try:
-            buckets = accountant.read_distance_series_csv(path)
+            buckets = _read_distance_series(path)
         except AccountantError as exc:
             raise ConfigError(f"unreadable distance series: {exc}") from exc
-        meta_path = path.with_suffix(path.suffix + ".json")
         method = graph_name = ""
-        if meta_path.exists():
-            meta = _read_json_object(meta_path, "sidecar")
+        if sidecar(path).exists():
+            meta = _read_json_object(sidecar(path), "sidecar")
             method = str(meta.get("method", ""))
             graph_name = str(meta.get("graph", meta.get("graph_hash", "")))[:12]
         for b in buckets:

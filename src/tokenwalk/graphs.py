@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GraphError
-from .ioutil import atomic_write_text, dump_json, sha256_of_text
+from .ioutil import sha256_of_text
 
 __all__ = [
     "Graph",
@@ -28,7 +28,6 @@ __all__ = [
     "load_edge_list",
     "shortest_path_distances",
     "hop_levels",
-    "save_edge_list",
     "default_geometric_radius",
     "MAX_CONNECTIVITY_RETRIES",
 ]
@@ -439,18 +438,3 @@ def shortest_path_distances(g: Graph) -> np.ndarray:
     """
     return hop_levels(g.n, g.edges, np.arange(g.n))
 
-
-def save_edge_list(g: Graph, path: str | Path) -> None:
-    """Write `u v` lines plus a JSON sidecar with provenance metadata."""
-    path = Path(path)
-    lines = [f"{u} {v}" for u, v in g.edges.tolist()]
-    atomic_write_text(path, "\n".join(lines) + "\n")
-    sidecar = {
-        "n": g.n,
-        "family": g.family,
-        "seed": g.seed,
-        "retries": g.retries,
-        "edge_count": len(g.edges),
-        "hash": g.content_hash(),
-    }
-    dump_json(path.with_suffix(path.suffix + ".json"), sidecar)

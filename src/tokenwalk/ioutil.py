@@ -1,4 +1,4 @@
-"""Small I/O helpers: atomic writes, full-precision CSV, content hashes."""
+"""Small I/O helpers: atomic writes, full-precision CSV, content hashes, sidecar names."""
 
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ __all__ = [
     "sha256_of_file",
     "sha256_of_text",
     "dump_json",
+    "sidecar",
 ]
 
 # 17 significant digits round-trip any IEEE double.
@@ -149,3 +150,9 @@ def sha256_of_text(text: str) -> str:
 def dump_json(path: str | Path, obj: Any) -> None:
     """Write JSON with stable key order (atomic)."""
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def sidecar(path: str | Path) -> Path:
+    """The JSON metadata file that accompanies `path`: ``edges.txt`` -> ``edges.txt.json``."""
+    path = Path(path)
+    return path.with_name(path.name + ".json")

@@ -20,14 +20,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .datasets import Dataset
 from .errors import ConfigError
-from .ioutil import dump_json, write_rows_csv
 from .spectral import mixing_time_empirical, mixing_time_spectral_bound
 from .transition import TransitionMatrix
 from .walk import Trajectory, simulate
@@ -44,7 +42,6 @@ __all__ = [
     "run_rw_dpsgd",
     "run_local_dpsgd",
     "run_central_dpsgd",
-    "save_run_csv",
 ]
 
 #: Appendix-constant of the strongly convex analysis; 3 * gamma * L * C = 39 gamma L.
@@ -525,36 +522,3 @@ def run_central_dpsgd(obj: Objective, cfg: SgdConfig) -> RunRecord:
     """
     return _descent_loop(obj, cfg, None, "central_dpsgd")
 
-
-# --------------------------------------------------------------------------- #
-# Persistence
-# --------------------------------------------------------------------------- #
-
-
-def save_run_csv(rec: RunRecord, path: str | Path) -> None:
-    """(t, objective, sq_distance?, accuracy?) rows; blanks where untracked.
-
-    A JSON header sidecar records the algorithm, stride and wall clock.
-    """
-    path = Path(path)
-    rows = []
-    for i, t in enumerate(rec.ts):
-        rows.append(
-            (
-                int(t),
-                float(rec.objective[i]),
-                float(rec.sq_distance[i]) if rec.sq_distance is not None else "",
-                float(rec.accuracy[i]) if rec.accuracy is not None else "",
-            )
-        )
-    write_rows_csv(path, ["t", "objective", "sq_distance", "accuracy"], rows)
-    dump_json(
-        path.with_suffix(path.suffix + ".json"),
-        {
-            "algorithm": rec.algorithm,
-            "stride": rec.stride,
-            "gamma": rec.gamma,
-            "steps": int(rec.ts[-1]) if rec.ts.size else 0,
-            "wall_clock": rec.wall_clock,
-        },
-    )

@@ -201,7 +201,7 @@ def validate(
     *,
     atol: float = DEFAULT_ATOL,
 ) -> ValidationReport:
-    """Check symmetry, row and column sums, nonnegativity and support.
+    """Check finiteness, symmetry, row and column sums, nonnegativity and support.
 
     Never raises: every violation is packed into the report so callers decide
     (the CLI maps a failed report to a config error, tests inspect messages).
@@ -213,15 +213,19 @@ def validate(
     w = tm.w
     n = tm.n
     failures: list[str] = []
+    if not np.isfinite(w).all():
+        i, j = np.unravel_index(np.argmin(np.isfinite(w)), w.shape)
+        failures.append(f"entry W[{i},{j}] = {float(w[i, j])} is not finite")
+    with np.errstate(invalid="ignore"):  # inf - inf and inf + -inf, reported above
+        scratch = np.subtract(w, w.T)
+        rows, cols = w.sum(axis=1), w.sum(axis=0)
 
-    scratch = np.subtract(w, w.T)
     np.abs(scratch, out=scratch)
     asym = float(scratch.max(initial=0.0))  # initial: a 0 x 0 chain has no violation
     if not asym <= atol:  # written so that NaN fails, here and for the row sums
         i, j = np.unravel_index(np.argmax(scratch), w.shape)
         failures.append(f"not symmetric: |W[{i},{j}] - W[{j},{i}]| = {asym:.3g}")
 
-    rows, cols = w.sum(axis=1), w.sum(axis=0)
     row_dev, col_dev = np.abs(rows - 1.0), np.abs(cols - 1.0)
     row_err, col_err = float(row_dev.max(initial=0.0)), float(col_dev.max(initial=0.0))
     if not row_err <= atol:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tokenwalk import accountant as acc
+from tokenwalk import accountant as acc, cli
 from tokenwalk.accountant import (
     MAX_PAIRS,
     MEAN_PAIRS,
@@ -40,7 +40,8 @@ from tokenwalk.accountant import (
 from tokenwalk.errors import AccountantError, CalibrationError
 from tokenwalk.graphs import GraphSpec, generate, shortest_path_distances
 from tokenwalk.spectral import SpectralDecomposition, matrix_log_term
-from tokenwalk.transition import HASH_VERSION, from_array, hamilton_weighting, with_self_loops
+from tokenwalk.ioutil import read_matrix_csv
+from tokenwalk.transition import HASH_VERSION, blend_self_loops, from_array, hamilton_weighting, with_self_loops
 
 P = PrivacyParams  # the tests build many of these
 
@@ -958,17 +959,19 @@ def test_privacy_path_memory_bounds(traced_memory, traced_peak):
     assert traced_peak(mean_loss_by_distance, m, dist) <= 2.5 * n * n * 8
 
 
-def test_pairwise_csv_round_trip(tmp_path, lazy_ring):
-    tm = lazy_ring(5)
+def test_pairwise_csv_round_trip(tmp_path):
+    # the lazy ring as the privacy command builds it: --kappa blends self-loops in
+    tm = blend_self_loops(hamilton_weighting(generate(GraphSpec(family="ring", n=5))), 1.0 / 3.0)
     m = pairwise_matrix(tm, P(alpha=4.0, sigma2=32.0, steps=50), method="exact")
-    path = tmp_path / "pairwise.csv"
-    acc.save_pairwise_csv(m, path)
-    back = acc.load_pairwise_csv(path)
+    assert cli.main(["privacy", "--family", "ring", "--n", "5", "--kappa", repr(1.0 / 3.0), "--alpha", "4",
+                     "--sigma2", "32", "--steps", "50", "--method", "exact", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "pairwise_seed0.csv"
+    back = read_matrix_csv(path, empty_as_nan=True)
     assert np.array_equal(back, m.eps, equal_nan=True)
     # the NaN diagonal is stored as empty cells
     first_row = path.read_text().splitlines()[0]
     assert first_row.startswith(",")
-    meta = __import__("json").loads((tmp_path / "pairwise.csv.json").read_text())
+    meta = __import__("json").loads((tmp_path / "pairwise_seed0.csv.json").read_text())
     assert meta["alpha"] == 4.0
     assert meta["sigma2"] == 32.0
     assert meta["method"] == "exact"
@@ -982,14 +985,14 @@ def test_distance_series_round_trip(tmp_path):
         DistanceBucket(distance=2, mean=0.25, std=0.05, count=8),
     ]
     path = tmp_path / "series.csv"
-    acc.save_distance_series_csv(buckets, path)
-    assert acc.read_distance_series_csv(path) == buckets
+    cli._write_distance_series(path, buckets)
+    assert cli._read_distance_series(path) == buckets
 
 
 def test_distance_series_reads_two_column_overlay(tmp_path):
     path = tmp_path / "overlay.csv"
     path.write_text("distance,mean\n1,0.75\n2,0.5\n")
-    got = acc.read_distance_series_csv(path)
+    got = cli._read_distance_series(path)
     assert got == [
         DistanceBucket(distance=1, mean=0.75, std=0.0, count=0),
         DistanceBucket(distance=2, mean=0.5, std=0.0, count=0),
@@ -1000,8 +1003,8 @@ def test_distance_series_header_errors(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("hops,mean\n1,0.5\n")
     with pytest.raises(AccountantError, match="distance"):
-        acc.read_distance_series_csv(bad)
+        cli._read_distance_series(bad)
     short = tmp_path / "short.csv"
     short.write_text("distance,mean\n3\n")
     with pytest.raises(AccountantError, match="short.csv:2"):
-        acc.read_distance_series_csv(short)
+        cli._read_distance_series(short)

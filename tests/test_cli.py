@@ -14,7 +14,7 @@ import pytest
 
 from tokenwalk import accountant, cli, datasets, graphs, optim, transition
 from tokenwalk.cli import main
-from tokenwalk.ioutil import sha256_of_file
+from tokenwalk.ioutil import read_matrix_csv, sha256_of_file, sidecar
 
 
 def _read_json(path):
@@ -75,6 +75,7 @@ def test_cli_import_loads_only_the_layers_it_needs():
 def test_sgd_helper_annotations_resolve():
     # cli does not import datasets or optim at module level, yet names them.
     assert typing.get_type_hints(cli._summary_row)["rec"] is optim.RunRecord
+    assert typing.get_type_hints(cli._write_run)["rec"] is optim.RunRecord
     assert typing.get_type_hints(cli._load_houses_or_die)["return"] is datasets.Dataset
 
 
@@ -156,10 +157,26 @@ def test_manifest_checksums_verify(tmp_path):
     manifest = _read_json(out / "manifest.json")
     assert manifest["schema_version"] == 1
     assert manifest["command"] == "graph"
-    for name, digest in manifest["files"].items():
-        assert sha256_of_file(out / name) == digest
     assert "edges.txt" in manifest["files"]
     assert "stats.json" in manifest["files"]
+    series = _series(tmp_path, "s.csv", [(1, 0.5, 0.0, 4)], {"method": "exact"})
+    for i, argv in enumerate([
+        ["graph", "--family", "complete", "--n", "5"],
+        ["privacy", "--family", "erdos-renyi", "--n", "12", "--q", "0.5", "--steps", "64", "--seeds", "0,1"],
+        ["calibrate", "--family", "ring", "--n", "8", "--steps", "80", "--target-eps", "2"],
+        ["report", f"{series}=ours"],
+        ["sgd", "--preset", "fig2", "--synthetic", "--n", "8", "--epochs", "1"],
+        ["sgd", "--preset", "table1-rw", "--synthetic", "--n", "8", "--epochs", "1"],
+        ["sgd", "--preset", "heterogeneity", "--n", "40", "--steps", "200"],
+        ["sgd", "--preset", "averaging", "--n", "8", "--steps", "100", "--seeds", "0,1"],
+    ]):
+        out = tmp_path / f"run{i}"
+        assert main([*argv, "--out", str(out)]) == 0, argv
+        files = _read_json(out / "manifest.json")["files"]
+        # every file the command wrote is listed, and nothing else
+        assert sorted(files) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json"), argv
+        for name, digest in files.items():
+            assert sha256_of_file(out / name) == digest, (argv, name)
 
 
 def test_manifest_records_the_openblas_environment(tmp_path, monkeypatch):
@@ -254,7 +271,7 @@ def test_explicit_flag_equal_to_default_beats_config(tmp_path):
     meta = _read_json(out / "pairwise_seed0.csv.json")
     assert (meta["sigma2"], meta["method"]) == (16.0, "closed")  # CLI values kept
     assert meta["alpha"] == 2.0  # neither given: the default
-    assert len(accountant.load_pairwise_csv(out / "pairwise_seed0.csv")) == 5  # config filled
+    assert len(read_matrix_csv(out / "pairwise_seed0.csv", empty_as_nan=True)) == 5  # config filled
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):
@@ -402,7 +419,7 @@ def test_privacy_outputs_match_library(tmp_path):
         ]
     )
     assert rc == 0
-    got = accountant.load_pairwise_csv(out / "pairwise_seed0.csv")
+    got = read_matrix_csv(out / "pairwise_seed0.csv", empty_as_nan=True)
     g = graphs.generate(graphs.GraphSpec(family="complete", n=4))
     tm = transition.hamilton_weighting(g)
     p = accountant.PrivacyParams(alpha=2.0, sigma2=16.0, steps=40)
@@ -430,10 +447,10 @@ def test_privacy_multi_seed_aggregates(tmp_path):
     for seed in (0, 1, 2):
         assert (out / f"pairwise_seed{seed}.csv").exists()
         assert (out / f"distance_seed{seed}.csv").exists()
-    series = accountant.read_distance_series_csv(out / "distance_mean.csv")
+    series = cli._read_distance_series(out / "distance_mean.csv")
     assert series  # aggregated across seeds
     per_seed = [
-        accountant.read_distance_series_csv(out / f"distance_seed{s}.csv") for s in (0, 1, 2)
+        cli._read_distance_series(out / f"distance_seed{s}.csv") for s in (0, 1, 2)
     ]
     d1 = [next(b.mean for b in s if b.distance == 1) for s in per_seed]
     merged_d1 = next(b for b in series if b.distance == 1)
@@ -448,7 +465,7 @@ def test_privacy_kappa_auto(tmp_path):
     assert rc == 0
     meta = _read_json(out / "pairwise_seed0.csv.json")
     assert meta["steps"] == 60
-    with_auto = accountant.load_pairwise_csv(out / "pairwise_seed0.csv")
+    with_auto = read_matrix_csv(out / "pairwise_seed0.csv", empty_as_nan=True)
     g = graphs.generate(graphs.GraphSpec(family="ring", n=6))
     tm = transition.blend_self_loops(transition.hamilton_weighting(g), 1.0 / 60.0**2)
     p = accountant.PrivacyParams(alpha=2.0, sigma2=16.0, steps=60)
@@ -540,6 +557,17 @@ def test_exit_3_gate_violation(tmp_path, capsys):
     )
     assert rc == 3
     assert "accounting error" in capsys.readouterr().err
+
+
+def test_exit_3_negative_closed_kernel(tmp_path, capsys):
+    # T = 4 is far below the ring's mixing time, where the T -> infinity closed
+    # form goes negative (mean loss -1.9e-4 at distances 61-64): no loss bound.
+    argv = ["privacy", "--family", "ring", "--n", "128", "--steps", "4", "--out", str(tmp_path / "o")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "accounting error" in err and "negative" in err and "--method exact" in err
+    assert not (tmp_path / "o" / "distance_mean.csv").exists()
+    assert main([*argv, "--method", "exact"]) == 0
 
 
 def test_exit_4_houses_missing(tmp_path, capsys, monkeypatch):
@@ -798,7 +826,7 @@ def _series(tmp_path, name, rows, meta=None):
     lines = ["distance,mean,std,count"] + [f"{d},{m},{s},{c}" for d, m, s, c in rows]
     path.write_text("\n".join(lines) + "\n")
     if meta is not None:
-        path.with_suffix(path.suffix + ".json").write_text(json.dumps(meta))
+        sidecar(path).write_text(json.dumps(meta))
     return path
 
 

@@ -195,6 +195,14 @@ def test_synth_linear_validation():
         synth_linear(4, 8, d=2, margin=1.0, seed=0)
 
 
+@pytest.mark.parametrize("margin", [0.97, 0.99])
+def test_synth_linear_refuses_a_margin_it_cannot_fill(margin):
+    # In d = 8, margin 0.97 accepts 1.5e-5 of draws and 0.99 3.3e-7: without a
+    # bound on the draws these took ~10 s and did not return.
+    with pytest.raises(DataError, match=r"margin 0.9\d accepted \d+ of \d+ draws in d = 8 \(rate "):
+        synth_linear(64, 8, d=8, margin=margin, seed=0)
+
+
 def test_heterogeneous_needs_positions():
     ring = generate(GraphSpec(family="ring", n=8))
     with pytest.raises(DataError, match="positions"):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.sparse.csgraph import shortest_path
 
-from tokenwalk import graphs
+from tokenwalk import cli, graphs
 from tokenwalk.errors import GraphError
 from tokenwalk.graphs import Graph, GraphSpec, generate
 
@@ -354,15 +354,16 @@ def test_load_edge_list_missing_file(tmp_path):
 
 def test_save_load_round_trip(tmp_path):
     g = generate(GraphSpec(family="erdos_renyi", n=20, q=0.4, seed=9))
-    path = tmp_path / "g.txt"
-    graphs.save_edge_list(g, path)
+    argv = ["graph", "--family", "erdos-renyi", "--n", "20", "--q", "0.4", "--seed", "9", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    path = tmp_path / "edges.txt"
     back, mapping = graphs.load_edge_list(path)
     assert back.n == g.n
     # loading relabels by first appearance; the mapping recovers the topology
     relabel = np.array([mapping[u] for u in range(g.n)])
     relabeled = np.sort(relabel[g.edges], axis=1)
     assert np.array_equal(np.unique(relabeled, axis=0), back.edges)
-    sidecar = json.loads((tmp_path / "g.txt.json").read_text())
+    sidecar = json.loads((tmp_path / "edges.txt.json").read_text())
     assert sidecar["n"] == g.n
     assert sidecar["edge_count"] == len(g.edges)
     assert sidecar["hash"] == g.content_hash()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tokenwalk import optim
+from tokenwalk import cli, optim
 from tokenwalk.datasets import RawTable, preprocess, synth_linear
 from tokenwalk.errors import ConfigError
 from tokenwalk.optim import (
@@ -420,7 +420,7 @@ def test_save_run_csv(tmp_path):
     tm, obj = _ring_setup()
     rec = run_rw_dpsgd(tm, obj, SgdConfig(steps=100, gamma=0.05, trace_points=5))
     path = tmp_path / "run.csv"
-    optim.save_run_csv(rec, path)
+    cli._write_run(cli._Manifest(tmp_path, "sgd", {}, []), path, rec)
     lines = path.read_text().strip().splitlines()
     assert lines[0].split(",")[:3] == ["t", "objective", "sq_distance"]
     assert len(lines) == 1 + len(rec.ts)

@@ -195,8 +195,12 @@ def _edited(entries: dict[tuple[int, int], float]) -> np.ndarray:
         (_edited({(0, 0): -0.5, (0, 1): 1.0, (1, 0): 1.0, (1, 1): -0.5}), 4,
          "negative entry W[0,0] = -0.5", ""),
         (_GOOD, 5, "graph has 5 nodes but matrix is 4x4", ""),
+        # inf - inf and inf + -inf must not warn (pytest turns warnings into errors)
+        (_edited({(0, 0): np.inf}), 4, "entry W[0,0] = inf is not finite", ""),
+        (_edited({(0, 1): np.inf, (0, 3): -np.inf}), 4, "entry W[0,1] = inf is not finite", ""),
+        (_edited({(2, 1): np.nan}), 4, "entry W[2,1] = nan is not finite", ""),
     ],
-    ids=["asymmetric", "row", "column", "negative", "graph-size"],
+    ids=["asymmetric", "row", "column", "negative", "graph-size", "inf", "inf-minus-inf", "nan"],
 )
 def test_validate_failure_messages(w, nodes, head, tail):
     rep = validate(from_array(w), graph=generate(GraphSpec(family="ring", n=nodes)))
