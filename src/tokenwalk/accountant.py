@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,7 +37,6 @@ from .transition import TransitionMatrix
 __all__ = [
     "ALPHA_GRID",
     "PrivacyParams",
-    "PairwiseLossMatrix",
     "DpPoint",
     "DistanceBucket",
     "Statistic",
@@ -119,32 +118,6 @@ class PrivacyParams:
     def n_contributions(self, n: int) -> float:
         """Composition count ``N_u = T/n`` on an n-node graph (a real number)."""
         return self.steps / n
-
-    def scaled(self, **changes) -> PrivacyParams:
-        """Copy with fields replaced (convenience for sweeps)."""
-        return replace(self, **changes)
-
-
-@dataclass(frozen=True)
-class PairwiseLossMatrix:
-    """n x n matrix of composed pairwise losses; diagonal is NaN.
-
-    ``eps[u, v]`` bounds what node v's view reveals about node u's data, in
-    Renyi units at ``params.alpha``, already composed over contributions.
-    """
-
-    eps: np.ndarray
-    params: PrivacyParams
-    method: str
-    w_hash: str
-
-    @property
-    def n(self) -> int:
-        return self.eps.shape[0]
-
-    def offdiagonal(self) -> np.ndarray:
-        """Flat array of the n(n-1) defined entries, in row-major order."""
-        return np.ravel(_offdiagonal_view(self.eps))
 
 
 @dataclass(frozen=True)
@@ -481,9 +454,11 @@ def single_contribution_closed(
 
 def pairwise_matrix(
     w: TransitionMatrix, p: PrivacyParams, method: str = "closed"
-) -> PairwiseLossMatrix:
-    """All-pairs composed losses ``N_u * single(u, v)``; NaN diagonal.
+) -> np.ndarray:
+    """All-pairs composed losses ``N_u * single(u, v)``: a read-only n x n array, NaN diagonal.
 
+    Cell ``[u, v]`` bounds what node v's view reveals about node u's data, in
+    Renyi units at ``p.alpha``, composed over u's contributions.
     ``method="exact"`` uses the finite-sum kernel, the privacy-weighted
     communicability ``sum_{i<=T} alpha W^i / (sigma2 i)``; ``"closed"`` the
     spectral closed form built on its untruncated limit.  Cells are
@@ -497,7 +472,7 @@ def pairwise_matrix(
     eps /= p.sigma2
     np.fill_diagonal(eps, np.nan)
     eps.setflags(write=False)
-    return PairwiseLossMatrix(eps=eps, params=p, method=method, w_hash=w.content_hash())
+    return eps
 
 
 # --------------------------------------------------------------------------- #
@@ -816,10 +791,11 @@ def calibrate_sigma_local(p_template: PrivacyParams, target: DpPoint, n: int) ->
 # --------------------------------------------------------------------------- #
 
 
-def mean_loss_by_distance(
-    m: PairwiseLossMatrix | np.ndarray, dist: np.ndarray
-) -> list[DistanceBucket]:
+def mean_loss_by_distance(eps: np.ndarray, dist: np.ndarray) -> list[DistanceBucket]:
     """Mean/std/count of off-diagonal losses grouped by integer hop distance.
+
+    `eps` is a square loss array such as :func:`pairwise_matrix` returns (its
+    diagonal is skipped) and `dist` the hop distances, of the same shape.
 
     Memory beyond the inputs stays within about ``2.2 n^2`` doubles for an
     n x n matrix, whatever the grouping (``2.0 n^2`` measured at n = 512): a
@@ -828,7 +804,7 @@ def mean_loss_by_distance(
     sort index per cell; then the off-diagonal losses in group order, which
     ``np.std`` may copy once.  No n x n mask is formed.
     """
-    eps = m.eps if isinstance(m, PairwiseLossMatrix) else np.asarray(m)
+    eps = np.asarray(eps)
     dist = np.asarray(dist)
     if eps.shape != dist.shape:
         raise AccountantError(

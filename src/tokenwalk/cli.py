@@ -306,18 +306,19 @@ def cmd_privacy(args: argparse.Namespace) -> int:
         tm = _build_chain(g, args.kappa, args.steps)
         report = transition.validate(tm, g)
         report.raise_if_failed()
-        matrix = accountant.pairwise_matrix(tm, p, method=args.method)
+        eps = accountant.pairwise_matrix(tm, p, method=args.method)
         pairwise = out / f"pairwise_seed{seed}.csv"
-        write_matrix_csv(pairwise, matrix.eps, nan_as_empty=True)  # the undefined diagonal as empty cells
-        manifest.add(pairwise, {
+        write_matrix_csv(pairwise, eps, nan_as_empty=True)  # the undefined diagonal as empty cells
+        meta = {
             "alpha": p.alpha, "sigma2": p.sigma2, "steps": p.steps,
             # schema keys: every node composes over its expected T/n contributions
             "contributions": "expected", "max_contributions": None,
-            "method": matrix.method, "graph_hash": matrix.w_hash, "hash_version": transition.HASH_VERSION,
-        })
+            "method": args.method, "graph_hash": tm.content_hash(), "hash_version": transition.HASH_VERSION,
+        }
+        manifest.add(pairwise, meta)
         dist = graphs.shortest_path_distances(g)
-        buckets = accountant.mean_loss_by_distance(matrix, dist)
-        _write_distance_series(manifest.add(out / f"distance_seed{seed}.csv"), buckets)
+        buckets = accountant.mean_loss_by_distance(eps, dist)
+        _write_distance_series(manifest.add(out / f"distance_seed{seed}.csv", meta), buckets)
         per_seed_series.append(buckets)
 
     merged: dict[int, list[accountant.DistanceBucket]] = {}
@@ -338,7 +339,9 @@ def cmd_privacy(args: argparse.Namespace) -> int:
             )
         )
         converted.append((d, float(means.mean()) + tail, args.delta, counts))
-    _write_distance_series(manifest.add(out / "distance_mean.csv"), averaged)
+    # No graph hash: each seed may have drawn a different graph.
+    mean_meta = {"alpha": p.alpha, "sigma2": p.sigma2, "steps": p.steps, "method": args.method, "seeds": seeds}
+    _write_distance_series(manifest.add(out / "distance_mean.csv", mean_meta), averaged)
     write_rows_csv(
         manifest.add(out / "distance_dp.csv"),
         ["distance", "epsilon_dp", "delta", "count"],
@@ -356,19 +359,21 @@ def _write_distance_series(path: Path, buckets: list[accountant.DistanceBucket])
 def _read_distance_series(path: Path) -> list[accountant.DistanceBucket]:
     """Parse a (distance, mean[, std, count]) series; values are pass-through.
 
-    External overlays may omit std/count columns; those default to 0.
+    External overlays may omit std/count columns; those default to 0.  A file
+    that is no such series is a :class:`ConfigError`.
     """
+    unreadable = f"unreadable distance series: {path}"
     buckets: list[accountant.DistanceBucket] = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if not header or header[0] != "distance":
-            raise AccountantError(f"{path}: expected a 'distance' first column")
+            raise ConfigError(f"{unreadable}: expected a 'distance' first column")
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             cells = line.strip().split(",")
             if len(cells) < 2:
-                raise AccountantError(f"{path}:{lineno}: need at least distance,mean")
+                raise ConfigError(f"{unreadable}:{lineno}: need at least distance,mean")
             try:
                 buckets.append(
                     accountant.DistanceBucket(
@@ -379,7 +384,7 @@ def _read_distance_series(path: Path) -> list[accountant.DistanceBucket]:
                     )
                 )
             except ValueError as exc:
-                raise AccountantError(f"{path}:{lineno}: {exc}") from exc
+                raise ConfigError(f"{unreadable}:{lineno}: {exc}") from exc
     return buckets
 
 
@@ -582,10 +587,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         path = Path(path_text)
         if not path.exists():
             raise ConfigError(f"input not found: {path}")
-        try:
-            buckets = _read_distance_series(path)
-        except AccountantError as exc:
-            raise ConfigError(f"unreadable distance series: {exc}") from exc
+        buckets = _read_distance_series(path)
         method = graph_name = ""
         if sidecar(path).exists():
             meta = _read_json_object(sidecar(path), "sidecar")

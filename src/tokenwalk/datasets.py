@@ -55,7 +55,8 @@ class Dataset:
 
     `features` holds all rows (train and test) already transformed; training
     rows have unit L2 norm and labels are exactly +-1.  `partition` maps each
-    node to its disjoint block of training row indices.
+    node to its disjoint block of training row indices, so its length is the
+    node count.
     """
 
     features: np.ndarray
@@ -63,10 +64,6 @@ class Dataset:
     train_indices: np.ndarray
     test_indices: np.ndarray
     partition: tuple[np.ndarray, ...]
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.partition)
 
 
 # --------------------------------------------------------------------------- #

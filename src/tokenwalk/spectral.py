@@ -22,7 +22,6 @@ from .transition import TransitionMatrix, stationary_distribution
 
 __all__ = [
     "SpectralDecomposition",
-    "SpectralGap",
     "decompose",
     "matrix_log_spectrum",
     "matrix_log_term",
@@ -108,15 +107,6 @@ class SpectralDecomposition:
         return float((values @ (c * c) - values.sum()) / (n * (n - 1)))
 
 
-@dataclass(frozen=True)
-class SpectralGap:
-    """``1 - max(|lambda_2|, |lambda_n|)``, with the contributing eigenvalues."""
-
-    lambda_w: float
-    lambda_2: float
-    lambda_n: float
-
-
 # --------------------------------------------------------------------------- #
 # Decomposition
 # --------------------------------------------------------------------------- #
@@ -199,26 +189,32 @@ def matrix_log_term(tm: TransitionMatrix) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 
 
-def spectral_gap(tm: TransitionMatrix) -> SpectralGap:
-    """``1 - max(|lambda_2|, |lambda_n|)`` for a symmetric chain."""
+def _lambda_2(dec: SpectralDecomposition) -> float:
+    """lambda_2 for the gap: 1 for a one-node chain, which has none."""
+    return dec.lambda_2 if dec.n > 1 else 1.0
+
+
+def spectral_gap(tm: TransitionMatrix) -> float:
+    """The gap ``lambda_w = 1 - max(|lambda_2|, |lambda_n|)`` of a symmetric chain.
+
+    Both eigenvalues are read off the cached :func:`decompose`; a one-node
+    chain's gap is 0.
+    """
     dec = decompose(tm)
-    lam2 = dec.lambda_2 if dec.n > 1 else 1.0
-    lamn = dec.lambda_min
-    return SpectralGap(
-        lambda_w=1.0 - max(abs(lam2), abs(lamn)), lambda_2=lam2, lambda_n=lamn
-    )
+    return 1.0 - max(abs(_lambda_2(dec)), abs(dec.lambda_min))
 
 
 def mixing_time_spectral_bound(tm: TransitionMatrix) -> int:
     """Relaxation-time bound ``ceil((1/lambda_w) * ln(1 / min_v pi_v))``."""
     gap = spectral_gap(tm)
-    if gap.lambda_w <= 1e-12:
+    if gap <= 1e-12:
+        dec = decompose(tm)
         raise SpectralError(
-            f"zero spectral gap (lambda_2={gap.lambda_2!r}, lambda_n={gap.lambda_n!r}); "
+            f"zero spectral gap (lambda_2={_lambda_2(dec)!r}, lambda_n={dec.lambda_min!r}); "
             "the walk does not mix"
         )
     pi = stationary_distribution(tm)
-    return int(math.ceil(math.log(1.0 / float(pi.min())) / gap.lambda_w))
+    return int(math.ceil(math.log(1.0 / float(pi.min())) / gap))
 
 
 def _max_tv_from_rows(p_t: np.ndarray, pi: np.ndarray) -> float:

@@ -22,11 +22,13 @@ __all__ = ["Trajectory", "simulate"]
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A realized walk v_0, ..., v_T (length ``steps + 1``)."""
+    """A realized walk v_0, ..., v_T (length ``steps + 1``) as read-only int64 `nodes`.
+
+    `w_hash` is the walked chain's ``content_hash``; its size and the seed are
+    the caller's, who passed them to :func:`simulate`.
+    """
 
     nodes: np.ndarray
-    n: int
-    seed: int
     w_hash: str
 
     @property
@@ -64,8 +66,7 @@ def simulate(w: TransitionMatrix, v0: int, steps: int, seed) -> Trajectory:
     # the tables are freed before `nodes` is allocated: no block that outlives
     # them sits above them on the heap, so their memory (64 MiB at n = 2048)
     # goes back to the system.  `path` holds int64s, not an int object per step.
-    key = _philox_key(seed)
-    uniforms = np.random.Generator(np.random.Philox(key=key)).random(steps).tolist()
+    uniforms = np.random.Generator(np.random.Philox(key=_philox_key(seed))).random(steps).tolist()
     path = array("q", [v0]) * (steps + 1)
 
     # Each row's CDF over its support only, stepped by `bisect` with no NumPy
@@ -86,5 +87,5 @@ def simulate(w: TransitionMatrix, v0: int, steps: int, seed) -> Trajectory:
     del targets, cdfs
     nodes = np.array(path, dtype=np.int64)
     nodes.setflags(write=False)
-    return Trajectory(nodes=nodes, n=n, seed=key, w_hash=w.content_hash())
+    return Trajectory(nodes=nodes, w_hash=w.content_hash())
 

@@ -424,7 +424,7 @@ def test_privacy_outputs_match_library(tmp_path):
     tm = transition.hamilton_weighting(g)
     p = accountant.PrivacyParams(alpha=2.0, sigma2=16.0, steps=40)
     expected = accountant.pairwise_matrix(tm, p, method="exact")
-    assert np.array_equal(got, expected.eps, equal_nan=True)
+    assert np.array_equal(got, expected, equal_nan=True)
     # the dp series adds the conversion tail to the mean series
     mean_rows = (out / "distance_mean.csv").read_text().strip().splitlines()[1:]
     dp_rows = (out / "distance_dp.csv").read_text().strip().splitlines()[1:]
@@ -470,7 +470,7 @@ def test_privacy_kappa_auto(tmp_path):
     tm = transition.blend_self_loops(transition.hamilton_weighting(g), 1.0 / 60.0**2)
     p = accountant.PrivacyParams(alpha=2.0, sigma2=16.0, steps=60)
     expected = accountant.pairwise_matrix(tm, p, method="closed")
-    assert np.array_equal(with_auto, expected.eps, equal_nan=True)
+    assert np.array_equal(with_auto, expected, equal_nan=True)
 
 
 def test_privacy_bad_kappa(tmp_path, capsys):
@@ -616,7 +616,7 @@ def test_calibrate_artifact_round_trips(tmp_path):
     tm = transition.hamilton_weighting(g)
     p = accountant.PrivacyParams(alpha=cal["alpha"], sigma2=cal["sigma2"], steps=1600)
     matrix = accountant.pairwise_matrix(tm, p, method="exact")
-    stat = accountant.MEAN_PAIRS.apply(matrix.eps)
+    stat = accountant.MEAN_PAIRS.apply(matrix)
     recovered = accountant.rdp_to_dp(cal["alpha"], stat, cal["delta"])
     assert recovered.epsilon == pytest.approx(cal["epsilon"], rel=1e-9)
 
@@ -843,6 +843,29 @@ def test_report_merges_sources(tmp_path):
     assert sources == ["ours", "ours", "b"]
     methods = [line.split(",")[3] for line in lines[1:]]
     assert methods == ["exact", "exact", ""]
+
+
+def test_report_reads_privacy_sidecars(tmp_path):
+    # privacy writes a sidecar beside each distance series, so report fills
+    # method and graph for the program's own series
+    run = tmp_path / "p"
+    assert main(["privacy", "--family", "erdos-renyi", "--n", "12", "--q", "0.5", "--steps", "24",
+                 "--seeds", "0,1", "--method", "exact", "--out", str(run)]) == 0
+    per_seed = _read_json(run / "distance_seed1.csv.json")
+    assert per_seed == _read_json(run / "pairwise_seed1.csv.json")
+    # its seeds may have different graphs, so the mean series names none
+    assert _read_json(run / "distance_mean.csv.json") == {
+        "alpha": 2.0, "sigma2": 16.0, "steps": 24, "method": "exact", "seeds": [0, 1]}
+    out = tmp_path / "rep"
+    assert main(["report", str(run / "distance_seed1.csv"), f"{run / 'distance_mean.csv'}=mean",
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()[1:]]
+    n_seed1 = len(cli._read_distance_series(run / "distance_seed1.csv"))
+    assert n_seed1 > 0 and len(rows) > n_seed1
+    for row in rows[:n_seed1]:
+        assert row[3:] == ["exact", per_seed["graph_hash"][:12], "distance_seed1"]
+    for row in rows[n_seed1:]:
+        assert row[3:] == ["exact", "", "mean"]
 
 
 def test_report_inputs_from_config(tmp_path):

@@ -93,7 +93,7 @@ def _toy_raw(m=10, d=3, seed=0):
 
 def test_preprocess_structure():
     ds = preprocess(_toy_raw(20), n_users=3, seed=1)
-    assert ds.n_nodes == 3
+    assert len(ds.partition) == 3
     assert ds.test_indices.size == 4  # round(20 * 0.2)
     assert ds.train_indices.size == 16
     # disjoint cover of the training split
@@ -164,7 +164,7 @@ def test_synth_linear_shapes_and_split():
     ds = synth_linear(128, 8, d=5, margin=0.2, seed=11)
     assert ds.train_indices.size == 1024
     assert ds.test_indices.size == 256  # ceil(0.25 * 1024)
-    assert ds.n_nodes == 128
+    assert len(ds.partition) == 128
     assert all(b.size == 8 for b in ds.partition)
     assert np.allclose(np.linalg.norm(ds.features, axis=1), 1.0, atol=1e-12)
 
@@ -250,7 +250,7 @@ def test_heterogeneous_shuffle_breaks_geography_not_features():
 def test_heterogeneous_split_and_norms():
     g = _geo_graph(40, seed=9)
     ds = synth_heterogeneous_geometric(g, seed=0, per_user=8)
-    assert ds.n_nodes == 40
+    assert len(ds.partition) == 40
     # per node: 8 train + ceil(0.25 * 8) = 2 test rows
     assert ds.train_indices.size == 320
     assert ds.test_indices.size == 80

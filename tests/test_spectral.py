@@ -145,12 +145,11 @@ def test_geometric_weights_closed_form(two_state):
 
 
 def test_spectral_gap_values(two_state, lazy_ring):
-    g = spectral_gap(two_state)
-    assert g.lambda_w == pytest.approx(0.5)
-    assert g.lambda_2 == pytest.approx(0.5)
-    r = spectral_gap(lazy_ring(4))
-    assert r.lambda_w == pytest.approx(2.0 / 3.0)
-    assert r.lambda_n == pytest.approx(-1.0 / 3.0)
+    assert spectral_gap(two_state) == pytest.approx(0.5)
+    assert decompose(two_state).lambda_2 == pytest.approx(0.5)
+    ring = lazy_ring(4)
+    assert spectral_gap(ring) == pytest.approx(2.0 / 3.0)
+    assert decompose(ring).lambda_min == pytest.approx(-1.0 / 3.0)
 
 
 def test_mixing_time_spectral_bound_values(two_state, uniform_chain):
@@ -160,7 +159,8 @@ def test_mixing_time_spectral_bound_values(two_state, uniform_chain):
 
 def test_mixing_time_spectral_bound_zero_gap():
     bare_ring = hamilton_weighting(generate(GraphSpec(family="ring", n=4)))
-    with pytest.raises(SpectralError, match="does not mix"):
+    # lambda_2 is 0 up to eigh's rounding; lambda_n is the bipartite -1
+    with pytest.raises(SpectralError, match=r"zero spectral gap \(lambda_2=\S+, lambda_n=-1\.0\); the walk does not mix"):
         mixing_time_spectral_bound(bare_ring)
 
 

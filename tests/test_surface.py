@@ -1,18 +1,24 @@
-"""The package's public surface: exported names and the benchmark's trace targets."""
+"""The package's public surface: exported names, the benchmark's trace targets
+and README's library example."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import tokenwalk
 
-TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACED = ROOT / "perfbench" / "traced.py"
 
 
 def test_traced_span_targets_resolve():
@@ -47,3 +53,15 @@ def test_numerical_modules_import_only_hashes_from_ioutil(name):
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             assert not any(alias.name.endswith("ioutil") for alias in node.names), f"{name} imports all of ioutil"
     assert imported <= {"new_sha256", "sha256_of_text"}
+
+
+def test_readme_quick_start_runs():
+    # The README's library example, run as a user would paste it, with every
+    # warning an error: a renamed or removed attribute fails here.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library quick start\n.*?^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert block is not None, "README has no python block under 'Library quick start'"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", block.group(1)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
