@@ -112,12 +112,16 @@ class PrivacyParams:
             raise AccountantError(f"alpha must be > 1, got {self.alpha}")
         if not self.sigma2 > 0.0:
             raise AccountantError(f"sigma2 must be positive, got {self.sigma2}")
-        if self.steps < 0:
-            raise AccountantError(f"steps must be nonnegative, got {self.steps}")
+        _require_steps(self.steps)
 
     def n_contributions(self, n: int) -> float:
         """Composition count ``N_u = T/n`` on an n-node graph (a real number)."""
         return self.steps / n
+
+
+def _require_steps(steps: int) -> None:
+    if steps < 0:
+        raise AccountantError(f"steps must be nonnegative, got {steps}")
 
 
 @dataclass(frozen=True)
@@ -735,14 +739,15 @@ def _calibrate_scaled(stat_base: float, target: DpPoint, gated: bool) -> Calibra
 
 def calibrate_sigma(
     w: TransitionMatrix,
-    p_template: PrivacyParams,
+    steps: int,
     target: DpPoint,
     statistic: Statistic = MEAN_PAIRS,
     *,
     dist: np.ndarray | None = None,
     method: str = "closed",
 ) -> CalibrationResult:
-    """Find sigma2 whose converted pairwise-loss statistic meets `target`.
+    """Find sigma2 whose converted pairwise-loss statistic meets `target` for
+    a walk of `steps` (T) on `w`.
 
     The statistic of the pairwise matrix factors as ``alpha * base / sigma2``
     with `base` independent of both, so the search is a scalar bisection; the
@@ -756,6 +761,7 @@ def calibrate_sigma(
     :meth:`SpectralDecomposition.offdiagonal_mean`.  The other statistics
     take the max or a mean of the full kernel of :func:`_kernel`.
     """
+    _require_steps(steps)
     if statistic.kind == "mean_at_distance" and dist is None:
         raise AccountantError("mean_at_distance requires a hop-distance matrix")
     if statistic.kind == "mean_at_distance" and np.shape(dist) != (w.n, w.n):
@@ -763,16 +769,17 @@ def calibrate_sigma(
             f"shape mismatch: losses {(w.n, w.n)} vs distances {np.shape(dist)}"
         )
     if statistic.kind == "mean_pairs":
-        dec, values, shift = _kernel_spectrum(w, p_template.steps, method)
+        dec, values, shift = _kernel_spectrum(w, steps, method)
         stat = shift + dec.offdiagonal_mean(values)
     else:
-        stat = statistic.apply(_kernel(w, p_template.steps, method), dist)
-    n_u = p_template.n_contributions(w.n)
+        stat = statistic.apply(_kernel(w, steps, method), dist)
+    n_u = steps / w.n  # as PrivacyParams.n_contributions
     return _calibrate_scaled(n_u * stat, target, True)
 
 
-def calibrate_sigma_local(p_template: PrivacyParams, target: DpPoint, n: int) -> CalibrationResult:
-    """Calibrate the no-amplification Gaussian baseline to `target`.
+def calibrate_sigma_local(steps: int, target: DpPoint, n: int) -> CalibrationResult:
+    """Calibrate the no-amplification Gaussian baseline of a walk of `steps`
+    (T) on `n` nodes to `target`.
 
     The per-contribution loss is ``alpha / (2 sigma2)`` with no sigma2 gate,
     so the achievable curve is continuous and the target is always hit
@@ -780,7 +787,8 @@ def calibrate_sigma_local(p_template: PrivacyParams, target: DpPoint, n: int) ->
     contributions, which is also the round count of the central baseline
     when n divides T.
     """
-    n_u = p_template.n_contributions(n)
+    _require_steps(steps)
+    n_u = steps / n
     if n_u <= 0:
         raise CalibrationError("composition count must be positive")
     return _calibrate_scaled(n_u / 2.0, target, False)

@@ -228,6 +228,7 @@ class _Manifest:
         return path
 
     def write(self) -> None:
+        """Write ``manifest.json`` with the digest of every recorded file; one never written raises."""
         canonical = json.dumps(self.config, sort_keys=True, default=str)
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -236,7 +237,7 @@ class _Manifest:
             "tool_version": __version__,
             "seeds": self.seeds,
             "wall_clock": time.perf_counter() - self.t0,
-            "files": {p.name: sha256_of_file(p) for p in self.files if p.exists()},
+            "files": {p.name: sha256_of_file(p) for p in self.files},
             "diagnostics": {
                 "blas": {
                     "openblas_thread_timeout": os.environ.get("OPENBLAS_THREAD_TIMEOUT"),
@@ -504,12 +505,11 @@ def cmd_sgd(args: argparse.Namespace) -> int:
         obj = optim.LogisticObjective(ds)
         # No graph stays alive beside the chain: calibration's eigh sets the peak.
         tm = transition.hamilton_weighting(graphs.generate(graphs.GraphSpec(family="complete", n=n)))
-        template = accountant.PrivacyParams(alpha=2.0, sigma2=16.0, steps=steps)
         targets = [opts["target_eps"]] if args.preset == "fig2" else [0.5, 1.0, 2.0]
         for eps_target in targets:
             target = accountant.DpPoint(epsilon=eps_target, delta=opts["delta"])
-            cal_rw = accountant.calibrate_sigma(tm, template, target, method="exact")
-            cal_local = accountant.calibrate_sigma_local(template, target, n)
+            cal_rw = accountant.calibrate_sigma(tm, steps, target, method="exact")
+            cal_local = accountant.calibrate_sigma_local(steps, target, n)
             for seed in seeds:
                 base_cfg = dict(descent, seed=seed)
                 runs = [optim.run_rw_dpsgd(tm, obj, optim.SgdConfig(
@@ -534,7 +534,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     manifest = _Manifest(out, "calibrate", _public_config(args),
                          [args.seed] if args.seed is not None else [])
-    template = accountant.PrivacyParams(alpha=2.0, sigma2=16.0, steps=args.steps)
+    if args.steps < 0:  # before any graph: --kappa auto would derive kappa = 1/T^2 from it
+        raise AccountantError(f"steps must be nonnegative, got {args.steps}")
     target = accountant.DpPoint(epsilon=args.target_eps, delta=args.delta)
     stat_name = args.statistic.replace("-", "_")
     if stat_name not in _STATISTICS:
@@ -552,9 +553,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         dist = None
     tm = _build_chain(g, args.kappa, args.steps)
     del g  # calibration's eigh sets the run's peak memory: hold no edge list beside it
-    result = accountant.calibrate_sigma(
-        tm, template, target, statistic, dist=dist, method=args.method
-    )
+    result = accountant.calibrate_sigma(tm, args.steps, target, statistic, dist=dist, method=args.method)
     dump_json(
         manifest.add(out / "calibration.json"),
         {

@@ -35,8 +35,17 @@ DATA_DIR_ENV = "TOKENWALK_DATA_DIR"
 
 _STD_FLOOR = 1e-12
 
+# preprocess holds out this share of a real table's rows for testing.
+_TEST_FRACTION = 0.2
+
 # synth_linear's rejection sampling gives up past this many draws per row it needs.
 _MAX_DRAWS_PER_ROW = 1000
+
+# synth_heterogeneous_geometric: training rows per node, the std of each row's
+# offset from its node's position, and the gap opened between the two classes.
+_GEOMETRIC_PER_USER = 8
+_GEOMETRIC_JITTER = 0.05
+_GEOMETRIC_MARGIN = 0.5
 
 
 @dataclass(frozen=True)
@@ -153,24 +162,20 @@ def _partition_train(train_idx: np.ndarray, n_users: int, rng: np.random.Generat
     return tuple(np.sort(block) for block in np.array_split(shuffled, n_users))
 
 
-def preprocess(
-    raw: RawTable, n_users: int, seed: int, test_fraction: float = 0.2
-) -> Dataset:
-    """Standardize, normalize, binarize, split, and partition a raw table.
+def preprocess(raw: RawTable, n_users: int, seed: int) -> Dataset:
+    """Standardize, normalize, binarize, split 80/20, and partition a raw table.
 
     All statistics (feature mean/std, label median) come from the training
     split only.  Features with train std below 1e-12 are zeroed.  Labels are
     +1 at or above the training median, -1 below.  The remainder of an uneven
     partition goes to the earliest blocks, one extra row each.
     """
-    if not 0.0 <= test_fraction < 1.0:
-        raise DataError(f"test_fraction must be in [0, 1), got {test_fraction}")
     m = raw.features.shape[0]
     root = np.random.SeedSequence(seed)
     split_rng, part_rng = (np.random.default_rng(c) for c in root.spawn(2))
 
     order = split_rng.permutation(m)
-    n_test = int(round(m * test_fraction))
+    n_test = int(round(m * _TEST_FRACTION))
     test_idx = np.sort(order[:n_test])
     train_idx = np.sort(order[n_test:])
     if train_idx.size == 0:
@@ -252,19 +257,14 @@ def synth_linear(
     )
 
 
-def synth_heterogeneous_geometric(
-    graph: Graph,
-    seed: int,
-    shuffled: bool = False,
-    per_user: int = 8,
-    jitter: float = 0.05,
-    margin: float = 0.5,
-) -> Dataset:
+def synth_heterogeneous_geometric(graph: Graph, seed: int, shuffled: bool = False) -> Dataset:
     """Spatially correlated data on a geometric graph.
 
-    Each node's samples jitter around its stored position; the label is the
-    sign of the coordinate sum relative to its median, and the two classes
-    are pushed `margin` apart along the diagonal so the label is strongly
+    Each node holds ``_GEOMETRIC_PER_USER`` training rows and a quarter as
+    many (at least one) test rows, which jitter around its stored position
+    with std ``_GEOMETRIC_JITTER``; the label is the sign of the coordinate
+    sum relative to its median, and the two classes are pushed
+    ``_GEOMETRIC_MARGIN`` apart along the diagonal so the label is strongly
     recoverable from the coordinates.  Features are row-normalized
     ``[x1, x2, 1]`` -- the raw coordinate sum stays recoverable as
     ``(f1 + f2) / f3``.  With `shuffled`, labels are permuted uniformly
@@ -272,21 +272,19 @@ def synth_heterogeneous_geometric(
     """
     if graph.positions is None:
         raise DataError("heterogeneous synthesis needs a graph with node positions")
-    if per_user < 1:
-        raise DataError(f"per_user must be >= 1, got {per_user}")
     root = np.random.SeedSequence(seed)
     jitter_rng, split_rng, shuffle_rng = (np.random.default_rng(c) for c in root.spawn(3))
 
     n = graph.n
-    n_test_per_user = max(1, int(math.ceil(0.25 * per_user)))
-    total_per_user = per_user + n_test_per_user
+    n_test_per_user = max(1, int(math.ceil(0.25 * _GEOMETRIC_PER_USER)))
+    total_per_user = _GEOMETRIC_PER_USER + n_test_per_user
     coords = np.repeat(graph.positions, total_per_user, axis=0)
-    coords = coords + jitter_rng.normal(scale=jitter, size=coords.shape)
+    coords = coords + jitter_rng.normal(scale=_GEOMETRIC_JITTER, size=coords.shape)
 
     sums = coords.sum(axis=1)
     median = float(np.median(sums))
     labels = np.where(sums >= median, 1.0, -1.0)
-    coords = coords + (margin / 4.0) * labels[:, None]  # open a gap along (1,1)
+    coords = coords + (_GEOMETRIC_MARGIN / 4.0) * labels[:, None]  # open a gap along (1,1)
 
     features = _normalize_rows(
         np.column_stack([coords[:, 0], coords[:, 1], np.ones(coords.shape[0])])
@@ -294,15 +292,15 @@ def synth_heterogeneous_geometric(
     if shuffled:
         labels = labels[shuffle_rng.permutation(labels.shape[0])]
 
-    # Per node: first per_user rows train, the rest test (held out uniformly
+    # Per node: first _GEOMETRIC_PER_USER rows train, the rest test (held out uniformly
     # in expectation because jitter draws are exchangeable).
     train_rows, test_rows, partition = [], [], []
     for v in range(n):
         block = np.arange(v * total_per_user, (v + 1) * total_per_user)
         local_order = split_rng.permutation(total_per_user)
-        train_block = np.sort(block[local_order[:per_user]])
+        train_block = np.sort(block[local_order[:_GEOMETRIC_PER_USER]])
         train_rows.append(train_block)
-        test_rows.append(block[local_order[per_user:]])
+        test_rows.append(block[local_order[_GEOMETRIC_PER_USER:]])
         partition.append(train_block)
 
     return Dataset(

@@ -211,7 +211,8 @@ class SgdConfig:
     (`step_size_theorem2`), which needs an initial distance: ``||x0 - x*||^2``
     when the optimum is known, else the ``||x0||^2 + 1`` heuristic.  ``sigma``
     is the noise multiplier (0 for non-private runs); per-coordinate noise std
-    is ``clip_threshold * sigma``.
+    is ``clip_threshold * sigma``.  Every coordinate of the starting point is
+    ``x0``.
     """
 
     steps: int
@@ -219,7 +220,7 @@ class SgdConfig:
     sigma: float = 0.0
     clip_threshold: float = 1.0
     seed: int = 0
-    x0: float | np.ndarray | None = None
+    x0: float = 0.0
     trace_points: int = 512
 
     def __post_init__(self) -> None:
@@ -345,17 +346,6 @@ def error_bound_theorem2(
 # --------------------------------------------------------------------------- #
 
 
-def _initial_point(obj: Objective, cfg: SgdConfig) -> np.ndarray:
-    if cfg.x0 is None:
-        return np.zeros(obj.dim)
-    if np.isscalar(cfg.x0):
-        return np.full(obj.dim, float(cfg.x0))
-    x0 = np.asarray(cfg.x0, dtype=float)
-    if x0.shape != (obj.dim,):
-        raise ConfigError(f"x0 shape {x0.shape} does not match dimension {obj.dim}")
-    return x0.copy()
-
-
 def _resolve_dist0(obj: Objective, x0: np.ndarray) -> float:
     optimum = obj.optimum()
     if optimum is not None:
@@ -435,7 +425,7 @@ def _descent_loop(
         rows = np.random.default_rng(rows_child).integers(0, obj.local_sizes[schedule]).tolist()
         calls = zip(schedule.tolist(), rows)
 
-    x = _initial_point(obj, cfg)
+    x = np.full(obj.dim, float(cfg.x0))
     gamma = _resolve_gamma(obj, cfg, x, chain)
     noise_std = cfg.clip_threshold * cfg.sigma / k
     noise = None

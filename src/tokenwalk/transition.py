@@ -52,7 +52,8 @@ class TransitionMatrix:
     `bistochastic` record what the builder guaranteed; arbitrary arrays wrapped
     by :func:`from_array` get these flags recomputed.  `_cache` holds the spectral
     decomposition and the content hash once computed (see
-    :mod:`tokenwalk.spectral`).
+    :mod:`tokenwalk.spectral`), and the n x n privacy kernel of each
+    ``(steps, method)`` that :mod:`tokenwalk.accountant` evaluated per pair.
     """
 
     w: np.ndarray
@@ -122,8 +123,8 @@ class ValidationReport:
 def hamilton_weighting(graph: Graph) -> TransitionMatrix:
     """Edge weight ``1 / max(deg(u), deg(v))``, residual mass on the diagonal.
 
-    Doubly stochastic and symmetric on any connected graph; regular graphs
-    get zero diagonal (except weight left over on none).
+    Doubly stochastic and symmetric on any connected graph.  On a regular
+    graph the diagonal holds only each row's rounding residual (0 or a few ulp).
     """
     n = graph.n
     deg = graph.degrees
@@ -175,18 +176,18 @@ def blend_self_loops(tm: TransitionMatrix, kappa: float) -> TransitionMatrix:
     return TransitionMatrix(w=w, symmetric=tm.symmetric, bistochastic=tm.bistochastic)
 
 
-def from_array(w: np.ndarray, *, atol: float = DEFAULT_ATOL) -> TransitionMatrix:
+def from_array(w: np.ndarray) -> TransitionMatrix:
     """Wrap an arbitrary square array, with the flags read off :func:`validate`'s
-    residuals at `atol`.
+    residuals at :data:`DEFAULT_ATOL`.
 
     Does not reject invalid chains; run :func:`validate` to get a report.
     """
     tm = TransitionMatrix(w=np.array(w, dtype=float))  # a copy: the wrapper freezes it
-    rep = validate(tm, atol=atol)
+    rep = validate(tm)
     return TransitionMatrix(
         w=tm.w,
-        symmetric=rep.max_asymmetry <= atol,
-        bistochastic=rep.max_row_sum_error <= atol,
+        symmetric=rep.max_asymmetry <= DEFAULT_ATOL,
+        bistochastic=rep.max_row_sum_error <= DEFAULT_ATOL,
     )
 
 
@@ -195,13 +196,9 @@ def from_array(w: np.ndarray, *, atol: float = DEFAULT_ATOL) -> TransitionMatrix
 # --------------------------------------------------------------------------- #
 
 
-def validate(
-    tm: TransitionMatrix,
-    graph: Graph | None = None,
-    *,
-    atol: float = DEFAULT_ATOL,
-) -> ValidationReport:
-    """Check finiteness, symmetry, row and column sums, nonnegativity and support.
+def validate(tm: TransitionMatrix, graph: Graph | None = None) -> ValidationReport:
+    """Check finiteness, symmetry, row and column sums, nonnegativity and support,
+    each to within :data:`DEFAULT_ATOL`.
 
     Never raises: every violation is packed into the report so callers decide
     (the CLI maps a failed report to a config error, tests inspect messages).
@@ -222,21 +219,21 @@ def validate(
 
     np.abs(scratch, out=scratch)
     asym = float(scratch.max(initial=0.0))  # initial: a 0 x 0 chain has no violation
-    if not asym <= atol:  # written so that NaN fails, here and for the row sums
+    if not asym <= DEFAULT_ATOL:  # written so that NaN fails, here and for the row sums
         i, j = np.unravel_index(np.argmax(scratch), w.shape)
         failures.append(f"not symmetric: |W[{i},{j}] - W[{j},{i}]| = {asym:.3g}")
 
     row_dev, col_dev = np.abs(rows - 1.0), np.abs(cols - 1.0)
     row_err, col_err = float(row_dev.max(initial=0.0)), float(col_dev.max(initial=0.0))
-    if not row_err <= atol:
+    if not row_err <= DEFAULT_ATOL:
         i = int(np.argmax(row_dev))
         failures.append(f"row {i} sums to {float(rows[i])!r} (violation {row_err:.3g})")
-    elif col_err > atol:
+    elif col_err > DEFAULT_ATOL:
         j = int(np.argmax(col_dev))
         failures.append(f"column {j} sums to {float(cols[j])!r} (violation {col_err:.3g})")
 
     min_entry = float(w.min()) if n else 0.0
-    if min_entry < -atol:
+    if min_entry < -DEFAULT_ATOL:
         i, j = np.unravel_index(np.argmin(w), w.shape)
         failures.append(f"negative entry W[{i},{j}] = {min_entry:.3g}")
 
@@ -249,7 +246,7 @@ def validate(
         scratch[u, v] = scratch[v, u] = 0.0
         np.fill_diagonal(scratch, 0.0)
         off_support = float(scratch.max(initial=0.0))
-        if off_support > atol:
+        if off_support > DEFAULT_ATOL:
             i, j = np.unravel_index(np.argmax(scratch), w.shape)
             failures.append(
                 f"mass {off_support:.3g} at non-edge ({i},{j}) outside graph support"

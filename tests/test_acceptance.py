@@ -210,11 +210,10 @@ def test_private_rw_beats_local_on_regression():
     g = graphs.generate(graphs.GraphSpec(family="complete", n=n))
     tm = transition.hamilton_weighting(g)
     steps = 430 * n
-    template = accountant.PrivacyParams(alpha=2.0, sigma2=16.0, steps=steps)
     target = accountant.DpPoint(epsilon=1.0, delta=1e-6)
 
-    cal_rw = accountant.calibrate_sigma(tm, template, target, method="exact")
-    cal_local = accountant.calibrate_sigma_local(template, target, n)
+    cal_rw = accountant.calibrate_sigma(tm, steps, target, method="exact")
+    cal_local = accountant.calibrate_sigma_local(steps, target, n)
     assert cal_rw.sigma2 < cal_local.sigma2  # amplification buys smaller noise
 
     obj = optim.LogisticObjective(data)
@@ -298,12 +297,9 @@ def test_calibrator_round_trips_its_own_output():
     assert point.epsilon == pytest.approx(2.0350567, abs=1e-4)
 
     steps = 2000
-    template = accountant.PrivacyParams(alpha=2.0, sigma2=16.0, steps=steps)
     target = accountant.DpPoint(epsilon=1.0, delta=1e-6)
     for name, tm in _suite_chains().items():
-        res = accountant.calibrate_sigma(
-            tm, template, target, accountant.MAX_PAIRS, method="exact"
-        )
+        res = accountant.calibrate_sigma(tm, steps, target, accountant.MAX_PAIRS, method="exact")
         p = accountant.PrivacyParams(alpha=res.alpha, sigma2=res.sigma2, steps=steps)
         matrix = accountant.pairwise_matrix(tm, p, method="exact")
         stat = accountant.MAX_PAIRS.apply(matrix)

@@ -686,12 +686,8 @@ def test_collusion_validation(uniform_chain):
 # --------------------------------------------------------------------------- #
 
 
-def _uniform16_params():
-    return P(alpha=2.0, sigma2=1.0, steps=160)
-
-
 def test_calibrate_gap_limited_target(uniform_chain):
-    res = calibrate_sigma(uniform_chain(16), _uniform16_params(), DpPoint(0.3, 1e-6))
+    res = calibrate_sigma(uniform_chain(16), 160, DpPoint(0.3, 1e-6))
     assert isinstance(res, CalibrationResult)
     assert res.gap_limited
     assert res.epsilon <= 0.3  # conservative side of the dead zone
@@ -707,18 +703,18 @@ def test_calibrate_gap_limited_target(uniform_chain):
 
 def test_calibrate_floor(uniform_chain):
     with pytest.raises(CalibrationError) as exc:
-        calibrate_sigma(uniform_chain(16), _uniform16_params(), DpPoint(0.1, 1e-6))
+        calibrate_sigma(uniform_chain(16), 160, DpPoint(0.1, 1e-6))
     assert exc.value.min_feasible == pytest.approx(0.2192938183803853, abs=1e-12)
 
 
 def test_calibrate_ceiling(uniform_chain):
     with pytest.raises(CalibrationError) as exc:
-        calibrate_sigma(uniform_chain(16), _uniform16_params(), DpPoint(100.0, 1e-6))
+        calibrate_sigma(uniform_chain(16), 160, DpPoint(100.0, 1e-6))
     assert exc.value.max_feasible == pytest.approx(15.401502375224844, rel=1e-9)
 
 
 def test_calibrate_local_hits_exactly():
-    res = calibrate_sigma_local(P(alpha=2.0, sigma2=1.0, steps=100), DpPoint(5.0, 1e-5), 4)
+    res = calibrate_sigma_local(100, DpPoint(5.0, 1e-5), 4)
     assert not res.gap_limited
     assert res.epsilon == pytest.approx(5.0, rel=1e-10)
     assert res.sigma2 == pytest.approx(29.80362662690466, rel=1e-9)
@@ -729,15 +725,15 @@ def test_calibrate_local_hits_exactly():
 
 def test_calibrate_local_composes_over_steps_per_node():
     # 210 steps on 7 nodes compose like 30 rounds of the central baseline
-    rounds = calibrate_sigma_local(P(alpha=2.0, sigma2=1.0, steps=30), DpPoint(2.0, 1e-6), 1)
-    same = calibrate_sigma_local(P(alpha=2.0, sigma2=1.0, steps=210), DpPoint(2.0, 1e-6), 7)
+    rounds = calibrate_sigma_local(30, DpPoint(2.0, 1e-6), 1)
+    same = calibrate_sigma_local(210, DpPoint(2.0, 1e-6), 7)
     assert rounds.sigma2 == same.sigma2
 
 
 def test_calibrate_round_trip_exact_method(lazy_ring):
     tm = lazy_ring(8)
     template = P(alpha=2.0, sigma2=1.0, steps=400)
-    res = calibrate_sigma(tm, template, DpPoint(1.0, 1e-6), MAX_PAIRS, method="exact")
+    res = calibrate_sigma(tm, template.steps, DpPoint(1.0, 1e-6), MAX_PAIRS, method="exact")
     recomputed = pairwise_matrix(
         tm, replace(template, alpha=res.alpha, sigma2=res.sigma2), method="exact"
     )
@@ -835,7 +831,7 @@ def test_calibrate_mean_pairs_identical_to_matrix_path(paper_scale_chains, chain
     stat = template.n_contributions(tm.n) * _matrix_mean(tm, template.steps, method)
     for eps in (0.95, 2.0):
         target = DpPoint(eps, 1e-6)
-        got = calibrate_sigma(tm, template, target, method=method)
+        got = calibrate_sigma(tm, template.steps, target, method=method)
         want = acc._calibrate_scaled(stat, target, True)
         assert (got.sigma2, got.alpha, got.gap_limited) == (want.sigma2, want.alpha, want.gap_limited)
         assert got.epsilon == pytest.approx(want.epsilon, rel=1e-12, abs=0.0)
@@ -851,32 +847,30 @@ def test_calibrate_mean_pairs_never_forms_the_kernel(monkeypatch, lazy_ring):
     monkeypatch.setattr(SpectralDecomposition, "apply", refuse)
     monkeypatch.setattr(acc, "pairwise_matrix", refuse)
     for method in ("exact", "closed"):
-        calibrate_sigma(tm, P(alpha=2.0, sigma2=16.0, steps=4096), DpPoint(2.0, 1e-6), method=method)
+        calibrate_sigma(tm, 4096, DpPoint(2.0, 1e-6), method=method)
 
 
 def test_calibrate_rejects_missing_distances_before_the_kernel(lazy_ring):
     tm = lazy_ring(8)
     with pytest.raises(AccountantError, match="hop-distance"):
-        calibrate_sigma(tm, P(alpha=2.0, sigma2=16.0, steps=64), DpPoint(1.0, 1e-6),
-                        mean_at_distance(1), method="exact")
+        calibrate_sigma(tm, 64, DpPoint(1.0, 1e-6), mean_at_distance(1), method="exact")
     assert not tm._cache  # no eigendecomposition, kernel or hash was computed
 
 
 def test_calibrate_rejects_misshapen_distances_before_the_eigensolver(lazy_ring):
     tm = lazy_ring(64)
     with pytest.raises(AccountantError, match="shape mismatch"):
-        calibrate_sigma(tm, P(alpha=2.0, sigma2=16.0, steps=4096), DpPoint(1.0, 1e-6),
+        calibrate_sigma(tm, 4096, DpPoint(1.0, 1e-6),
                         mean_at_distance(1), dist=np.zeros((3, 3), dtype=np.int64), method="exact")
     assert "spectral_decomposition" not in tm._cache
 
 
 def test_calibrate_degenerate_statistic(uniform_chain):
     # a zero-step walk leaks nothing; there is no finite noise level to find
-    zero_steps = P(alpha=2.0, sigma2=1.0, steps=0)
     with pytest.raises(CalibrationError, match="degenerate"):
-        calibrate_sigma(uniform_chain(4), zero_steps, DpPoint(1.0, 1e-6), method="exact")
+        calibrate_sigma(uniform_chain(4), 0, DpPoint(1.0, 1e-6), method="exact")
     with pytest.raises(CalibrationError, match="must be positive"):
-        calibrate_sigma_local(P(alpha=2.0, sigma2=1.0, steps=0), DpPoint(1.0, 1e-6), 4)
+        calibrate_sigma_local(0, DpPoint(1.0, 1e-6), 4)
 
 
 # --------------------------------------------------------------------------- #

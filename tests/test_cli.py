@@ -12,7 +12,7 @@ import typing
 import numpy as np
 import pytest
 
-from tokenwalk import accountant, cli, datasets, graphs, optim, transition
+from tokenwalk import accountant, cli, datasets, graphs, optim, spectral, transition
 from tokenwalk.cli import main
 from tokenwalk.ioutil import read_matrix_csv, sha256_of_file, sidecar
 
@@ -186,6 +186,16 @@ def test_manifest_records_the_openblas_environment(tmp_path, monkeypatch):
     assert main(["graph", "--family", "ring", "--n", "5", "--out", str(out)]) == 0
     blas = _read_json(out / "manifest.json")["diagnostics"]["blas"]
     assert blas == {"openblas_thread_timeout": None, "openblas_num_threads": "2"}
+
+
+def test_manifest_write_raises_on_an_added_file_never_written(tmp_path):
+    # Every command writes each file before it lists it, so a listed file that
+    # is missing is a fault: the manifest must not drop it without a word.
+    manifest = cli._Manifest(tmp_path, "graph", {}, [])
+    manifest.add(tmp_path / "never.txt")
+    with pytest.raises(FileNotFoundError):
+        manifest.write()
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_identical_configs_hash_identically(tmp_path):
@@ -570,6 +580,19 @@ def test_exit_3_negative_closed_kernel(tmp_path, capsys):
     assert main([*argv, "--method", "exact"]) == 0
 
 
+@pytest.mark.parametrize("kappa", [[], ["--kappa", "auto"]], ids=["plain", "kappa-auto"])
+def test_exit_3_negative_steps_before_the_graph(tmp_path, capsys, monkeypatch, kappa):
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph generated for a negative walk length")
+
+    monkeypatch.setattr(graphs, "generate", refuse)
+    argv = ["calibrate", "--family", "complete", "--n", "8", "--steps", "-1", "--target-eps", "1", *kappa,
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == 3
+    assert "accounting error: steps must be nonnegative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "calibration.json").exists()
+
+
 def test_exit_4_houses_missing(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(datasets.DATA_DIR_ENV, raising=False)
     rc = main(
@@ -675,6 +698,23 @@ def test_sgd_averaging_preset(tmp_path):
     assert all(r["algorithm"] == "rw_dpsgd" for r in summary["runs"])
     assert (out / "averaging_seed0.csv").exists()
     assert (out / "averaging_seed1.csv").exists()
+
+
+def test_sgd_averaging_step_size_above_256_nodes_uses_the_spectral_bound(tmp_path):
+    # Past 256 nodes the derived step size takes the mixing time from the
+    # spectral bound, not the empirical walk.  At T = 20000 the log branch of
+    # step_size_theorem2 is below 1/L, so gamma shows which mixing time ran.
+    n, steps = 300, 20000
+    out = tmp_path / "avg"
+    assert main(["sgd", "--preset", "averaging", "--n", str(n), "--steps", str(steps), "--out", str(out)]) == 0
+    tm = transition.with_self_loops(graphs.generate(graphs.GraphSpec(family="ring", n=n)), 1.0 / 3.0)
+    obj = optim.AveragingObjective(np.random.default_rng(np.random.SeedSequence(0)).normal(size=n))
+    d0 = float(np.sum((np.full(1, 100.0) - obj.optimum()) ** 2))
+    tau = float(spectral.mixing_time_spectral_bound(tm))
+    expected = optim.step_size_theorem2(2.0, 2.0, steps, d0, tau, obj.heterogeneity())
+    assert expected < 0.5
+    assert _read_json(sidecar(out / "averaging_seed0.csv"))["gamma"] == expected
+    assert _read_json(out / "summary.json")["runs"][0]["gamma"] == expected
 
 
 @pytest.mark.parametrize(

@@ -135,13 +135,11 @@ def test_preprocess_median_tie_goes_positive():
         feature_names=("a", "b", "c", "d"),
         label_name="y",
     )
-    ds = preprocess(raw, n_users=2, seed=0, test_fraction=0.0)
+    ds = preprocess(raw, n_users=2, seed=0)
     assert np.all(ds.labels == 1.0)
 
 
 def test_preprocess_validation():
-    with pytest.raises(DataError, match="test_fraction"):
-        preprocess(_toy_raw(), n_users=2, seed=0, test_fraction=1.0)
     with pytest.raises(DataError, match="cannot partition"):
         preprocess(_toy_raw(10), n_users=9, seed=0)  # only 8 train rows
 
@@ -249,7 +247,7 @@ def test_heterogeneous_shuffle_breaks_geography_not_features():
 
 def test_heterogeneous_split_and_norms():
     g = _geo_graph(40, seed=9)
-    ds = synth_heterogeneous_geometric(g, seed=0, per_user=8)
+    ds = synth_heterogeneous_geometric(g, seed=0)
     assert len(ds.partition) == 40
     # per node: 8 train + ceil(0.25 * 8) = 2 test rows
     assert ds.train_indices.size == 320
