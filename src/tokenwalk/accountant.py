@@ -468,7 +468,8 @@ def pairwise_matrix(
     spectral closed form built on its untruncated limit.  Cells are
     independent, deterministic and formed with the division by sigma2 last,
     so rescaling the noise rescales the whole matrix exactly.  The kernel is
-    formed afresh and scaled in place; nothing n x n is cached on `w`.
+    formed afresh and scaled in place, and no kernel is cached on `w`; the
+    spectral decomposition it is built from, n x n eigenvectors included, is.
     """
     _require_gate(p)
     eps = _kernel(w, p.steps, method)

@@ -12,10 +12,12 @@ typed and checked like its flag.  Command line > config file > default, and a
 required flag may come from the config file.  :data:`_PRESETS` holds the flags
 each ``sgd`` preset reads and its defaults; any other flag given there exits 2.
 
-Every command writes a ``manifest.json`` with the resolved config hash, tool
-version, output checksums, wall clock, and seeds, so identical configs can be
-verified to reproduce identical artifacts, plus the OpenBLAS environment
-variables it ran under (``diagnostics.blas``, null when unset).
+:func:`main` makes each run's ``--out`` directory, reads its seeds, and once
+the command succeeds writes its ``manifest.json``: the resolved config hash,
+tool version, output checksums, wall clock, and seeds, so identical configs can
+be verified to reproduce identical artifacts, plus the OpenBLAS environment
+variables it ran under (``diagnostics.blas``, null when unset).  A command only
+adds its files to the manifest it is given.
 
 Exit codes: 0 success, 2 config/validation, 3 accounting, 4 data,
 5 infeasible calibration.
@@ -24,6 +26,7 @@ Exit codes: 0 success, 2 config/validation, 3 accounting, 4 data,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -248,12 +251,6 @@ class _Manifest:
         dump_json(self.out_dir / "manifest.json", payload)
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _public_config(args: argparse.Namespace) -> dict:
     return {
         k: v
@@ -267,9 +264,8 @@ def _public_config(args: argparse.Namespace) -> dict:
 # --------------------------------------------------------------------------- #
 
 
-def cmd_graph(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
-    manifest = _Manifest(out, "graph", _public_config(args), [args.seed] if args.seed is not None else [])
+def cmd_graph(args: argparse.Namespace, manifest: _Manifest) -> None:
+    out = manifest.out_dir
     g = graphs.generate(_graph_spec_from_args(args, args.seed))
     edges = out / "edges.txt"
     atomic_write_text(edges, "\n".join(f"{u} {v}" for u, v in g.edges.tolist()) + "\n")
@@ -289,14 +285,10 @@ def cmd_graph(args: argparse.Namespace) -> int:
             "hash": g.content_hash(),
         },
     )
-    manifest.write()
-    return 0
 
 
-def cmd_privacy(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
-    seeds = _parse_seeds(args.seeds)
-    manifest = _Manifest(out, "privacy", _public_config(args), seeds)
+def cmd_privacy(args: argparse.Namespace, manifest: _Manifest) -> None:
+    out, seeds = manifest.out_dir, manifest.seeds
     p = accountant.PrivacyParams(alpha=args.alpha, sigma2=args.sigma2, steps=args.steps)
     # The conversion's delta term; it rejects delta outside (0, 1) before any graph.
     tail = accountant.rdp_to_dp(args.alpha, 0.0, args.delta).epsilon
@@ -348,8 +340,6 @@ def cmd_privacy(args: argparse.Namespace) -> int:
         ["distance", "epsilon_dp", "delta", "count"],
         converted,
     )
-    manifest.write()
-    return 0
 
 
 def _write_distance_series(path: Path, buckets: list[accountant.DistanceBucket]) -> None:
@@ -465,31 +455,34 @@ def _preset_options(args: argparse.Namespace, seeds: list[int]) -> dict:
     return options
 
 
-def cmd_sgd(args: argparse.Namespace) -> int:
+def cmd_sgd(args: argparse.Namespace, manifest: _Manifest) -> None:
     # Only sgd samples data and runs descent loops; the other commands never load them.
     from . import datasets, optim
 
-    out = _out_dir(args)
-    seeds = _parse_seeds(args.seeds)
+    out, seeds = manifest.out_dir, manifest.seeds
     opts = _preset_options(args, seeds)
     n, steps = opts["n"], opts["steps"]
-    descent = dict(steps=steps, gamma=opts["gamma"], clip_threshold=opts["clip"])
-    manifest = _Manifest(out, f"sgd:{args.preset}", _public_config(args), seeds)
+    # Every run's settings, checked before any dataset, graph or calibration;
+    # each run replaces its seed, and the calibrated runs their sigma.
+    cfg = optim.SgdConfig(steps=steps, gamma=opts["gamma"], sigma=opts.get("sigma", 0.0),
+                          clip_threshold=opts["clip"], x0=100.0 if args.preset == "averaging" else 0.0)
+    if args.preset in ("fig2", "table1-rw"):
+        targets = [accountant.DpPoint(epsilon=eps, delta=opts["delta"])
+                   for eps in ([opts["target_eps"]] if args.preset == "fig2" else [0.5, 1.0, 2.0])]
     summary: dict = {"preset": args.preset, "runs": []}
 
     if args.preset == "averaging":
         tm = transition.with_self_loops(graphs.generate(graphs.GraphSpec(family="ring", n=n)), 1.0 / 3.0)
         for seed in seeds:
             values = np.random.default_rng(np.random.SeedSequence(seed)).normal(size=n)
-            cfg = optim.SgdConfig(sigma=opts["sigma"], seed=seed, x0=100.0, **descent)
-            rec = optim.run_rw_dpsgd(tm, optim.AveragingObjective(values), cfg)
+            rec = optim.run_rw_dpsgd(tm, optim.AveragingObjective(values), dataclasses.replace(cfg, seed=seed))
             _write_run(manifest, out / f"averaging_seed{seed}.csv", rec)
             summary["runs"].append(_summary_row(rec, seed=seed, var_y=float(np.var(values))))
 
     elif args.preset == "heterogeneity":
         g = graphs.generate(graphs.GraphSpec(family="geometric", n=n, seed=seeds[0]))
         tm = transition.blend_self_loops(transition.hamilton_weighting(g), 0.1)
-        cfg = optim.SgdConfig(sigma=opts["sigma"], seed=seeds[0], **descent)
+        cfg = dataclasses.replace(cfg, seed=seeds[0])
         for shuffled in (False, True):
             ds = datasets.synth_heterogeneous_geometric(g, seed=seeds[0], shuffled=shuffled)
             rec = optim.run_rw_dpsgd(tm, optim.LogisticObjective(ds), cfg)
@@ -505,35 +498,25 @@ def cmd_sgd(args: argparse.Namespace) -> int:
         obj = optim.LogisticObjective(ds)
         # No graph stays alive beside the chain: calibration's eigh sets the peak.
         tm = transition.hamilton_weighting(graphs.generate(graphs.GraphSpec(family="complete", n=n)))
-        targets = [opts["target_eps"]] if args.preset == "fig2" else [0.5, 1.0, 2.0]
-        for eps_target in targets:
-            target = accountant.DpPoint(epsilon=eps_target, delta=opts["delta"])
+        for target in targets:
             cal_rw = accountant.calibrate_sigma(tm, steps, target, method="exact")
             cal_local = accountant.calibrate_sigma_local(steps, target, n)
             for seed in seeds:
-                base_cfg = dict(descent, seed=seed)
-                runs = [optim.run_rw_dpsgd(tm, obj, optim.SgdConfig(
-                    sigma=float(np.sqrt(cal_rw.sigma2)), **base_cfg))]
+                runs = [optim.run_rw_dpsgd(tm, obj, dataclasses.replace(
+                    cfg, seed=seed, sigma=float(np.sqrt(cal_rw.sigma2))))]
                 if args.preset == "fig2":
-                    runs.append(optim.run_local_dpsgd(obj, optim.SgdConfig(
-                        sigma=float(np.sqrt(cal_local.sigma2)), **base_cfg)))
-                    rounds_cfg = dict(base_cfg, steps=max(1, steps // n))
-                    runs.append(optim.run_central_dpsgd(obj, optim.SgdConfig(
-                        sigma=float(np.sqrt(cal_local.sigma2)), **rounds_cfg)))
+                    local_cfg = dataclasses.replace(cfg, seed=seed, sigma=float(np.sqrt(cal_local.sigma2)))
+                    runs.append(optim.run_local_dpsgd(obj, local_cfg))
+                    runs.append(optim.run_central_dpsgd(obj, dataclasses.replace(local_cfg, steps=max(1, steps // n))))
                 for rec in runs:
-                    _write_run(manifest, out / f"{rec.algorithm}_eps{eps_target}_seed{seed}.csv", rec)
-                    summary["runs"].append(_summary_row(rec, seed=seed, target_eps=eps_target,
+                    _write_run(manifest, out / f"{rec.algorithm}_eps{target.epsilon}_seed{seed}.csv", rec)
+                    summary["runs"].append(_summary_row(rec, seed=seed, target_eps=target.epsilon,
                                                         sigma2_rw=cal_rw.sigma2, sigma2_local=cal_local.sigma2))
 
     dump_json(manifest.add(out / "summary.json"), summary)
-    manifest.write()
-    return 0
 
 
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
-    manifest = _Manifest(out, "calibrate", _public_config(args),
-                         [args.seed] if args.seed is not None else [])
+def cmd_calibrate(args: argparse.Namespace, manifest: _Manifest) -> None:
     if args.steps < 0:  # before any graph: --kappa auto would derive kappa = 1/T^2 from it
         raise AccountantError(f"steps must be nonnegative, got {args.steps}")
     target = accountant.DpPoint(epsilon=args.target_eps, delta=args.delta)
@@ -555,7 +538,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     del g  # calibration's eigh sets the run's peak memory: hold no edge list beside it
     result = accountant.calibrate_sigma(tm, args.steps, target, statistic, dist=dist, method=args.method)
     dump_json(
-        manifest.add(out / "calibration.json"),
+        manifest.add(manifest.out_dir / "calibration.json"),
         {
             "sigma2": result.sigma2,
             "epsilon": result.epsilon,
@@ -568,15 +551,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             "method": args.method,
         },
     )
-    manifest.write()
-    return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace, manifest: _Manifest) -> None:
     if not args.inputs:
         raise ConfigError("report needs at least one input distance-series CSV")
-    out = _out_dir(args)
-    manifest = _Manifest(out, "report", _public_config(args), [])
     rows = []
     for spec in args.inputs:
         if "=" in spec:
@@ -595,12 +574,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         for b in buckets:
             rows.append((b.distance, b.mean, b.std, method, graph_name, source))
     write_rows_csv(
-        manifest.add(out / "report.csv"),
+        manifest.add(manifest.out_dir / "report.csv"),
         ["distance", "mean", "std", "method", "graph", "source"],
         rows,
     )
-    manifest.write()
-    return 0
 
 
 # --------------------------------------------------------------------------- #
@@ -679,7 +656,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _resolve_flags(args)
-        return args.func(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        if args.command in ("privacy", "sgd"):
+            seeds = _parse_seeds(args.seeds)
+        else:  # graph and calibrate record the --seed they were given
+            seeds = [args.seed] if getattr(args, "seed", None) is not None else []
+        label = f"sgd:{args.preset}" if args.command == "sgd" else args.command
+        manifest = _Manifest(out, label, _public_config(args), seeds)
+        args.func(args, manifest)
+        manifest.write()
+        return 0
     except CalibrationError as exc:
         print(f"calibration infeasible: {exc}", file=sys.stderr)
         return _EXIT_CALIBRATION

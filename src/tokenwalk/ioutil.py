@@ -13,8 +13,6 @@ import numpy as np
 
 __all__ = [
     "atomic_write_text",
-    "atomic_write_bytes",
-    "format_float",
     "write_matrix_csv",
     "read_matrix_csv",
     "write_rows_csv",
@@ -30,11 +28,6 @@ _FLOAT_FMT = "%.17g"
 
 # Rows per block of `write_matrix_csv`'s streamed text.
 _CSV_BLOCK_ROWS = 64
-
-
-def format_float(x: float) -> str:
-    """Render a float with 17 significant digits (lossless for doubles)."""
-    return _FLOAT_FMT % x
 
 
 @contextlib.contextmanager
@@ -54,14 +47,10 @@ def _atomic_file(path: str | Path) -> Iterator[BinaryIO]:
         raise
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write bytes to `path` via a temp file + rename in the same directory."""
-    with _atomic_file(path) as fh:
-        fh.write(data)
-
-
 def atomic_write_text(path: str | Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    """Write `text` as UTF-8 to `path` via a temp file + rename in the same directory."""
+    with _atomic_file(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def write_matrix_csv(path: str | Path, matrix: np.ndarray, *, nan_as_empty: bool = False) -> None:
@@ -115,7 +104,7 @@ def write_rows_csv(path: str | Path, header: Iterable[str], rows: Iterable[Itera
 
     def cell(x: Any) -> str:
         if isinstance(x, float) or isinstance(x, np.floating):
-            return format_float(float(x))
+            return _FLOAT_FMT % float(x)
         return str(x)
 
     lines = [",".join(header)]

@@ -246,6 +246,45 @@ def test_graph_seeded_random_family(tmp_path):
     assert _read_json(out / "stats.json")["retries"] == 0
 
 
+# Each command's manifest label and seeds: privacy and sgd record their seed
+# list, graph and calibrate the --seed they were given, if any.
+_MANIFEST_LABELS = {
+    "graph": (["graph", "--family", "ring", "--n", "5"], "graph", []),
+    "graph-seed": (["graph", "--family", "erdos-renyi", "--n", "12", "--q", "0.5", "--seed", "3"], "graph", [3]),
+    "privacy": (["privacy", "--family", "ring", "--n", "6", "--steps", "60", "--seeds", "0,2"], "privacy", [0, 2]),
+    "calibrate": (["calibrate", "--family", "ring", "--n", "8", "--steps", "80", "--target-eps", "2"],
+                  "calibrate", []),
+    "calibrate-seed": (["calibrate", "--family", "erdos-renyi", "--n", "12", "--q", "0.5", "--steps", "120",
+                        "--target-eps", "2", "--seed", "4"], "calibrate", [4]),
+    "report": (["report", "SERIES=ours"], "report", []),
+    "sgd-fig2": (["sgd", "--preset", "fig2", "--synthetic", "--n", "8", "--epochs", "1"], "sgd:fig2", [0]),
+    "sgd-table1-rw": (["sgd", "--preset", "table1-rw", "--synthetic", "--n", "8", "--epochs", "1",
+                       "--seeds", "1,5"], "sgd:table1-rw", [1, 5]),
+    "sgd-heterogeneity": (["sgd", "--preset", "heterogeneity", "--n", "40", "--steps", "100", "--seeds", "2"],
+                          "sgd:heterogeneity", [2]),
+    "sgd-averaging": (["sgd", "--preset", "averaging", "--n", "8", "--steps", "100", "--seeds", "0,1"],
+                      "sgd:averaging", [0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", _MANIFEST_LABELS)
+def test_manifest_records_command_label_and_seeds(tmp_path, name):
+    argv, command, seeds = _MANIFEST_LABELS[name]
+    series = _series(tmp_path, "s.csv", [(1, 0.5, 0.0, 4)])
+    argv = [arg.replace("SERIES", str(series)) for arg in argv]
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 0
+    manifest = _read_json(out / "manifest.json")
+    assert (manifest["command"], manifest["seeds"]) == (command, seeds)
+
+
+def test_failing_command_writes_no_manifest(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["privacy", "--family", "ring", "--n", "128", "--steps", "4", "--out", str(out)]) == 3
+    assert "accounting error" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 # --------------------------------------------------------------------------- #
 # config files
 # --------------------------------------------------------------------------- #
@@ -840,6 +879,44 @@ def test_sgd_refuses_unread_flag_from_config(tmp_path, capsys):
     assert main(["sgd", "--preset", "fig2", "--synthetic", "--n", "8", "--epochs", "2",
                  "--config", cfg, "--out", str(out)]) == 2
     assert "config error: --preset fig2 does not read --sigma" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+_PRESET_ARGV = {
+    "fig2": ["fig2", "--synthetic", "--n", "8"],
+    "table1-rw": ["table1-rw", "--synthetic", "--n", "8"],
+    "heterogeneity": ["heterogeneity", "--n", "40"],
+    "averaging": ["averaging", "--n", "8"],
+}
+
+# A bad descent or privacy setting exits with one code and message under
+# every preset that reads it.
+_BAD_SGD_SETTINGS = [
+    *((preset, ["--steps", "-1"], 2, "config error: steps must be nonnegative, got -1") for preset in _PRESET_ARGV),
+    *((preset, ["--steps", "10", "--gamma", "-1"], 2, "config error: gamma must be nonnegative, got -1.0")
+      for preset in _PRESET_ARGV),
+    *((preset, ["--steps", "10", "--clip", "0"], 2, "config error: clip_threshold must be positive, got 0.0")
+      for preset in _PRESET_ARGV),
+    ("fig2", ["--epochs", "-1"], 2, "config error: steps must be nonnegative, got -8"),
+    ("table1-rw", ["--epochs", "-1"], 2, "config error: steps must be nonnegative, got -8"),
+    ("fig2", ["--steps", "10", "--delta", "2"], 3, "accounting error: delta must be in (0, 1), got 2.0"),
+    ("table1-rw", ["--steps", "10", "--delta", "2"], 3, "accounting error: delta must be in (0, 1), got 2.0"),
+    ("fig2", ["--steps", "10", "--target-eps", "-1"], 3, "accounting error: epsilon must be nonnegative, got -1.0"),
+]
+
+
+@pytest.mark.parametrize("preset, flags, rc, message", _BAD_SGD_SETTINGS,
+                         ids=[f"{p}{''.join(f)}" for p, f, _, _ in _BAD_SGD_SETTINGS])
+def test_sgd_checks_its_settings_before_any_work(tmp_path, capsys, monkeypatch, preset, flags, rc, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sgd built a graph or dataset for a bad setting")
+
+    for module, name in [(graphs, "generate"), (datasets, "synth_linear"),
+                         (datasets, "synth_heterogeneous_geometric")]:
+        monkeypatch.setattr(module, name, refuse)
+    out = tmp_path / "o"
+    assert main(["sgd", "--preset", *_PRESET_ARGV[preset], *flags, "--out", str(out)]) == rc
+    assert message in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
