@@ -134,7 +134,7 @@ class DpPoint:
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < 1.0:
             raise AccountantError(f"delta must be in (0, 1), got {self.delta}")
-        if self.epsilon < 0.0:
+        if not self.epsilon >= 0.0:
             raise AccountantError(f"epsilon must be nonnegative, got {self.epsilon}")
 
 

@@ -6,7 +6,9 @@ experiment runs), ``calibrate`` (noise search for a DP target), and
 ``report`` (merge distance series into one long-format CSV).
 
 Each flag is declared once, in :data:`_FLAGS`, which drives the parser, the
-``--config`` keys and the defaults.  A config file is a JSON object with
+``--config`` keys and the defaults.  A numeric flag's ``type`` is its domain
+(:func:`_domain`), so a number outside it exits 2 before any work, from the
+command line or the config file alike.  A config file is a JSON object with
 ``"schema_version": 1`` and flag names (``_`` for ``-``) as keys, each value
 typed and checked like its flag.  Command line > config file > default, and a
 required flag may come from the config file.  :data:`_PRESETS` holds the flags
@@ -29,6 +31,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -89,9 +92,9 @@ _FAMILY_ALIASES = {"erdos-renyi": "erdos_renyi", "edge-list": "edge_list", "expo
 
 def _parse_seeds(text: str) -> list[int]:
     try:
-        seeds = [int(s) for s in text.split(",") if s.strip() != ""]
+        seeds = [_COUNT(s) for s in text.split(",") if s.strip() != ""]
     except ValueError:
-        raise ConfigError(f"invalid seed list {text!r} (expected comma-separated ints)") from None
+        raise ConfigError(f"invalid seed list {text!r} (expected comma-separated nonnegative ints)") from None
     if not seeds:
         raise ConfigError(f"empty seed list {text!r}")
     if len(set(seeds)) < len(seeds):
@@ -290,7 +293,7 @@ def cmd_graph(args: argparse.Namespace, manifest: _Manifest) -> None:
 def cmd_privacy(args: argparse.Namespace, manifest: _Manifest) -> None:
     out, seeds = manifest.out_dir, manifest.seeds
     p = accountant.PrivacyParams(alpha=args.alpha, sigma2=args.sigma2, steps=args.steps)
-    # The conversion's delta term; it rejects delta outside (0, 1) before any graph.
+    # The conversion's delta term.
     tail = accountant.rdp_to_dp(args.alpha, 0.0, args.delta).epsilon
 
     per_seed_series: list[list[accountant.DistanceBucket]] = []
@@ -517,8 +520,6 @@ def cmd_sgd(args: argparse.Namespace, manifest: _Manifest) -> None:
 
 
 def cmd_calibrate(args: argparse.Namespace, manifest: _Manifest) -> None:
-    if args.steps < 0:  # before any graph: --kappa auto would derive kappa = 1/T^2 from it
-        raise AccountantError(f"steps must be nonnegative, got {args.steps}")
     target = accountant.DpPoint(epsilon=args.target_eps, delta=args.delta)
     stat_name = args.statistic.replace("-", "_")
     if stat_name not in _STATISTICS:
@@ -585,6 +586,26 @@ def cmd_report(args: argparse.Namespace, manifest: _Manifest) -> None:
 # --------------------------------------------------------------------------- #
 
 
+def _domain(name: str, parse, accepts):
+    """An argparse ``type`` named `name`: the number `parse` reads, if `accepts` it."""
+    def read(text: str):
+        if not accepts(value := parse(text)):
+            raise ValueError(name)
+        return value
+
+    read.__name__ = name  # argparse and _config_value print it
+    return read
+
+
+_COUNT = _domain("nonnegative int", int, lambda x: x >= 0)
+_SIZE = _domain("positive int", int, lambda x: x >= 1)
+_NONNEGATIVE = _domain("finite nonnegative float", float, lambda x: 0.0 <= x < math.inf)
+_POSITIVE = _domain("finite positive float", float, lambda x: 0.0 < x < math.inf)
+_PROBABILITY = _domain("float in (0, 1)", float, lambda x: 0.0 < x < 1.0)
+_ORDER = _domain("finite float > 1", float, lambda x: 1.0 < x < math.inf)
+_VARIANCE = _domain("positive float or inf", float, lambda x: x > 0.0)  # sigma2 = inf: zero loss
+
+
 def _flag(name: str, default=None, *, required: bool = False, **options) -> tuple:
     """A row of :data:`_FLAGS`: config key, flag, default, required, argparse options."""
     return name.lstrip("-").replace("-", "_"), name, default, required, options
@@ -593,32 +614,34 @@ def _flag(name: str, default=None, *, required: bool = False, **options) -> tupl
 _GRAPH_FLAGS = (
     _flag("--family", required=True,
           help="complete|ring|star|grid2d|hypercube|erdos-renyi|geometric|sbm|edge-list|exponential"),
-    *(_flag(name, type=int) for name in ("--n", "--rows", "--cols", "--dim")),
+    *(_flag(name, type=_SIZE) for name in ("--n", "--rows", "--cols", "--dim")),
     *(_flag(name, type=float) for name in ("--q", "--radius")),
     *(_flag(name) for name in ("--cluster-sizes", "--prob-matrix", "--edge-file")),
 )
 _KAPPA = _flag("--kappa", help="self-loop mass to blend in, or 'auto' for 1/T^2")
-_STEPS = _flag("--steps", required=True, type=int)
+_STEPS = _flag("--steps", required=True, type=_COUNT)
 _METHOD = _flag("--method", "closed", choices=["exact", "closed"])
-_DELTA = _flag("--delta", 1e-6, type=float)
+_DELTA = _flag("--delta", 1e-6, type=_PROBABILITY)
 _OUT = _flag("--out", required=True)
 
 # Every flag of every subcommand.  sgd's numeric flags default to None: each
 # preset fills its own defaults (:data:`_PRESETS`), which stay out of the hashed config.
 _FLAGS: dict[str, tuple] = {
-    "graph": (*_GRAPH_FLAGS, _flag("--seed", type=int), _OUT),
-    "privacy": (*_GRAPH_FLAGS, _KAPPA, _flag("--alpha", 2.0, type=float), _flag("--sigma2", 16.0, type=float),
+    "graph": (*_GRAPH_FLAGS, _flag("--seed", type=_COUNT), _OUT),
+    "privacy": (*_GRAPH_FLAGS, _KAPPA, _flag("--alpha", 2.0, type=_ORDER), _flag("--sigma2", 16.0, type=_VARIANCE),
                 _STEPS, _METHOD, _DELTA, _flag("--seeds", "0"), _OUT),
     "sgd": (
         _flag("--preset", required=True, choices=["fig2", "table1-rw", "heterogeneity", "averaging"]),
-        *(_flag(name, type=int) for name in ("--n", "--epochs", "--steps", "--per-user")),
-        *(_flag(name, type=float) for name in ("--gamma", "--sigma", "--clip", "--target-eps", "--delta")),
+        *(_flag(name, type=domain) for name, domain in (
+            ("--n", _SIZE), ("--epochs", _COUNT), ("--steps", _COUNT), ("--per-user", _SIZE),
+            ("--gamma", _NONNEGATIVE), ("--sigma", _NONNEGATIVE), ("--clip", _POSITIVE),
+            ("--target-eps", _NONNEGATIVE), ("--delta", _PROBABILITY))),
         _flag("--synthetic", False, action="store_true", help="use the synthetic linear dataset instead of Houses"),
         _flag("--seeds", "0"), _OUT,
     ),
-    "calibrate": (*_GRAPH_FLAGS, _KAPPA, _flag("--target-eps", required=True, type=float), _DELTA,
-                  _flag("--statistic", "mean_pairs", help="|".join(_STATISTICS)), _flag("--distance", type=int),
-                  _STEPS, _METHOD, _flag("--seed", type=int), _OUT),
+    "calibrate": (*_GRAPH_FLAGS, _KAPPA, _flag("--target-eps", required=True, type=_NONNEGATIVE), _DELTA,
+                  _flag("--statistic", "mean_pairs", help="|".join(_STATISTICS)), _flag("--distance", type=_SIZE),
+                  _STEPS, _METHOD, _flag("--seed", type=_COUNT), _OUT),
     "report": (_flag("inputs", (), nargs="*", metavar="CSV[=label]"), _OUT),
 }
 

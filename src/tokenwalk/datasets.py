@@ -153,7 +153,7 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _partition_train(train_idx: np.ndarray, n_users: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    if n_users > train_idx.shape[0]:
+    if not 1 <= n_users <= train_idx.shape[0]:
         raise DataError(
             f"cannot partition {train_idx.shape[0]} training rows across {n_users} users"
         )

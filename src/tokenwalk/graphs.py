@@ -305,6 +305,7 @@ def _erdos_renyi(spec: GraphSpec, rng: np.random.Generator) -> Built:
 
 def _geometric(spec: GraphSpec, rng: np.random.Generator) -> Built:
     n = _need_n(spec)
+    _require(n >= 2, "geometric requires n >= 2")  # before the default radius takes log(n)
     radius = spec.radius if spec.radius is not None else default_geometric_radius(n)
     _require(0.0 < radius <= math.sqrt(2.0), "geometric requires radius in (0, sqrt(2)]")
     pos = rng.random((n, 2))
@@ -363,6 +364,7 @@ def generate(spec: GraphSpec) -> Graph:
     input is checked, by :func:`load_edge_list`.
     """
     fam = spec.family
+    _require(spec.seed is None or spec.seed >= 0, f"seed must be nonnegative, got {spec.seed}")
     if fam == "edge_list":
         _require(spec.path is not None, "edge_list family requires path")
         return load_edge_list(spec.path)[0]  # type: ignore[arg-type]

@@ -226,12 +226,12 @@ class SgdConfig:
     def __post_init__(self) -> None:
         if self.steps < 0:
             raise ConfigError(f"steps must be nonnegative, got {self.steps}")
-        if self.gamma is not None and not self.gamma >= 0.0:
-            raise ConfigError(f"gamma must be nonnegative, got {self.gamma}")
-        if self.sigma < 0.0:
-            raise ConfigError(f"sigma must be nonnegative, got {self.sigma}")
-        if not self.clip_threshold > 0.0:
-            raise ConfigError(f"clip_threshold must be positive, got {self.clip_threshold}")
+        if self.gamma is not None and not 0.0 <= self.gamma < math.inf:
+            raise ConfigError(f"gamma must be finite and nonnegative, got {self.gamma}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ConfigError(f"sigma must be finite and nonnegative, got {self.sigma}")
+        if not 0.0 < self.clip_threshold < math.inf:
+            raise ConfigError(f"clip_threshold must be finite and positive, got {self.clip_threshold}")
 
 
 @dataclass(frozen=True)

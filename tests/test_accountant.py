@@ -122,6 +122,8 @@ def test_dp_point_validation():
         DpPoint(epsilon=-0.1, delta=1e-6)
     with pytest.raises(AccountantError):
         DpPoint(epsilon=1.0, delta=1.0)
+    with pytest.raises(AccountantError, match="epsilon must be nonnegative, got nan"):
+        DpPoint(float("nan"), 1e-6)
 
 
 # --------------------------------------------------------------------------- #

@@ -426,6 +426,8 @@ def _flag_and_config(name, options):
         return ["a.csv"], ["a.csv"]
     if "choices" in options:
         return [name, options["choices"][0]], options["choices"][0]
+    if options.get("type") is cli._PROBABILITY:
+        return [name, "0.5"], 0.5
     if "type" in options:
         return [name, "3"], 3  # a JSON int, also for float flags
     return [name, "ring"], "ring"
@@ -569,9 +571,11 @@ def test_privacy_rejects_delta_outside_unit_interval_before_the_graph(tmp_path, 
     monkeypatch.setattr(graphs, "generate", refuse)
     out = tmp_path / "o"
     argv = ["privacy", "--family", "ring", "--n", "6", "--steps", "60", "--delta", delta, "--out", str(out)]
-    assert main(argv) == 3
-    assert "accounting error: delta must be in (0, 1)" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument --delta: invalid float in (0, 1) value: '{delta}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sizes, probs, bad_flag", [
@@ -620,16 +624,18 @@ def test_exit_3_negative_closed_kernel(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kappa", [[], ["--kappa", "auto"]], ids=["plain", "kappa-auto"])
-def test_exit_3_negative_steps_before_the_graph(tmp_path, capsys, monkeypatch, kappa):
+def test_exit_2_negative_steps_before_the_graph(tmp_path, capsys, monkeypatch, kappa):
     def refuse(*args, **kwargs):
         raise AssertionError("graph generated for a negative walk length")
 
     monkeypatch.setattr(graphs, "generate", refuse)
     argv = ["calibrate", "--family", "complete", "--n", "8", "--steps", "-1", "--target-eps", "1", *kappa,
             "--out", str(tmp_path / "o")]
-    assert main(argv) == 3
-    assert "accounting error: steps must be nonnegative, got -1" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "calibration.json").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --steps: invalid nonnegative int value: '-1'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_exit_4_houses_missing(tmp_path, capsys, monkeypatch):
@@ -810,13 +816,22 @@ def test_sgd_fig2_synthetic(tmp_path):
     assert (out / "rw_dpsgd_eps1.0_seed0.csv").exists()
 
 
+def _exit_code(argv):
+    """What `main` returns for `argv`, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 # Exit code and message of fig2 with one flag set to 0, which the preset's
 # default must not replace.
 _ZERO_FLAG_OUTCOMES = {
     "--gamma": (0, ""),
-    "--n": (4, "data error: n_users, per_user, d must all be positive"),
-    "--delta": (3, "accounting error: delta must be in (0, 1), got 0.0"),
-    "--clip": (2, "config error: clip_threshold must be positive, got 0.0"),
+    "--n": (2, "argument --n: invalid positive int value: '0'"),
+    "--per-user": (2, "argument --per-user: invalid positive int value: '0'"),
+    "--delta": (2, "argument --delta: invalid float in (0, 1) value: '0'"),
+    "--clip": (2, "argument --clip: invalid finite positive float value: '0'"),
     "--target-eps": (5, "calibration infeasible: target epsilon 0.0 is below the conversion floor"),
     "--epochs": (5, "calibration infeasible: degenerate statistic 0.0"),
     "--steps": (5, "calibration infeasible: degenerate statistic 0.0"),
@@ -829,7 +844,7 @@ def test_sgd_explicit_zero_is_not_replaced_by_the_preset_default(tmp_path, capsy
     out = tmp_path / "fig2"
     epochs = [] if flag == "--steps" else ["--epochs", "2"]  # fig2 does not read --epochs beside --steps
     argv = ["sgd", "--preset", "fig2", "--synthetic", "--n", "8", *epochs, flag, "0", "--out", str(out)]
-    assert main(argv) == rc
+    assert _exit_code(argv) == rc
     assert message in capsys.readouterr().err
     if rc == 0:  # gamma = 0: every run takes zero-length steps
         assert {r["gamma"] for r in _read_json(out / "summary.json")["runs"]} == {0.0}
@@ -844,10 +859,10 @@ _UNREAD_FLAG_CASES = {
     "table1-sigma": (["table1-rw", "--synthetic", "--n", "8", "--epochs", "2", "--sigma", "99"], ["--sigma"]),
     "averaging-regression-flags": (
         ["averaging", "--n", "8", "--steps", "40", "--synthetic", "--target-eps", "3", "--delta", "0.5",
-         "--per-user", "0"], ["--per-user", "--target-eps", "--delta", "--synthetic"]),
+         "--per-user", "3"], ["--per-user", "--target-eps", "--delta", "--synthetic"]),
     "heterogeneity-regression-flags": (
         ["heterogeneity", "--n", "40", "--steps", "60", "--synthetic", "--target-eps", "3", "--delta", "0.5",
-         "--per-user", "0"], ["--per-user", "--target-eps", "--delta", "--synthetic"]),
+         "--per-user", "3"], ["--per-user", "--target-eps", "--delta", "--synthetic"]),
     "heterogeneity-seeds": (["heterogeneity", "--n", "40", "--steps", "60", "--seeds", "0,1,2"],
                             ["runs one seed", "--seeds 0,1,2"]),
     "fig2-epochs-beside-steps": (["fig2", "--synthetic", "--n", "8", "--steps", "10", "--epochs", "2"],
@@ -889,25 +904,33 @@ _PRESET_ARGV = {
     "averaging": ["averaging", "--n", "8"],
 }
 
-# A bad descent or privacy setting exits with one code and message under
-# every preset that reads it.
+# A bad descent or privacy setting exits 2 with one message under every preset
+# that reads it, NaN and inf included: a NaN sigma would run without noise.
 _BAD_SGD_SETTINGS = [
-    *((preset, ["--steps", "-1"], 2, "config error: steps must be nonnegative, got -1") for preset in _PRESET_ARGV),
-    *((preset, ["--steps", "10", "--gamma", "-1"], 2, "config error: gamma must be nonnegative, got -1.0")
+    *((preset, ["--steps", "-1"], "argument --steps: invalid nonnegative int value: '-1'") for preset in _PRESET_ARGV),
+    *((preset, ["--steps", "10", "--gamma", "-1"], "argument --gamma: invalid finite nonnegative float value: '-1'")
       for preset in _PRESET_ARGV),
-    *((preset, ["--steps", "10", "--clip", "0"], 2, "config error: clip_threshold must be positive, got 0.0")
+    *((preset, ["--steps", "10", "--clip", "0"], "argument --clip: invalid finite positive float value: '0'")
       for preset in _PRESET_ARGV),
-    ("fig2", ["--epochs", "-1"], 2, "config error: steps must be nonnegative, got -8"),
-    ("table1-rw", ["--epochs", "-1"], 2, "config error: steps must be nonnegative, got -8"),
-    ("fig2", ["--steps", "10", "--delta", "2"], 3, "accounting error: delta must be in (0, 1), got 2.0"),
-    ("table1-rw", ["--steps", "10", "--delta", "2"], 3, "accounting error: delta must be in (0, 1), got 2.0"),
-    ("fig2", ["--steps", "10", "--target-eps", "-1"], 3, "accounting error: epsilon must be nonnegative, got -1.0"),
+    *((preset, ["--steps", "10", "--gamma", "inf"], "argument --gamma: invalid finite nonnegative float value: 'inf'")
+      for preset in _PRESET_ARGV),
+    *((preset, ["--steps", "10", "--clip", "inf"], "argument --clip: invalid finite positive float value: 'inf'")
+      for preset in _PRESET_ARGV),
+    *((preset, ["--steps", "10", "--sigma", value],
+       f"argument --sigma: invalid finite nonnegative float value: '{value}'")
+      for preset in ("heterogeneity", "averaging") for value in ("nan", "inf")),
+    ("fig2", ["--epochs", "-1"], "argument --epochs: invalid nonnegative int value: '-1'"),
+    ("table1-rw", ["--epochs", "-1"], "argument --epochs: invalid nonnegative int value: '-1'"),
+    ("fig2", ["--steps", "10", "--delta", "2"], "argument --delta: invalid float in (0, 1) value: '2'"),
+    ("table1-rw", ["--steps", "10", "--delta", "2"], "argument --delta: invalid float in (0, 1) value: '2'"),
+    ("fig2", ["--steps", "10", "--target-eps", "-1"],
+     "argument --target-eps: invalid finite nonnegative float value: '-1'"),
 ]
 
 
-@pytest.mark.parametrize("preset, flags, rc, message", _BAD_SGD_SETTINGS,
-                         ids=[f"{p}{''.join(f)}" for p, f, _, _ in _BAD_SGD_SETTINGS])
-def test_sgd_checks_its_settings_before_any_work(tmp_path, capsys, monkeypatch, preset, flags, rc, message):
+@pytest.mark.parametrize("preset, flags, message", _BAD_SGD_SETTINGS,
+                         ids=[f"{p}{''.join(f)}" for p, f, _ in _BAD_SGD_SETTINGS])
+def test_sgd_checks_its_settings_before_any_work(tmp_path, capsys, monkeypatch, preset, flags, message):
     def refuse(*args, **kwargs):
         raise AssertionError("sgd built a graph or dataset for a bad setting")
 
@@ -915,9 +938,11 @@ def test_sgd_checks_its_settings_before_any_work(tmp_path, capsys, monkeypatch, 
                          (datasets, "synth_heterogeneous_geometric")]:
         monkeypatch.setattr(module, name, refuse)
     out = tmp_path / "o"
-    assert main(["sgd", "--preset", *_PRESET_ARGV[preset], *flags, "--out", str(out)]) == rc
+    with pytest.raises(SystemExit) as exc:
+        main(["sgd", "--preset", *_PRESET_ARGV[preset], *flags, "--out", str(out)])
+    assert exc.value.code == 2
     assert message in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_every_sgd_flag_is_read_by_some_preset():
@@ -931,6 +956,104 @@ def test_sgd_unknown_preset(tmp_path, capsys):
         main(["sgd", "--preset", "quantum", "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------- #
+# numeric flag domains
+# --------------------------------------------------------------------------- #
+
+
+def _sgd_argv(preset, key):
+    """An sgd command line at toy size that reads flag `key`, which it does not give."""
+    size = [] if key == "n" else _PRESET_ARGV[preset][-2:]
+    length = [] if key in ("steps", "epochs") else ["--steps", "16"]
+    return ["sgd", "--preset", *_PRESET_ARGV[preset][:-2], *size, *length]
+
+
+_GRAPH_FLAG_ARGV = {"n": ["--family", "ring"], "rows": ["--family", "grid2d", "--cols", "3"],
+                    "cols": ["--family", "grid2d", "--rows", "2"], "dim": ["--family", "hypercube"],
+                    "q": ["--family", "erdos-renyi", "--n", "8"], "radius": ["--family", "geometric", "--n", "8"]}
+_ER = ["--family", "erdos-renyi", "--n", "8", "--q", "0.5"]
+
+# Every numeric flag of every command and sgd preset: (label, a command line
+# that reads the flag but does not give it, config key).
+_NUMERIC_FLAG_CASES = [
+    *((command, [command, *graph_argv, *rest], key)
+      for command, rest in (("graph", []), ("privacy", ["--steps", "60"]),
+                            ("calibrate", ["--steps", "80", "--target-eps", "2"]))
+      for key, graph_argv in _GRAPH_FLAG_ARGV.items()),
+    ("graph", ["graph", *_ER], "seed"),
+    ("privacy", ["privacy", *_ER], "steps"),
+    *(("privacy", ["privacy", *_ER, "--steps", "60"], key) for key in ("alpha", "sigma2", "delta", "kappa", "seeds")),
+    ("calibrate", ["calibrate", *_ER, "--target-eps", "2"], "steps"),
+    ("calibrate", ["calibrate", *_ER, "--steps", "80"], "target_eps"),
+    *(("calibrate", ["calibrate", *_ER, "--steps", "80", "--target-eps", "2"], key)
+      for key in ("delta", "kappa", "seed")),
+    ("calibrate", ["calibrate", "--family", "ring", "--n", "8", "--steps", "80", "--target-eps", "2",
+                   "--statistic", "mean_at_distance"], "distance"),
+    *((f"sgd:{preset}", _sgd_argv(preset, key), key)
+      for preset, reads in cli._PRESETS.items() for key in (*reads, "seeds") if key != "synthetic"),
+]
+_FUZZ_VALUES = {"0": 0, "-1": -1, "nan": math.nan, "inf": math.inf}  # as JSON numbers: 0, -1, NaN, Infinity
+
+# The values among those that lie in their flag's domain, and what each gives;
+# every other value exits 2.  fig2's zeros are the table above.
+_DEFINED_OUTCOMES = {
+    **{("sgd:fig2", flag[2:].replace("-", "_"), "0"): outcome
+       for flag, outcome in _ZERO_FLAG_OUTCOMES.items() if outcome[0] != 2},
+    ("sgd:table1-rw", "gamma", "0"): (0, ""),
+    **{("sgd:table1-rw", key, "0"): (5, "calibration infeasible: degenerate statistic 0.0")
+       for key in ("epochs", "steps")},
+    **{(f"sgd:{preset}", key, "0"): (0, "")
+       for preset in ("heterogeneity", "averaging") for key in ("epochs", "steps", "gamma", "sigma")},
+    **{(command, "steps", "0"): (3, "accounting error: closed form requires steps >= 1")
+       for command in ("privacy", "calibrate")},
+    ("calibrate", "target_eps", "0"): (5, "calibration infeasible: target epsilon 0.0 is below the conversion floor"),
+    ("privacy", "sigma2", "inf"): (0, ""),  # no loss
+    **{(label, key, "0"): (0, "") for label, _, key in _NUMERIC_FLAG_CASES if key in ("seed", "seeds", "kappa")},
+}
+
+# The flags whose type is no domain, which their graph, chain or seed-list
+# check refuses, after the out dir exists.
+_LATER_CHECKS = {"q": "config error: erdos_renyi requires q in (0,1]",
+                 "radius": "config error: geometric requires radius in (0, sqrt(2)]",
+                 "kappa": "config error: kappa must be in [0, 1)", "seeds": "config error: invalid seed list"}
+
+
+@pytest.mark.parametrize("label, argv, key, value",
+                         [(*case, value) for case in _NUMERIC_FLAG_CASES for value in _FUZZ_VALUES],
+                         ids=[f"{case[0]}-{case[2]}-{value}" for case in _NUMERIC_FLAG_CASES for value in _FUZZ_VALUES])
+def test_every_number_outside_its_flags_domain_exits_2(tmp_path, capsys, monkeypatch, label, argv, key, value):
+    rc, message = _DEFINED_OUTCOMES.get((label, key, value), (2, None))
+    options = next(opts for k, _, _, _, opts in cli._FLAGS[argv[0]] if k == key)
+    typed = key not in _LATER_CHECKS  # its type is its domain
+    if typed and rc == 2:
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run started for a number outside its flag's domain")
+
+        for module, name in [(graphs, "generate"), (datasets, "synth_linear"), (datasets, "find_houses_csv"),
+                             (datasets, "synth_heterogeneous_geometric"), (accountant, "calibrate_sigma")]:
+            monkeypatch.setattr(module, name, refuse)
+    flag = "--" + key.replace("_", "-")
+    cfg = _config(tmp_path, {"schema_version": 1, key: _FUZZ_VALUES[value] if "type" in options else value})
+    for source, tokens in (("flag", [flag, value]), ("config", ["--config", cfg])):
+        out = tmp_path / source
+        run = [*argv, *tokens, "--out", str(out)]
+        if rc == 2 and typed and source == "flag":  # argparse refuses it
+            with pytest.raises(SystemExit) as exc:
+                main(run)
+            assert exc.value.code == 2
+            message = f"argument {flag}: invalid {options['type'].__name__} value: '{value}'"
+        else:
+            assert main(run) == rc, source
+            if rc == 2:
+                message = f"config error: {cfg}: {key}: invalid " if typed else _LATER_CHECKS[key]
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err, source
+        if rc == 0:
+            assert (out / "manifest.json").exists()
+        else:  # a typed flag is refused before the out dir exists
+            assert not out.exists() if typed and rc == 2 else list(out.iterdir()) == [], source
 
 
 # --------------------------------------------------------------------------- #

@@ -142,6 +142,9 @@ def test_preprocess_median_tie_goes_positive():
 def test_preprocess_validation():
     with pytest.raises(DataError, match="cannot partition"):
         preprocess(_toy_raw(10), n_users=9, seed=0)  # only 8 train rows
+    for n_users in (0, -1):  # refused before np.array_split
+        with pytest.raises(DataError, match=f"across {n_users} users"):
+            preprocess(_toy_raw(10), n_users=n_users, seed=0)
 
 
 def test_preprocess_deterministic():

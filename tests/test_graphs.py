@@ -276,6 +276,18 @@ def test_sbm_parameter_validation():
         )
 
 
+@pytest.mark.parametrize("n", [0, -1, 1])
+def test_geometric_refuses_fewer_than_two_nodes_before_the_default_radius(n):
+    with pytest.raises(GraphError, match="geometric requires n >= 2"):
+        generate(GraphSpec(family="geometric", n=n, seed=0))
+
+
+@pytest.mark.parametrize("family", ["erdos_renyi", "ring"])
+def test_generate_refuses_a_negative_seed(family):
+    with pytest.raises(GraphError, match="seed must be nonnegative, got -1"):
+        generate(GraphSpec(family=family, n=8, q=0.5, seed=-1))
+
+
 def test_erdos_renyi_q_validation():
     with pytest.raises(GraphError):
         generate(GraphSpec(family="erdos_renyi", n=16, q=0.0, seed=0))

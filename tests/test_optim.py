@@ -329,6 +329,11 @@ def test_sgd_config_validation():
         SgdConfig(steps=10, sigma=-1.0)
     with pytest.raises(ConfigError, match="clip_threshold"):
         SgdConfig(steps=10, clip_threshold=0.0)
+    # NaN fails `sigma < 0` and the loop's `noise_std > 0` alike: only a range test keeps it from a noiseless run.
+    for field in ("sigma", "gamma", "clip_threshold"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match=f"{field} must be finite"):
+                SgdConfig(steps=1, **{field: value})
 
 
 # --------------------------------------------------------------------------- #
