@@ -8,9 +8,10 @@ Usage, from the repository root::
 Each command runs K times (default 1), each time in a fresh child process
 that imports ``tokenwalk.cli`` and calls ``main``, as the ``tokenwalk``
 console script does, with its outputs in a temporary directory.  The script
-prints one line per run: the command and its ``--method`` (or ``--preset``),
-its wall clock in seconds (spawn to exit), the child's CPU seconds (user plus
-system, ``ru_utime + ru_stime``) and its peak resident set size in MiB
+prints one line per run: the command's label (its name, its ``--method`` or
+``--preset``, and what else sets it apart from the other rows), its wall
+clock in seconds (spawn to exit), the child's CPU seconds (user plus system,
+``ru_utime + ru_stime``) and its peak resident set size in MiB
 (``ru_maxrss``), both from ``os.wait4``.  A command that exits nonzero
 stops the script.
 """
@@ -24,16 +25,25 @@ import sys
 import tempfile
 import time
 
+_PRIVACY_ER = ("privacy", "--family", "erdos-renyi", "--n", "1024", "--q", "0.02",
+               "--steps", "262144", "--method", "exact")
+
+# (label, CLI arguments without --out)
 COMMANDS = (
-    ("privacy", "--family", "erdos-renyi", "--n", "1024", "--q", "0.02",
-     "--steps", "262144", "--method", "exact"),
-    ("calibrate", "--family", "complete", "--n", "2048", "--steps", "524288",
-     "--method", "exact", "--target-eps", "1"),
+    ("privacy exact", _PRIVACY_ER),
+    # Each seed draws its own graph and runs its own eigensolve.
+    ("privacy exact 3 seeds", (*_PRIVACY_ER, "--seeds", "0,1,2")),
+    ("calibrate exact", ("calibrate", "--family", "complete", "--n", "2048", "--steps", "524288",
+                         "--method", "exact", "--target-eps", "1")),
     # The CLI's default method.
-    ("calibrate", "--family", "complete", "--n", "2048", "--steps", "524288",
-     "--method", "closed", "--target-eps", "1"),
+    ("calibrate closed", ("calibrate", "--family", "complete", "--n", "2048", "--steps", "524288",
+                          "--method", "closed", "--target-eps", "1")),
+    # Hop distances stay alive across the eigensolve.
+    ("calibrate exact ER d=2", ("calibrate", "--family", "erdos-renyi", "--n", "1024", "--q", "0.02",
+                                "--statistic", "mean_at_distance", "--distance", "2", "--steps", "262144",
+                                "--method", "exact", "--target-eps", "1")),
     # The preset's own size: n = 2048, 256 epochs.
-    ("sgd", "--preset", "fig2", "--synthetic"),
+    ("sgd fig2", ("sgd", "--preset", "fig2", "--synthetic")),
 )
 
 LAUNCH = "import sys; from tokenwalk.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -58,13 +68,11 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=1, help="runs per command")
     args = parser.parse_args()
-    print(f"{'command':<18} {'wall s':>8} {'cpu s':>8} {'peak MiB':>8}")
-    for command in COMMANDS:
-        flag = "--preset" if "--preset" in command else "--method"
-        label = f"{command[0]} {command[command.index(flag) + 1]}"
+    print(f"{'command':<24} {'wall s':>8} {'cpu s':>8} {'peak MiB':>8}")
+    for label, command in COMMANDS:
         for _ in range(max(1, args.repeat)):
             wall, cpu, rss = run_once(command)
-            print(f"{label:<18} {wall:>8.3f} {cpu:>8.3f} {rss:>8.1f}", flush=True)
+            print(f"{label:<24} {wall:>8.3f} {cpu:>8.3f} {rss:>8.1f}", flush=True)
 
 
 if __name__ == "__main__":

@@ -470,6 +470,8 @@ def pairwise_matrix(
     so rescaling the noise rescales the whole matrix exactly.  The kernel is
     formed afresh and scaled in place, and no kernel is cached on `w`; the
     spectral decomposition it is built from, n x n eigenvectors included, is.
+    A caller that needs only the matrix should let `w` go once this returns,
+    so that W and its eigenvectors do not stay alive beside the result.
     """
     _require_gate(p)
     eps = _kernel(w, p.steps, method)

@@ -14,7 +14,7 @@ typed and checked like its flag.  Command line > config file > default, and a
 required flag may come from the config file.  :data:`_PRESETS` holds the flags
 each ``sgd`` preset reads and its defaults; any other flag given there exits 2.
 
-:func:`main` makes each run's ``--out`` directory, reads its seeds, and once
+:func:`main` reads each run's seeds, then makes its ``--out`` directory, and once
 the command succeeds writes its ``manifest.json``: the resolved config hash,
 tool version, output checksums, wall clock, and seeds, so identical configs can
 be verified to reproduce identical artifacts, plus the OpenBLAS environment
@@ -134,20 +134,18 @@ def _graph_spec_from_args(args: argparse.Namespace, seed: int | None) -> graphs.
     )
 
 
-def _build_chain(g: graphs.Graph, kappa_text: str | None, steps: int | None) -> transition.TransitionMatrix:
-    tm = transition.hamilton_weighting(g)
-    if kappa_text is None:
-        return tm
-    if kappa_text == "auto":
-        if not steps:
+def _self_loop_mass(args: argparse.Namespace) -> float | None:
+    """The ``--kappa`` mass, ``auto`` read as 1/T^2; None when the flag is unset."""
+    if args.kappa == "auto":
+        if not args.steps:
             raise ConfigError("--kappa auto needs --steps to derive 1/T^2")
-        kappa = 1.0 / float(steps) ** 2
-    else:
-        try:
-            kappa = float(kappa_text)
-        except ValueError:
-            raise ConfigError(f"invalid --kappa {kappa_text!r}") from None
-    return transition.blend_self_loops(tm, kappa)
+        return 1.0 / float(args.steps) ** 2
+    return None if args.kappa is None else float(args.kappa)
+
+
+def _build_chain(g: graphs.Graph, kappa: float | None) -> transition.TransitionMatrix:
+    tm = transition.hamilton_weighting(g)
+    return tm if kappa is None else transition.blend_self_loops(tm, kappa)
 
 
 def _read_json_object(path: Path, what: str) -> dict:
@@ -169,6 +167,8 @@ def _config_value(value, options: dict, where: str):
         expected, ok = "a list of strings", isinstance(value, list) and all(isinstance(v, str) for v in value)
     elif "type" in options:
         expected, ok = "a number", isinstance(value, (int, float)) and not isinstance(value, bool)
+        if options["type"] is _SELF_LOOPS:  # its domain holds a word, 'auto'
+            expected, ok = "a number or a string", ok or isinstance(value, str)
     else:
         expected, ok = "a string", isinstance(value, str)
     if not ok:
@@ -290,32 +290,41 @@ def cmd_graph(args: argparse.Namespace, manifest: _Manifest) -> None:
     )
 
 
+def _privacy_seed(args: argparse.Namespace, manifest: _Manifest, p: accountant.PrivacyParams,
+                  kappa: float | None, seed: int) -> list[accountant.DistanceBucket]:
+    """One seed of ``privacy``: write its pairwise CSV and distance series, return the series.
+
+    The chain, which holds W and its cached n x n decomposition, goes as soon
+    as its matrix and hash are read, so the eigensolve sets the peak; the
+    seed's other arrays go on return, before the next seed's graph.
+    """
+    out = manifest.out_dir
+    g = graphs.generate(_graph_spec_from_args(args, seed))
+    tm = _build_chain(g, kappa)
+    transition.validate(tm, g).raise_if_failed()
+    eps = accountant.pairwise_matrix(tm, p, method=args.method)
+    meta = {
+        "alpha": p.alpha, "sigma2": p.sigma2, "steps": p.steps,
+        # schema keys: every node composes over its expected T/n contributions
+        "contributions": "expected", "max_contributions": None,
+        "method": args.method, "graph_hash": tm.content_hash(), "hash_version": transition.HASH_VERSION,
+    }
+    del tm
+    pairwise = out / f"pairwise_seed{seed}.csv"
+    write_matrix_csv(pairwise, eps, nan_as_empty=True)  # the undefined diagonal as empty cells
+    manifest.add(pairwise, meta)
+    buckets = accountant.mean_loss_by_distance(eps, graphs.shortest_path_distances(g))
+    _write_distance_series(manifest.add(out / f"distance_seed{seed}.csv", meta), buckets)
+    return buckets
+
+
 def cmd_privacy(args: argparse.Namespace, manifest: _Manifest) -> None:
     out, seeds = manifest.out_dir, manifest.seeds
     p = accountant.PrivacyParams(alpha=args.alpha, sigma2=args.sigma2, steps=args.steps)
     # The conversion's delta term.
     tail = accountant.rdp_to_dp(args.alpha, 0.0, args.delta).epsilon
-
-    per_seed_series: list[list[accountant.DistanceBucket]] = []
-    for seed in seeds:
-        g = graphs.generate(_graph_spec_from_args(args, seed))
-        tm = _build_chain(g, args.kappa, args.steps)
-        report = transition.validate(tm, g)
-        report.raise_if_failed()
-        eps = accountant.pairwise_matrix(tm, p, method=args.method)
-        pairwise = out / f"pairwise_seed{seed}.csv"
-        write_matrix_csv(pairwise, eps, nan_as_empty=True)  # the undefined diagonal as empty cells
-        meta = {
-            "alpha": p.alpha, "sigma2": p.sigma2, "steps": p.steps,
-            # schema keys: every node composes over its expected T/n contributions
-            "contributions": "expected", "max_contributions": None,
-            "method": args.method, "graph_hash": tm.content_hash(), "hash_version": transition.HASH_VERSION,
-        }
-        manifest.add(pairwise, meta)
-        dist = graphs.shortest_path_distances(g)
-        buckets = accountant.mean_loss_by_distance(eps, dist)
-        _write_distance_series(manifest.add(out / f"distance_seed{seed}.csv", meta), buckets)
-        per_seed_series.append(buckets)
+    kappa = _self_loop_mass(args)
+    per_seed_series = [_privacy_seed(args, manifest, p, kappa, seed) for seed in seeds]
 
     merged: dict[int, list[accountant.DistanceBucket]] = {}
     for series in per_seed_series:
@@ -528,6 +537,7 @@ def cmd_calibrate(args: argparse.Namespace, manifest: _Manifest) -> None:
         raise ConfigError("--statistic mean_at_distance needs --distance")
     if stat_name != "mean_at_distance" and args.distance is not None:
         raise ConfigError(f"--statistic {stat_name} does not read --distance")
+    kappa = _self_loop_mass(args)
     g = graphs.generate(_graph_spec_from_args(args, args.seed))
     if stat_name == "mean_at_distance":
         statistic = accountant.mean_at_distance(args.distance)
@@ -535,7 +545,7 @@ def cmd_calibrate(args: argparse.Namespace, manifest: _Manifest) -> None:
     else:
         statistic = accountant.Statistic(stat_name)
         dist = None
-    tm = _build_chain(g, args.kappa, args.steps)
+    tm = _build_chain(g, kappa)
     del g  # calibration's eigh sets the run's peak memory: hold no edge list beside it
     result = accountant.calibrate_sigma(tm, args.steps, target, statistic, dist=dist, method=args.method)
     dump_json(
@@ -604,6 +614,8 @@ _POSITIVE = _domain("finite positive float", float, lambda x: 0.0 < x < math.inf
 _PROBABILITY = _domain("float in (0, 1)", float, lambda x: 0.0 < x < 1.0)
 _ORDER = _domain("finite float > 1", float, lambda x: 1.0 < x < math.inf)
 _VARIANCE = _domain("positive float or inf", float, lambda x: x > 0.0)  # sigma2 = inf: zero loss
+# The text itself, as given, is what the config hash records; _self_loop_mass reads the number.
+_SELF_LOOPS = _domain("'auto' or float in [0, 1)", str, lambda t: t == "auto" or 0.0 <= float(t) < 1.0)
 
 
 def _flag(name: str, default=None, *, required: bool = False, **options) -> tuple:
@@ -618,7 +630,7 @@ _GRAPH_FLAGS = (
     *(_flag(name, type=float) for name in ("--q", "--radius")),
     *(_flag(name) for name in ("--cluster-sizes", "--prob-matrix", "--edge-file")),
 )
-_KAPPA = _flag("--kappa", help="self-loop mass to blend in, or 'auto' for 1/T^2")
+_KAPPA = _flag("--kappa", type=_SELF_LOOPS, help="self-loop mass to blend in, or 'auto' for 1/T^2")
 _STEPS = _flag("--steps", required=True, type=_COUNT)
 _METHOD = _flag("--method", "closed", choices=["exact", "closed"])
 _DELTA = _flag("--delta", 1e-6, type=_PROBABILITY)
@@ -679,12 +691,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _resolve_flags(args)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         if args.command in ("privacy", "sgd"):
             seeds = _parse_seeds(args.seeds)
         else:  # graph and calibrate record the --seed they were given
             seeds = [args.seed] if getattr(args, "seed", None) is not None else []
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         label = f"sgd:{args.preset}" if args.command == "sgd" else args.command
         manifest = _Manifest(out, label, _public_config(args), seeds)
         args.func(args, manifest)

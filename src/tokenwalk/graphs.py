@@ -436,7 +436,11 @@ def load_edge_list(path: str | Path) -> tuple[Graph, dict[int, int]]:
 def shortest_path_distances(g: Graph) -> np.ndarray:
     """All-pairs hop distances by BFS from every node.
 
-    Returns a symmetric integer matrix with zero diagonal.
+    Returns a symmetric ``(n, n)`` matrix with zero diagonal, of dtype
+    ``np.min_scalar_type(-n)``: the narrowest signed integer type that holds
+    -n, and so every level 0..n-1 (int8 up to n = 128, int16 up to n = 32768).
+    Kept beside a caller's n x n eigensolve, it costs 1 or 2 bytes a cell up
+    to n = 32768, not int64's 8.
     """
-    return hop_levels(g.n, g.edges, np.arange(g.n))
+    return hop_levels(g.n, g.edges, np.arange(g.n)).astype(np.min_scalar_type(-g.n))
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import typing
+import weakref
 
 import numpy as np
 import pytest
@@ -426,7 +427,7 @@ def _flag_and_config(name, options):
         return ["a.csv"], ["a.csv"]
     if "choices" in options:
         return [name, options["choices"][0]], options["choices"][0]
-    if options.get("type") is cli._PROBABILITY:
+    if options.get("type") in (cli._PROBABILITY, cli._SELF_LOOPS):
         return [name, "0.5"], 0.5
     if "type" in options:
         return [name, "3"], 3  # a JSON int, also for float flags
@@ -508,6 +509,34 @@ def test_privacy_multi_seed_aggregates(tmp_path):
     assert merged_d1.mean == pytest.approx(float(np.mean(d1)), rel=1e-12)
 
 
+def test_privacy_lets_each_chain_go_before_its_csv_and_the_next_graph(tmp_path, monkeypatch):
+    # A chain holds W and its cached n x n eigenvectors, which no stage after
+    # the pairwise matrix reads: alive beside the CSV, the BFS or the next
+    # seed's eigensolve, they would raise the run's peak memory.
+    chains = []
+    build, write, generate = cli._build_chain, cli.write_matrix_csv, graphs.generate
+
+    def tracked_build(*args, **kwargs):
+        tm = build(*args, **kwargs)
+        chains.append(weakref.ref(tm))
+        return tm
+
+    def checked_write(*args, **kwargs):
+        assert chains and all(ref() is None for ref in chains), "a chain is alive at its pairwise CSV"
+        return write(*args, **kwargs)
+
+    def checked_generate(*args, **kwargs):
+        assert all(ref() is None for ref in chains), "an earlier seed's chain is alive at the next graph"
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_build_chain", tracked_build)
+    monkeypatch.setattr(cli, "write_matrix_csv", checked_write)
+    monkeypatch.setattr(graphs, "generate", checked_generate)
+    assert main(["privacy", "--family", "erdos-renyi", "--n", "24", "--q", "0.3", "--steps", "64",
+                 "--method", "exact", "--seeds", "0,1", "--out", str(tmp_path / "p")]) == 0
+    assert len(chains) == 2
+
+
 def test_privacy_kappa_auto(tmp_path):
     out = tmp_path / "p"
     rc = main(
@@ -525,19 +554,45 @@ def test_privacy_kappa_auto(tmp_path):
 
 
 def test_privacy_bad_kappa(tmp_path, capsys):
-    rc = main(
-        ["privacy", "--family", "ring", "--n", "6", "--steps", "60", "--kappa", "lots", "--out", str(tmp_path / "o")]
-    )
-    assert rc == 2
-    assert "kappa" in capsys.readouterr().err
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["privacy", "--family", "ring", "--n", "6", "--steps", "60", "--kappa", "lots", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --kappa: invalid 'auto' or float in [0, 1) value: 'lots'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["privacy", "calibrate"])
+@pytest.mark.parametrize("tokens, message", [
+    (["--kappa", "1", "--steps", "60"], "argument --kappa: invalid 'auto' or float in [0, 1) value: '1'"),
+    (["--kappa", "auto", "--steps", "0"], "config error: --kappa auto needs --steps to derive 1/T^2"),
+], ids=["kappa-1", "kappa-auto-steps-0"])
+def test_kappa_outside_its_domain_exits_2_before_the_graph(tmp_path, capsys, monkeypatch, command, tokens, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph generated for a self-loop mass outside [0, 1)")
+
+    monkeypatch.setattr(graphs, "generate", refuse)
+    out = tmp_path / "o"
+    argv = [command, "--family", "ring", "--n", "6", *tokens, "--out", str(out)]
+    if command == "calibrate":
+        argv += ["--target-eps", "1"]
+    if message.startswith("argument"):  # argparse refuses it, before the out dir exists
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not out.exists()
+    else:  # a pair of flags, checked by the command before its graph
+        assert main(argv) == 2
+        assert list(out.iterdir()) == []
+    assert message in capsys.readouterr().err
 
 
 def test_privacy_bad_seed_list(tmp_path, capsys):
-    rc = main(
-        ["privacy", "--family", "ring", "--n", "6", "--steps", "60", "--seeds", "0,x", "--out", str(tmp_path / "o")]
-    )
+    out = tmp_path / "o"
+    rc = main(["privacy", "--family", "ring", "--n", "6", "--steps", "60", "--seeds", "0,x", "--out", str(out)])
     assert rc == 2
     assert "seed list" in capsys.readouterr().err
+    assert not out.exists()
 
 
 _SEEDED_ARGV = [
@@ -551,7 +606,7 @@ def test_empty_seed_list_rejected(tmp_path, capsys, argv):
     out = tmp_path / "o"
     assert main([*argv, "--seeds", ",", "--out", str(out)]) == 2
     assert "empty seed list" in capsys.readouterr().err
-    assert list(out.iterdir()) == []  # no header-only series
+    assert not out.exists()  # no header-only series, and no out dir
 
 
 @pytest.mark.parametrize("argv", _SEEDED_ARGV)
@@ -560,7 +615,7 @@ def test_duplicate_seed_rejected(tmp_path, capsys, argv):
     out = tmp_path / "o"
     assert main([*argv, "--seeds", "0,1,0", "--out", str(out)]) == 2
     assert "duplicate seed in '0,1,0'" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("delta", ["0", "2", "-1"])
@@ -1013,11 +1068,10 @@ _DEFINED_OUTCOMES = {
     **{(label, key, "0"): (0, "") for label, _, key in _NUMERIC_FLAG_CASES if key in ("seed", "seeds", "kappa")},
 }
 
-# The flags whose type is no domain, which their graph, chain or seed-list
-# check refuses, after the out dir exists.
+# The flags whose type is no domain, which their graph check refuses after the
+# out dir exists.  --seeds, a list, main reads before it makes the out dir.
 _LATER_CHECKS = {"q": "config error: erdos_renyi requires q in (0,1]",
-                 "radius": "config error: geometric requires radius in (0, sqrt(2)]",
-                 "kappa": "config error: kappa must be in [0, 1)", "seeds": "config error: invalid seed list"}
+                 "radius": "config error: geometric requires radius in (0, sqrt(2)]"}
 
 
 @pytest.mark.parametrize("label, argv, key, value",
@@ -1026,8 +1080,9 @@ _LATER_CHECKS = {"q": "config error: erdos_renyi requires q in (0,1]",
 def test_every_number_outside_its_flags_domain_exits_2(tmp_path, capsys, monkeypatch, label, argv, key, value):
     rc, message = _DEFINED_OUTCOMES.get((label, key, value), (2, None))
     options = next(opts for k, _, _, _, opts in cli._FLAGS[argv[0]] if k == key)
-    typed = key not in _LATER_CHECKS  # its type is its domain
-    if typed and rc == 2:
+    typed = key not in (*_LATER_CHECKS, "seeds")  # its type is its domain
+    early = key not in _LATER_CHECKS  # refused before any work and before the out dir exists
+    if early and rc == 2:
         def refuse(*args, **kwargs):
             raise AssertionError("a run started for a number outside its flag's domain")
 
@@ -1047,13 +1102,14 @@ def test_every_number_outside_its_flags_domain_exits_2(tmp_path, capsys, monkeyp
         else:
             assert main(run) == rc, source
             if rc == 2:
-                message = f"config error: {cfg}: {key}: invalid " if typed else _LATER_CHECKS[key]
+                message = (f"config error: {cfg}: {key}: invalid " if typed
+                           else _LATER_CHECKS.get(key, "config error: invalid seed list"))
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err, source
         if rc == 0:
             assert (out / "manifest.json").exists()
-        else:  # a typed flag is refused before the out dir exists
-            assert not out.exists() if typed and rc == 2 else list(out.iterdir()) == [], source
+        else:  # a flag refused early leaves no out dir
+            assert not out.exists() if early and rc == 2 else list(out.iterdir()) == [], source
 
 
 # --------------------------------------------------------------------------- #

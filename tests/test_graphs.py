@@ -433,6 +433,15 @@ def test_shortest_path_matches_scipy(spec, tmp_path):
     assert np.array_equal(ours, ref.astype(np.int64))
 
 
+@pytest.mark.parametrize("n", [128, 129])  # the last int8 size, the first int16 one
+@pytest.mark.parametrize("family", ["ring", "erdos_renyi", "complete"])
+def test_shortest_path_distances_take_the_narrowest_type_holding_n(family, n):
+    g = generate(GraphSpec(family=family, n=n, q=0.05 if family == "erdos_renyi" else None, seed=0))
+    d = graphs.shortest_path_distances(g)
+    assert d.dtype == np.min_scalar_type(-n) == (np.int8 if n == 128 else np.int16)
+    assert np.array_equal(d, graphs.hop_levels(n, g.edges, np.arange(n)))
+
+
 def test_hop_levels_blocks_and_unreached(monkeypatch):
     g = generate(GraphSpec(family="erdos_renyi", n=30, q=0.15, seed=4))
     whole = graphs.shortest_path_distances(g)
