@@ -8,8 +8,8 @@ Usage, from the repository root::
 For each graph the script builds it once, then calls
 ``graphs.shortest_path_distances`` K times (default 3) and prints the family,
 n, edge count m, the fastest of the K wall-clock times in seconds, and the
-SHA-256 of the int64 distance array's bytes.  Equal hashes across two
-checkouts mean bitwise-equal distances.
+SHA-256 of the distances' bytes as int64, whatever integer type the
+function returns.  Equal hashes across two checkouts mean equal distances.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import time
+
+import numpy as np
 
 from tokenwalk.graphs import GraphSpec, generate, shortest_path_distances
 
@@ -44,7 +46,7 @@ def main() -> None:
             t0 = time.perf_counter()
             dist = shortest_path_distances(g)
             best = min(best, time.perf_counter() - t0)
-        digest = hashlib.sha256(dist.tobytes()).hexdigest()
+        digest = hashlib.sha256(dist.astype(np.int64).tobytes()).hexdigest()
         print(f"{name:<14} {g.n:>5} {len(g.edges):>7} {best:>9.4f}  {digest}")
 
 

@@ -7,8 +7,8 @@ symmetric bistochastic transition matrix, ``spectral`` provides the
 eigendecomposition, the one evaluator of spectral functions ``f(W)``, and
 derived quantities (matrix log term, spectral gap, mixing times),
 ``accountant`` computes pairwise Rényi privacy losses of the random-walk
-protocol (exact sums, i.e. the privacy-weighted communicability, closed forms,
-baselines, calibration),
+protocol (exact sums, i.e. the privacy-weighted communicability, the spectral
+closed form, calibration),
 ``walk`` simulates token trajectories, ``optim`` runs the private random-walk
 SGD algorithm and its local/central baselines, ``datasets`` loads and partitions
 data, and ``cli`` exposes everything as a config-driven experiment runner.

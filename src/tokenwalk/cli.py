@@ -149,7 +149,10 @@ def _build_chain(g: graphs.Graph, kappa: float | None) -> transition.TransitionM
 
 
 def _read_json_object(path: Path, what: str) -> dict:
-    """The JSON object in `path`; anything else there is a config error."""
+    """The JSON object in the file `path`; anything else there, a directory or
+    no file at all is a config error."""
+    if not path.is_file():
+        raise ConfigError(f"{what} file not found: {path}")
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
@@ -194,8 +197,6 @@ def _resolve_flags(args: argparse.Namespace) -> None:
     stanza = {}
     if "config" in args:
         path = Path(args.config)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
         stanza = _read_json_object(path, "config")
         version = stanza.pop("schema_version", None)
         if version != SCHEMA_VERSION:
@@ -366,28 +367,30 @@ def _read_distance_series(path: Path) -> list[accountant.DistanceBucket]:
     that is no such series is a :class:`ConfigError`.
     """
     unreadable = f"unreadable distance series: {path}"
+    try:
+        header, *lines = path.read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{unreadable}: not UTF-8 text") from None
+    if header.strip().split(",")[0] != "distance":
+        raise ConfigError(f"{unreadable}: expected a 'distance' first column")
     buckets: list[accountant.DistanceBucket] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if not header or header[0] != "distance":
-            raise ConfigError(f"{unreadable}: expected a 'distance' first column")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            cells = line.strip().split(",")
-            if len(cells) < 2:
-                raise ConfigError(f"{unreadable}:{lineno}: need at least distance,mean")
-            try:
-                buckets.append(
-                    accountant.DistanceBucket(
-                        distance=int(cells[0]),
-                        mean=float(cells[1]),
-                        std=float(cells[2]) if len(cells) > 2 else 0.0,
-                        count=int(cells[3]) if len(cells) > 3 else 0,
-                    )
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        cells = line.strip().split(",")
+        if len(cells) < 2:
+            raise ConfigError(f"{unreadable}:{lineno}: need at least distance,mean")
+        try:
+            buckets.append(
+                accountant.DistanceBucket(
+                    distance=int(cells[0]),
+                    mean=float(cells[1]),
+                    std=float(cells[2]) if len(cells) > 2 else 0.0,
+                    count=int(cells[3]) if len(cells) > 3 else 0,
                 )
-            except ValueError as exc:
-                raise ConfigError(f"{unreadable}:{lineno}: {exc}") from exc
+            )
+        except ValueError as exc:
+            raise ConfigError(f"{unreadable}:{lineno}: {exc}") from exc
     return buckets
 
 
@@ -574,7 +577,7 @@ def cmd_report(args: argparse.Namespace, manifest: _Manifest) -> None:
         else:
             path_text, source = spec, Path(spec).stem
         path = Path(path_text)
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(f"input not found: {path}")
         buckets = _read_distance_series(path)
         method = graph_name = ""
@@ -614,8 +617,10 @@ _POSITIVE = _domain("finite positive float", float, lambda x: 0.0 < x < math.inf
 _PROBABILITY = _domain("float in (0, 1)", float, lambda x: 0.0 < x < 1.0)
 _ORDER = _domain("finite float > 1", float, lambda x: 1.0 < x < math.inf)
 _VARIANCE = _domain("positive float or inf", float, lambda x: x > 0.0)  # sigma2 = inf: zero loss
-# The text itself, as given, is what the config hash records; _self_loop_mass reads the number.
-_SELF_LOOPS = _domain("'auto' or float in [0, 1)", str, lambda t: t == "auto" or 0.0 <= float(t) < 1.0)
+# 'auto', or the number's shortest text, so that 0.5, .5 and 5e-1 (and -0 and 0)
+# hash alike in the config; _self_loop_mass reads the number.
+_SELF_LOOPS = _domain("'auto' or float in [0, 1)", lambda t: t if t == "auto" else repr(float(t) + 0.0),
+                      lambda t: t == "auto" or 0.0 <= float(t) < 1.0)
 
 
 def _flag(name: str, default=None, *, required: bool = False, **options) -> tuple:

@@ -87,50 +87,53 @@ def load_csv(path: str | Path, label_column: str) -> RawTable:
     location; a header-only file is an empty-dataset error.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"dataset file not found: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if label_column not in header:
-            raise DataError(f"{path}: label column {label_column!r} not in header {header}")
-        label_idx = header.index(label_column)
-        feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            header = [h.strip() for h in header]
+            if label_column not in header:
+                raise DataError(f"{path}: label column {label_column!r} not in header {header}")
+            label_idx = header.index(label_column)
+            feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
 
-        rows: list[list[float]] = []
-        labels: list[float] = []
-        for lineno, cells in enumerate(reader, start=2):
-            if not cells or (len(cells) == 1 and not cells[0].strip()):
-                continue
-            if len(cells) != len(header):
-                raise DataError(
-                    f"{path}: line {lineno}: expected {len(header)} cells, got {len(cells)}"
-                )
-            parsed: list[float] = []
-            for col, cell in enumerate(cells):
-                text = cell.strip()
-                if not text:
+            rows: list[list[float]] = []
+            labels: list[float] = []
+            for lineno, cells in enumerate(reader, start=2):
+                if not cells or (len(cells) == 1 and not cells[0].strip()):
+                    continue
+                if len(cells) != len(header):
                     raise DataError(
-                        f"{path}: line {lineno}, column {header[col]!r}: missing value"
+                        f"{path}: line {lineno}: expected {len(header)} cells, got {len(cells)}"
                     )
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: line {lineno}, column {header[col]!r}: "
-                        f"non-numeric cell {text!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataError(
-                        f"{path}: line {lineno}, column {header[col]!r}: non-finite value"
-                    )
-                parsed.append(value)
-            labels.append(parsed.pop(label_idx))
-            rows.append(parsed)
+                parsed: list[float] = []
+                for col, cell in enumerate(cells):
+                    text = cell.strip()
+                    if not text:
+                        raise DataError(
+                            f"{path}: line {lineno}, column {header[col]!r}: missing value"
+                        )
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: line {lineno}, column {header[col]!r}: "
+                            f"non-numeric cell {text!r}"
+                        ) from None
+                    if not math.isfinite(value):
+                        raise DataError(
+                            f"{path}: line {lineno}, column {header[col]!r}: non-finite value"
+                        )
+                    parsed.append(value)
+                labels.append(parsed.pop(label_idx))
+                rows.append(parsed)
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
     if not rows:
         raise DataError(f"{path}: no data rows (empty dataset)")
     return RawTable(
@@ -323,5 +326,5 @@ def find_houses_csv() -> Path | None:
     if not base:
         return None
     candidate = Path(base) / "houses.csv"
-    return candidate if candidate.exists() else None
+    return candidate if candidate.is_file() else None
 

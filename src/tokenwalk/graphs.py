@@ -399,27 +399,30 @@ def load_edge_list(path: str | Path) -> tuple[Graph, dict[int, int]]:
     disconnected graph.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise GraphError(f"edge-list file not found: {path}")
     mapping: dict[int, int] = {}
     pairs: list[tuple[int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise GraphError(f"{path}:{lineno}: expected 'u v', got {stripped!r}")
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphError(f"{path}:{lineno}: non-integer node id in {stripped!r}") from None
-            if a == b:
-                raise GraphError(f"{path}:{lineno}: self-edge rejected: {a} {b}")
-            for orig in (a, b):
-                mapping.setdefault(orig, len(mapping))
-            pairs.append((mapping[a], mapping[b]))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                parts = stripped.split()
+                if len(parts) != 2:
+                    raise GraphError(f"{path}:{lineno}: expected 'u v', got {stripped!r}")
+                try:
+                    a, b = int(parts[0]), int(parts[1])
+                except ValueError:
+                    raise GraphError(f"{path}:{lineno}: non-integer node id in {stripped!r}") from None
+                if a == b:
+                    raise GraphError(f"{path}:{lineno}: self-edge rejected: {a} {b}")
+                for orig in (a, b):
+                    mapping.setdefault(orig, len(mapping))
+                pairs.append((mapping[a], mapping[b]))
+    except UnicodeDecodeError:
+        raise GraphError(f"{path}: not UTF-8 text") from None
     n = len(mapping)
     if n < 2:
         raise GraphError(f"{path}: fewer than 2 nodes in edge list")

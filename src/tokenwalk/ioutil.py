@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "atomic_write_text",
     "write_matrix_csv",
-    "read_matrix_csv",
     "write_rows_csv",
     "new_sha256",
     "sha256_of_file",
@@ -83,20 +82,6 @@ def _csv_block(rows: np.ndarray, row_fmt: str, nan_as_empty: bool) -> bytes:
         # whole cells, so no "nan" spans two blocks.
         text = text.replace("nan", "")
     return text.encode("utf-8")
-
-
-def read_matrix_csv(path: str | Path, *, empty_as_nan: bool = False) -> np.ndarray:
-    """Inverse of :func:`write_matrix_csv`: a blank line is one empty cell in a
-    one-column file, and skipped in a file with more columns."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if any("," in line for line in lines):
-        lines = [line for line in lines if line]
-    rows = [
-        [np.nan if (empty_as_nan and c == "") else float(c) for c in line.split(",")]
-        for line in lines
-    ]
-    return np.asarray(rows, dtype=float)
 
 
 def write_rows_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable[Any]]) -> None:

@@ -11,8 +11,7 @@ the walk and local DP-SGD feed it one node and one sampled row per step, and
 a central round evaluates every node's full gradient in one stacked pass.
 
 Step sizes can be given explicitly or derived from the strongly convex
-convergence analysis (`step_size_theorem2`), whose predicted error ceiling is
-exposed by `error_bound_theorem2` for loose upper-bound checks.
+convergence analysis (`step_size_theorem2`).
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ __all__ = [
     "RunRecord",
     "clip",
     "step_size_theorem2",
-    "error_bound_theorem2",
     "run_rw_dpsgd",
     "run_local_dpsgd",
     "run_central_dpsgd",
@@ -304,41 +302,6 @@ def step_size_theorem2(
     if arg <= 1.0:
         return inv_l
     return min(inv_l, math.log(arg) / (steps * mu))
-
-
-def error_bound_theorem2(
-    l_smooth: float,
-    mu: float,
-    steps: int,
-    dist0: float,
-    tau_mix: float,
-    zeta_star: float,
-    dim: int,
-    sigma: float,
-    delta_sens: float,
-    sigma_sgd: float,
-) -> float:
-    """Predicted ``E||x_T - x*||^2`` ceiling for the tuned step size.
-
-    ``2 exp(-T mu / L) d0 + (39 tau z^2 L / (mu^3 T)
-    + (dim sigma^2 delta^2 + sigma_sgd^2) L / (mu^2 T)) * ln(T mu^2 d0 /
-    (39 L tau z^2))``.  The log factor is clamped at 0 from below and
-    replaced by ``ln T`` when heterogeneity is zero (the analysis horizon),
-    keeping the bound finite; treat the result as an order-of-magnitude
-    ceiling, not an estimate.
-    """
-    if min(l_smooth, mu, steps, dist0, tau_mix) <= 0:
-        raise ConfigError("error_bound_theorem2 requires positive L, mu, T, dist0, tau_mix")
-    contraction = 2.0 * math.exp(-steps * mu / l_smooth) * dist0
-    c39 = 3.0 * THEOREM2_C
-    if zeta_star > 0.0:
-        log_arg = steps * mu**2 * dist0 / (c39 * l_smooth * tau_mix * zeta_star**2)
-        log_factor = max(math.log(log_arg), 0.0) if log_arg > 0 else 0.0
-    else:
-        log_factor = math.log(steps) if steps > 1 else 0.0
-    walk_term = c39 * tau_mix * zeta_star**2 * l_smooth / (mu**3 * steps)
-    noise_term = (dim * sigma**2 * delta_sens**2 + sigma_sgd**2) * l_smooth / (mu**2 * steps)
-    return contraction + (walk_term + noise_term) * log_factor
 
 
 # --------------------------------------------------------------------------- #

@@ -25,7 +25,6 @@ __all__ = [
     "hamilton_weighting",
     "with_self_loops",
     "blend_self_loops",
-    "from_array",
     "validate",
     "stationary_distribution",
 ]
@@ -49,11 +48,9 @@ class TransitionMatrix:
     """A dense transition matrix together with cheap-to-check metadata.
 
     The array is treated as immutable after construction.  `symmetric` and
-    `bistochastic` record what the builder guaranteed; arbitrary arrays wrapped
-    by :func:`from_array` get these flags recomputed.  `_cache` holds the spectral
-    decomposition and the content hash once computed (see
-    :mod:`tokenwalk.spectral`), and the n x n privacy kernel of each
-    ``(steps, method)`` that :mod:`tokenwalk.accountant` evaluated per pair.
+    `bistochastic` record what the builder guaranteed.  `_cache` holds the
+    spectral decomposition and the content hash once computed (see
+    :mod:`tokenwalk.spectral`); no privacy kernel is cached on the chain.
     """
 
     w: np.ndarray
@@ -174,21 +171,6 @@ def blend_self_loops(tm: TransitionMatrix, kappa: float) -> TransitionMatrix:
         raise TransitionError(f"kappa must be in [0, 1), got {kappa}")
     w = (1.0 - kappa) * tm.w + kappa * np.eye(tm.n)
     return TransitionMatrix(w=w, symmetric=tm.symmetric, bistochastic=tm.bistochastic)
-
-
-def from_array(w: np.ndarray) -> TransitionMatrix:
-    """Wrap an arbitrary square array, with the flags read off :func:`validate`'s
-    residuals at :data:`DEFAULT_ATOL`.
-
-    Does not reject invalid chains; run :func:`validate` to get a report.
-    """
-    tm = TransitionMatrix(w=np.array(w, dtype=float))  # a copy: the wrapper freezes it
-    rep = validate(tm)
-    return TransitionMatrix(
-        w=tm.w,
-        symmetric=rep.max_asymmetry <= DEFAULT_ATOL,
-        bistochastic=rep.max_row_sum_error <= DEFAULT_ATOL,
-    )
 
 
 # --------------------------------------------------------------------------- #

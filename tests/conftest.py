@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from oracles import from_array
 from tokenwalk import graphs, transition
 
 settings.register_profile(
@@ -24,7 +25,7 @@ def uniform_chain():
     """Complete graph with uniform self-loops: W = (1/n) 11^T."""
 
     def make(n: int) -> transition.TransitionMatrix:
-        return transition.from_array(np.full((n, n), 1.0 / n))
+        return from_array(np.full((n, n), 1.0 / n))
 
     return make
 
@@ -43,7 +44,7 @@ def lazy_ring():
 @pytest.fixture
 def two_state():
     """The 2-state chain [[3/4, 1/4], [1/4, 3/4]]: every quantity is hand-computable."""
-    return transition.from_array(np.array([[0.75, 0.25], [0.25, 0.75]]))
+    return from_array(np.array([[0.75, 0.25], [0.25, 0.75]]))
 
 
 @pytest.fixture

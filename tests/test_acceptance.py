@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from tokenwalk import accountant, datasets, graphs, optim, spectral, transition, walk
 
 ALPHA = 2.0
@@ -52,7 +53,7 @@ def test_spectral_accounting_agrees_with_dense_powers(power_kernel):
             for v in range(tm.n):
                 if u == v:
                     continue
-                got = accountant.single_contribution_exact(tm, u, v, params)
+                got = oracles.single_contribution_exact(tm, u, v, params)
                 worst = max(worst, abs(got - oracle[u, v]))
         assert worst <= 1e-9, f"{name}: spectral path drifts {worst:.2e} from power oracle"
     assert time.perf_counter() - start < 30.0
@@ -62,12 +63,12 @@ def test_uniform_chain_has_no_topology_term():
     steps = 1000
     params = accountant.PrivacyParams(alpha=ALPHA, sigma2=SIGMA2, steps=steps)
     for n in (4, 64, 512):
-        tm = transition.from_array(np.full((n, n), 1.0 / n))
+        tm = oracles.from_array(np.full((n, n), 1.0 / n))
         log_term = spectral.matrix_log_term(tm)
         assert float(np.max(np.abs(log_term))) <= 1e-10
         # with the topology term gone the loss is the pure log/n rate
         expected = ALPHA * math.log(steps) / (SIGMA2 * n)
-        got = accountant.single_contribution_closed(tm, 0, 1, params)
+        got = oracles.single_contribution_closed(tm, 0, 1, params)
         assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -79,13 +80,13 @@ def test_star_closed_form_bounds_exact_loss(power_kernel):
     params = accountant.PrivacyParams(alpha=ALPHA, sigma2=32.0, steps=steps)
     for n in (9, 33):
         for kappa in (1.0 / steps**2, 0.3, 0.9):
-            kernel = power_kernel(accountant.star_walk_matrix(n, kappa), steps)
+            kernel = power_kernel(oracles.star_walk_matrix(n, kappa), steps)
             for u, v in [(1, 2), (0, 1)]:  # leaf<->leaf, then hub<->leaf
                 exact = (params.alpha * float(kernel[u, v])) / params.sigma2
-                closed = accountant.closed_form_star(n, u, v, params, kappa=kappa)
+                closed = oracles.closed_form_star(n, u, v, params, kappa=kappa)
                 assert exact <= closed * (1.0 + 1e-12), (n, kappa, u, v)
                 assert closed - exact <= 1e-12 * closed, (n, kappa, u, v)
-    reference = accountant.closed_form_star(
+    reference = oracles.closed_form_star(
         5, 1, 2, accountant.PrivacyParams(alpha=2.0, sigma2=16.0, steps=steps)
     )
     assert reference == pytest.approx(0.00449503238205908, abs=1e-15)
@@ -95,10 +96,10 @@ def test_star_closed_form_matches_exact_kernel_at_paper_scale():
     n, steps = 1025, 262_144
     params = accountant.PrivacyParams(alpha=ALPHA, sigma2=SIGMA2, steps=steps)
     for kappa in (0.0, 1e-6, 0.3):
-        ref = accountant.star_walk_matrix(n, kappa)
+        ref = oracles.star_walk_matrix(n, kappa)
         for u, v in [(1, 2), (0, 1), (1024, 0), (512, 3)]:
-            exact = accountant.single_contribution_exact(ref, u, v, params)
-            closed = accountant.closed_form_star(n, u, v, params, kappa=kappa)
+            exact = oracles.single_contribution_exact(ref, u, v, params)
+            closed = oracles.closed_form_star(n, u, v, params, kappa=kappa)
             assert abs(closed - exact) <= 2e-11 * closed, (kappa, u, v)
 
 
@@ -110,8 +111,8 @@ def test_ring_closed_form_bounds_exact_loss():
         g = graphs.generate(graphs.GraphSpec(family="ring", n=n))
         tm = transition.with_self_loops(g, kappa)
         for d in range(1, n // 2 + 1):
-            exact = accountant.single_contribution_exact(tm, 0, d, params)
-            closed = accountant.closed_form_ring(
+            exact = oracles.single_contribution_exact(tm, 0, d, params)
+            closed = oracles.closed_form_ring(
                 n, 0, d, params, variant="self_loop", kappa=kappa
             )
             assert closed >= exact - 1e-9, (n, d)
@@ -121,8 +122,8 @@ def test_ring_closed_form_bounds_exact_loss():
     short = accountant.PrivacyParams(alpha=ALPHA, sigma2=SIGMA2, steps=short_steps)
     tm = transition.with_self_loops(graphs.generate(graphs.GraphSpec(family="ring", n=n)), 1.0 / 3.0)
     for d in range(1, n // 2 + 1):
-        exact = accountant.single_contribution_exact(tm, 0, d, short)
-        closed = accountant.closed_form_ring(n, 0, d, short)
+        exact = oracles.single_contribution_exact(tm, 0, d, short)
+        closed = oracles.closed_form_ring(n, 0, d, short)
         assert closed >= exact - 1e-9
         assert closed - exact <= 1e-3
     # loss decays with hop distance on a larger ring, on both computation paths
@@ -133,7 +134,7 @@ def test_ring_closed_form_bounds_exact_loss():
     series = [eps[0, d] for d in range(1, 33)]
     assert all(a > b for a, b in zip(series, series[1:]))
     closed_series = [
-        accountant.closed_form_ring(64, 0, d, short) for d in range(1, 33)
+        oracles.closed_form_ring(64, 0, d, short) for d in range(1, 33)
     ]
     assert all(a >= b - 1e-12 for a, b in zip(closed_series, closed_series[1:]))
 
@@ -147,8 +148,8 @@ def test_accounting_scaling_identities(er_chain, power_kernel):
     assert np.array_equal(half[off], base[off] / 2.0)  # bitwise, not approx
 
     # collusion is additive over the colluding set
-    whole = accountant.collusion_loss(er_chain, 5, [0, 1, 2], params)
-    parts = sum(accountant.collusion_loss(er_chain, 5, [c], params) for c in (0, 1, 2))
+    whole = oracles.collusion_loss(er_chain, 5, [0, 1, 2], params)
+    parts = sum(oracles.collusion_loss(er_chain, 5, [c], params) for c in (0, 1, 2))
     assert whole == pytest.approx(parts, rel=1e-12)
 
     # loss grows with walk length
@@ -192,7 +193,7 @@ def test_decentralized_averaging_tracks_error_bound():
         gamma = min(0.5, math.log(arg) / (2.0 * steps))
         assert rec.gamma == pytest.approx(gamma, rel=1e-12)
         bounds.append(
-            optim.error_bound_theorem2(2.0, 2.0, steps, d0, tau, zeta, 1, 0.0, 1e9, 0.0)
+            oracles.error_bound_theorem2(2.0, 2.0, steps, d0, tau, zeta, 1, 0.0, 1e9, 0.0)
         )
     assert max(norm_errors) < 1e-2  # within 1% of the data variance
     assert float(np.mean(raw_errors)) <= min(bounds)
@@ -299,10 +300,10 @@ def test_calibrator_round_trips_its_own_output():
     steps = 2000
     target = accountant.DpPoint(epsilon=1.0, delta=1e-6)
     for name, tm in _suite_chains().items():
-        res = accountant.calibrate_sigma(tm, steps, target, accountant.MAX_PAIRS, method="exact")
+        res = accountant.calibrate_sigma(tm, steps, target, oracles.MAX_PAIRS, method="exact")
         p = accountant.PrivacyParams(alpha=res.alpha, sigma2=res.sigma2, steps=steps)
         matrix = accountant.pairwise_matrix(tm, p, method="exact")
-        stat = accountant.MAX_PAIRS.apply(matrix)
+        stat = oracles.MAX_PAIRS.apply(matrix)
         recovered = accountant.rdp_to_dp(res.alpha, stat, 1e-6)
         assert recovered.epsilon == pytest.approx(res.epsilon, rel=1e-4), name
         assert res.epsilon <= target.epsilon + 1e-9, name

@@ -10,39 +10,43 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
+from oracles import (
+    MAX_PAIRS,
+    beta,
+    closed_form_ring,
+    closed_form_star,
+    collusion_loss,
+    from_array,
+    local_dp_baseline,
+    oddeven_log_series,
+    read_matrix_csv,
+    sender_known_loss,
+    single_contribution_closed,
+    single_contribution_exact,
+    star_walk_matrix,
+)
 from tokenwalk import accountant as acc, cli
 from tokenwalk.accountant import (
-    MAX_PAIRS,
     MEAN_PAIRS,
     CalibrationResult,
     DistanceBucket,
     DpPoint,
     PrivacyParams,
     Statistic,
-    beta,
     calibrate_sigma,
     calibrate_sigma_local,
-    closed_form_ring,
-    closed_form_star,
-    collusion_loss,
     gate_sigma2,
     harmonic_number,
-    local_dp_baseline,
     mean_at_distance,
     mean_loss_by_distance,
-    oddeven_log_series,
     pairwise_matrix,
     rdp_to_dp,
-    sender_known_loss,
-    single_contribution_closed,
-    single_contribution_exact,
-    star_walk_matrix,
 )
 from tokenwalk.errors import AccountantError, CalibrationError, ConfigError
 from tokenwalk.graphs import GraphSpec, generate, shortest_path_distances
 from tokenwalk.spectral import SpectralDecomposition, matrix_log_term
-from tokenwalk.ioutil import read_matrix_csv
-from tokenwalk.transition import HASH_VERSION, blend_self_loops, from_array, hamilton_weighting, with_self_loops
+from tokenwalk.transition import HASH_VERSION, blend_self_loops, hamilton_weighting, with_self_loops
 
 P = PrivacyParams  # the tests build many of these
 
@@ -351,14 +355,14 @@ def test_kernel_matches_ring_fourier_sum_at_paper_scale():
     lam = (1.0 - kappa) * np.cos(2.0 * np.pi * k / n) + kappa
     s_t = acc._harmonic_power_sums(lam, steps)
     by_offset = np.cos(2.0 * np.pi * (np.outer(k, k) % n) / n) @ s_t / n
-    got = acc._privacy_kernel(tm, steps, "exact")
+    got = oracles._privacy_kernel(tm, steps, "exact")
     assert float(np.max(np.abs(got - by_offset[(k[None, :] - k[:, None]) % n]))) <= 5e-13
 
     # closed_form_ring swaps each S_T(lambda_k) for -ln(1 - lambda_k) plus a
     # bound on |tail_k| >= |S_T - (-ln(1 - lambda_k))|, so it lies above the
     # exact loss by at most twice the summed tail bounds.
     p = P(alpha=2.0, sigma2=16.0, steps=steps)
-    slack = 2.0 * p.alpha * sum(acc._tail_bound(x, steps) for x in lam[1:]) / (n * p.sigma2)
+    slack = 2.0 * p.alpha * sum(oracles._tail_bound(x, steps) for x in lam[1:]) / (n * p.sigma2)
     for d in (1, 2, 17, 512):
         exact = single_contribution_exact(tm, 0, d, p)
         assert exact <= closed_form_ring(n, 0, d, p) <= exact + slack
@@ -385,7 +389,7 @@ def test_kernel_matches_hypercube_krawtchouk_sum_at_paper_scale():
     by_distance = acc._harmonic_power_sums(lam, steps) @ kraw / n
     nodes = np.arange(n)
     weight = np.array([bin(x).count("1") for x in nodes])
-    got = acc._privacy_kernel(tm, steps, "exact")
+    got = oracles._privacy_kernel(tm, steps, "exact")
     ref = by_distance[weight[nodes[:, None] ^ nodes[None, :]]]
     assert float(np.max(np.abs(got - ref))) <= 1e-14
 
@@ -398,7 +402,7 @@ def test_kernel_matches_complete_graph_two_point_spectrum_at_paper_scale():
     tm = hamilton_weighting(generate(GraphSpec(family="complete", n=n)))
     s_mu = -math.log1p(1.0 / (n - 1))
     h_t = harmonic_number(steps)
-    got = acc._privacy_kernel(tm, steps, "exact")
+    got = oracles._privacy_kernel(tm, steps, "exact")
     off = ~np.eye(n, dtype=bool)
     assert float(np.max(np.abs(got[off] - (h_t - s_mu) / n))) <= 1e-14
     assert float(np.max(np.abs(np.diag(got) - (h_t / n + s_mu * (1.0 - 1.0 / n))))) <= 1e-14

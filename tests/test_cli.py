@@ -13,9 +13,10 @@ import weakref
 import numpy as np
 import pytest
 
+from oracles import from_array, read_matrix_csv
 from tokenwalk import accountant, cli, datasets, graphs, optim, spectral, transition
 from tokenwalk.cli import main
-from tokenwalk.ioutil import read_matrix_csv, sha256_of_file, sidecar
+from tokenwalk.ioutil import sha256_of_file, sidecar
 
 
 def _read_json(path):
@@ -831,7 +832,7 @@ def test_sgd_step_size_on_nonmixing_chain_exit_codes(tmp_path, capsys, monkeypat
     else:
         w[0, 1:] = 1.0 / 3.0
         w[1:, 0] = 1.0
-    monkeypatch.setattr(transition, "with_self_loops", lambda g, kappa: transition.from_array(w))
+    monkeypatch.setattr(transition, "with_self_loops", lambda g, kappa: from_array(w))
     out = tmp_path / name
     argv = ["sgd", "--preset", "averaging", "--n", "4", "--steps", "50", "--out", str(out)]
     assert main(argv) == rc
@@ -1199,3 +1200,42 @@ def test_report_missing_input(tmp_path, capsys):
     rc = main(["report", str(tmp_path / "ghost.csv"), "--out", str(tmp_path / "rep")])
     assert rc == 2
     assert "not found" in capsys.readouterr().err
+
+
+# The file each reader opens, a command line that reads it, and the exit code
+# of the reader's typed error.  The sidecar's command reads a good series.
+_TEXT_READERS = {
+    "report-input": ("x.csv", ["report", "{path}"], 2),
+    "report-sidecar": ("x.csv.json", ["report", "{series}"], 2),
+    "edge-file": ("edges.txt", ["graph", "--family", "edge-list", "--edge-file", "{path}"], 2),
+    "houses": ("houses.csv", ["sgd", "--preset", "fig2", "--n", "4", "--epochs", "1"], 4),
+}
+
+
+@pytest.mark.parametrize("fault", ["directory", "not-utf8"])
+@pytest.mark.parametrize("reader", _TEXT_READERS)
+def test_unreadable_text_exits_with_its_readers_typed_error(tmp_path, capsys, monkeypatch, reader, fault):
+    name, argv, code = _TEXT_READERS[reader]
+    path = tmp_path / name
+    if fault == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"0 1\n\xff\n")
+    series = _series(tmp_path, "x.csv", [(1, 0.5, 0.0, 4)]) if reader == "report-sidecar" else None
+    monkeypatch.setenv(datasets.DATA_DIR_ENV, str(tmp_path))
+    argv = [token.format(path=path, series=series) for token in argv]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+
+
+def test_kappa_spellings_of_one_number_share_a_config_hash(tmp_path, monkeypatch):
+    def config_hash(label, tokens):  # each run in its own directory, with the same relative --out
+        (tmp_path / label).mkdir()
+        monkeypatch.chdir(tmp_path / label)
+        assert main(["privacy", "--family", "ring", "--n", "6", "--steps", "60", *tokens, "--out", "o"]) == 0
+        return _read_json(tmp_path / label / "o" / "manifest.json")["config_hash"]
+
+    spellings = {text: config_hash(text, ["--kappa", text]) for text in ("0.5", ".5", "5e-1", "0.50")}
+    spellings["config"] = config_hash("config", ["--config", _config(tmp_path, {"schema_version": 1, "kappa": 0.5})])
+    assert len(set(spellings.values())) == 1, spellings

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import read_matrix_csv
 from tokenwalk import ioutil
-from tokenwalk.ioutil import read_matrix_csv, write_matrix_csv
+from tokenwalk.ioutil import write_matrix_csv
 
 _TINY = 5e-324  # smallest subnormal
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import error_bound_theorem2
 from tokenwalk import cli, optim
 from tokenwalk.datasets import RawTable, preprocess, synth_linear
 from tokenwalk.errors import ConfigError
@@ -20,7 +21,6 @@ from tokenwalk.optim import (
     LogisticObjective,
     SgdConfig,
     clip,
-    error_bound_theorem2,
     run_central_dpsgd,
     run_local_dpsgd,
     run_rw_dpsgd,

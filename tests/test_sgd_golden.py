@@ -24,6 +24,7 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import from_array
 from tokenwalk import datasets, graphs, transition
 from tokenwalk.optim import (
     AveragingObjective,
@@ -256,7 +257,7 @@ def _walk(case: str):
         w[w < 0.4] = 0.0
         w[np.arange(12), np.arange(12)] += 0.05
         w /= w.sum(axis=1, keepdims=True)
-        return simulate(transition.from_array(w), 11, 20_000, 3)
+        return simulate(from_array(w), 11, 20_000, 3)
     raise AssertionError(case)
 
 

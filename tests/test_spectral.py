@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, logm
 
+from oracles import from_array
 from tokenwalk.errors import SpectralError
 from tokenwalk.graphs import GraphSpec, generate
 from tokenwalk.spectral import (
@@ -18,7 +19,6 @@ from tokenwalk.spectral import (
     spectral_gap,
 )
 from tokenwalk.transition import (
-    from_array,
     hamilton_weighting,
     stationary_distribution,
     with_self_loops,

@@ -41,6 +41,47 @@ def test_every_exported_name_exists(name):
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
+# Exported, yet read by nothing in the library: perfbench/traced.py's SPANS
+# names it, and test_traced_span_targets_resolve requires every such target.
+_UNREAD_EXPORTS = {"spectral.matrix_log_term"}
+
+
+def _public_names_and_reads() -> tuple[list, list]:
+    """``(module, name, defining statement)`` for every ``__all__`` entry in
+    ``src``, and ``(name, top-level statement)`` for every read of a name or an
+    attribute there.  Assignment targets and ``__all__``'s strings are no reads."""
+    public, reads = [], []
+    for path in sorted(Path(tokenwalk.__path__[0]).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {}
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined[stmt.name] = stmt
+            elif isinstance(stmt, ast.Assign):
+                defined.update({t.id: stmt for t in stmt.targets if isinstance(t, ast.Name)})
+            for node in ast.walk(stmt):
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                    reads.append((node.id if isinstance(node, ast.Name) else node.attr, stmt))
+        if "__all__" in defined:
+            names = ast.literal_eval(defined["__all__"].value)
+            public += [(path.stem, name, defined.get(name)) for name in names]
+    return public, reads
+
+
+def test_every_public_name_has_a_src_reader():
+    # The library ships what its commands run; a name only tests read is an
+    # oracle, and lives in tests/oracles.py.  A read inside the name's own
+    # definition (a recursion, say) does not count.
+    public, reads = _public_names_and_reads()
+    assert public
+    unread = {
+        f"{module}.{name}"
+        for module, name, definition in public
+        if not any(read == name and stmt is not definition for read, stmt in reads)
+    }
+    assert unread == _UNREAD_EXPORTS
+
+
 @pytest.mark.parametrize("name", ["accountant", "optim", "graphs", "spectral", "walk", "transition", "datasets"])
 def test_numerical_modules_import_only_hashes_from_ioutil(name):
     # The CLI decides what is written and ioutil how; a numerical module that

@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import from_array
 from tokenwalk import transition
 from tokenwalk.accountant import PrivacyParams, pairwise_matrix
 from tokenwalk.errors import TransitionError
 from tokenwalk.graphs import GraphSpec, generate
 from tokenwalk.transition import (
     blend_self_loops,
-    from_array,
     hamilton_weighting,
     stationary_distribution,
     validate,

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import from_array
 from tokenwalk import graphs
 from tokenwalk.errors import TokenwalkError
-from tokenwalk.transition import from_array, hamilton_weighting
+from tokenwalk.transition import hamilton_weighting
 from tokenwalk.walk import simulate
 
 
