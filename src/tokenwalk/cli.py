@@ -701,7 +701,10 @@ def main(argv: list[str] | None = None) -> int:
         else:  # graph and calibrate record the --seed they were given
             seeds = [args.seed] if getattr(args, "seed", None) is not None else []
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as exc:  # a file on the way
+            raise ConfigError(f"--out {out}: cannot make a directory ({exc.strerror})") from None
         label = f"sgd:{args.preset}" if args.command == "sgd" else args.command
         manifest = _Manifest(out, label, _public_config(args), seeds)
         args.func(args, manifest)

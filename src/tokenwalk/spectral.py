@@ -1,8 +1,10 @@
-"""Spectral analysis of symmetric transition matrices.
+"""Spectral analysis of symmetric, doubly stochastic transition matrices.
 
-Everything downstream of the eigendecomposition lives here: the one
-evaluator of spectral functions, :meth:`SpectralDecomposition.apply`, which
-forms ``sum_k f(lambda_k) phi_k phi_k^T``; the matrix logarithm
+Every chain's stationary law is uniform, and its top eigenvalue is 1 with the
+constant vector as eigenvector.  Everything downstream of the
+eigendecomposition lives here: the one evaluator of spectral functions,
+:meth:`SpectralDecomposition.apply`, which forms
+``sum_k f(lambda_k) phi_k phi_k^T``; the matrix logarithm
 ``ln(I - W + (1/n) 11^T)`` that drives the closed-form privacy accounting;
 and spectral/empirical mixing-time estimates.
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpectralError
-from .transition import TransitionMatrix, stationary_distribution
+from .transition import TransitionMatrix
 
 __all__ = [
     "SpectralDecomposition",
@@ -53,9 +55,9 @@ _EMPIRICAL_MIXING_CAP = 10**6
 class SpectralDecomposition:
     """Real eigensystem of a symmetric matrix, eigenvalues descending.
 
-    ``eigenvectors[:, k]`` is the unit eigenvector for ``eigenvalues[k]``;
-    signs are canonicalized so the first nonzero component of each vector is
-    positive, making results reproducible across eigensolvers.
+    ``eigenvectors[:, k]`` is the unit eigenvector for ``eigenvalues[k]``,
+    with the sign ``eigh`` gave it.  No reader depends on that sign: every
+    product of two entries of one vector is the same for ``-phi_k``.
     """
 
     eigenvalues: np.ndarray
@@ -67,8 +69,8 @@ class SpectralDecomposition:
 
     @property
     def lambda_2(self) -> float:
-        """Second-largest eigenvalue (equals lambda_1 for n=1)."""
-        return float(self.eigenvalues[1]) if self.n > 1 else float(self.eigenvalues[0])
+        """Second-largest eigenvalue (graphs have n >= 2)."""
+        return float(self.eigenvalues[1])
 
     @property
     def lambda_min(self) -> float:
@@ -117,8 +119,6 @@ def decompose(tm: TransitionMatrix) -> SpectralDecomposition:
     cached = tm._cache.get(_CACHE_KEY)
     if cached is not None:
         return cached
-    if not tm.symmetric:
-        raise SpectralError("decompose requires a symmetric transition matrix")
     try:
         vals, vecs = np.linalg.eigh(tm.w)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on finite input
@@ -126,12 +126,6 @@ def decompose(tm: TransitionMatrix) -> SpectralDecomposition:
     order = np.argsort(vals)[::-1]
     vals = np.ascontiguousarray(vals[order])
     vecs = np.ascontiguousarray(vecs[:, order])
-    # Canonical signs: first component of magnitude > 1e-12 made positive.
-    big = np.abs(vecs) > 1e-12
-    first = np.argmax(big, axis=0)
-    cols = np.arange(vecs.shape[1])
-    flip = big[first, cols] & (vecs[first, cols] < 0)
-    vecs[:, flip] = -vecs[:, flip]
     vals.setflags(write=False)
     vecs.setflags(write=False)
     dec = SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
@@ -139,14 +133,11 @@ def decompose(tm: TransitionMatrix) -> SpectralDecomposition:
     return dec
 
 
-def _require_unit_top(tm: TransitionMatrix, dec: SpectralDecomposition, op: str) -> None:
-    if not tm.bistochastic:
-        raise SpectralError(f"{op} requires a bistochastic transition matrix")
-    if abs(dec.eigenvalues[0] - 1.0) > 1e-8:
-        raise SpectralError(
-            f"{op}: leading eigenvalue {dec.eigenvalues[0]!r} is not 1 (invalid chain)"
-        )
-    if dec.n > 1 and dec.lambda_2 >= 1.0 - _UNIT_EIGENVALUE_TOL:
+def _require_unit_top(dec: SpectralDecomposition, op: str) -> None:
+    top = float(dec.eigenvalues[0])
+    if abs(top - 1.0) > 1e-8:
+        raise SpectralError(f"{op}: leading eigenvalue {top!r} is not 1 (invalid chain)")
+    if dec.lambda_2 >= 1.0 - _UNIT_EIGENVALUE_TOL:
         raise SpectralError(
             f"{op}: second eigenvalue {dec.lambda_2!r} is numerically 1 "
             "(disconnected or degenerate chain)"
@@ -168,7 +159,7 @@ def matrix_log_spectrum(tm: TransitionMatrix) -> tuple[SpectralDecomposition, np
     :meth:`~SpectralDecomposition.offdiagonal_mean` for its mean pair.
     """
     dec = decompose(tm)
-    _require_unit_top(tm, dec, "matrix_log_term")
+    _require_unit_top(dec, "matrix_log_term")
     # lambda_1 may round to just above 1, where log1p(-lambda_1) is NaN: its
     # entry is the constant 0, not a value computed and then overwritten.
     return dec, np.concatenate(([0.0], np.log1p(-dec.eigenvalues[1:])))
@@ -189,32 +180,29 @@ def matrix_log_term(tm: TransitionMatrix) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 
 
-def _lambda_2(dec: SpectralDecomposition) -> float:
-    """lambda_2 for the gap: 1 for a one-node chain, which has none."""
-    return dec.lambda_2 if dec.n > 1 else 1.0
-
-
 def spectral_gap(tm: TransitionMatrix) -> float:
     """The gap ``lambda_w = 1 - max(|lambda_2|, |lambda_n|)`` of a symmetric chain.
 
-    Both eigenvalues are read off the cached :func:`decompose`; a one-node
-    chain's gap is 0.
+    Both eigenvalues are read off the cached :func:`decompose`.
     """
     dec = decompose(tm)
-    return 1.0 - max(abs(_lambda_2(dec)), abs(dec.lambda_min))
+    return 1.0 - max(abs(dec.lambda_2), abs(dec.lambda_min))
 
 
 def mixing_time_spectral_bound(tm: TransitionMatrix) -> int:
-    """Relaxation-time bound ``ceil((1/lambda_w) * ln(1 / min_v pi_v))``."""
+    """Relaxation-time bound ``ceil((1/lambda_w) * ln(1 / min_v pi_v))``.
+
+    The stationary law is uniform, so ``min_v pi_v`` is ``1/n``.
+    """
     gap = spectral_gap(tm)
     if gap <= 1e-12:
         dec = decompose(tm)
         raise SpectralError(
-            f"zero spectral gap (lambda_2={_lambda_2(dec)!r}, lambda_n={dec.lambda_min!r}); "
+            f"zero spectral gap (lambda_2={dec.lambda_2!r}, lambda_n={dec.lambda_min!r}); "
             "the walk does not mix"
         )
-    pi = stationary_distribution(tm)
-    return int(math.ceil(math.log(1.0 / float(pi.min())) / gap))
+    # 1 / (1/n), not n: the two differ in the last bit for some n (49 first).
+    return int(math.ceil(math.log(1.0 / (1.0 / tm.n)) / gap))
 
 
 def _max_tv_from_rows(p_t: np.ndarray, pi: np.ndarray) -> float:
@@ -223,7 +211,7 @@ def _max_tv_from_rows(p_t: np.ndarray, pi: np.ndarray) -> float:
 
 
 def mixing_time_empirical(tm: TransitionMatrix, iota: float) -> int:
-    """Smallest ``t`` with ``max_v TV(W^t[v, :], pi) <= iota``.
+    """Smallest ``t`` with ``max_v TV(W^t[v, :], pi) <= iota``, ``pi`` uniform.
 
     TV is half the L1 distance.  Worst-case distance to stationarity is
     non-increasing in ``t`` for any chain, so the threshold is located by
@@ -233,8 +221,8 @@ def mixing_time_empirical(tm: TransitionMatrix, iota: float) -> int:
     """
     if not 0.0 < iota < 1.0:
         raise SpectralError(f"iota must be in (0, 1), got {iota}")
-    pi = stationary_distribution(tm)
     n = tm.n
+    pi = np.full(n, 1.0 / n)
     if _max_tv_from_rows(np.eye(n), pi) <= iota:
         return 0
 

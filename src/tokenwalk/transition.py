@@ -1,10 +1,12 @@
 """Transition matrices for random walks on undirected graphs.
 
-Builders produce symmetric doubly stochastic matrices supported on the graph's
-edges (plus the diagonal).  The primary construction assigns each edge the
-weight ``1 / max(deg(u), deg(v))`` and soaks the per-row residual into the
-diagonal, which is symmetric and doubly stochastic on any connected graph.
-Lazy-walk variants mix in self-loops with weight ``kappa``.
+Every chain is symmetric and doubly stochastic, supported on the graph's
+edges (plus the diagonal), so its stationary law is uniform.  Within the
+library, only the builders here make a :class:`TransitionMatrix`.  The primary
+construction assigns each edge the weight ``1 / max(deg(u), deg(v))`` and
+soaks the per-row residual into the diagonal, which is symmetric and doubly
+stochastic on any connected graph.  Lazy-walk variants mix in self-loops with
+weight ``kappa``.  :func:`validate` checks the rule on any matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ __all__ = [
     "with_self_loops",
     "blend_self_loops",
     "validate",
-    "stationary_distribution",
 ]
 
 # Absolute tolerance on stochasticity sums; dense double-precision arithmetic
@@ -45,17 +46,15 @@ _EDGE_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """A dense transition matrix together with cheap-to-check metadata.
+    """A dense transition matrix, symmetric and doubly stochastic as the
+    builders make it (:func:`validate` checks that).
 
-    The array is treated as immutable after construction.  `symmetric` and
-    `bistochastic` record what the builder guaranteed.  `_cache` holds the
+    The array is treated as immutable after construction.  `_cache` holds the
     spectral decomposition and the content hash once computed (see
     :mod:`tokenwalk.spectral`); no privacy kernel is cached on the chain.
     """
 
     w: np.ndarray
-    symmetric: bool = True
-    bistochastic: bool = True
     _cache: dict[str, Any] = field(
         default_factory=dict, repr=False, compare=False, hash=False
     )
@@ -135,7 +134,7 @@ def hamilton_weighting(graph: Graph) -> TransitionMatrix:
     residual = 1.0 - w.sum(axis=1)
     # Residuals are nonnegative: each row sums to sum_v 1/max(d_u, d_v) <= 1.
     np.fill_diagonal(w, np.maximum(residual, 0.0))
-    return TransitionMatrix(w=w, symmetric=True, bistochastic=True)
+    return TransitionMatrix(w=w)
 
 
 def with_self_loops(graph: Graph, kappa: float) -> TransitionMatrix:
@@ -158,7 +157,7 @@ def with_self_loops(graph: Graph, kappa: float) -> TransitionMatrix:
     d = float(deg[0])
     w = graph.adjacency_matrix() * ((1.0 - kappa) / d)
     np.fill_diagonal(w, kappa)
-    return TransitionMatrix(w=w, symmetric=True, bistochastic=True)
+    return TransitionMatrix(w=w)
 
 
 def blend_self_loops(tm: TransitionMatrix, kappa: float) -> TransitionMatrix:
@@ -170,11 +169,11 @@ def blend_self_loops(tm: TransitionMatrix, kappa: float) -> TransitionMatrix:
     if not 0.0 <= kappa < 1.0:
         raise TransitionError(f"kappa must be in [0, 1), got {kappa}")
     w = (1.0 - kappa) * tm.w + kappa * np.eye(tm.n)
-    return TransitionMatrix(w=w, symmetric=tm.symmetric, bistochastic=tm.bistochastic)
+    return TransitionMatrix(w=w)
 
 
 # --------------------------------------------------------------------------- #
-# Validation and stationarity
+# Validation
 # --------------------------------------------------------------------------- #
 
 
@@ -241,31 +240,3 @@ def validate(tm: TransitionMatrix, graph: Graph | None = None) -> ValidationRepo
         min_entry=min_entry,
         max_off_support=off_support,
     )
-
-
-def stationary_distribution(tm: TransitionMatrix) -> np.ndarray:
-    """Stationary law of the chain.
-
-    Doubly stochastic chains get the exact uniform law.  Other row-stochastic
-    matrices solve ``pi W = pi, sum(pi) = 1`` in one linear solve (the last
-    balance equation, implied by the others, is replaced by the sum), so
-    periodic chains get their law too.  A chain with more than one closed
-    class has no unique law: its system is singular and this raises.
-    """
-    n = tm.n
-    if tm.bistochastic:
-        return np.full(n, 1.0 / n)
-    rows = tm.w.sum(axis=1)
-    if not np.allclose(rows, 1.0, atol=1e-6, rtol=0.0):
-        raise TransitionError("stationary distribution undefined: rows do not sum to 1")
-    system = tm.w.T - np.eye(n)
-    system[-1] = 1.0
-    if np.linalg.matrix_rank(system) < n:
-        raise TransitionError(
-            "stationary distribution is not unique: the chain has more than one closed class"
-        )
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    pi = np.maximum(np.linalg.solve(system, rhs), 0.0)  # transient states solve to ~±1e-17
-    return pi / pi.sum()
-

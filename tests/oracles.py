@@ -7,9 +7,9 @@ No command runs any of these, so they live with the tests, not in
   closed forms that check the spectral kernel on chains with known spectra;
 * the observer variants (known sender, colluding sets) and the baseline
   without amplification;
-* :func:`from_array`, which wraps any square array with flags read off
-  :func:`tokenwalk.transition.validate`, so tests can build chains that no
-  builder makes (asymmetric, substochastic, out of range);
+* :func:`from_array`, which wraps a copy of any square array, so tests can
+  build chains that no builder makes (asymmetric, substochastic, out of
+  range);
 * the Theorem 2 error ceiling for the tuned step size;
 * :func:`read_matrix_csv`, the inverse of
   :func:`tokenwalk.ioutil.write_matrix_csv`.
@@ -26,7 +26,7 @@ import numpy as np
 from tokenwalk.accountant import PrivacyParams, Statistic, _kernel, _require_gate, harmonic_number
 from tokenwalk.errors import AccountantError, ConfigError
 from tokenwalk.optim import THEOREM2_C
-from tokenwalk.transition import DEFAULT_ATOL, TransitionMatrix, validate
+from tokenwalk.transition import TransitionMatrix
 
 
 # --------------------------------------------------------------------------- #
@@ -125,7 +125,7 @@ def star_walk_matrix(n: int, kappa: float) -> TransitionMatrix:
     a[0, 1:] = 1.0
     a[1:, 0] = 1.0
     m = ((1.0 - kappa) * a + kappa * np.eye(n)) / (n - 1)
-    return TransitionMatrix(w=m, symmetric=True, bistochastic=False)
+    return TransitionMatrix(w=m)
 
 
 def closed_form_star(
@@ -299,18 +299,12 @@ def local_dp_baseline(p: PrivacyParams, n: int) -> float:
 
 
 def from_array(w: np.ndarray) -> TransitionMatrix:
-    """Wrap an arbitrary square array, with the flags read off :func:`validate`'s
-    residuals at :data:`DEFAULT_ATOL`.
+    """Wrap a copy of an arbitrary square array (the wrapper freezes it).
 
-    Does not reject invalid chains; run :func:`validate` to get a report.
+    Does not reject invalid chains; run :func:`tokenwalk.transition.validate`
+    to get a report.
     """
-    tm = TransitionMatrix(w=np.array(w, dtype=float))  # a copy: the wrapper freezes it
-    rep = validate(tm)
-    return TransitionMatrix(
-        w=tm.w,
-        symmetric=rep.max_asymmetry <= DEFAULT_ATOL,
-        bistochastic=rep.max_row_sum_error <= DEFAULT_ATOL,
-    )
+    return TransitionMatrix(w=np.array(w, dtype=float))
 
 
 def error_bound_theorem2(

@@ -96,6 +96,20 @@ def test_numerical_modules_import_only_hashes_from_ioutil(name):
     assert imported <= {"new_sha256", "sha256_of_text"}
 
 
+def test_only_transition_builds_chains():
+    # Every chain is symmetric and doubly stochastic because only the
+    # builders in transition.py make one; any other module takes a chain.
+    builders = set()
+    for path in sorted(Path(tokenwalk.__path__[0]).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "TransitionMatrix":
+                    builders.add(path.name)
+    assert builders == {"transition.py"}
+
+
 def test_readme_quick_start_runs():
     # The README's library example, run as a user would paste it, with every
     # warning an error: a renamed or removed attribute fails here.
