@@ -40,6 +40,7 @@ __all__ = [
     "PrivacyParams",
     "DpPoint",
     "DistanceBucket",
+    "STATISTICS",
     "Statistic",
     "MEAN_PAIRS",
     "mean_at_distance",
@@ -55,6 +56,9 @@ __all__ = [
 
 #: Renyi orders tried by the calibrator (the best converted epsilon wins).
 ALPHA_GRID = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+
+#: The kinds of :class:`Statistic`, as ``calibrate --statistic`` also names them.
+STATISTICS = ("mean_pairs", "max_pairs", "mean_at_distance")
 
 _EULER_GAMMA = float(np.euler_gamma)
 _HARMONIC_DIRECT_MAX = 256
@@ -142,11 +146,11 @@ class DistanceBucket:
 class Statistic:
     """Scalar summary of a pairwise matrix used as the calibration target."""
 
-    kind: str  # mean_pairs | max_pairs | mean_at_distance
+    kind: str  # one of STATISTICS
     distance: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("mean_pairs", "max_pairs", "mean_at_distance"):
+        if self.kind not in STATISTICS:
             raise AccountantError(f"unknown statistic kind {self.kind!r}")
         if self.kind == "mean_at_distance" and self.distance is None:
             raise AccountantError("mean_at_distance requires a distance")
@@ -162,16 +166,19 @@ class Statistic:
             return float(np.mean(np.ravel(cells)))
         if self.kind == "max_pairs":
             return float(np.max(cells))
+        return float(np.mean(cells[self._pairs(dist, np.shape(matrix))]))
+
+    def _pairs(self, dist: np.ndarray | None, shape: tuple) -> np.ndarray:
+        """The mask over :func:`_offdiagonal_view` of the pairs `dist` puts at
+        ``self.distance``, for losses of `shape`; none is an error."""
         if dist is None:
             raise AccountantError("mean_at_distance requires a hop-distance matrix")
-        if np.shape(dist) != np.shape(matrix):
-            raise AccountantError(
-                f"shape mismatch: losses {np.shape(matrix)} vs distances {np.shape(dist)}"
-            )
+        if np.shape(dist) != shape:
+            raise AccountantError(f"shape mismatch: losses {shape} vs distances {np.shape(dist)}")
         sel = _offdiagonal_view(np.asarray(dist)) == self.distance
         if not np.any(sel):
             raise AccountantError(f"no pairs at hop distance {self.distance}")
-        return float(np.mean(cells[sel]))
+        return sel
 
 
 def _offdiagonal_view(m: np.ndarray) -> np.ndarray:
@@ -495,15 +502,12 @@ def calibrate_sigma(
     :data:`MEAN_PAIRS` (the CLI default) never forms the n x n kernel: its
     mean pair is read off the eigendecomposition by
     :meth:`SpectralDecomposition.offdiagonal_mean`.  The other statistics
-    take the max or a mean of the full kernel of :func:`_kernel`.
+    take the max or a mean of the full kernel of :func:`_kernel`; `dist` is
+    checked before the eigensolve, and its mask is not held across it.
     """
     _require_steps(steps)
-    if statistic.kind == "mean_at_distance" and dist is None:
-        raise AccountantError("mean_at_distance requires a hop-distance matrix")
-    if statistic.kind == "mean_at_distance" and np.shape(dist) != (w.n, w.n):
-        raise AccountantError(
-            f"shape mismatch: losses {(w.n, w.n)} vs distances {np.shape(dist)}"
-        )
+    if statistic.kind == "mean_at_distance":
+        statistic._pairs(dist, (w.n, w.n))
     if statistic.kind == "mean_pairs":
         dec, values, shift = _kernel_spectrum(w, steps, method)
         stat = shift + dec.offdiagonal_mean(values)

@@ -14,12 +14,13 @@ typed and checked like its flag.  Command line > config file > default, and a
 required flag may come from the config file.  :data:`_PRESETS` holds the flags
 each ``sgd`` preset reads and its defaults; any other flag given there exits 2.
 
-:func:`main` reads each run's seeds, then makes its ``--out`` directory, and once
-the command succeeds writes its ``manifest.json``: the resolved config hash,
-tool version, output checksums, wall clock, and seeds, so identical configs can
-be verified to reproduce identical artifacts, plus the OpenBLAS environment
-variables it ran under (``diagnostics.blas``, null when unset).  A command only
-adds its files to the manifest it is given.
+:func:`main` reads each run's seeds and refuses an ``--out`` with a file in the
+way; the first file written makes the directory, so a refused run leaves none.
+Once the command succeeds, main writes ``manifest.json``: the resolved config
+hash, tool version, output checksums, wall clock, and seeds, so identical
+configs can be verified to reproduce identical artifacts, plus the OpenBLAS
+environment variables it ran under (``diagnostics.blas``, null when unset).
+A command only adds its files to the manifest it is given.
 
 Exit codes: 0 success, 2 config/validation, 3 accounting, 4 data,
 5 infeasible calibration.
@@ -80,8 +81,6 @@ _EXIT_ACCOUNTANT = 3
 _EXIT_DATA = 4
 _EXIT_CALIBRATION = 5
 
-_STATISTICS = ("mean_pairs", "max_pairs", "mean_at_distance")
-
 _FAMILY_ALIASES = {"erdos-renyi": "erdos_renyi", "edge-list": "edge_list", "exponential": "hypercube"}
 
 
@@ -116,9 +115,7 @@ def _graph_spec_from_args(args: argparse.Namespace, seed: int | None) -> graphs.
     if args.cluster_sizes:
         cluster_sizes = _parse_numbers(args.cluster_sizes, int, "--cluster-sizes")
     if args.prob_matrix:
-        prob_matrix = tuple(
-            _parse_numbers(row, float, "--prob-matrix row") for row in args.prob_matrix.split(";")
-        )
+        prob_matrix = tuple(_parse_numbers(row, float, "--prob-matrix row") for row in args.prob_matrix.split(";"))
     return graphs.GraphSpec(
         family=family,
         n=args.n,
@@ -534,8 +531,6 @@ def cmd_sgd(args: argparse.Namespace, manifest: _Manifest) -> None:
 def cmd_calibrate(args: argparse.Namespace, manifest: _Manifest) -> None:
     target = accountant.DpPoint(epsilon=args.target_eps, delta=args.delta)
     stat_name = args.statistic.replace("-", "_")
-    if stat_name not in _STATISTICS:
-        raise ConfigError(f"unknown --statistic {args.statistic!r} ({'|'.join(_STATISTICS)})")
     if stat_name == "mean_at_distance" and args.distance is None:
         raise ConfigError("--statistic mean_at_distance needs --distance")
     if stat_name != "mean_at_distance" and args.distance is not None:
@@ -543,11 +538,9 @@ def cmd_calibrate(args: argparse.Namespace, manifest: _Manifest) -> None:
     kappa = _self_loop_mass(args)
     g = graphs.generate(_graph_spec_from_args(args, args.seed))
     if stat_name == "mean_at_distance":
-        statistic = accountant.mean_at_distance(args.distance)
-        dist = graphs.shortest_path_distances(g)
+        statistic, dist = accountant.mean_at_distance(args.distance), graphs.shortest_path_distances(g)
     else:
-        statistic = accountant.Statistic(stat_name)
-        dist = None
+        statistic, dist = accountant.Statistic(stat_name), None
     tm = _build_chain(g, kappa)
     del g  # calibration's eigh sets the run's peak memory: hold no edge list beside it
     result = accountant.calibrate_sigma(tm, args.steps, target, statistic, dist=dist, method=args.method)
@@ -640,6 +633,8 @@ _STEPS = _flag("--steps", required=True, type=_COUNT)
 _METHOD = _flag("--method", "closed", choices=["exact", "closed"])
 _DELTA = _flag("--delta", 1e-6, type=_PROBABILITY)
 _OUT = _flag("--out", required=True)
+_STATISTIC = _flag("--statistic", "mean_pairs",  # each name also with '-' for '_'
+                   choices=[*accountant.STATISTICS, *(s.replace("_", "-") for s in accountant.STATISTICS)])
 
 # Every flag of every subcommand.  sgd's numeric flags default to None: each
 # preset fills its own defaults (:data:`_PRESETS`), which stay out of the hashed config.
@@ -657,8 +652,7 @@ _FLAGS: dict[str, tuple] = {
         _flag("--seeds", "0"), _OUT,
     ),
     "calibrate": (*_GRAPH_FLAGS, _KAPPA, _flag("--target-eps", required=True, type=_NONNEGATIVE), _DELTA,
-                  _flag("--statistic", "mean_pairs", help="|".join(_STATISTICS)), _flag("--distance", type=_SIZE),
-                  _STEPS, _METHOD, _flag("--seed", type=_COUNT), _OUT),
+                  _STATISTIC, _flag("--distance", type=_SIZE), _STEPS, _METHOD, _flag("--seed", type=_COUNT), _OUT),
     "report": (_flag("inputs", (), nargs="*", metavar="CSV[=label]"), _OUT),
 }
 
@@ -700,11 +694,10 @@ def main(argv: list[str] | None = None) -> int:
             seeds = _parse_seeds(args.seeds)
         else:  # graph and calibrate record the --seed they were given
             seeds = [args.seed] if getattr(args, "seed", None) is not None else []
-        out = Path(args.out)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except (FileExistsError, NotADirectoryError) as exc:  # a file on the way
-            raise ConfigError(f"--out {out}: cannot make a directory ({exc.strerror})") from None
+        out = Path(args.out)  # made by the first file written; refused here if a file is on the way
+        if not (blocker := next(p for p in (out, *out.parents) if os.path.lexists(p))).is_dir():
+            why = "File exists" if blocker == out else "Not a directory"
+            raise ConfigError(f"--out {out}: cannot make a directory ({why})")
         label = f"sgd:{args.preset}" if args.command == "sgd" else args.command
         manifest = _Manifest(out, label, _public_config(args), seeds)
         args.func(args, manifest)

@@ -324,8 +324,9 @@ def _sbm(spec: GraphSpec, rng: np.random.Generator) -> Built:
     sizes = [int(s) for s in spec.cluster_sizes]  # type: ignore[union-attr]
     _require(all(s > 0 for s in sizes), "sbm cluster sizes must be positive")
     k = len(sizes)
+    _require(len(spec.prob_matrix) == k and all(np.shape(row) == (k,) for row in spec.prob_matrix),
+             f"sbm prob_matrix must be {k} x {k}, one row of {k} per cluster")
     p = np.asarray(spec.prob_matrix, dtype=float)
-    _require(p.shape == (k, k), "sbm prob_matrix shape must match cluster count")
     _require(np.allclose(p, p.T), "sbm prob_matrix must be symmetric")
     _require(bool(np.all((p >= 0.0) & (p <= 1.0))), "sbm probabilities must be in [0,1]")
     n = sum(sizes)

@@ -32,7 +32,8 @@ _CSV_BLOCK_ROWS = 64
 @contextlib.contextmanager
 def _atomic_file(path: str | Path) -> Iterator[BinaryIO]:
     """Binary file handle on a temp file in `path`'s directory, renamed onto
-    `path` when the block exits cleanly and removed when it raises."""
+    `path` when the block exits cleanly and removed when it raises.  The
+    directory is made here, the package's one maker of directories."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")

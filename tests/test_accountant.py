@@ -26,7 +26,7 @@ from oracles import (
     single_contribution_exact,
     star_walk_matrix,
 )
-from tokenwalk import accountant as acc, cli
+from tokenwalk import accountant as acc, cli, spectral
 from tokenwalk.accountant import (
     MEAN_PAIRS,
     CalibrationResult,
@@ -868,6 +868,21 @@ def test_calibrate_rejects_misshapen_distances_before_the_eigensolver(lazy_ring)
     with pytest.raises(AccountantError, match="shape mismatch"):
         calibrate_sigma(tm, 4096, DpPoint(1.0, 1e-6),
                         mean_at_distance(1), dist=np.zeros((3, 3), dtype=np.int64), method="exact")
+    assert "spectral_decomposition" not in tm._cache
+
+
+@pytest.mark.parametrize("method", ["exact", "closed"])
+def test_calibrate_rejects_an_empty_distance_before_the_eigensolver(monkeypatch, method):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve for a distance that holds no pair")
+
+    monkeypatch.setattr(acc, "decompose", refuse)
+    monkeypatch.setattr(spectral, "decompose", refuse)
+    g = generate(GraphSpec(family="complete", n=8))
+    tm = hamilton_weighting(g)
+    with pytest.raises(AccountantError, match="^no pairs at hop distance 2$"):
+        calibrate_sigma(tm, 80, DpPoint(1.0, 1e-6), mean_at_distance(2), dist=shortest_path_distances(g),
+                        method=method)
     assert "spectral_decomposition" not in tm._cache
 
 

@@ -287,16 +287,62 @@ def test_failing_command_writes_no_manifest(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("where", ["the-file", "under-the-file"])
-def test_out_on_a_file_is_a_config_error(tmp_path, capsys, where):
-    blocker = tmp_path / "f"
-    blocker.write_text("not a directory\n")
-    out = blocker if where == "the-file" else blocker / "sub"
-    assert main(["graph", "--family", "ring", "--n", "5", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: --out {out}: cannot make a directory"), err
-    assert blocker.read_text() == "not a directory\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]  # no manifest anywhere
+_CALIBRATE_RING = ["calibrate", "--family", "ring", "--n", "8", "--steps", "80"]
+
+# Refused command lines: the exit code and the start of the last stderr line.
+# TMP is a directory that holds only the file f.
+_REFUSALS = {
+    "unknown-family": (["graph", "--family", "torus", "--n", "8"], 2,
+                       "config error: unknown graph family 'torus' (expected one of ['complete', 'edge_list', "
+                       "'erdos_renyi', 'geometric', 'grid2d', 'hypercube', 'ring', 'sbm', 'star'])"),
+    "missing-n": (["graph", "--family", "ring"], 2, "config error: family 'ring' requires n"),
+    "q-2": (["graph", "--family", "erdos-renyi", "--n", "8", "--q", "2"], 2,
+            "config error: erdos_renyi requires q in (0,1]"),
+    "cluster-sizes-3,x": (["graph", "--family", "sbm", "--cluster-sizes", "3,x", "--prob-matrix", "0.5"], 2,
+                          "config error: invalid --cluster-sizes '3,x' (expected comma-separated numbers)"),
+    "ragged-prob-matrix": (["graph", "--family", "sbm", "--cluster-sizes", "2,2", "--prob-matrix", "1,0.5;0.5"], 2,
+                           "config error: sbm prob_matrix must be 2 x 2, one row of 2 per cluster"),
+    "statistic-bogus": ([*_CALIBRATE_RING, "--target-eps", "2", "--statistic", "bogus"], 2,
+                        "tokenwalk calibrate: error: argument --statistic: invalid choice: 'bogus'"),
+    "kappa-auto-steps-0": (["privacy", "--family", "ring", "--n", "6", "--kappa", "auto", "--steps", "0"], 2,
+                           "config error: --kappa auto needs --steps to derive 1/T^2"),
+    "privacy-steps-0": (["privacy", "--family", "ring", "--n", "6", "--steps", "0"], 3,
+                        "accounting error: closed form requires steps >= 1"),
+    "calibrate-target-eps-0": ([*_CALIBRATE_RING, "--target-eps", "0"], 5,
+                               "calibration infeasible: target epsilon 0.0 is below the conversion floor; "
+                               "minimal feasible epsilon at delta=1e-06 is 0.219294"),
+    "fig2-sigma": (["sgd", "--preset", "fig2", "--synthetic", "--n", "8", "--epochs", "2", "--sigma", "1"], 2,
+                   "config error: --preset fig2 does not read --sigma"),
+    "heterogeneity-seeds": (["sgd", "--preset", "heterogeneity", "--n", "40", "--steps", "60", "--seeds", "0,1"], 2,
+                            "config error: --preset heterogeneity runs one seed, got --seeds 0,1"),
+    "houses-not-found": (["sgd", "--preset", "fig2", "--n", "8", "--epochs", "2"], 4,
+                         "data error: Houses dataset not found. Fetch it with scripts/fetch_houses.py"),
+    "report-no-input": (["report"], 2, "config error: report needs at least one input distance-series CSV"),
+    "report-missing-input": (["report", "TMP/missing.csv"], 2, "config error: input not found: TMP/missing.csv"),
+    # --out on the file f, or under it, is refused before any work
+    "out-is-a-file": (["graph", "--family", "ring", "--n", "5", "--out", "TMP/f"], 2,
+                      "config error: --out TMP/f: cannot make a directory (File exists)"),
+    "out-under-a-file": (["graph", "--family", "ring", "--n", "5", "--out", "TMP/f/o"], 2,
+                         "config error: --out TMP/f/o: cannot make a directory (Not a directory)"),
+}
+
+
+@pytest.mark.parametrize("case", _REFUSALS)
+def test_refused_run_leaves_no_out_path(tmp_path, capsys, monkeypatch, case):
+    argv, rc, message = _REFUSALS[case]
+    argv, message = [arg.replace("TMP", str(tmp_path)) for arg in argv], message.replace("TMP", str(tmp_path))
+    if case.startswith("out-"):
+        monkeypatch.setattr(graphs, "generate", lambda spec: pytest.fail("graph generated for a refused --out"))
+    else:
+        argv += ["--out", str(tmp_path / "o")]
+    monkeypatch.delenv(datasets.DATA_DIR_ENV, raising=False)
+    (tmp_path / "f").write_text("not a directory\n")
+    assert _exit_code(argv) == rc
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-1].startswith(message), lines
+    assert len(lines) == 1 or lines[0].startswith("usage:"), lines  # argparse prints its usage first
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
+    assert (tmp_path / "f").read_text() == "not a directory\n"
 
 
 # --------------------------------------------------------------------------- #
@@ -589,15 +635,10 @@ def test_kappa_outside_its_domain_exits_2_before_the_graph(tmp_path, capsys, mon
     argv = [command, "--family", "ring", "--n", "6", *tokens, "--out", str(out)]
     if command == "calibrate":
         argv += ["--target-eps", "1"]
-    if message.startswith("argument"):  # argparse refuses it, before the out dir exists
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert not out.exists()
-    else:  # a pair of flags, checked by the command before its graph
-        assert main(argv) == 2
-        assert list(out.iterdir()) == []
+    # argparse refuses --kappa 1; the command checks the pair of flags before its graph
+    assert _exit_code(argv) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_privacy_bad_seed_list(tmp_path, capsys):
@@ -772,9 +813,10 @@ def test_calibrate_statistic_choices(tmp_path):
 
 @pytest.mark.parametrize(
     "flags, message",
-    [(["--statistic", "bogus"], "unknown --statistic 'bogus'"),
+    [(["--statistic", "bogus"], "argument --statistic: invalid choice: 'bogus'"),
      (["--statistic", "mean-at-distance"], "needs --distance"),
-     (["--statistic", "mean_pairs", "--distance", "3"], "--statistic mean_pairs does not read --distance")],
+     (["--statistic", "mean_pairs", "--distance", "3"], "--statistic mean_pairs does not read --distance"),
+     (["--statistic", "mean-at_distance", "--distance", "3"], "argument --statistic: invalid choice: 'mean-at_distance'")],
 )
 def test_calibrate_rejects_bad_statistic_before_building_the_graph(
     tmp_path, capsys, monkeypatch, flags, message
@@ -784,12 +826,25 @@ def test_calibrate_rejects_bad_statistic_before_building_the_graph(
 
     monkeypatch.setattr(graphs, "generate", refuse)
     out = tmp_path / "c"
-    rc = main(["calibrate", "--family", "ring", "--n", "8", "--steps", "80",
-               "--target-eps", "2.0", *flags, "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and message in err
-    assert not (out / "calibration.json").exists()
+    assert _exit_code(["calibrate", "--family", "ring", "--n", "8", "--steps", "80",
+                       "--target-eps", "2.0", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err  # argparse prints its usage first
+    assert message in err and err.startswith("usage:" if "invalid choice" in message else "config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["exact", "closed"])
+def test_calibrate_refuses_an_empty_distance_before_the_eigensolver(tmp_path, capsys, monkeypatch, method):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve for a distance that holds no pair")
+
+    monkeypatch.setattr(accountant, "decompose", refuse)
+    monkeypatch.setattr(spectral, "decompose", refuse)
+    out = tmp_path / "c"
+    assert main(["calibrate", "--family", "complete", "--n", "8", "--steps", "80", "--target-eps", "1",
+                 "--statistic", "mean_at_distance", "--distance", "2", "--method", method, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "accounting error: no pairs at hop distance 2\n"
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------------- #
@@ -948,7 +1003,7 @@ def test_sgd_refuses_unread_flags_before_any_work(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith(f"config error: --preset {argv[0]} ")
     assert all(text in err for text in named)
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_sgd_refuses_unread_flag_from_config(tmp_path, capsys):
@@ -957,7 +1012,7 @@ def test_sgd_refuses_unread_flag_from_config(tmp_path, capsys):
     assert main(["sgd", "--preset", "fig2", "--synthetic", "--n", "8", "--epochs", "2",
                  "--config", cfg, "--out", str(out)]) == 2
     assert "config error: --preset fig2 does not read --sigma" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 _PRESET_ARGV = {
@@ -1076,8 +1131,8 @@ _DEFINED_OUTCOMES = {
     **{(label, key, "0"): (0, "") for label, _, key in _NUMERIC_FLAG_CASES if key in ("seed", "seeds", "kappa")},
 }
 
-# The flags whose type is no domain, which their graph check refuses after the
-# out dir exists.  --seeds, a list, main reads before it makes the out dir.
+# The flags whose type is no domain, which their graph check refuses.  --seeds,
+# a list, main reads before any work.
 _LATER_CHECKS = {"q": "config error: erdos_renyi requires q in (0,1]",
                  "radius": "config error: geometric requires radius in (0, sqrt(2)]"}
 
@@ -1089,7 +1144,7 @@ def test_every_number_outside_its_flags_domain_exits_2(tmp_path, capsys, monkeyp
     rc, message = _DEFINED_OUTCOMES.get((label, key, value), (2, None))
     options = next(opts for k, _, _, _, opts in cli._FLAGS[argv[0]] if k == key)
     typed = key not in (*_LATER_CHECKS, "seeds")  # its type is its domain
-    early = key not in _LATER_CHECKS  # refused before any work and before the out dir exists
+    early = key not in _LATER_CHECKS  # refused before any work
     if early and rc == 2:
         def refuse(*args, **kwargs):
             raise AssertionError("a run started for a number outside its flag's domain")
@@ -1116,8 +1171,8 @@ def test_every_number_outside_its_flags_domain_exits_2(tmp_path, capsys, monkeyp
         assert message in err and "Traceback" not in err, source
         if rc == 0:
             assert (out / "manifest.json").exists()
-        else:  # a flag refused early leaves no out dir
-            assert not out.exists() if early and rc == 2 else list(out.iterdir()) == [], source
+        else:  # a refused run leaves no out dir
+            assert not out.exists(), source
 
 
 # --------------------------------------------------------------------------- #

@@ -276,6 +276,14 @@ def test_sbm_parameter_validation():
         )
 
 
+@pytest.mark.parametrize("prob_matrix", [((1.0, 0.5), (0.5,)), ((1.0, 0.5),), ((1.0, 0.5), (0.5, 1.0, 0.5)),
+                                         ((1.0, 0.5), 0.5)], ids=["short-row", "one-row", "long-row", "scalar-row"])
+def test_sbm_refuses_a_misshapen_prob_matrix_before_reading_it(prob_matrix):
+    # A ragged matrix once escaped np.asarray as a ValueError.
+    with pytest.raises(GraphError, match=r"sbm prob_matrix must be 2 x 2, one row of 2 per cluster"):
+        generate(GraphSpec(family="sbm", cluster_sizes=(2, 2), prob_matrix=prob_matrix, seed=0))
+
+
 @pytest.mark.parametrize("n", [0, -1, 1])
 def test_geometric_refuses_fewer_than_two_nodes_before_the_default_radius(n):
     with pytest.raises(GraphError, match="geometric requires n >= 2"):

@@ -96,18 +96,28 @@ def test_numerical_modules_import_only_hashes_from_ioutil(name):
     assert imported <= {"new_sha256", "sha256_of_text"}
 
 
-def test_only_transition_builds_chains():
-    # Every chain is symmetric and doubly stochastic because only the
-    # builders in transition.py make one; any other module takes a chain.
-    builders = set()
+def _modules_calling(*names: str) -> set[str]:
+    """The ``src`` files that call a function or method named one of `names`."""
+    callers = set()
     for path in sorted(Path(tokenwalk.__path__[0]).glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
                 func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "TransitionMatrix":
-                    builders.add(path.name)
-    assert builders == {"transition.py"}
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in names:
+                    callers.add(path.name)
+    return callers
+
+
+def test_only_transition_builds_chains():
+    # Every chain is symmetric and doubly stochastic because only the
+    # builders in transition.py make one; any other module takes a chain.
+    assert _modules_calling("TransitionMatrix") == {"transition.py"}
+
+
+def test_only_ioutil_makes_directories():
+    # A file's directory appears with the file, so a refused run leaves none:
+    # only ioutil's atomic writer makes one.
+    assert _modules_calling("mkdir", "makedirs") == {"ioutil.py"}
 
 
 def test_readme_quick_start_runs():
