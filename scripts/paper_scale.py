@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
 """Wall clock, CPU time and peak RSS of the paper-scale CLI commands.
 
-Usage, from the repository root::
+Usage::
 
-    PYTHONPATH=src python3 scripts/paper_scale.py [--repeat K]
+    python3 scripts/paper_scale.py [--repeat K]
 
 Each command runs K times (default 1), each time in a fresh child process
 that imports ``tokenwalk.cli`` and calls ``main``, as the ``tokenwalk``
-console script does, with its outputs in a temporary directory.  The script
-prints one line per run: the command's label (its name, its ``--method`` or
-``--preset``, and what else sets it apart from the other rows), its wall
-clock in seconds (spawn to exit), the child's CPU seconds (user plus system,
-``ru_utime + ru_stime``) and its peak resident set size in MiB
-(``ru_maxrss``), both from ``os.wait4``.  A command that exits nonzero
-stops the script.
+console script does, with its outputs in a temporary directory.  The child
+finds ``tokenwalk`` in the ``src`` directory of the checkout that holds this
+script, put first on its ``PYTHONPATH``, so a row always measures that
+checkout's code.  The script prints one line per run: the command's label
+(its name, its ``--method`` or ``--preset``, and what else sets it apart
+from the other rows), its wall clock in seconds (spawn to exit), the child's
+CPU seconds (user plus system, ``ru_utime + ru_stime``) and its peak resident
+set size in MiB (``ru_maxrss``), both from ``os.wait4``.  A command that
+exits nonzero stops the script.
 """
 
 from __future__ import annotations
@@ -47,14 +49,17 @@ COMMANDS = (
 )
 
 LAUNCH = "import sys; from tokenwalk.cli import main; sys.exit(main(sys.argv[1:]))"
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_once(args: tuple[str, ...]) -> tuple[float, float, float]:
     """Run one CLI command in a child process; return (wall s, CPU s, peak RSS MiB)."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
     with tempfile.TemporaryDirectory(prefix="paper_scale_") as out:
         t0 = time.perf_counter()
         child = subprocess.Popen(
-            [sys.executable, "-c", LAUNCH, *args, "--out", out], stdout=subprocess.DEVNULL
+            [sys.executable, "-c", LAUNCH, *args, "--out", out], stdout=subprocess.DEVNULL, env=env
         )
         _, status, usage = os.wait4(child.pid, 0)
         wall = time.perf_counter() - t0

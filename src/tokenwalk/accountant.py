@@ -6,10 +6,10 @@ observer, which decays the order-``alpha`` Renyi divergence like
 ``alpha / (2 sigma^2 i)`` after ``i`` intermediate steps.  Summing over walk
 lengths and weighting by arrival probabilities gives the exact finite-sum
 loss; its spectral closed form, (epsilon, delta) conversion, and noise
-calibration all build on the same kernel.  The star and ring formulas, the
-observer variants (known sender, colluding sets) and the baseline without
-amplification are independent references that only the tests read; they
-live in ``tests/oracles.py``.
+calibration all build on the same kernel.  The star and ring formulas and
+the baseline without amplification (the referee of
+:func:`calibrate_sigma_local`) are independent references that only the
+tests read; they live in ``tests/oracles.py``.
 
 Conventions
 -----------

@@ -309,7 +309,7 @@ def _privacy_seed(args: argparse.Namespace, manifest: _Manifest, p: accountant.P
     }
     del tm
     pairwise = out / f"pairwise_seed{seed}.csv"
-    write_matrix_csv(pairwise, eps, nan_as_empty=True)  # the undefined diagonal as empty cells
+    write_matrix_csv(pairwise, eps)
     manifest.add(pairwise, meta)
     buckets = accountant.mean_loss_by_distance(eps, graphs.shortest_path_distances(g))
     _write_distance_series(manifest.add(out / f"distance_seed{seed}.csv", meta), buckets)

@@ -327,8 +327,8 @@ def _sbm(spec: GraphSpec, rng: np.random.Generator) -> Built:
     _require(len(spec.prob_matrix) == k and all(np.shape(row) == (k,) for row in spec.prob_matrix),
              f"sbm prob_matrix must be {k} x {k}, one row of {k} per cluster")
     p = np.asarray(spec.prob_matrix, dtype=float)
+    _require(bool(np.all((p >= 0.0) & (p <= 1.0))), "sbm probabilities must be in [0,1]")  # false for NaN
     _require(np.allclose(p, p.T), "sbm prob_matrix must be symmetric")
-    _require(bool(np.all((p >= 0.0) & (p <= 1.0))), "sbm probabilities must be in [0,1]")
     n = sum(sizes)
     membership = np.repeat(np.arange(k), sizes)
     iu, ju = np.triu_indices(n, k=1)

@@ -53,12 +53,12 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         fh.write(text.encode("utf-8"))
 
 
-def write_matrix_csv(path: str | Path, matrix: np.ndarray, *, nan_as_empty: bool = False) -> None:
+def write_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:
     """Write a dense 2-D array as CSV at full precision.
 
-    NaN entries are written as empty cells when `nan_as_empty` is set (used for
-    the undefined diagonal of pairwise loss matrices).  Each row is one
-    newline-terminated line, so a matrix without rows is an empty file.
+    NaN entries (the undefined diagonal of pairwise loss matrices) are written
+    as empty cells.  Each row is one newline-terminated line, so a matrix
+    without rows is an empty file.
 
     The text is formatted, encoded and written ``_CSV_BLOCK_ROWS`` rows at a
     time.  Beyond the matrix itself the writer holds at most two copies of one
@@ -72,16 +72,15 @@ def write_matrix_csv(path: str | Path, matrix: np.ndarray, *, nan_as_empty: bool
     row_fmt = ",".join([_FLOAT_FMT] * m.shape[1]) + "\n"
     with _atomic_file(path) as fh:
         for start in range(0, m.shape[0], _CSV_BLOCK_ROWS):
-            fh.write(_csv_block(m[start : start + _CSV_BLOCK_ROWS], row_fmt, nan_as_empty))
+            fh.write(_csv_block(m[start : start + _CSV_BLOCK_ROWS], row_fmt))
 
 
-def _csv_block(rows: np.ndarray, row_fmt: str, nan_as_empty: bool) -> bytes:
+def _csv_block(rows: np.ndarray, row_fmt: str) -> bytes:
     """`rows` as encoded CSV lines; its text is freed when it returns."""
     text = "".join([row_fmt % tuple(row.tolist()) for row in rows])
-    if nan_as_empty:
-        # %.17g writes every NaN, and nothing else, as "nan"; a block holds
-        # whole cells, so no "nan" spans two blocks.
-        text = text.replace("nan", "")
+    # %.17g writes every NaN, and nothing else, as "nan"; a block holds whole
+    # cells, so no "nan" spans two blocks.
+    text = text.replace("nan", "")
     return text.encode("utf-8")
 
 

@@ -27,7 +27,7 @@ from .datasets import Dataset
 from .errors import ConfigError
 from .spectral import mixing_time_empirical, mixing_time_spectral_bound
 from .transition import TransitionMatrix
-from .walk import Trajectory, simulate
+from .walk import simulate
 
 __all__ = [
     "Objective",
@@ -245,7 +245,6 @@ class RunRecord:
     gamma: float
     stride: int
     wall_clock: float
-    trajectory: Trajectory | None = None
 
 
 # --------------------------------------------------------------------------- #
@@ -362,7 +361,6 @@ def _descent_loop(
     cfg: SgdConfig,
     schedule: np.ndarray | None,
     algorithm: str,
-    trajectory: Trajectory | None = None,
     chain: TransitionMatrix | None = None,
 ) -> RunRecord:
     """The update loop of every algorithm, and the one place a run's x0 and
@@ -436,7 +434,6 @@ def _descent_loop(
         gamma=gamma,
         stride=stride,
         wall_clock=time.perf_counter() - start,
-        trajectory=trajectory,
     )
 
 
@@ -450,8 +447,8 @@ def run_rw_dpsgd(w: TransitionMatrix, obj: Objective, cfg: SgdConfig) -> RunReco
     if w.n != obj.n_nodes:
         raise ConfigError(f"chain has {w.n} nodes but objective has {obj.n_nodes}")
     walk_child = np.random.SeedSequence(cfg.seed).spawn(3)[0]
-    traj = simulate(w, 0, cfg.steps, walk_child)
-    return _descent_loop(obj, cfg, traj.nodes[:-1], "rw_dpsgd", traj, w)
+    nodes = simulate(w, 0, cfg.steps, walk_child).nodes
+    return _descent_loop(obj, cfg, nodes[:-1], "rw_dpsgd", w)
 
 
 def run_local_dpsgd(obj: Objective, cfg: SgdConfig) -> RunRecord:

@@ -5,8 +5,8 @@ No command runs any of these, so they live with the tests, not in
 
 * per-pair losses read off a cached n x n kernel, and the star and lazy-ring
   closed forms that check the spectral kernel on chains with known spectra;
-* the observer variants (known sender, colluding sets) and the baseline
-  without amplification;
+* the baseline without amplification, which referees
+  :func:`tokenwalk.accountant.calibrate_sigma_local`;
 * :func:`from_array`, which wraps a copy of any square array, so tests can
   build chains that no builder makes (asymmetric, substochastic, out of
   range);
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -35,28 +34,6 @@ from tokenwalk.transition import TransitionMatrix
 
 
 MAX_PAIRS = Statistic("max_pairs")
-
-
-def beta(i: int, p: PrivacyParams) -> float:
-    """Renyi leakage bound ``alpha / (2 sigma2 i)`` after i intermediate steps."""
-    if i < 1:
-        raise AccountantError(f"step gap must be >= 1, got {i}")
-    return p.alpha / (2.0 * p.sigma2 * i)
-
-
-def oddeven_log_series(x: float, parity: str) -> float:
-    """Parity-restricted log series ``sum_{p odd|even} x^p / p`` for x in (0,1).
-
-    Odd terms sum to ``(1/2) ln((1+x)/(1-x))``; even terms to
-    ``-(1/2) ln(1-x^2)``.  (Both halves together give ``-ln(1-x)``.)
-    """
-    if not 0.0 < x < 1.0:
-        raise AccountantError(f"x must be in (0, 1), got {x}")
-    if parity == "odd":
-        return 0.5 * math.log((1.0 + x) / (1.0 - x))
-    if parity == "even":
-        return -0.5 * math.log1p(-x * x)
-    raise AccountantError(f"parity must be 'odd' or 'even', got {parity!r}")
 
 
 def _privacy_kernel(w: TransitionMatrix, steps: int, method: str) -> np.ndarray:
@@ -225,60 +202,8 @@ def closed_form_ring(
 
 
 # --------------------------------------------------------------------------- #
-# Accountant: observer variants and baselines
+# Accountant: the baseline without amplification
 # --------------------------------------------------------------------------- #
-
-
-def sender_known_loss(
-    w: TransitionMatrix,
-    u: int,
-    v: int,
-    p: PrivacyParams,
-    include_self: bool = True,
-) -> float:
-    """Loss to an observer v that also learns who sent it the token.
-
-    Bounded by the worst single-contribution loss of u toward any possible
-    predecessor of v: ``max over w' in N(v)`` (plus v itself when the chain
-    self-loops and `include_self` is set).  u itself is skipped -- a user's
-    loss to themselves lies outside the pairwise model.
-    """
-    _check_pair(w.n, u, v)
-    _require_gate(p)
-    support = np.flatnonzero(w.w[v] > 0.0)
-    candidates = [int(j) for j in support if j != v or (include_self and w.w[v, v] > 0.0)]
-    candidates = [j for j in candidates if j != u]
-    if not candidates:
-        raise AccountantError(f"node {v} has no admissible predecessors besides {u}")
-    return max(single_contribution_exact(w, u, j, p) for j in candidates)
-
-
-def collusion_loss(
-    w: TransitionMatrix,
-    u: int,
-    colluders: Iterable[int],
-    p: PrivacyParams,
-    composed: bool = False,
-) -> float:
-    """Loss of u toward a colluding set F that pools its views.
-
-    Equals the sum of the single-contribution pairwise losses over F (the
-    walk-length partition makes the bound additive over observers).  Pass
-    ``composed=True`` to multiply by the contribution count N_u.
-    """
-    f = sorted(set(int(v) for v in colluders))
-    if not f:
-        raise AccountantError("colluder set must be non-empty")
-    if u in f:
-        raise AccountantError(f"node {u} cannot collude against itself")
-    if not all(0 <= v < w.n for v in f):
-        raise AccountantError("colluder ids outside node range")
-    _require_gate(p)
-    k = _privacy_kernel(w, p.steps, "exact")
-    numer = p.alpha * float(k[u, f].sum())
-    if composed:
-        numer *= p.n_contributions(w.n)
-    return numer / p.sigma2
 
 
 def local_dp_baseline(p: PrivacyParams, n: int) -> float:
@@ -287,8 +212,6 @@ def local_dp_baseline(p: PrivacyParams, n: int) -> float:
     ``N_u * alpha / (2 sigma2)``: no decentralization amplification, and no
     sigma2 gate (the plain Gaussian mechanism has none).
     """
-    if n < 1:
-        raise AccountantError(f"need n >= 1, got {n}")
     numer = p.alpha * p.n_contributions(n) / 2.0
     return numer / p.sigma2
 
@@ -342,15 +265,16 @@ def error_bound_theorem2(
     return contraction + (walk_term + noise_term) * log_factor
 
 
-def read_matrix_csv(path: str | Path, *, empty_as_nan: bool = False) -> np.ndarray:
-    """Inverse of :func:`write_matrix_csv`: a blank line is one empty cell in a
-    one-column file, and skipped in a file with more columns."""
+def read_matrix_csv(path: str | Path) -> np.ndarray:
+    """Inverse of :func:`write_matrix_csv`: an empty cell is NaN; a blank line
+    is one empty cell in a one-column file, and skipped in a file with more
+    columns."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if any("," in line for line in lines):
         lines = [line for line in lines if line]
     rows = [
-        [np.nan if (empty_as_nan and c == "") else float(c) for c in line.split(",")]
+        [np.nan if c == "" else float(c) for c in line.split(",")]
         for line in lines
     ]
     return np.asarray(rows, dtype=float)

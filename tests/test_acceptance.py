@@ -147,11 +147,6 @@ def test_accounting_scaling_identities(er_chain, power_kernel):
     off = ~np.eye(er_chain.n, dtype=bool)
     assert np.array_equal(half[off], base[off] / 2.0)  # bitwise, not approx
 
-    # collusion is additive over the colluding set
-    whole = oracles.collusion_loss(er_chain, 5, [0, 1, 2], params)
-    parts = sum(oracles.collusion_loss(er_chain, 5, [c], params) for c in (0, 1, 2))
-    assert whole == pytest.approx(parts, rel=1e-12)
-
     # loss grows with walk length
     losses = [
         accountant.pairwise_matrix(

@@ -280,14 +280,9 @@ def test_manifest_records_command_label_and_seeds(tmp_path, name):
     assert (manifest["command"], manifest["seeds"]) == (command, seeds)
 
 
-def test_failing_command_writes_no_manifest(tmp_path, capsys):
-    out = tmp_path / "o"
-    assert main(["privacy", "--family", "ring", "--n", "128", "--steps", "4", "--out", str(out)]) == 3
-    assert "accounting error" in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
-
-
 _CALIBRATE_RING = ["calibrate", "--family", "ring", "--n", "8", "--steps", "80"]
+_PRIVACY_RING = ["privacy", "--family", "ring", "--n", "6", "--steps", "60"]
+_FIG2_TOY = ["sgd", "--preset", "fig2", "--synthetic", "--n", "6", "--epochs", "2"]
 
 # Refused command lines: the exit code and the start of the last stderr line.
 # TMP is a directory that holds only the file f.
@@ -302,12 +297,23 @@ _REFUSALS = {
                           "config error: invalid --cluster-sizes '3,x' (expected comma-separated numbers)"),
     "ragged-prob-matrix": (["graph", "--family", "sbm", "--cluster-sizes", "2,2", "--prob-matrix", "1,0.5;0.5"], 2,
                            "config error: sbm prob_matrix must be 2 x 2, one row of 2 per cluster"),
+    "prob-matrix-0.5,x": (["graph", "--family", "sbm", "--cluster-sizes", "3,3", "--prob-matrix", "0.5,x;0.1,0.5"], 2,
+                          "config error: invalid --prob-matrix row '0.5,x' (expected comma-separated numbers)"),
+    "prob-matrix-nan": (["graph", "--family", "sbm", "--cluster-sizes", "3,3", "--prob-matrix", "0.5,nan;nan,0.5"], 2,
+                        "config error: sbm probabilities must be in [0,1]"),
     "statistic-bogus": ([*_CALIBRATE_RING, "--target-eps", "2", "--statistic", "bogus"], 2,
                         "tokenwalk calibrate: error: argument --statistic: invalid choice: 'bogus'"),
     "kappa-auto-steps-0": (["privacy", "--family", "ring", "--n", "6", "--kappa", "auto", "--steps", "0"], 2,
                            "config error: --kappa auto needs --steps to derive 1/T^2"),
     "privacy-steps-0": (["privacy", "--family", "ring", "--n", "6", "--steps", "0"], 3,
                         "accounting error: closed form requires steps >= 1"),
+    "privacy-negative-closed-kernel": (["privacy", "--family", "ring", "--n", "128", "--steps", "4"], 3,
+                                       "accounting error: the closed form gives a negative loss kernel ("),
+    "privacy-seeds-empty": ([*_PRIVACY_RING, "--seeds", ","], 2, "config error: empty seed list ','"),
+    "sgd-seeds-empty": ([*_FIG2_TOY, "--seeds", ","], 2, "config error: empty seed list ','"),
+    # a repeated seed would be accounted twice and overwrite its own files
+    "privacy-seeds-duplicate": ([*_PRIVACY_RING, "--seeds", "0,1,0"], 2, "config error: duplicate seed in '0,1,0'"),
+    "sgd-seeds-duplicate": ([*_FIG2_TOY, "--seeds", "0,1,0"], 2, "config error: duplicate seed in '0,1,0'"),
     "calibrate-target-eps-0": ([*_CALIBRATE_RING, "--target-eps", "0"], 5,
                                "calibration infeasible: target epsilon 0.0 is below the conversion floor; "
                                "minimal feasible epsilon at delta=1e-06 is 0.219294"),
@@ -315,6 +321,8 @@ _REFUSALS = {
                    "config error: --preset fig2 does not read --sigma"),
     "heterogeneity-seeds": (["sgd", "--preset", "heterogeneity", "--n", "40", "--steps", "60", "--seeds", "0,1"], 2,
                             "config error: --preset heterogeneity runs one seed, got --seeds 0,1"),
+    "sgd-preset-quantum": (["sgd", "--preset", "quantum"], 2,
+                           "tokenwalk sgd: error: argument --preset: invalid choice: 'quantum'"),
     "houses-not-found": (["sgd", "--preset", "fig2", "--n", "8", "--epochs", "2"], 4,
                          "data error: Houses dataset not found. Fetch it with scripts/fetch_houses.py"),
     "report-no-input": (["report"], 2, "config error: report needs at least one input distance-series CSV"),
@@ -380,7 +388,7 @@ def test_explicit_flag_equal_to_default_beats_config(tmp_path):
     meta = _read_json(out / "pairwise_seed0.csv.json")
     assert (meta["sigma2"], meta["method"]) == (16.0, "closed")  # CLI values kept
     assert meta["alpha"] == 2.0  # neither given: the default
-    assert len(read_matrix_csv(out / "pairwise_seed0.csv", empty_as_nan=True)) == 5  # config filled
+    assert len(read_matrix_csv(out / "pairwise_seed0.csv")) == 5  # config filled
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):
@@ -530,7 +538,7 @@ def test_privacy_outputs_match_library(tmp_path):
         ]
     )
     assert rc == 0
-    got = read_matrix_csv(out / "pairwise_seed0.csv", empty_as_nan=True)
+    got = read_matrix_csv(out / "pairwise_seed0.csv")
     g = graphs.generate(graphs.GraphSpec(family="complete", n=4))
     tm = transition.hamilton_weighting(g)
     p = accountant.PrivacyParams(alpha=2.0, sigma2=16.0, steps=40)
@@ -604,7 +612,7 @@ def test_privacy_kappa_auto(tmp_path):
     assert rc == 0
     meta = _read_json(out / "pairwise_seed0.csv.json")
     assert meta["steps"] == 60
-    with_auto = read_matrix_csv(out / "pairwise_seed0.csv", empty_as_nan=True)
+    with_auto = read_matrix_csv(out / "pairwise_seed0.csv")
     g = graphs.generate(graphs.GraphSpec(family="ring", n=6))
     tm = transition.blend_self_loops(transition.hamilton_weighting(g), 1.0 / 60.0**2)
     p = accountant.PrivacyParams(alpha=2.0, sigma2=16.0, steps=60)
@@ -641,73 +649,9 @@ def test_kappa_outside_its_domain_exits_2_before_the_graph(tmp_path, capsys, mon
     assert not out.exists()
 
 
-def test_privacy_bad_seed_list(tmp_path, capsys):
-    out = tmp_path / "o"
-    rc = main(["privacy", "--family", "ring", "--n", "6", "--steps", "60", "--seeds", "0,x", "--out", str(out)])
-    assert rc == 2
-    assert "seed list" in capsys.readouterr().err
-    assert not out.exists()
-
-
-_SEEDED_ARGV = [
-    ["privacy", "--family", "ring", "--n", "6", "--steps", "60"],
-    ["sgd", "--preset", "fig2", "--synthetic", "--n", "6", "--epochs", "2"],
-]
-
-
-@pytest.mark.parametrize("argv", _SEEDED_ARGV)
-def test_empty_seed_list_rejected(tmp_path, capsys, argv):
-    out = tmp_path / "o"
-    assert main([*argv, "--seeds", ",", "--out", str(out)]) == 2
-    assert "empty seed list" in capsys.readouterr().err
-    assert not out.exists()  # no header-only series, and no out dir
-
-
-@pytest.mark.parametrize("argv", _SEEDED_ARGV)
-def test_duplicate_seed_rejected(tmp_path, capsys, argv):
-    # A repeated seed would be accounted twice and overwrite its own files.
-    out = tmp_path / "o"
-    assert main([*argv, "--seeds", "0,1,0", "--out", str(out)]) == 2
-    assert "duplicate seed in '0,1,0'" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("delta", ["0", "2", "-1"])
-def test_privacy_rejects_delta_outside_unit_interval_before_the_graph(tmp_path, capsys, monkeypatch, delta):
-    def refuse(*args, **kwargs):
-        raise AssertionError("graph generated for an invalid delta")
-
-    monkeypatch.setattr(graphs, "generate", refuse)
-    out = tmp_path / "o"
-    argv = ["privacy", "--family", "ring", "--n", "6", "--steps", "60", "--delta", delta, "--out", str(out)]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert f"argument --delta: invalid float in (0, 1) value: '{delta}'" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("sizes, probs, bad_flag", [
-    ("a,b", "0.5,0.1;0.1,0.5", "--cluster-sizes"),
-    ("3,3", "0.5,x;0.1,0.5", "--prob-matrix"),
-])
-def test_non_numeric_sbm_flags_rejected(tmp_path, capsys, sizes, probs, bad_flag):
-    rc = main(["graph", "--family", "sbm", "--cluster-sizes", sizes, "--prob-matrix", probs,
-               "--seed", "1", "--out", str(tmp_path / "o")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and bad_flag in err
-
-
 # --------------------------------------------------------------------------- #
 # exit codes
 # --------------------------------------------------------------------------- #
-
-
-def test_exit_2_unknown_family(tmp_path, capsys):
-    rc = main(["graph", "--family", "torus", "--n", "8", "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert "config error" in capsys.readouterr().err
 
 
 def test_exit_3_gate_violation(tmp_path, capsys):
@@ -724,41 +668,26 @@ def test_exit_3_gate_violation(tmp_path, capsys):
 def test_exit_3_negative_closed_kernel(tmp_path, capsys):
     # T = 4 is far below the ring's mixing time, where the T -> infinity closed
     # form goes negative (mean loss -1.9e-4 at distances 61-64): no loss bound.
+    # _REFUSALS["privacy-negative-closed-kernel"] holds the refusal; here, the
+    # exact method that its message names runs.
     argv = ["privacy", "--family", "ring", "--n", "128", "--steps", "4", "--out", str(tmp_path / "o")]
     assert main(argv) == 3
-    err = capsys.readouterr().err
-    assert "accounting error" in err and "negative" in err and "--method exact" in err
-    assert not (tmp_path / "o" / "distance_mean.csv").exists()
+    assert capsys.readouterr().err.rstrip().endswith("; use --method exact")
     assert main([*argv, "--method", "exact"]) == 0
 
 
-@pytest.mark.parametrize("kappa", [[], ["--kappa", "auto"]], ids=["plain", "kappa-auto"])
-def test_exit_2_negative_steps_before_the_graph(tmp_path, capsys, monkeypatch, kappa):
+def test_exit_2_negative_steps_before_the_graph(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("graph generated for a negative walk length")
 
     monkeypatch.setattr(graphs, "generate", refuse)
-    argv = ["calibrate", "--family", "complete", "--n", "8", "--steps", "-1", "--target-eps", "1", *kappa,
-            "--out", str(tmp_path / "o")]
+    argv = ["calibrate", "--family", "complete", "--n", "8", "--steps", "-1", "--target-eps", "1",
+            "--kappa", "auto", "--out", str(tmp_path / "o")]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "argument --steps: invalid nonnegative int value: '-1'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
-
-
-def test_exit_4_houses_missing(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(datasets.DATA_DIR_ENV, raising=False)
-    rc = main(
-        [
-            "sgd", "--preset", "fig2", "--n", "8", "--epochs", "1",
-            "--seeds", "0", "--out", str(tmp_path / "o"),
-        ]
-    )
-    assert rc == 4
-    err = capsys.readouterr().err
-    assert "data error" in err
-    assert "fetch_houses.py" in err  # actionable instructions
 
 
 def test_exit_5_infeasible_target(tmp_path, capsys):
@@ -1069,13 +998,6 @@ def test_every_sgd_flag_is_read_by_some_preset():
     assert set(cli._PRESETS) == set(flags["preset"]["choices"])
 
 
-def test_sgd_unknown_preset(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["sgd", "--preset", "quantum", "--out", str(tmp_path / "o")])
-    assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
-
-
 # --------------------------------------------------------------------------- #
 # numeric flag domains
 # --------------------------------------------------------------------------- #
@@ -1235,12 +1157,6 @@ def test_report_inputs_from_config(tmp_path):
     assert (out / "report.csv").read_text().splitlines()[1].endswith(",cfg")
 
 
-def test_report_requires_inputs(tmp_path, capsys):
-    rc = main(["report", "--out", str(tmp_path / "rep")])
-    assert rc == 2
-    assert "at least one input" in capsys.readouterr().err
-
-
 def test_report_rejects_malformed_series(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("hops,mean\n1,0.5\n")
@@ -1256,12 +1172,6 @@ def test_report_rejects_malformed_sidecar(tmp_path, capsys, sidecar):
     assert main(["report", str(a), "--out", str(tmp_path / "rep")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "a.csv.json" in err
-
-
-def test_report_missing_input(tmp_path, capsys):
-    rc = main(["report", str(tmp_path / "ghost.csv"), "--out", str(tmp_path / "rep")])
-    assert rc == 2
-    assert "not found" in capsys.readouterr().err
 
 
 # The file each reader opens, a command line that reads it, and the exit code

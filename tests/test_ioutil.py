@@ -14,13 +14,13 @@ from tokenwalk.ioutil import write_matrix_csv
 _TINY = 5e-324  # smallest subnormal
 
 
-def _reference_csv(matrix: np.ndarray, nan_as_empty: bool) -> bytes:
-    """One cell at a time: '' for NaN when asked, else 17 significant digits."""
+def _reference_csv(matrix: np.ndarray) -> bytes:
+    """One cell at a time: '' for NaN, else 17 significant digits."""
     lines = []
     for row in matrix:
         cells = []
         for x in row:
-            if nan_as_empty and math.isnan(x):
+            if math.isnan(x):
                 cells.append("")
             else:
                 cells.append("%.17g" % float(x))
@@ -58,14 +58,13 @@ _CASES = {
 }
 
 
-@pytest.mark.parametrize("nan_as_empty", [False, True])
 @pytest.mark.parametrize("name", sorted(_CASES))
-def test_write_matrix_csv_matches_per_cell_reference(tmp_path, name, nan_as_empty):
+def test_write_matrix_csv_matches_per_cell_reference(tmp_path, name):
     m = _CASES[name]
     path = tmp_path / "m.csv"
-    write_matrix_csv(path, m, nan_as_empty=nan_as_empty)
-    assert path.read_bytes() == _reference_csv(m, nan_as_empty)
-    back = read_matrix_csv(path, empty_as_nan=nan_as_empty)
+    write_matrix_csv(path, m)
+    assert path.read_bytes() == _reference_csv(m)
+    back = read_matrix_csv(path)
     if m.size:
         assert back.shape == m.shape
         assert back.tobytes() == m.tobytes()
@@ -92,7 +91,7 @@ def test_write_matrix_csv_failure_mid_stream_keeps_old_file(tmp_path, monkeypatc
 
     monkeypatch.setattr(ioutil, "_csv_block", fail_on_second_block)
     with pytest.raises(OSError, match="disk full"):
-        write_matrix_csv(path, _multi_block(), nan_as_empty=True)
+        write_matrix_csv(path, _multi_block())
     assert len(blocks) == 1  # the first block was written to the temp file
     assert path.read_bytes() == b"old contents\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
@@ -102,4 +101,4 @@ def test_write_matrix_csv_memory_is_one_block(tmp_path, traced_peak):
     # The whole text of this matrix is ~5.5 MB; the writer holds one block's.
     m = np.random.default_rng(3).random((512, 512)) * 1e-3
     np.fill_diagonal(m, np.nan)
-    assert traced_peak(write_matrix_csv, tmp_path / "m.csv", m, nan_as_empty=True) <= 2 * 2**20
+    assert traced_peak(write_matrix_csv, tmp_path / "m.csv", m) <= 2 * 2**20

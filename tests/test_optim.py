@@ -358,15 +358,16 @@ def test_rw_run_bitwise_deterministic():
     b = run_rw_dpsgd(tm, obj, cfg)
     assert np.array_equal(a.final_x, b.final_x)
     assert np.array_equal(a.objective, b.objective)
-    assert np.array_equal(a.trajectory.nodes, b.trajectory.nodes)
 
 
 def test_rw_schedule_is_the_spawned_walk():
     tm, obj = _ring_setup()
     cfg = SgdConfig(steps=200, gamma=0.05, seed=31)
     rec = run_rw_dpsgd(tm, obj, cfg)
-    expected = simulate(tm, 0, 200, np.random.SeedSequence(31).spawn(3)[0])
-    assert np.array_equal(rec.trajectory.nodes, expected.nodes)
+    nodes = simulate(tm, 0, 200, np.random.SeedSequence(31).spawn(3)[0]).nodes
+    followed = optim._descent_loop(obj, cfg, nodes[:-1], "rw_dpsgd", tm)
+    assert np.array_equal(rec.final_x, followed.final_x)
+    assert np.array_equal(rec.objective, followed.objective)
 
 
 def test_non_private_rw_converges_to_mean():
@@ -385,7 +386,6 @@ def test_local_baseline_runs_and_differs():
     rw = run_rw_dpsgd(tm, obj, cfg)
     local = run_local_dpsgd(obj, cfg)
     assert local.algorithm == "local_dpsgd"
-    assert local.trajectory is None
     assert not np.array_equal(rw.final_x, local.final_x)
 
 

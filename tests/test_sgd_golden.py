@@ -1,15 +1,15 @@
 """Golden runs: fixed-seed SGD runs and walks pinned bit for bit.
 
-Every array a run returns (final iterate, traces, walk) is reduced to the
-SHA-256 of its little-endian bytes, so any change to the arithmetic, to the
-order of random draws or to the walk sampler shows up here.  The expected
-digests were recorded from the per-step reference loops (one
-``rng.integers`` / ``rng.normal`` call and one ``np.searchsorted`` per step)
-before the hot loops were rewritten.  The single-sample case on unequal
-blocks, the singleton-node walk and the mixed-clip central run were recorded
-from the per-call gradient code (fancy-indexed ``(1, d)`` blocks, one
-``gradient`` + ``clip`` call per node of a central round) before the
-row-view and stacked evaluators replaced it.
+Every array a run returns (final iterate, traces), and the walk that a
+random-walk run follows, is reduced to the SHA-256 of its little-endian
+bytes, so any change to the arithmetic, to the order of random draws or to
+the walk sampler shows up here.  The expected digests were recorded from the
+per-step reference loops (one ``rng.integers`` / ``rng.normal`` call and one
+``np.searchsorted`` per step) before the hot loops were rewritten.  The
+single-sample case on unequal blocks, the singleton-node walk and the
+mixed-clip central run were recorded from the per-call gradient code
+(fancy-indexed ``(1, d)`` blocks, one ``gradient`` + ``clip`` call per node
+of a central round) before the row-view and stacked evaluators replaced it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def _digest(a: np.ndarray | None) -> str | None:
     return hashlib.sha256(a.astype(a.dtype.newbyteorder("<")).tobytes()).hexdigest()[:16]
 
 
-def _record_digests(rec) -> dict:
+def _record_digests(rec, nodes: np.ndarray | None) -> dict:
     out = {
         "final_x": _digest(rec.final_x),
         "ts": _digest(rec.ts),
@@ -53,8 +53,8 @@ def _record_digests(rec) -> dict:
         "accuracy": _digest(rec.accuracy),
         "gamma": float(rec.gamma).hex(),
     }
-    if rec.trajectory is not None:
-        out["nodes"] = _digest(rec.trajectory.nodes)
+    if nodes is not None:
+        out["nodes"] = _digest(nodes)
     return out
 
 
@@ -101,39 +101,47 @@ def _lazy_ring_averaging() -> tuple[transition.TransitionMatrix, AveragingObject
     return transition.with_self_loops(g, 1.0 / 3.0), AveragingObjective(values)
 
 
+def _rw_run(tm, obj, cfg: SgdConfig):
+    """An rw run and the walk it follows: the walk child of ``cfg.seed`` that
+    `run_rw_dpsgd` spawns."""
+    nodes = simulate(tm, 0, cfg.steps, np.random.SeedSequence(cfg.seed).spawn(3)[0]).nodes
+    return run_rw_dpsgd(tm, obj, cfg), nodes
+
+
 def _run(case: str):
+    """The run of `case`, and the walk it follows (None off the walk)."""
     logistic = dict(steps=600, gamma=0.1, sigma=0.7, clip_threshold=0.5, seed=5, trace_points=64)
     if case == "rw-equal-b1":
         tm, obj = _equal_blocks()
-        return run_rw_dpsgd(tm, obj, SgdConfig(**logistic))
+        return _rw_run(tm, obj, SgdConfig(**logistic))
     if case == "local-equal-b1":
         _, obj = _equal_blocks()
-        return run_local_dpsgd(obj, SgdConfig(**logistic))
+        return run_local_dpsgd(obj, SgdConfig(**logistic)), None
     if case == "central-equal":
         _, obj = _equal_blocks()
-        return run_central_dpsgd(obj, SgdConfig(**dict(logistic, steps=40)))
+        return run_central_dpsgd(obj, SgdConfig(**dict(logistic, steps=40))), None
     if case == "central-unequal":
         obj = _unequal_blocks()
-        return run_central_dpsgd(obj, SgdConfig(**dict(logistic, steps=30)))
+        return run_central_dpsgd(obj, SgdConfig(**dict(logistic, steps=30))), None
     if case == "local-unequal-b1":
         obj = _unequal_blocks()
-        return run_local_dpsgd(obj, SgdConfig(**logistic))
+        return run_local_dpsgd(obj, SgdConfig(**logistic)), None
     if case == "rw-singleton-b1":
         tm, obj = _singleton_block()
-        return run_rw_dpsgd(tm, obj, SgdConfig(**logistic))
+        return _rw_run(tm, obj, SgdConfig(**logistic))
     if case == "central-unequal-mixed-clip":
         obj = _unequal_blocks()
         cfg = dict(logistic, steps=30, clip_threshold=MIXED_CLIP)
-        return run_central_dpsgd(obj, SgdConfig(**cfg))
+        return run_central_dpsgd(obj, SgdConfig(**cfg)), None
     if case == "rw-averaging-lazy-ring":
         tm, obj = _lazy_ring_averaging()
-        return run_rw_dpsgd(tm, obj, SgdConfig(steps=500, sigma=0.4, clip_threshold=1.5, seed=12))
+        return _rw_run(tm, obj, SgdConfig(steps=500, sigma=0.4, clip_threshold=1.5, seed=12))
     if case == "local-averaging":
         _, obj = _lazy_ring_averaging()
-        return run_local_dpsgd(obj, SgdConfig(steps=500, gamma=0.05, sigma=0.4, seed=12))
+        return run_local_dpsgd(obj, SgdConfig(steps=500, gamma=0.05, sigma=0.4, seed=12)), None
     if case == "central-averaging":
         _, obj = _lazy_ring_averaging()
-        return run_central_dpsgd(obj, SgdConfig(steps=60, gamma=0.2, sigma=0.9, seed=12))
+        return run_central_dpsgd(obj, SgdConfig(steps=60, gamma=0.2, sigma=0.9, seed=12)), None
     raise AssertionError(case)
 
 
@@ -226,15 +234,15 @@ GOLDEN: dict[str, dict] = {
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_run_is_bitwise_golden(case):
-    assert _record_digests(_run(case)) == GOLDEN[case]
+    assert _record_digests(*_run(case)) == GOLDEN[case]
 
 
 def test_golden_fixtures_exercise_their_branches():
     """The singleton node takes its one row between sampled steps on larger
     blocks; the mixed-clip threshold clips some node gradients at x0 and not
     others."""
-    rec = _run("rw-singleton-b1")
-    visits = rec.trajectory.nodes[:-1]
+    _, nodes = _run("rw-singleton-b1")
+    visits = nodes[:-1]
     assert 0 < np.count_nonzero(visits == 2) < visits.size
 
     obj = _unequal_blocks()
