@@ -32,6 +32,8 @@ _PRIVACY_ER = ("privacy", "--family", "erdos-renyi", "--n", "1024", "--q", "0.02
 
 # (label, CLI arguments without --out)
 COMMANDS = (
+    # Edge text and graph hash over 2 096 128 edges.
+    ("graph complete", ("graph", "--family", "complete", "--n", "2048")),
     ("privacy exact", _PRIVACY_ER),
     # Each seed draws its own graph and runs its own eigensolve.
     ("privacy exact 3 seeds", (*_PRIVACY_ER, "--seeds", "0,1,2")),

@@ -22,8 +22,9 @@ configs can be verified to reproduce identical artifacts, plus the OpenBLAS
 environment variables it ran under (``diagnostics.blas``, null when unset).
 A command only adds its files to the manifest it is given.
 
-Exit codes: 0 success, 2 config/validation, 3 accounting, 4 data,
-5 infeasible calibration.
+Exit codes: 0 on success; a run that a package error ends exits with that
+error's ``exit_code`` and prints its ``label`` (the table is in
+:mod:`tokenwalk.errors`).
 """
 
 from __future__ import annotations
@@ -52,16 +53,7 @@ import numpy as np
 import tokenwalk  # annotations name datasets and optim, which only sgd loads, through it
 
 from . import __version__, accountant, graphs, transition
-from .errors import (
-    AccountantError,
-    CalibrationError,
-    ConfigError,
-    DataError,
-    GraphError,
-    SpectralError,
-    TokenwalkError,
-    TransitionError,
-)
+from .errors import ConfigError, DataError, TokenwalkError
 from .ioutil import (
     atomic_write_text,
     dump_json,
@@ -75,11 +67,6 @@ from .ioutil import (
 __all__ = ["main"]
 
 SCHEMA_VERSION = 1
-
-_EXIT_CONFIG = 2
-_EXIT_ACCOUNTANT = 3
-_EXIT_DATA = 4
-_EXIT_CALIBRATION = 5
 
 _FAMILY_ALIASES = {"erdos-renyi": "erdos_renyi", "edge-list": "edge_list", "exponential": "hypercube"}
 
@@ -269,7 +256,7 @@ def cmd_graph(args: argparse.Namespace, manifest: _Manifest) -> None:
     out = manifest.out_dir
     g = graphs.generate(_graph_spec_from_args(args, args.seed))
     edges = out / "edges.txt"
-    atomic_write_text(edges, "\n".join(f"{u} {v}" for u, v in g.edges.tolist()) + "\n")
+    atomic_write_text(edges, graphs.edge_text(g.edges, "%d %d\n", ""))
     manifest.add(edges, {"n": g.n, "family": g.family, "seed": g.seed, "retries": g.retries,
                          "edge_count": len(g.edges), "hash": g.content_hash()})
     deg = g.degrees
@@ -703,21 +690,9 @@ def main(argv: list[str] | None = None) -> int:
         args.func(args, manifest)
         manifest.write()
         return 0
-    except CalibrationError as exc:
-        print(f"calibration infeasible: {exc}", file=sys.stderr)
-        return _EXIT_CALIBRATION
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return _EXIT_DATA
-    except (AccountantError, SpectralError) as exc:
-        print(f"accounting error: {exc}", file=sys.stderr)
-        return _EXIT_ACCOUNTANT
-    except (ConfigError, GraphError, TransitionError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except TokenwalkError as exc:  # fallback for new error kinds
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except TokenwalkError as exc:  # each error type carries its exit code and label
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

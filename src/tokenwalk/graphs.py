@@ -15,11 +15,12 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .errors import GraphError
-from .ioutil import sha256_of_text
+from .ioutil import new_sha256
 
 __all__ = [
     "Graph",
@@ -28,6 +29,7 @@ __all__ = [
     "load_edge_list",
     "shortest_path_distances",
     "hop_levels",
+    "edge_text",
     "default_geometric_radius",
     "MAX_CONNECTIVITY_RETRIES",
 ]
@@ -38,6 +40,10 @@ MAX_CONNECTIVITY_RETRIES = 100
 # BFS processes as many sources at once as keep each level's (source, node)
 # expansion under this many elements (a few MB of int64 temporaries).
 _BFS_BLOCK_ELEMENTS = 1 << 18
+
+# Edges per block of :func:`edge_text`: each block's text is a few hundred kB,
+# not one Python string per edge.
+_EDGE_TEXT_BLOCK = 1 << 16
 
 RANDOM_FAMILIES = frozenset({"erdos_renyi", "geometric", "sbm"})
 
@@ -90,8 +96,11 @@ class Graph:
 
     @cached_property
     def _content_hash(self) -> str:
-        payload = f"{self.n}|" + ";".join(f"{u},{v}" for u, v in self.edges.tolist())
-        return sha256_of_text(payload)
+        # the SHA-256 of "{n}|u,v;u,v;...", streamed block by block
+        h = new_sha256(f"{self.n}|".encode())
+        for text in edge_text(self.edges, "%d,%d", ";"):
+            h.update(text.encode())
+        return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -120,6 +129,18 @@ class GraphSpec:
 # --------------------------------------------------------------------------- #
 # Internal helpers
 # --------------------------------------------------------------------------- #
+
+
+def edge_text(edges: np.ndarray, fmt: str, sep: str) -> Iterator[str]:
+    """The rows of `edges` as text, ``fmt % (u, v)`` each, joined by `sep`.
+
+    The text comes in blocks of ``_EDGE_TEXT_BLOCK`` rows, one ``%``-format
+    per block; each block after the first starts with `sep`.
+    """
+    for start in range(0, len(edges), _EDGE_TEXT_BLOCK):
+        block = edges[start : start + _EDGE_TEXT_BLOCK]
+        text = sep.join([fmt] * len(block)) % tuple(block.ravel().tolist())
+        yield sep + text if start else text
 
 
 def _csr(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -47,10 +47,12 @@ def _atomic_file(path: str | Path) -> Iterator[BinaryIO]:
         raise
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write `text` as UTF-8 to `path` via a temp file + rename in the same directory."""
+def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write `text`, or each of its chunks in turn, as UTF-8 to `path` via a
+    temp file + rename in the same directory."""
     with _atomic_file(path) as fh:
-        fh.write(text.encode("utf-8"))
+        for chunk in [text] if isinstance(text, str) else text:
+            fh.write(chunk.encode("utf-8"))
 
 
 def write_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:

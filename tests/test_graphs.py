@@ -589,13 +589,37 @@ def test_content_hash_values_pinned():
 
 
 def test_content_hash_computed_once_per_graph(monkeypatch):
-    calls = []
+    payloads = []
 
-    def counting_sha256_of_text(text):
-        calls.append(text)
-        return hashlib.sha256(text.encode()).hexdigest()
+    class CountingSha256:
+        """hashlib.sha256 that records each hash's whole payload."""
 
-    monkeypatch.setattr(graphs, "sha256_of_text", counting_sha256_of_text)
+        def __init__(self, data):
+            payloads.append(data)
+            self._h = hashlib.sha256(data)
+
+        def update(self, data):
+            payloads[-1] += data
+            self._h.update(data)
+
+        def hexdigest(self):
+            return self._h.hexdigest()
+
+    monkeypatch.setattr(graphs, "new_sha256", CountingSha256)
     g = generate(GraphSpec(family="ring", n=6))
     assert g.content_hash() == g.content_hash()  # the edge-list sidecar, then stats.json
-    assert calls == ["6|0,1;0,5;1,2;2,3;3,4;4,5"]
+    assert payloads == [b"6|0,1;0,5;1,2;2,3;3,4;4,5"]
+
+
+def test_content_hash_streams_the_edge_text(traced_peak):
+    # One string per edge took 22 MiB at n = 512 (130 816 edges); blocks of
+    # edge text keep the peak to a few MiB.
+    g = generate(GraphSpec(family="complete", n=512))
+    assert traced_peak(g.content_hash) < 8 * 2**20
+
+
+@pytest.mark.parametrize("m", [1, graphs._EDGE_TEXT_BLOCK, graphs._EDGE_TEXT_BLOCK + 1])
+def test_edge_text_blocks_join_to_one_string_per_edge(m):
+    edges = np.stack([np.arange(m), np.arange(m) + 7], axis=1)
+    assert "".join(graphs.edge_text(edges, "%d,%d", ";")) == ";".join(f"{u},{v}" for u, v in edges.tolist())
+    assert "".join(graphs.edge_text(edges, "%d %d\n", "")) == "".join(f"{u} {v}\n" for u, v in edges.tolist())

@@ -16,10 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -279,65 +275,3 @@ WALK_GOLDEN: dict[str, str] = {
 @pytest.mark.parametrize("case", sorted(WALK_GOLDEN))
 def test_walk_is_bitwise_golden(case):
     assert _digest(_walk(case).nodes) == WALK_GOLDEN[case]
-
-
-CLI_FIG2_GOLDEN = {
-    "rw_dpsgd": "615c54f2e7a7bce6",
-    "local_dpsgd": "3df053d6b909fb9c",
-    "central_dpsgd": "5d0920d4c9a349f1",
-}
-
-
-CLI_FIG2_ARGV = ["sgd", "--preset", "fig2", "--synthetic", "--n", "12", "--epochs", "6", "--seeds", "4"]
-
-
-def _fig2_digests(out) -> dict[str, str]:
-    return {
-        alg: hashlib.sha256((out / f"{alg}_eps1.0_seed4.csv").read_bytes()).hexdigest()[:16]
-        for alg in ("rw_dpsgd", "local_dpsgd", "central_dpsgd")
-    }
-
-
-def test_cli_fig2_run_files_are_golden(tmp_path):
-    from tokenwalk.cli import main
-
-    out = tmp_path / "fig2"
-    assert main([*CLI_FIG2_ARGV, "--out", str(out)]) == 0
-    assert _fig2_digests(out) == CLI_FIG2_GOLDEN
-
-
-def test_cli_fig2_run_files_are_golden_in_a_fresh_process(tmp_path):
-    # The tests above run after NumPy is loaded; a fresh CLI process loads it
-    # under the OpenBLAS idle-spin setting that tokenwalk.cli makes.
-    out = tmp_path / "fig2"
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
-    env["PYTHONPATH"] = os.pathsep.join(sys.path)
-    launch = "import sys; from tokenwalk.cli import main; sys.exit(main(sys.argv[1:]))"
-    subprocess.run([sys.executable, "-c", launch, *CLI_FIG2_ARGV, "--out", str(out)],
-                   env=env, check=True, capture_output=True)
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["diagnostics"]["blas"]["openblas_thread_timeout"] == "20"
-    assert _fig2_digests(out) == CLI_FIG2_GOLDEN
-
-
-# Recorded before the sgd presets became one table; table1-rw runs only the
-# walk, once per fixed target.
-CLI_TABLE1_RW_GOLDEN = {
-    "0.5": "fdbc172bf6cac633",
-    "1.0": "5eba34dbe21885b1",
-    "2.0": "57708915de13c87a",
-}
-
-
-def test_cli_table1_rw_run_files_are_golden(tmp_path):
-    from tokenwalk.cli import main
-
-    out = tmp_path / "table1"
-    argv = ["sgd", "--preset", "table1-rw", "--synthetic", "--n", "12", "--epochs", "4",
-            "--seeds", "0", "--out", str(out)]
-    assert main(argv) == 0
-    digests = {
-        eps: hashlib.sha256((out / f"rw_dpsgd_eps{eps}_seed0.csv").read_bytes()).hexdigest()[:16]
-        for eps in CLI_TABLE1_RW_GOLDEN
-    }
-    assert digests == CLI_TABLE1_RW_GOLDEN
