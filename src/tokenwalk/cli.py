@@ -19,8 +19,16 @@ way; the first file written makes the directory, so a refused run leaves none.
 Once the command succeeds, main writes ``manifest.json``: the resolved config
 hash, tool version, output checksums, wall clock, and seeds, so identical
 configs can be verified to reproduce identical artifacts, plus the OpenBLAS
-environment variables it ran under (``diagnostics.blas``, null when unset).
-A command only adds its files to the manifest it is given.
+environment variables it ran under (``diagnostics.blas``, null when unset) and
+the malloc setting (``diagnostics.malloc``).  A command only adds its files to
+the manifest it is given.
+
+Importing this module changes two things for the whole process.  Unless the
+environment sets ``MALLOC_MMAP_THRESHOLD_`` or ``MALLOC_TRIM_THRESHOLD_``, it
+fixes glibc's mmap and trim thresholds at 128 KiB, where a C library has
+``mallopt``.  And it freezes every object that exists once its imports are
+done (:func:`gc.freeze`), so the collector never scans them again, at exit
+included.
 
 Exit codes: 0 on success; a run that a package error ends exits with that
 error's ``exit_code`` and prints its ``label`` (the table is in
@@ -32,6 +40,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import json
 import math
 import os
@@ -47,6 +56,25 @@ from pathlib import Path
 # first is left as it is.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+
+# glibc raises its mmap threshold, up to 32 MiB, each time it frees an mmapped
+# block, and its trim threshold to twice that.  Later n x n temporaries then
+# come from the brk heap, where a live block above them keeps their pages
+# resident, and the peak depends on heap layout (compiling this module from
+# source already frees such a block).  Setting both back to glibc's starting
+# value, 128 KiB, stops the sliding; it is done before NumPy loads so that
+# NumPy's own blocks follow it too.  A user who sets MALLOC_MMAP_THRESHOLD_ or
+# MALLOC_TRIM_THRESHOLD_ fixes the thresholds for glibc and wins, and a C
+# library that has no mallopt, or refuses a call, is left as it is.
+_MMAP_THRESHOLD = None
+if os.name == "posix" and not {"MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"} & os.environ.keys():
+    import ctypes
+
+    _mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if _mallopt is not None:
+        _mallopt.argtypes, _mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        if _mallopt(-3, 1 << 17) == 1 and _mallopt(-1, 1 << 17) == 1:  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+            _MMAP_THRESHOLD = 1 << 17
 
 import numpy as np
 
@@ -65,6 +93,10 @@ from .ioutil import (
 )
 
 __all__ = ["main"]
+
+# What exists now lives until the process exits; frozen, the collector skips it
+# in every later collection and in the teardown at exit.
+gc.freeze()
 
 SCHEMA_VERSION = 1
 
@@ -233,7 +265,12 @@ class _Manifest:
                 "blas": {
                     "openblas_thread_timeout": os.environ.get("OPENBLAS_THREAD_TIMEOUT"),
                     "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
-                }
+                },
+                "malloc": {
+                    "mmap_threshold": _MMAP_THRESHOLD,
+                    "malloc_mmap_threshold_": os.environ.get("MALLOC_MMAP_THRESHOLD_"),
+                    "malloc_trim_threshold_": os.environ.get("MALLOC_TRIM_THRESHOLD_"),
+                },
             },
         }
         dump_json(self.out_dir / "manifest.json", payload)
@@ -256,7 +293,7 @@ def cmd_graph(args: argparse.Namespace, manifest: _Manifest) -> None:
     out = manifest.out_dir
     g = graphs.generate(_graph_spec_from_args(args, args.seed))
     edges = out / "edges.txt"
-    atomic_write_text(edges, graphs.edge_text(g.edges, "%d %d\n", ""))
+    atomic_write_text(edges, g.edge_lines())
     manifest.add(edges, {"n": g.n, "family": g.family, "seed": g.seed, "retries": g.retries,
                          "edge_count": len(g.edges), "hash": g.content_hash()})
     deg = g.degrees

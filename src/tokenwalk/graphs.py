@@ -29,7 +29,6 @@ __all__ = [
     "load_edge_list",
     "shortest_path_distances",
     "hop_levels",
-    "edge_text",
     "default_geometric_radius",
     "MAX_CONNECTIVITY_RETRIES",
 ]
@@ -41,9 +40,15 @@ MAX_CONNECTIVITY_RETRIES = 100
 # expansion under this many elements (a few MB of int64 temporaries).
 _BFS_BLOCK_ELEMENTS = 1 << 18
 
-# Edges per block of :func:`edge_text`: each block's text is a few hundred kB,
-# not one Python string per edge.
-_EDGE_TEXT_BLOCK = 1 << 16
+# Edges per block of :meth:`Graph.edge_lines`: not one Python string per edge,
+# and each block's buffers (the ints' tuple, the text and its hash form, a few
+# tens of kB each) stay under the 128 KiB mmap threshold that tokenwalk.cli
+# fixes, so they are reused from the heap instead of being mapped and faulted
+# in anew for every block.
+_EDGE_TEXT_BLOCK = 1 << 12
+
+# Edge-list text to hash text: "u v\n" lines become "u,v;" items.
+_HASH_TEXT = str.maketrans(" \n", ",;")
 
 RANDOM_FAMILIES = frozenset({"erdos_renyi", "geometric", "sbm"})
 
@@ -91,16 +96,33 @@ class Graph:
         return a
 
     def content_hash(self) -> str:
-        """Stable hash of (n, edge set); identifies the topology.  Computed once."""
-        return self._content_hash
+        """Stable hash of (n, edge set); identifies the topology.
 
-    @cached_property
-    def _content_hash(self) -> str:
-        # the SHA-256 of "{n}|u,v;u,v;...", streamed block by block
-        h = new_sha256(f"{self.n}|".encode())
-        for text in edge_text(self.edges, "%d,%d", ";"):
-            h.update(text.encode())
-        return h.hexdigest()
+        It is the SHA-256 of ``"{n}|u,v;u,v;..."``: the :meth:`edge_lines`
+        text with ``,`` for each space and ``;`` between lines.  Computed
+        once, by the first read of :meth:`edge_lines` to its end.
+        """
+        if "_content_hash" not in self.__dict__:
+            for _ in self.edge_lines():
+                pass
+        return self.__dict__["_content_hash"]
+
+    def edge_lines(self) -> Iterator[str]:
+        """The edges as ``"u v\\n"`` lines, in blocks of ``_EDGE_TEXT_BLOCK``
+        edges with one ``%``-format per block; until :meth:`content_hash` is
+        known, the same text also feeds it."""
+        h = None if "_content_hash" in self.__dict__ else new_sha256(f"{self.n}|".encode())
+        sep = b""
+        for start in range(0, len(self.edges), _EDGE_TEXT_BLOCK):
+            block = self.edges[start : start + _EDGE_TEXT_BLOCK]
+            text = "%d %d\n" * len(block) % tuple(block.ravel().tolist())
+            if h is not None:  # the block's last newline becomes the next block's ";"
+                h.update(sep)
+                h.update(text[:-1].translate(_HASH_TEXT).encode())
+                sep = b";"
+            yield text
+        if h is not None:
+            self.__dict__["_content_hash"] = h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -129,18 +151,6 @@ class GraphSpec:
 # --------------------------------------------------------------------------- #
 # Internal helpers
 # --------------------------------------------------------------------------- #
-
-
-def edge_text(edges: np.ndarray, fmt: str, sep: str) -> Iterator[str]:
-    """The rows of `edges` as text, ``fmt % (u, v)`` each, joined by `sep`.
-
-    The text comes in blocks of ``_EDGE_TEXT_BLOCK`` rows, one ``%``-format
-    per block; each block after the first starts with `sep`.
-    """
-    for start in range(0, len(edges), _EDGE_TEXT_BLOCK):
-        block = edges[start : start + _EDGE_TEXT_BLOCK]
-        text = sep.join([fmt] * len(block)) % tuple(block.ravel().tolist())
-        yield sep + text if start else text
 
 
 def _csr(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,6 +211,7 @@ def hop_levels(n: int, edges: np.ndarray, sources) -> np.ndarray:
     sources = np.asarray(sources, dtype=np.int64).reshape(-1)
     deg = np.bincount(edges.ravel(), minlength=n)
     csr = packed = None  # each built at the first level that needs it
+    gathered = np.empty((0, 0), dtype=np.uint64)
     levels = np.full((sources.shape[0], n), -1, dtype=np.int64)
     block = max(1, _BFS_BLOCK_ELEMENTS // max(1, 2 * edges.shape[0]))
     for start in range(0, sources.shape[0], block):
@@ -216,8 +227,15 @@ def hop_levels(n: int, edges: np.ndarray, sources) -> np.ndarray:
             if _prefer_pull(deg_sum, row.size, lv.shape[0], n):
                 if packed is None:
                     packed = _packed_adjacency(n, edges)
+                if gathered.shape[0] < node.size:
+                    gathered = np.empty((node.size, packed.shape[1]), dtype=packed.dtype)
+                # The frontier's bitsets go into one buffer that grows and is reused: a
+                # fresh gather per level (n^2/8 bytes on a complete graph) would sit
+                # above the mmap threshold that tokenwalk.cli fixes and be faulted in
+                # anew.  mode="clip" writes `out` directly (node ids are in range).
+                bitsets = np.take(packed, node, axis=0, out=gathered[: node.size], mode="clip")
                 starts = np.flatnonzero(np.concatenate([[True], row[1:] != row[:-1]]))
-                reach = np.bitwise_or.reduceat(packed[node], starts, axis=0)
+                reach = np.bitwise_or.reduceat(bitsets, starts, axis=0)
                 fresh = np.unpackbits(reach.view(np.uint8), axis=1, count=n).view(bool)
                 src = row[starts]
                 hit, node = np.nonzero(fresh & (lv[src] < 0))

@@ -25,8 +25,13 @@ __all__ = [
 # 17 significant digits round-trip any IEEE double.
 _FLOAT_FMT = "%.17g"
 
-# Rows per block of `write_matrix_csv`'s streamed text.
+# Rows per block of `write_matrix_csv`'s streamed text: at most
+# _CSV_BLOCK_ROWS, and at most _CSV_BLOCK_CELLS cells unless one row holds more.
+# At 25 bytes a cell, a block's text, its NaN-free copy and its bytes then stay
+# under the 128 KiB mmap threshold that tokenwalk.cli fixes, so they are reused
+# from the heap instead of being mapped and faulted in anew for every block.
 _CSV_BLOCK_ROWS = 64
+_CSV_BLOCK_CELLS = 4096
 
 
 @contextlib.contextmanager
@@ -62,19 +67,22 @@ def write_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:
     as empty cells.  Each row is one newline-terminated line, so a matrix
     without rows is an empty file.
 
-    The text is formatted, encoded and written ``_CSV_BLOCK_ROWS`` rows at a
-    time.  Beyond the matrix itself the writer holds at most two copies of one
-    block's text, whatever the row count: a cell takes at most 25 bytes, so
-    that is under 3.2 kB per column (1.45 MiB peak measured at 512 columns).
-    The file appears at `path` only once complete.
+    The text is formatted, encoded and written a block of whole rows at a
+    time: ``_CSV_BLOCK_ROWS`` rows, fewer where that would exceed
+    ``_CSV_BLOCK_CELLS`` cells, and at least one.  Beyond the matrix itself
+    the writer holds at most two copies of one block's text, whatever the row
+    count: a cell takes at most 25 bytes, so that is about 200 kB, or 50 bytes
+    per column where one row holds more cells.  The file appears at `path`
+    only once complete.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {m.shape}")
     row_fmt = ",".join([_FLOAT_FMT] * m.shape[1]) + "\n"
+    block = max(1, min(_CSV_BLOCK_ROWS, _CSV_BLOCK_CELLS // max(1, m.shape[1])))
     with _atomic_file(path) as fh:
-        for start in range(0, m.shape[0], _CSV_BLOCK_ROWS):
-            fh.write(_csv_block(m[start : start + _CSV_BLOCK_ROWS], row_fmt))
+        for start in range(0, m.shape[0], block):
+            fh.write(_csv_block(m[start : start + block], row_fmt))
 
 
 def _csv_block(rows: np.ndarray, row_fmt: str) -> bytes:

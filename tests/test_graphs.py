@@ -608,7 +608,17 @@ def test_content_hash_computed_once_per_graph(monkeypatch):
     monkeypatch.setattr(graphs, "new_sha256", CountingSha256)
     g = generate(GraphSpec(family="ring", n=6))
     assert g.content_hash() == g.content_hash()  # the edge-list sidecar, then stats.json
+    assert "".join(g.edge_lines()) == "0 1\n0 5\n1 2\n2 3\n3 4\n4 5\n"  # the hash is known: not fed again
     assert payloads == [b"6|0,1;0,5;1,2;2,3;3,4;4,5"]
+
+
+def test_edge_lines_read_to_the_end_give_the_content_hash(monkeypatch):
+    # `graph` formats its edges once: writing edges.txt also hashes the graph.
+    g = generate(GraphSpec(family="ring", n=6))
+    text = "".join(g.edge_lines())
+    monkeypatch.setattr(graphs, "new_sha256", lambda data: pytest.fail("edges hashed a second time"))
+    assert g.content_hash() == "ddc7fb0902b632daa920817ba7b56d829f71ff9e63cc0fe2174d5d63efaba4cb"
+    assert text == "0 1\n0 5\n1 2\n2 3\n3 4\n4 5\n"
 
 
 def test_content_hash_streams_the_edge_text(traced_peak):
@@ -618,8 +628,19 @@ def test_content_hash_streams_the_edge_text(traced_peak):
     assert traced_peak(g.content_hash) < 8 * 2**20
 
 
-@pytest.mark.parametrize("m", [1, graphs._EDGE_TEXT_BLOCK, graphs._EDGE_TEXT_BLOCK + 1])
+def test_edge_lines_blocks_stay_under_the_mmap_threshold():
+    # tokenwalk.cli fixes glibc's mmap threshold at 128 KiB: a block's text and
+    # the tuple of its ints stay below it, so each block reuses heap memory.
+    g = generate(GraphSpec(family="complete", n=1024))
+    assert 2 * graphs._EDGE_TEXT_BLOCK * 8 < 2**17
+    assert max(map(len, g.edge_lines())) < 2**17
+
+
+@pytest.mark.parametrize("m", [1, 1 << 16, (1 << 16) + 1])  # one edge; whole blocks; one edge over
 def test_edge_text_blocks_join_to_one_string_per_edge(m):
+    assert (1 << 16) % graphs._EDGE_TEXT_BLOCK == 0
     edges = np.stack([np.arange(m), np.arange(m) + 7], axis=1)
-    assert "".join(graphs.edge_text(edges, "%d,%d", ";")) == ";".join(f"{u},{v}" for u, v in edges.tolist())
-    assert "".join(graphs.edge_text(edges, "%d %d\n", "")) == "".join(f"{u} {v}\n" for u, v in edges.tolist())
+    g = Graph(n=m + 7, edges=edges)
+    assert "".join(g.edge_lines()) == "".join(f"{u} {v}\n" for u, v in edges.tolist())
+    payload = f"{m + 7}|" + ";".join(f"{u},{v}" for u, v in edges.tolist())
+    assert g.content_hash() == hashlib.sha256(payload.encode()).hexdigest()

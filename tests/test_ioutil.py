@@ -97,6 +97,22 @@ def test_write_matrix_csv_failure_mid_stream_keeps_old_file(tmp_path, monkeypatc
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
 
 
+def test_write_matrix_csv_blocks_stay_under_the_mmap_threshold(tmp_path, monkeypatch):
+    # 25-byte cells, 1024 to a row: 64-row blocks would be 1.6 MB of text each.
+    blocks = []
+    format_block = ioutil._csv_block
+
+    def recording(*args):
+        blocks.append(format_block(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(ioutil, "_csv_block", recording)
+    m = np.full((9, 1024), -1.2345678901234567e-300)
+    write_matrix_csv(tmp_path / "m.csv", m)
+    assert b"".join(blocks) == _reference_csv(m)
+    assert len(blocks) == 3 and max(map(len, blocks)) < 2**17
+
+
 def test_write_matrix_csv_memory_is_one_block(tmp_path, traced_peak):
     # The whole text of this matrix is ~5.5 MB; the writer holds one block's.
     m = np.random.default_rng(3).random((512, 512)) * 1e-3

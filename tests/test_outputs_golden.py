@@ -6,7 +6,10 @@ written and that their digests verify, then pins the first 16 hex digits of
 the SHA-256 of every output file.  Only wall clocks are masked: a JSON file is
 hashed after re-dumping it without its ``wall_clock`` keys, and the manifest
 also drops the digests of the files that hold one.  Both ``OPENBLAS_*``
-variables are unset for the run, so ``diagnostics.blas`` reads null.
+variables and glibc's two ``MALLOC_*_THRESHOLD_`` variables are unset for
+the run, so ``diagnostics.blas`` reads null, and ``diagnostics.malloc``
+records the threshold that importing ``tokenwalk.cli`` set: the pins assume
+that glibc's ``mallopt`` took it, in a suite started without either variable.
 
 The pins were made with OpenBLAS's ``SkylakeX`` kernel on two threads.  The
 privacy and calibration bytes follow LAPACK's ``eigh`` bits, and at full size
@@ -41,82 +44,82 @@ INPUTS = {
 # workloads' command lines at seed 0 (perfbench/run.py).
 ROWS = {
     "graph": ("graph --family ring --n 5", {
-        "edges.txt": "0a7e9d776abf75b1", "edges.txt.json": "a51becbe42ccad43", "manifest.json": "cff81e87e1e88505",
+        "edges.txt": "0a7e9d776abf75b1", "edges.txt.json": "a51becbe42ccad43", "manifest.json": "320606c15352ade6",
         "stats.json": "d1af14578ef38e3f"}),
     "graph-seed": ("graph --family erdos-renyi --n 12 --q 0.5 --seed 3", {
-        "edges.txt": "ba920c7a9efd6938", "edges.txt.json": "75f30b98cd05488b", "manifest.json": "2ba9847b73169f2e",
+        "edges.txt": "ba920c7a9efd6938", "edges.txt.json": "75f30b98cd05488b", "manifest.json": "45ff096302dd2a8b",
         "stats.json": "9ac79ac138d28f69"}),
     "graph-complete": ("graph --family complete --n 5", {
-        "edges.txt": "b9142af063584e79", "edges.txt.json": "770a4548b3bb7740", "manifest.json": "3bba51593543b421",
+        "edges.txt": "b9142af063584e79", "edges.txt.json": "770a4548b3bb7740", "manifest.json": "96dd2dafc950a860",
         "stats.json": "54f593e36e668f40"}),
     "graph-star": ("graph --family star --n 6", {
-        "edges.txt": "716d0358248021fe", "edges.txt.json": "b32b7794936c448a", "manifest.json": "bf18697af03cbeac",
+        "edges.txt": "716d0358248021fe", "edges.txt.json": "b32b7794936c448a", "manifest.json": "4e726af17ac82093",
         "stats.json": "13c92da90911ceae"}),
     "graph-grid2d": ("graph --family grid2d --rows 3 --cols 4", {
-        "edges.txt": "1e8e04e28cad555c", "edges.txt.json": "0b90ed0f2274dd07", "manifest.json": "ee78f2f9081759d5",
+        "edges.txt": "1e8e04e28cad555c", "edges.txt.json": "0b90ed0f2274dd07", "manifest.json": "92f75c0064da7333",
         "stats.json": "457a90b732bd5566"}),
     "graph-hypercube": ("graph --family hypercube --dim 3", {
-        "edges.txt": "53674a178d5181f4", "edges.txt.json": "ac30645ce42c0b4d", "manifest.json": "9c218177c770ef40",
+        "edges.txt": "53674a178d5181f4", "edges.txt.json": "ac30645ce42c0b4d", "manifest.json": "d294d018e02c83a4",
         "stats.json": "b7b38712ebd5b331"}),
     "graph-geometric": ("graph --family geometric --n 16 --seed 1", {
-        "edges.txt": "4414dcd241d31c80", "edges.txt.json": "b9544232d49979e8", "manifest.json": "e53cc67f6eb9a71d",
+        "edges.txt": "4414dcd241d31c80", "edges.txt.json": "b9544232d49979e8", "manifest.json": "dbc59631af1f3600",
         "stats.json": "24b8c792b59f6b1d"}),
     "graph-sbm": ("graph --family sbm --cluster-sizes 4,4 --prob-matrix 0.9,0.2;0.2,0.9 --seed 2", {
-        "edges.txt": "92a21fa578b03406", "edges.txt.json": "a38bd56ae45f584a", "manifest.json": "9707dad302d5c6e9",
+        "edges.txt": "92a21fa578b03406", "edges.txt.json": "a38bd56ae45f584a", "manifest.json": "6a5ed34e7553dd45",
         "stats.json": "2fa70c3ad862815e"}),
     "graph-edge-list": ("graph --family edge-list --edge-file in.txt", {
-        "edges.txt": "a086d671984ef0fd", "edges.txt.json": "34d983644258cd03", "manifest.json": "d027ab58040e1bb5",
+        "edges.txt": "a086d671984ef0fd", "edges.txt.json": "34d983644258cd03", "manifest.json": "d960be44e73e229a",
         "stats.json": "1fbeddb47b4b7712"}),
     "privacy": ("privacy --family ring --n 6 --steps 60 --seeds 0,2", {
         "distance_dp.csv": "4983b712a100a83f", "distance_mean.csv": "031e928bb659b96e",
         "distance_mean.csv.json": "b105e3f5ec4c253b", "distance_seed0.csv": "89f6b90ec1717f27",
         "distance_seed0.csv.json": "f69337060f8489b4", "distance_seed2.csv": "89f6b90ec1717f27",
-        "distance_seed2.csv.json": "f69337060f8489b4", "manifest.json": "c55bf236ceb822b5",
+        "distance_seed2.csv.json": "f69337060f8489b4", "manifest.json": "ad60d596dcafc319",
         "pairwise_seed0.csv": "4b1d5c4a33cc4193", "pairwise_seed0.csv.json": "f69337060f8489b4",
         "pairwise_seed2.csv": "4b1d5c4a33cc4193", "pairwise_seed2.csv.json": "f69337060f8489b4"}),
     "privacy-er-kappa-auto": ("privacy --family erdos-renyi --n 12 --q 0.5 --kappa auto --steps 64 --seeds 0,1", {
         "distance_dp.csv": "788361c1dab8251a", "distance_mean.csv": "90a703498e3461bd",
         "distance_mean.csv.json": "d35a6b68df31850b", "distance_seed0.csv": "902a6b7ce7a142f3",
         "distance_seed0.csv.json": "ac6f593537bb8665", "distance_seed1.csv": "f5ca495fc73fcc9d",
-        "distance_seed1.csv.json": "f6ed473d86fdf56d", "manifest.json": "60847d067dd7ebef",
+        "distance_seed1.csv.json": "f6ed473d86fdf56d", "manifest.json": "e72a1b627aa87746",
         "pairwise_seed0.csv": "87018002ae90600e", "pairwise_seed0.csv.json": "ac6f593537bb8665",
         "pairwise_seed1.csv": "db1b27b30978c10e", "pairwise_seed1.csv.json": "f6ed473d86fdf56d"}),
     "privacy-config": ("privacy --family ring --steps 64 --config cfg.json", {
         "distance_dp.csv": "d563e41aead06a25", "distance_mean.csv": "1694f80d0cf7f526",
         "distance_mean.csv.json": "85b47de5fde29d37", "distance_seed1.csv": "6bd47b44549c0ad8",
         "distance_seed1.csv.json": "2d186c7268a1092e", "distance_seed2.csv": "6bd47b44549c0ad8",
-        "distance_seed2.csv.json": "2d186c7268a1092e", "manifest.json": "b4e65c2292cf84b8",
+        "distance_seed2.csv.json": "2d186c7268a1092e", "manifest.json": "7c6d4c922195687f",
         "pairwise_seed1.csv": "d2390c0b7a6fa23a", "pairwise_seed1.csv.json": "2d186c7268a1092e",
         "pairwise_seed2.csv": "d2390c0b7a6fa23a", "pairwise_seed2.csv.json": "2d186c7268a1092e"}),
     "privacy-er": ("privacy --family erdos-renyi --n 320 --q 0.06 --steps 65536 --method exact --seeds 0", {
         "distance_dp.csv": "c0fe749baf8bf5b0", "distance_mean.csv": "4890f20c145964f6",
         "distance_mean.csv.json": "b9508251440a4878", "distance_seed0.csv": "cf49fb2654b5e993",
-        "distance_seed0.csv.json": "ef0ad6c62619a31e", "manifest.json": "efdd090242cdbed0",
+        "distance_seed0.csv.json": "ef0ad6c62619a31e", "manifest.json": "a119d8b92f411960",
         "pairwise_seed0.csv": "a5a91168ea922115", "pairwise_seed0.csv.json": "ef0ad6c62619a31e"}),
     "privacy-ring-lazy": ("privacy --family ring --n 256 --kappa auto --steps 50000 --method exact --seeds 0", {
         "distance_dp.csv": "35d66ced6fd0847e", "distance_mean.csv": "15b3ef29d671ae65",
         "distance_mean.csv.json": "4a8c231a6fa90064", "distance_seed0.csv": "7ebed708b313f4b3",
-        "distance_seed0.csv.json": "ef2a1d7bc9d50d62", "manifest.json": "1180986ab5b6eccd",
+        "distance_seed0.csv.json": "ef2a1d7bc9d50d62", "manifest.json": "ba91540d2d82e7d5",
         "pairwise_seed0.csv": "2174eab82b562c58", "pairwise_seed0.csv.json": "ef2a1d7bc9d50d62"}),
     "calibrate": ("calibrate --family ring --n 8 --steps 80 --target-eps 2", {
-        "calibration.json": "308cd5efe5ddb4fa", "manifest.json": "16404537d99b5ff6"}),
+        "calibration.json": "308cd5efe5ddb4fa", "manifest.json": "37983b60d03a1505"}),
     "calibrate-seed": ("calibrate --family erdos-renyi --n 12 --q 0.5 --steps 120 --target-eps 2 --seed 4", {
-        "calibration.json": "18f2c82339f4cf2d", "manifest.json": "8342f85d0fffe985"}),
+        "calibration.json": "18f2c82339f4cf2d", "manifest.json": "0f629799c770dffc"}),
     "calibrate-max-pairs": ("calibrate --family hypercube --dim 3 --kappa auto --steps 80 --target-eps 2"
                             " --statistic max_pairs --method exact", {
-        "calibration.json": "7778e06a9c2022ad", "manifest.json": "24a497932d549c53"}),
+        "calibration.json": "7778e06a9c2022ad", "manifest.json": "e996c2a2a4142702"}),
     "calibrate-distance": ("calibrate --family grid2d --rows 3 --cols 3 --steps 90 --target-eps 2"
                            " --statistic mean-at-distance --distance 2", {
-        "calibration.json": "a3d40ca12eaa7d45", "manifest.json": "c9f977e7f6c267b6"}),
+        "calibration.json": "a3d40ca12eaa7d45", "manifest.json": "f1637990620df9d3"}),
     "calibrate-complete": ("calibrate --family complete --n 512 --steps 65536 --target-eps 0.95"
                            " --method exact --seed 0", {
-        "calibration.json": "15b10e0aff35bb44", "manifest.json": "05763deaaa97bcc8"}),
+        "calibration.json": "15b10e0aff35bb44", "manifest.json": "bdf0d288d0dccabc"}),
     "report": ("report s.csv=ours", {
-        "manifest.json": "f0735be04697bf2f", "report.csv": "e0f77b543fd6e0db"}),
+        "manifest.json": "d90af66e2b097641", "report.csv": "e0f77b543fd6e0db"}),
     "sgd-fig2-n8": ("sgd --preset fig2 --synthetic --n 8 --epochs 1", {
         "central_dpsgd_eps1.0_seed0.csv": "ebdf543fb77a7260",
         "central_dpsgd_eps1.0_seed0.csv.json": "a55c9bdb41df9fc8", "local_dpsgd_eps1.0_seed0.csv": "9f7fb01ee92df728",
-        "local_dpsgd_eps1.0_seed0.csv.json": "90c6cc2cfe69d624", "manifest.json": "c9589f1a3d6d941f",
+        "local_dpsgd_eps1.0_seed0.csv.json": "90c6cc2cfe69d624", "manifest.json": "8930c5d6f5cc6b19",
         "rw_dpsgd_eps1.0_seed0.csv": "0325e58cd924fa62", "rw_dpsgd_eps1.0_seed0.csv.json": "99727b275d587eba",
         "summary.json": "c2c6322e27768952"}),
     # The run files of these two rows keep the digests that were pinned before the
@@ -124,11 +127,11 @@ ROWS = {
     "sgd-fig2-n12": ("sgd --preset fig2 --synthetic --n 12 --epochs 6 --seeds 4", {
         "central_dpsgd_eps1.0_seed4.csv": "5d0920d4c9a349f1",
         "central_dpsgd_eps1.0_seed4.csv.json": "2ab5460524c8971c", "local_dpsgd_eps1.0_seed4.csv": "3df053d6b909fb9c",
-        "local_dpsgd_eps1.0_seed4.csv.json": "a7db83392a9a50e2", "manifest.json": "09803c33333e6829",
+        "local_dpsgd_eps1.0_seed4.csv.json": "a7db83392a9a50e2", "manifest.json": "6bbe9e3872267620",
         "rw_dpsgd_eps1.0_seed4.csv": "615c54f2e7a7bce6", "rw_dpsgd_eps1.0_seed4.csv.json": "bb8ccd4a22ceee36",
         "summary.json": "1db318d372c867ef"}),
     "sgd-table1-rw": ("sgd --preset table1-rw --synthetic --n 8 --epochs 1 --seeds 1,5", {
-        "manifest.json": "d960b0615fd090fa", "rw_dpsgd_eps0.5_seed1.csv": "353de09673af0a40",
+        "manifest.json": "aa5c2b0d0c9c83ff", "rw_dpsgd_eps0.5_seed1.csv": "353de09673af0a40",
         "rw_dpsgd_eps0.5_seed1.csv.json": "99727b275d587eba", "rw_dpsgd_eps0.5_seed5.csv": "b42e980dcf7d8558",
         "rw_dpsgd_eps0.5_seed5.csv.json": "99727b275d587eba", "rw_dpsgd_eps1.0_seed1.csv": "dbf9ac571201a5a0",
         "rw_dpsgd_eps1.0_seed1.csv.json": "99727b275d587eba", "rw_dpsgd_eps1.0_seed5.csv": "e14566fa40756a89",
@@ -136,22 +139,22 @@ ROWS = {
         "rw_dpsgd_eps2.0_seed1.csv.json": "99727b275d587eba", "rw_dpsgd_eps2.0_seed5.csv": "6fee2132880efbc7",
         "rw_dpsgd_eps2.0_seed5.csv.json": "99727b275d587eba", "summary.json": "253717ce3e17c5c4"}),
     "sgd-table1-rw-n12": ("sgd --preset table1-rw --synthetic --n 12 --epochs 4 --seeds 0", {
-        "manifest.json": "447d053d8eeff79a", "rw_dpsgd_eps0.5_seed0.csv": "fdbc172bf6cac633",
+        "manifest.json": "dba040dc1fd4e5c4", "rw_dpsgd_eps0.5_seed0.csv": "fdbc172bf6cac633",
         "rw_dpsgd_eps0.5_seed0.csv.json": "15ad288c7610b37c", "rw_dpsgd_eps1.0_seed0.csv": "5eba34dbe21885b1",
         "rw_dpsgd_eps1.0_seed0.csv.json": "15ad288c7610b37c", "rw_dpsgd_eps2.0_seed0.csv": "57708915de13c87a",
         "rw_dpsgd_eps2.0_seed0.csv.json": "15ad288c7610b37c", "summary.json": "f05ab2006c25d046"}),
     "sgd-heterogeneity": ("sgd --preset heterogeneity --n 40 --steps 100 --seeds 2", {
         "heterogeneity_shuffled.csv": "3ee647853dbada17", "heterogeneity_shuffled.csv.json": "10f9aa58b2cc530e",
         "heterogeneity_spatial.csv": "0bd3d1819c945732", "heterogeneity_spatial.csv.json": "10f9aa58b2cc530e",
-        "manifest.json": "26958f37c16ee8e4", "summary.json": "af14dec1980baedc"}),
+        "manifest.json": "c758c5c1c7dff4f3", "summary.json": "af14dec1980baedc"}),
     "sgd-averaging": ("sgd --preset averaging --n 8 --steps 100 --seeds 0,1", {
         "averaging_seed0.csv": "0ebc4b61524fbb9c", "averaging_seed0.csv.json": "a5e6155194ee69e2",
         "averaging_seed1.csv": "2e13a4d7c7c25261", "averaging_seed1.csv.json": "0c5411bb0c4ae510",
-        "manifest.json": "e84f82b99efb6589", "summary.json": "553f87e9f902d9a0"}),
+        "manifest.json": "7c763d33e0b9c2d7", "summary.json": "553f87e9f902d9a0"}),
     "sgd-fig2": ("sgd --preset fig2 --synthetic --n 256 --epochs 32 --seeds 0", {
         "central_dpsgd_eps1.0_seed0.csv": "5507d8dedb830ce7",
         "central_dpsgd_eps1.0_seed0.csv.json": "48330b3b807de20d", "local_dpsgd_eps1.0_seed0.csv": "6f3e1e0393b34136",
-        "local_dpsgd_eps1.0_seed0.csv.json": "7382760629043830", "manifest.json": "5ac74fe1fac81ac7",
+        "local_dpsgd_eps1.0_seed0.csv.json": "7382760629043830", "manifest.json": "18adab67469ebe40",
         "rw_dpsgd_eps1.0_seed0.csv": "0a2754cf342bc668", "rw_dpsgd_eps1.0_seed0.csv.json": "22356ae3fc494203",
         "summary.json": "a68ca0e01c8cca98"}),
 }
@@ -205,7 +208,7 @@ def _unclocked(path: Path, clocked: set[str]) -> bytes:
 def test_outputs_are_golden(tmp_path, monkeypatch, name):
     line, pins = ROWS[name]
     monkeypatch.chdir(tmp_path)
-    for var in ("OPENBLAS_THREAD_TIMEOUT", "OPENBLAS_NUM_THREADS"):
+    for var in ("OPENBLAS_THREAD_TIMEOUT", "OPENBLAS_NUM_THREADS", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"):
         monkeypatch.delenv(var, raising=False)
     for file, text in INPUTS.items():
         (tmp_path / file).write_text(text)
