@@ -48,6 +48,10 @@ COMMANDS = (
                                 "--method", "exact", "--target-eps", "1")),
     # The preset's own size: n = 2048, 256 epochs.
     ("sgd fig2", ("sgd", "--preset", "fig2", "--synthetic")),
+    # The same preset at n = 64 and two run lengths: the peaks differ by what
+    # a run holds per step, since the n = 64 eigensolve is small.
+    ("sgd fig2 n=64 T=2^18", ("sgd", "--preset", "fig2", "--synthetic", "--n", "64", "--steps", "262144")),
+    ("sgd fig2 n=64 T=2^20", ("sgd", "--preset", "fig2", "--synthetic", "--n", "64", "--steps", "1048576")),
 )
 
 LAUNCH = "import sys; from tokenwalk.cli import main; sys.exit(main(sys.argv[1:]))"

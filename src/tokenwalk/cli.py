@@ -532,7 +532,9 @@ def cmd_sgd(args: argparse.Namespace, manifest: _Manifest) -> None:
         else:
             ds = _load_houses_or_die(n, seed=seeds[0])
         obj = optim.LogisticObjective(ds)
-        # No graph stays alive beside the chain: calibration's eigh sets the peak.
+        # The objective holds copies of its rows, and no graph stays alive beside
+        # the chain: calibration's eigh sets the peak.
+        del ds
         tm = transition.hamilton_weighting(graphs.generate(graphs.GraphSpec(family="complete", n=n)))
         for target in targets:
             cal_rw = accountant.calibrate_sigma(tm, steps, target, method="exact")

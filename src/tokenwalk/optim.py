@@ -45,6 +45,9 @@ __all__ = [
 #: Appendix-constant of the strongly convex analysis; 3 * gamma * L * C = 39 gamma L.
 THEOREM2_C = 13.0
 
+#: Steps whose sampled rows and noise are drawn at once; 64 KiB of noise at d = 8.
+_STEP_BLOCK = 1024
+
 
 # --------------------------------------------------------------------------- #
 # Objectives
@@ -373,25 +376,21 @@ def _descent_loop(
     clipped full gradients of all n nodes (`Objective.node_gradients`),
     summed in node order.  Noise has per-coordinate std
     ``clip_threshold * sigma / k`` (k = 1, or n for a round).  Noise and
-    sampled rows are drawn up front in one call each, which yields the same
-    numbers as one draw per step.
+    sampled rows are drawn one block of `_STEP_BLOCK` steps at a time, one
+    call each, which yields the same numbers as one draw per step or per run;
+    a run holds one block of draws, not one per step.
     """
     start = time.perf_counter()
     _, noise_child, rows_child = np.random.SeedSequence(cfg.seed).spawn(3)
     steps = cfg.steps
     central = schedule is None
     k = obj.n_nodes if central else 1
-    if not central:
-        # A bound of 1 returns 0 without consuming the stream.
-        rows = np.random.default_rng(rows_child).integers(0, obj.local_sizes[schedule]).tolist()
-        calls = zip(schedule.tolist(), rows)
+    rows_rng = np.random.default_rng(rows_child)
 
     x = np.full(obj.dim, float(cfg.x0))
     gamma = _resolve_gamma(obj, cfg, x, chain)
     noise_std = cfg.clip_threshold * cfg.sigma / k
-    noise = None
-    if noise_std > 0.0:
-        noise = np.random.default_rng(noise_child).normal(0.0, noise_std, size=(steps, obj.dim))
+    noise_rng = np.random.default_rng(noise_child) if noise_std > 0.0 else None
 
     optimum = obj.optimum()
     stride = max(1, steps // max(cfg.trace_points, 1))
@@ -412,17 +411,25 @@ def _descent_loop(
 
     gradient, delta = obj.gradient, cfg.clip_threshold
     record(0)
-    for t in range(steps):
-        if central:
-            g = _clipped_sum(obj.node_gradients(x), delta) / k
-        else:
-            v, r = next(calls)
-            g = clip(gradient(v, x, r), delta)
-        if noise is not None:
-            g = g + noise[t]
-        x = x - gamma * g
-        if (t + 1) % stride == 0 or t + 1 == steps:
-            record(t + 1)
+    for begin in range(0, steps, _STEP_BLOCK):
+        end = min(begin + _STEP_BLOCK, steps)
+        if not central:
+            # A bound of 1 returns 0 without consuming the stream.
+            nodes = schedule[begin:end]
+            calls = zip(nodes.tolist(), rows_rng.integers(0, obj.local_sizes[nodes]).tolist())
+        if noise_rng is not None:
+            noise = iter(noise_rng.normal(0.0, noise_std, size=(end - begin, obj.dim)))
+        for t in range(begin, end):
+            if central:
+                g = _clipped_sum(obj.node_gradients(x), delta) / k
+            else:
+                v, r = next(calls)
+                g = clip(gradient(v, x, r), delta)
+            if noise_rng is not None:
+                g = g + next(noise)
+            x = x - gamma * g
+            if (t + 1) % stride == 0 or t + 1 == steps:
+                record(t + 1)
 
     return RunRecord(
         algorithm=algorithm,

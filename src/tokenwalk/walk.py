@@ -19,13 +19,17 @@ from .transition import TransitionMatrix
 
 __all__ = ["Trajectory", "simulate"]
 
+#: Uniforms drawn per block of the walk; 32 KiB of doubles.
+_UNIFORM_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class Trajectory:
     """A realized walk v_0, ..., v_T (length ``steps + 1``) as read-only int64 `nodes`.
 
-    `w_hash` is the walked chain's ``content_hash``; its size and the seed are
-    the caller's, who passed them to :func:`simulate`.
+    `nodes` is a view of the buffer that :func:`simulate` filled step by
+    step, not a copy of it.  `w_hash` is the walked chain's ``content_hash``;
+    its size and the seed are the caller's, who passed them to :func:`simulate`.
     """
 
     nodes: np.ndarray
@@ -62,30 +66,36 @@ def simulate(w: TransitionMatrix, v0: int, steps: int, seed) -> Trajectory:
     if np.any(w.w < 0.0) or not np.allclose(row_sums, 1.0, atol=1e-9, rtol=0.0):
         raise TokenwalkError("simulate requires a row-stochastic matrix")
 
-    # The uniforms and `path` are allocated before the n^2 tables below, and
-    # the tables are freed before `nodes` is allocated: no block that outlives
-    # them sits above them on the heap, so their memory (64 MiB at n = 2048)
-    # goes back to the system.  `path` holds int64s, not an int object per step.
-    uniforms = np.random.Generator(np.random.Philox(key=_philox_key(seed))).random(steps).tolist()
+    # `path` is the run's one array sized by `steps` and becomes `nodes` with no
+    # copy.  Uniforms are drawn one block at a time, so the loop holds at most
+    # `_UNIFORM_BLOCK` of them, and its NumPy buffer stays under the 128 KiB mmap
+    # threshold that `tokenwalk.cli` fixes.
+    gen = np.random.Generator(np.random.Philox(key=_philox_key(seed)))
     path = array("q", [v0]) * (steps + 1)
 
     # Each row's CDF over its support only, stepped by `bisect` with no NumPy
     # call per step.  The last support cell's CDF is 1.0, so a uniform in the
     # row-sum rounding gap never lands on a zero-mass cell.  `cumsum` adds in
     # order, so the support's sums are bitwise those of a full-row `cumsum`
-    # (the zeros it skips are exact).
-    targets, cdfs = [], []
+    # (the zeros it skips are exact).  Targets are C ints (int32), and rows
+    # with equal CDFs (all rows of a Hamilton chain on a regular graph) share
+    # one array, found by the hash of its bytes and confirmed by its values.
+    targets, cdfs, shared = [], [], {}
     for row in w.w:
         cols = np.flatnonzero(row > 0.0)
-        targets.append(array("q", cols.astype(np.int64).tobytes()))
-        cdfs.append(array("d", np.append(np.cumsum(row[cols[:-1]]), 1.0).tobytes()))
+        targets.append(array("i", cols.astype(np.intc).tobytes()))
+        cdf = array("d", np.append(np.cumsum(row[cols[:-1]]), 1.0).tobytes())
+        kept = shared.setdefault(hash(cdf.tobytes()), cdf)
+        cdfs.append(kept if memoryview(kept) == memoryview(cdf) else cdf)
 
     cur = v0
-    for t, u in enumerate(uniforms, 1):
-        cur = targets[cur][bisect_right(cdfs[cur], u)]
-        path[t] = cur
-    del targets, cdfs
-    nodes = np.array(path, dtype=np.int64)
+    for start in range(0, steps, _UNIFORM_BLOCK):
+        # Unnamed, a block's list is freed before the next one is drawn.
+        for t, u in enumerate(gen.random(min(_UNIFORM_BLOCK, steps - start)).tolist(), start + 1):
+            cur = targets[cur][bisect_right(cdfs[cur], u)]
+            path[t] = cur
+    del targets, cdfs, shared
+    nodes = np.frombuffer(path, dtype=np.int64)
     nodes.setflags(write=False)
     return Trajectory(nodes=nodes, w_hash=w.content_hash())
 

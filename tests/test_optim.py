@@ -15,6 +15,7 @@ from oracles import error_bound_theorem2
 from tokenwalk import cli, optim
 from tokenwalk.datasets import RawTable, preprocess, synth_linear
 from tokenwalk.errors import ConfigError
+from tokenwalk.graphs import GraphSpec, generate
 from tokenwalk.optim import (
     THEOREM2_C,
     AveragingObjective,
@@ -26,6 +27,7 @@ from tokenwalk.optim import (
     run_rw_dpsgd,
     step_size_theorem2,
 )
+from tokenwalk.transition import hamilton_weighting
 from tokenwalk.walk import simulate
 
 
@@ -241,6 +243,12 @@ def test_block_drawn_rows_match_per_call_draws():
             assert got == rng.integers(0, m, size=1)[0]
 
 
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_block_drawn_rows_match_at_any_block_size(block, monkeypatch):
+    monkeypatch.setattr(optim, "_STEP_BLOCK", block)
+    test_block_drawn_rows_match_per_call_draws()
+
+
 def _reference_block_gradient(feats, labels, x, reg):
     """The per-call logistic gradient over a 2-D block of rows."""
     margins = labels * (feats @ x)
@@ -414,6 +422,24 @@ def test_trace_recording_shape():
     assert rec.stride == 100
     assert rec.ts[0] == 0 and rec.ts[-1] == 1000
     assert len(rec.ts) == len(rec.objective) == len(rec.sq_distance)
+
+
+@pytest.mark.parametrize("algorithm", ["rw", "local"])
+def test_run_memory_grows_by_the_node_path_alone(algorithm, traced_peak):
+    """A walk or local run holds its int64 node schedule (8 B per step) and one
+    block of sampled rows and noise; nothing else grows with T.  The shorter
+    run is one full block of the walk's uniforms, so both hold full blocks."""
+    n = 16
+    obj = LogisticObjective(synth_linear(n, 8, d=8, margin=0.3, seed=1))
+    tm = hamilton_weighting(generate(GraphSpec(family="complete", n=n)))
+
+    def run(steps):
+        cfg = SgdConfig(steps=steps, gamma=0.1, sigma=1.0, seed=2, trace_points=64)
+        return run_rw_dpsgd(tm, obj, cfg) if algorithm == "rw" else run_local_dpsgd(obj, cfg)
+
+    run(1)  # caches the chain hash
+    small, large = 2**12, 2**14
+    assert traced_peak(run, large) - traced_peak(run, small) <= 16 * (large - small)
 
 
 # --------------------------------------------------------------------------- #

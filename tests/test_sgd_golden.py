@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from oracles import from_array
-from tokenwalk import datasets, graphs, transition
+from tokenwalk import datasets, graphs, optim, transition, walk
 from tokenwalk.optim import (
     AveragingObjective,
     LogisticObjective,
@@ -233,6 +233,23 @@ def test_run_is_bitwise_golden(case):
     assert _record_digests(*_run(case)) == GOLDEN[case]
 
 
+#: Draw blocks that split runs and walks at other steps than the default
+#: sizes: 1 draws per step, 3 is smaller than most runs' d, and 7 divides no
+#: run's T (600, 500, 60, 40, 30), no walk's 20 000 and no trace stride.
+SMALL_BLOCKS = [1, 3, 7]
+
+
+@pytest.fixture(params=SMALL_BLOCKS)
+def small_blocks(request, monkeypatch):
+    monkeypatch.setattr(optim, "_STEP_BLOCK", request.param)
+    monkeypatch.setattr(walk, "_UNIFORM_BLOCK", request.param)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_run_digests_hold_at_any_block_size(case, small_blocks):
+    test_run_is_bitwise_golden(case)
+
+
 def test_golden_fixtures_exercise_their_branches():
     """The singleton node takes its one row between sampled steps on larger
     blocks; the mixed-clip threshold clips some node gradients at x0 and not
@@ -275,3 +292,8 @@ WALK_GOLDEN: dict[str, str] = {
 @pytest.mark.parametrize("case", sorted(WALK_GOLDEN))
 def test_walk_is_bitwise_golden(case):
     assert _digest(_walk(case).nodes) == WALK_GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(WALK_GOLDEN))
+def test_walk_digests_hold_at_any_block_size(case, small_blocks):
+    test_walk_is_bitwise_golden(case)

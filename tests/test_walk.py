@@ -132,9 +132,21 @@ def test_simulate_requires_row_stochastic():
 
 
 def test_dense_chain_walk_tables_bounded(traced_peak):
-    # Per-row targets and CDFs are n^2 int64 plus n^2 doubles on a complete
-    # chain; a full-row cumsum of W would add a third n x n array.
+    # Per-row targets are n^2 int32 on a complete chain, and its rows share
+    # one CDF; unshared CDFs would add n^2 doubles, and a full-row cumsum of W
+    # another n x n array.
     n = 512
     tm = hamilton_weighting(graphs.generate(graphs.GraphSpec(family="complete", n=n)))
     simulate(tm, 0, 1, 3)  # caches the chain hash and imports numpy.random
-    assert traced_peak(simulate, tm, 0, 1000, 3) <= 2.5 * n * n * 8
+    assert traced_peak(simulate, tm, 0, 1000, 3) <= 0.75 * n * n * 8
+
+
+def test_sparse_chain_walk_tables_bounded(traced_peak):
+    # Few ER rows are equal: sharing costs a hash per row, not a second copy
+    # of each row's bytes.  Int64 targets and unshared CDFs took 383.2 KiB
+    # on this chain.
+    n = 512
+    g = graphs.generate(graphs.GraphSpec(family="erdos_renyi", n=n, q=0.05, seed=1))
+    tm = hamilton_weighting(g)
+    simulate(tm, 0, 1, 3)
+    assert traced_peak(simulate, tm, 0, 1000, 3) <= 383 * 1024
