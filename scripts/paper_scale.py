@@ -52,6 +52,8 @@ COMMANDS = (
     # a run holds per step, since the n = 64 eigensolve is small.
     ("sgd fig2 n=64 T=2^18", ("sgd", "--preset", "fig2", "--synthetic", "--n", "64", "--steps", "262144")),
     ("sgd fig2 n=64 T=2^20", ("sgd", "--preset", "fig2", "--synthetic", "--n", "64", "--steps", "1048576")),
+    # Three targets share one eigensolve and, per seed, one walk.
+    ("sgd table1-rw n=1024", ("sgd", "--preset", "table1-rw", "--synthetic", "--n", "1024", "--epochs", "64")),
 )
 
 LAUNCH = "import sys; from tokenwalk.cli import main; sys.exit(main(sys.argv[1:]))"

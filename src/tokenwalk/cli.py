@@ -80,7 +80,7 @@ import numpy as np
 
 import tokenwalk  # annotations name datasets and optim, which only sgd loads, through it
 
-from . import __version__, accountant, graphs, transition
+from . import __version__, accountant, graphs, spectral, transition
 from .errors import ConfigError, DataError, TokenwalkError
 from .ioutil import (
     atomic_write_text,
@@ -415,7 +415,8 @@ def _read_distance_series(path: Path) -> list[accountant.DistanceBucket]:
     return buckets
 
 
-def _load_houses_or_die(n_users: int, seed: int) -> tokenwalk.datasets.Dataset:
+def _read_houses_or_die(n_users: int) -> tokenwalk.datasets.RawTable:
+    """The Houses table, refused if missing, unreadable or too small for `n_users`."""
     from . import datasets
 
     path = datasets.find_houses_csv()
@@ -426,7 +427,8 @@ def _load_houses_or_die(n_users: int, seed: int) -> tokenwalk.datasets.Dataset:
             "(a 256-row sample ships in data/houses_sample.csv for smoke tests)."
         )
     raw = datasets.load_csv(path, label_column="median_house_value")
-    return datasets.preprocess(raw, n_users=n_users, seed=seed)
+    datasets.require_users(raw, n_users)
+    return raw
 
 
 def _write_run(manifest: _Manifest, path: Path, rec: tokenwalk.optim.RunRecord) -> None:
@@ -511,7 +513,8 @@ def cmd_sgd(args: argparse.Namespace, manifest: _Manifest) -> None:
         tm = transition.with_self_loops(graphs.generate(graphs.GraphSpec(family="ring", n=n)), 1.0 / 3.0)
         for seed in seeds:
             values = np.random.default_rng(np.random.SeedSequence(seed)).normal(size=n)
-            rec = optim.run_rw_dpsgd(tm, optim.AveragingObjective(values), dataclasses.replace(cfg, seed=seed))
+            seed_cfg = dataclasses.replace(cfg, seed=seed)
+            rec = optim.run_rw_dpsgd(tm, optim.AveragingObjective(values), seed_cfg, optim.token_path(tm, seed_cfg))
             _write_run(manifest, out / f"averaging_seed{seed}.csv", rec)
             summary["runs"].append(_summary_row(rec, seed=seed, var_y=float(np.var(values))))
 
@@ -519,37 +522,49 @@ def cmd_sgd(args: argparse.Namespace, manifest: _Manifest) -> None:
         g = graphs.generate(graphs.GraphSpec(family="geometric", n=n, seed=seeds[0]))
         tm = transition.blend_self_loops(transition.hamilton_weighting(g), 0.1)
         cfg = dataclasses.replace(cfg, seed=seeds[0])
+        nodes = optim.token_path(tm, cfg)
         for shuffled in (False, True):
             ds = datasets.synth_heterogeneous_geometric(g, seed=seeds[0], shuffled=shuffled)
-            rec = optim.run_rw_dpsgd(tm, optim.LogisticObjective(ds), cfg)
+            rec = optim.run_rw_dpsgd(tm, optim.LogisticObjective(ds), cfg, nodes)
             tag = "shuffled" if shuffled else "spatial"
             _write_run(manifest, out / f"heterogeneity_{tag}.csv", rec)
             summary["runs"].append(_summary_row(rec, shuffled=shuffled))
 
     else:  # fig2 or table1-rw
-        if opts["synthetic"]:
+        # Phases that each hold only what they read.  The Houses table is read
+        # first, so a missing, unreadable or too small one exits before any
+        # eigensolve.  Calibration's one eigh then serves every target beside W
+        # alone, and its eigenvectors go before any data is drawn.  Each seed
+        # walks once, and every target's run follows that walk.
+        raw = None if opts["synthetic"] else _read_houses_or_die(n)
+        tm = transition.hamilton_weighting(graphs.generate(graphs.GraphSpec(family="complete", n=n)))
+        calibrated = [(target, accountant.calibrate_sigma(tm, steps, target, method="exact"),
+                       accountant.calibrate_sigma_local(steps, target, n)) for target in targets]
+        spectral.release(tm)
+        if raw is None:
             ds = datasets.synth_linear(n, opts["per_user"], d=8, margin=0.3, seed=seeds[0])
         else:
-            ds = _load_houses_or_die(n, seed=seeds[0])
+            ds = datasets.preprocess(raw, n_users=n, seed=seeds[0])
         obj = optim.LogisticObjective(ds)
-        # The objective holds copies of its rows, and no graph stays alive beside
-        # the chain: calibration's eigh sets the peak.
-        del ds
-        tm = transition.hamilton_weighting(graphs.generate(graphs.GraphSpec(family="complete", n=n)))
-        for target in targets:
-            cal_rw = accountant.calibrate_sigma(tm, steps, target, method="exact")
-            cal_local = accountant.calibrate_sigma_local(steps, target, n)
-            for seed in seeds:
-                runs = [optim.run_rw_dpsgd(tm, obj, dataclasses.replace(
-                    cfg, seed=seed, sigma=float(np.sqrt(cal_rw.sigma2))))]
+        del raw, ds  # the objective holds copies of its rows
+        rows_by_target = [[] for _ in targets]
+        for seed in seeds:
+            seed_cfg = dataclasses.replace(cfg, seed=seed)
+            nodes = optim.token_path(tm, seed_cfg)
+            rw_runs = [optim.run_rw_dpsgd(tm, obj, dataclasses.replace(
+                seed_cfg, sigma=float(np.sqrt(cal_rw.sigma2))), nodes) for _, cal_rw, _ in calibrated]
+            del nodes  # fig2's local run draws a schedule of its own: hold one path, not two
+            for rows, (target, cal_rw, cal_local), rw in zip(rows_by_target, calibrated, rw_runs):
+                runs = [rw]
                 if args.preset == "fig2":
-                    local_cfg = dataclasses.replace(cfg, seed=seed, sigma=float(np.sqrt(cal_local.sigma2)))
+                    local_cfg = dataclasses.replace(seed_cfg, sigma=float(np.sqrt(cal_local.sigma2)))
                     runs.append(optim.run_local_dpsgd(obj, local_cfg))
                     runs.append(optim.run_central_dpsgd(obj, dataclasses.replace(local_cfg, steps=max(1, steps // n))))
                 for rec in runs:
                     _write_run(manifest, out / f"{rec.algorithm}_eps{target.epsilon}_seed{seed}.csv", rec)
-                    summary["runs"].append(_summary_row(rec, seed=seed, target_eps=target.epsilon,
-                                                        sigma2_rw=cal_rw.sigma2, sigma2_local=cal_local.sigma2))
+                    rows.append(_summary_row(rec, seed=seed, target_eps=target.epsilon,
+                                             sigma2_rw=cal_rw.sigma2, sigma2_local=cal_local.sigma2))
+        summary["runs"] = [row for rows in rows_by_target for row in rows]  # target-major
 
     dump_json(manifest.add(out / "summary.json"), summary)
 

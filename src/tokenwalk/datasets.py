@@ -24,6 +24,7 @@ __all__ = [
     "RawTable",
     "Dataset",
     "load_csv",
+    "require_users",
     "preprocess",
     "synth_linear",
     "synth_heterogeneous_geometric",
@@ -155,14 +156,28 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / safe
 
 
+def _test_rows(m: int) -> int:
+    """Rows of an m-row table that :func:`preprocess` holds out for testing."""
+    return int(round(m * _TEST_FRACTION))
+
+
+def _require_users(n_train: int, n_users: int) -> None:
+    if not 1 <= n_users <= n_train:
+        raise DataError(f"cannot partition {n_train} training rows across {n_users} users")
+
+
 def _partition_train(train_idx: np.ndarray, n_users: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    if not 1 <= n_users <= train_idx.shape[0]:
-        raise DataError(
-            f"cannot partition {train_idx.shape[0]} training rows across {n_users} users"
-        )
+    _require_users(train_idx.shape[0], n_users)
     shuffled = train_idx.copy()
     rng.shuffle(shuffled)
     return tuple(np.sort(block) for block in np.array_split(shuffled, n_users))
+
+
+def require_users(raw: RawTable, n_users: int) -> None:
+    """Refuse `n_users` for `raw` as :func:`preprocess` would, from the row
+    count alone: no split is drawn and no feature is read."""
+    m = raw.features.shape[0]
+    _require_users(m - _test_rows(m), n_users)
 
 
 def preprocess(raw: RawTable, n_users: int, seed: int) -> Dataset:
@@ -178,7 +193,7 @@ def preprocess(raw: RawTable, n_users: int, seed: int) -> Dataset:
     split_rng, part_rng = (np.random.default_rng(c) for c in root.spawn(2))
 
     order = split_rng.permutation(m)
-    n_test = int(round(m * _TEST_FRACTION))
+    n_test = _test_rows(m)
     test_idx = np.sort(order[:n_test])
     train_idx = np.sort(order[n_test:])
     if train_idx.size == 0:

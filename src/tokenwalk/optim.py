@@ -37,6 +37,7 @@ __all__ = [
     "RunRecord",
     "clip",
     "step_size_theorem2",
+    "token_path",
     "run_rw_dpsgd",
     "run_local_dpsgd",
     "run_central_dpsgd",
@@ -444,17 +445,30 @@ def _descent_loop(
     )
 
 
-def run_rw_dpsgd(w: TransitionMatrix, obj: Objective, cfg: SgdConfig) -> RunRecord:
-    """Private random-walk gradient descent over the chain `w`.
+def token_path(w: TransitionMatrix, cfg: SgdConfig) -> np.ndarray:
+    """The token's walk v_0, ..., v_T over `w` for ``cfg.seed`` and ``cfg.steps``,
+    from node 0: the read-only int64 path that :func:`run_rw_dpsgd` follows.
 
-    The token starts at node 0.  The walk, the Gaussian noise, and row
-    sampling draw from three sub-streams spawned from ``cfg.seed``, so runs
-    are bitwise reproducible and the schedule is independent of the noise.
+    It draws from the first of the three sub-streams spawned from ``cfg.seed``
+    and reads nothing else of `cfg`, so runs that differ only in their noise
+    (one per privacy target, say) share one path.
+    """
+    walk_child = np.random.SeedSequence(cfg.seed).spawn(3)[0]
+    return simulate(w, 0, cfg.steps, walk_child).nodes
+
+
+def run_rw_dpsgd(w: TransitionMatrix, obj: Objective, cfg: SgdConfig, nodes: np.ndarray) -> RunRecord:
+    """Private random-walk gradient descent over the chain `w` along `nodes`,
+    the walk ``token_path(w, cfg)``.
+
+    The walk, the Gaussian noise, and row sampling draw from three sub-streams
+    spawned from ``cfg.seed``, so runs are bitwise reproducible and the
+    schedule is independent of the noise.  Step t updates at ``nodes[t]``.
     """
     if w.n != obj.n_nodes:
         raise ConfigError(f"chain has {w.n} nodes but objective has {obj.n_nodes}")
-    walk_child = np.random.SeedSequence(cfg.seed).spawn(3)[0]
-    nodes = simulate(w, 0, cfg.steps, walk_child).nodes
+    if nodes.shape != (cfg.steps + 1,):
+        raise ConfigError(f"a run of {cfg.steps} steps follows {cfg.steps + 1} nodes, got shape {nodes.shape}")
     return _descent_loop(obj, cfg, nodes[:-1], "rw_dpsgd", w)
 
 

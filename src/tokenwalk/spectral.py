@@ -9,7 +9,9 @@ eigendecomposition lives here: the one evaluator of spectral functions,
 and spectral/empirical mixing-time estimates.
 
 The decomposition is cached on the :class:`~tokenwalk.transition.TransitionMatrix`
-instance, so repeated derived quantities pay for one ``eigh`` call.
+instance, so repeated derived quantities pay for one ``eigh`` call.  It holds
+the n x n eigenvectors for as long as the chain lives, unless a caller that is
+done with it drops it with :func:`release`; the chain's content hash stays.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .transition import TransitionMatrix
 __all__ = [
     "SpectralDecomposition",
     "decompose",
+    "release",
     "matrix_log_spectrum",
     "matrix_log_term",
     "spectral_gap",
@@ -131,6 +134,11 @@ def decompose(tm: TransitionMatrix) -> SpectralDecomposition:
     dec = SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
     tm._cache[_CACHE_KEY] = dec
     return dec
+
+
+def release(tm: TransitionMatrix) -> None:
+    """Drop the decomposition cached on `tm`, if any; the next :func:`decompose` solves again."""
+    tm._cache.pop(_CACHE_KEY, None)
 
 
 def _require_unit_top(dec: SpectralDecomposition, op: str) -> None:

@@ -48,6 +48,11 @@ def _philox_key(seed) -> int:
     return int(seed) % (1 << 128)
 
 
+def _reuse(rows: list, row: array) -> array:
+    """The last array in `rows` if its values equal `row`'s, else `row`."""
+    return rows[-1] if rows and memoryview(rows[-1]) == memoryview(row) else row
+
+
 def simulate(w: TransitionMatrix, v0: int, steps: int, seed) -> Trajectory:
     """Run the token for `steps` transitions starting at `v0`.
 
@@ -63,7 +68,7 @@ def simulate(w: TransitionMatrix, v0: int, steps: int, seed) -> Trajectory:
     if steps < 0:
         raise TokenwalkError(f"steps must be nonnegative, got {steps}")
     row_sums = w.w.sum(axis=1)
-    if np.any(w.w < 0.0) or not np.allclose(row_sums, 1.0, atol=1e-9, rtol=0.0):
+    if w.w.min() < 0.0 or not np.allclose(row_sums, 1.0, atol=1e-9, rtol=0.0):
         raise TokenwalkError("simulate requires a row-stochastic matrix")
 
     # `path` is the run's one array sized by `steps` and becomes `nodes` with no
@@ -77,16 +82,18 @@ def simulate(w: TransitionMatrix, v0: int, steps: int, seed) -> Trajectory:
     # call per step.  The last support cell's CDF is 1.0, so a uniform in the
     # row-sum rounding gap never lands on a zero-mass cell.  `cumsum` adds in
     # order, so the support's sums are bitwise those of a full-row `cumsum`
-    # (the zeros it skips are exact).  Targets are C ints (int32), and rows
-    # with equal CDFs (all rows of a Hamilton chain on a regular graph) share
-    # one array, found by the hash of its bytes and confirmed by its values.
-    targets, cdfs, shared = [], [], {}
+    # (the zeros it skips are exact).  Targets are C shorts (int16) where every
+    # node fits, else C ints.  A row of either table equal to the row before
+    # it reuses that array, so a run of equal rows is kept once: all CDF rows
+    # of a Hamilton chain on a regular graph, all target rows of a chain whose
+    # rows share one support.  Equal rows apart from each other keep their own
+    # arrays, and nothing is kept per row to find them.
+    code = "h" if n <= 1 << 15 else "i"
+    targets, cdfs = [], []
     for row in w.w:
         cols = np.flatnonzero(row > 0.0)
-        targets.append(array("i", cols.astype(np.intc).tobytes()))
-        cdf = array("d", np.append(np.cumsum(row[cols[:-1]]), 1.0).tobytes())
-        kept = shared.setdefault(hash(cdf.tobytes()), cdf)
-        cdfs.append(kept if memoryview(kept) == memoryview(cdf) else cdf)
+        targets.append(_reuse(targets, array(code, cols.astype(code).tobytes())))
+        cdfs.append(_reuse(cdfs, array("d", np.append(np.cumsum(row[cols[:-1]]), 1.0).tobytes())))
 
     cur = v0
     for start in range(0, steps, _UNIFORM_BLOCK):
@@ -94,7 +101,7 @@ def simulate(w: TransitionMatrix, v0: int, steps: int, seed) -> Trajectory:
         for t, u in enumerate(gen.random(min(_UNIFORM_BLOCK, steps - start)).tolist(), start + 1):
             cur = targets[cur][bisect_right(cdfs[cur], u)]
             path[t] = cur
-    del targets, cdfs, shared
+    del targets, cdfs
     nodes = np.frombuffer(path, dtype=np.int64)
     nodes.setflags(write=False)
     return Trajectory(nodes=nodes, w_hash=w.content_hash())

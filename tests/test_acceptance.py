@@ -177,7 +177,7 @@ def test_decentralized_averaging_tracks_error_bound():
         cfg = optim.SgdConfig(
             steps=steps, seed=seed, sigma=0.0, clip_threshold=1e9, x0=100.0
         )
-        rec = optim.run_rw_dpsgd(tm, obj, cfg)
+        rec = optim.run_rw_dpsgd(tm, obj, cfg, optim.token_path(tm, cfg))
         err = float(np.sum((rec.final_x - obj.optimum()) ** 2))
         raw_errors.append(err)
         norm_errors.append(err / float(np.var(values)))
@@ -214,9 +214,8 @@ def test_private_rw_beats_local_on_regression():
 
     obj = optim.LogisticObjective(data)
     common = dict(gamma=0.5, clip_threshold=1.0, seed=0)
-    rec_rw = optim.run_rw_dpsgd(
-        tm, obj, optim.SgdConfig(steps=steps, sigma=math.sqrt(cal_rw.sigma2), **common)
-    )
+    rw_cfg = optim.SgdConfig(steps=steps, sigma=math.sqrt(cal_rw.sigma2), **common)
+    rec_rw = optim.run_rw_dpsgd(tm, obj, rw_cfg, optim.token_path(tm, rw_cfg))
     rec_local = optim.run_local_dpsgd(
         obj, optim.SgdConfig(steps=steps, sigma=math.sqrt(cal_local.sigma2), **common)
     )

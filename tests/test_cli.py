@@ -10,6 +10,7 @@ import subprocess
 import sys
 import typing
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,7 +123,7 @@ def test_sgd_helper_annotations_resolve():
     # cli does not import datasets or optim at module level, yet names them.
     assert typing.get_type_hints(cli._summary_row)["rec"] is optim.RunRecord
     assert typing.get_type_hints(cli._write_run)["rec"] is optim.RunRecord
-    assert typing.get_type_hints(cli._load_houses_or_die)["return"] is datasets.Dataset
+    assert typing.get_type_hints(cli._read_houses_or_die)["return"] is datasets.RawTable
 
 
 def test_calibrate_loads_hashlib_after_the_eigensolver(tmp_path):
@@ -813,6 +814,78 @@ def test_sgd_fig2_synthetic(tmp_path):
     # calibrated noise recorded for reproduction
     assert all(r["sigma2_rw"] > 0 and r["sigma2_local"] > 0 for r in summary["runs"])
     assert (out / "rw_dpsgd_eps1.0_seed0.csv").exists()
+
+
+@pytest.mark.parametrize("preset", ["fig2", "table1-rw"])
+def test_sgd_calibrates_before_any_data_and_walks_without_eigenvectors(tmp_path, monkeypatch, preset):
+    # Calibration's eigensolve runs before the data exists, once for every
+    # target; its eigenvectors are gone before the first walk, and each seed
+    # walks once for all of its runs.  A local run's schedule does not sit
+    # beside the walk's path.  The summary stays target-major.
+    events, paths = [], []
+
+    def spy(owner, name, check=lambda args, result: None):
+        original = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            events.append(name)
+            result = original(*args, **kwargs)
+            check(args, result)
+            return result
+
+        monkeypatch.setattr(owner, name, call)
+
+    def walked(args, trajectory):
+        assert spectral._CACHE_KEY not in args[0]._cache
+        paths.append(weakref.ref(trajectory.nodes))
+
+    def no_path_alive(args, record):
+        assert all(path() is None for path in paths), "a walk's path outlived its rw runs"
+
+    spy(accountant, "calibrate_sigma")
+    spy(datasets, "synth_linear")
+    spy(np.linalg, "eigh")
+    spy(optim, "simulate", walked)
+    spy(optim, "run_local_dpsgd", no_path_alive)
+    out = tmp_path / preset
+    argv = ["sgd", "--preset", preset, "--synthetic", "--n", "12", "--epochs", "4", "--seeds", "3,1"]
+    assert main([*argv, "--out", str(out)]) == 0
+    eps = [1.0] if preset == "fig2" else [0.5, 1.0, 2.0]
+    local = ["run_local_dpsgd"] if preset == "fig2" else []
+    assert events == ["calibrate_sigma", "eigh", *["calibrate_sigma"] * (len(eps) - 1), "synth_linear",
+                      "simulate", *local, "simulate", *local]
+    runs = _read_json(out / "summary.json")["runs"]
+    per_seed = ["rw_dpsgd", "local_dpsgd", "central_dpsgd"] if preset == "fig2" else ["rw_dpsgd"]
+    assert [(r["target_eps"], r["seed"], r["algorithm"]) for r in runs] == [
+        (e, seed, algorithm) for e in eps for seed in (3, 1) for algorithm in per_seed]
+
+
+def test_houses_refusals_exit_before_calibration(tmp_path, capsys, monkeypatch):
+    # The table is located, read and sized before the chain's eigensolve.
+    monkeypatch.setattr(accountant, "calibrate_sigma", lambda *args, **kwargs: pytest.fail("calibrated"))
+    monkeypatch.delenv(datasets.DATA_DIR_ENV, raising=False)
+    argv, code, message = _REFUSALS["houses-not-found"]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err.startswith(message)
+    name, argv, code = _TEXT_READERS["houses"]
+    for fault in ("directory", "not-utf8"):
+        path = tmp_path / fault / name
+        path.parent.mkdir()
+        monkeypatch.setenv(datasets.DATA_DIR_ENV, str(path.parent))
+        if fault == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"0 1\n\xff\n")
+        assert main([*argv, "--out", str(tmp_path / "o")]) == code
+        assert name in capsys.readouterr().err
+    # A table too small for --n: the sample's 256 rows keep 205 for training.
+    sample = Path(__file__).resolve().parents[1] / "data" / "houses_sample.csv"
+    (tmp_path / "small").mkdir()
+    (tmp_path / "small" / name).write_bytes(sample.read_bytes())
+    monkeypatch.setenv(datasets.DATA_DIR_ENV, str(tmp_path / "small"))
+    assert main(["sgd", "--preset", "fig2", "--n", "206", "--epochs", "1", "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err == "data error: cannot partition 205 training rows across 206 users\n"
+    assert not (tmp_path / "o").exists()
 
 
 def _exit_code(argv):

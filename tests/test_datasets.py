@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from tokenwalk.datasets import (
     RawTable,
     load_csv,
     preprocess,
+    require_users,
     synth_heterogeneous_geometric,
     synth_linear,
 )
@@ -145,6 +147,19 @@ def test_preprocess_validation():
     for n_users in (0, -1):  # refused before np.array_split
         with pytest.raises(DataError, match=f"across {n_users} users"):
             preprocess(_toy_raw(10), n_users=n_users, seed=0)
+
+
+def test_require_users_refuses_as_preprocess_does():
+    # The CLI asks before the eigensolve what preprocess would refuse after it.
+    for m in range(1, 13):
+        for n_users in range(-1, m + 2):
+            try:
+                preprocess(_toy_raw(m), n_users=n_users, seed=0)
+            except DataError as exc:
+                with pytest.raises(DataError, match=f"^{re.escape(str(exc))}$"):
+                    require_users(_toy_raw(m), n_users)
+            else:
+                require_users(_toy_raw(m), n_users)
 
 
 def test_preprocess_deterministic():

@@ -26,6 +26,7 @@ from tokenwalk.optim import (
     run_local_dpsgd,
     run_rw_dpsgd,
     step_size_theorem2,
+    token_path,
 )
 from tokenwalk.transition import hamilton_weighting
 from tokenwalk.walk import simulate
@@ -359,11 +360,16 @@ def _ring_setup(n=8, seed=4):
     return tm, AveragingObjective(values)
 
 
+def _rw(tm, obj, cfg):
+    """A walk run along its own seed's path."""
+    return run_rw_dpsgd(tm, obj, cfg, token_path(tm, cfg))
+
+
 def test_rw_run_bitwise_deterministic():
     tm, obj = _ring_setup()
     cfg = SgdConfig(steps=400, gamma=0.05, sigma=0.3, clip_threshold=2.0, seed=9)
-    a = run_rw_dpsgd(tm, obj, cfg)
-    b = run_rw_dpsgd(tm, obj, cfg)
+    a = _rw(tm, obj, cfg)
+    b = _rw(tm, obj, cfg)
     assert np.array_equal(a.final_x, b.final_x)
     assert np.array_equal(a.objective, b.objective)
 
@@ -371,8 +377,9 @@ def test_rw_run_bitwise_deterministic():
 def test_rw_schedule_is_the_spawned_walk():
     tm, obj = _ring_setup()
     cfg = SgdConfig(steps=200, gamma=0.05, seed=31)
-    rec = run_rw_dpsgd(tm, obj, cfg)
+    rec = _rw(tm, obj, cfg)
     nodes = simulate(tm, 0, 200, np.random.SeedSequence(31).spawn(3)[0]).nodes
+    assert np.array_equal(token_path(tm, cfg), nodes)
     followed = optim._descent_loop(obj, cfg, nodes[:-1], "rw_dpsgd", tm)
     assert np.array_equal(rec.final_x, followed.final_x)
     assert np.array_equal(rec.objective, followed.objective)
@@ -382,7 +389,7 @@ def test_non_private_rw_converges_to_mean():
     tm, obj = _ring_setup()
     # huge clip threshold: non-private runs should not truncate gradients
     cfg = SgdConfig(steps=20_000, gamma=None, x0=10.0, seed=1, clip_threshold=1e9)
-    rec = run_rw_dpsgd(tm, obj, cfg)
+    rec = _rw(tm, obj, cfg)
     assert rec.sq_distance[-1] <= 1e-2 * float(np.var(obj.values))
     # the automatic step size came from the strongly convex analysis
     assert 0 < rec.gamma <= 0.5
@@ -391,7 +398,7 @@ def test_non_private_rw_converges_to_mean():
 def test_local_baseline_runs_and_differs():
     tm, obj = _ring_setup()
     cfg = SgdConfig(steps=300, gamma=0.05, seed=6)
-    rw = run_rw_dpsgd(tm, obj, cfg)
+    rw = _rw(tm, obj, cfg)
     local = run_local_dpsgd(obj, cfg)
     assert local.algorithm == "local_dpsgd"
     assert not np.array_equal(rw.final_x, local.final_x)
@@ -411,14 +418,18 @@ def test_central_converges_fast():
 def test_node_count_mismatch_rejected():
     tm, _ = _ring_setup(8)
     other = AveragingObjective(np.zeros(5))
+    cfg = SgdConfig(steps=10)
     with pytest.raises(ConfigError, match="nodes"):
-        run_rw_dpsgd(tm, other, SgdConfig(steps=10))
+        run_rw_dpsgd(tm, other, cfg, token_path(tm, cfg))
+    obj = AveragingObjective(np.zeros(8))
+    with pytest.raises(ConfigError, match="follows 11 nodes"):  # a path of another run's length
+        run_rw_dpsgd(tm, obj, cfg, token_path(tm, SgdConfig(steps=9)))
 
 
 def test_trace_recording_shape():
     tm, obj = _ring_setup()
     cfg = SgdConfig(steps=1000, gamma=0.05, trace_points=10)
-    rec = run_rw_dpsgd(tm, obj, cfg)
+    rec = _rw(tm, obj, cfg)
     assert rec.stride == 100
     assert rec.ts[0] == 0 and rec.ts[-1] == 1000
     assert len(rec.ts) == len(rec.objective) == len(rec.sq_distance)
@@ -435,7 +446,7 @@ def test_run_memory_grows_by_the_node_path_alone(algorithm, traced_peak):
 
     def run(steps):
         cfg = SgdConfig(steps=steps, gamma=0.1, sigma=1.0, seed=2, trace_points=64)
-        return run_rw_dpsgd(tm, obj, cfg) if algorithm == "rw" else run_local_dpsgd(obj, cfg)
+        return _rw(tm, obj, cfg) if algorithm == "rw" else run_local_dpsgd(obj, cfg)
 
     run(1)  # caches the chain hash
     small, large = 2**12, 2**14
@@ -449,7 +460,7 @@ def test_run_memory_grows_by_the_node_path_alone(algorithm, traced_peak):
 
 def test_save_run_csv(tmp_path):
     tm, obj = _ring_setup()
-    rec = run_rw_dpsgd(tm, obj, SgdConfig(steps=100, gamma=0.05, trace_points=5))
+    rec = _rw(tm, obj, SgdConfig(steps=100, gamma=0.05, trace_points=5))
     path = tmp_path / "run.csv"
     cli._write_run(cli._Manifest(tmp_path, "sgd", {}, []), path, rec)
     lines = path.read_text().strip().splitlines()

@@ -98,10 +98,9 @@ def _lazy_ring_averaging() -> tuple[transition.TransitionMatrix, AveragingObject
 
 
 def _rw_run(tm, obj, cfg: SgdConfig):
-    """An rw run and the walk it follows: the walk child of ``cfg.seed`` that
-    `run_rw_dpsgd` spawns."""
+    """An rw run and the walk it follows: the walk child of ``cfg.seed``."""
     nodes = simulate(tm, 0, cfg.steps, np.random.SeedSequence(cfg.seed).spawn(3)[0]).nodes
-    return run_rw_dpsgd(tm, obj, cfg), nodes
+    return run_rw_dpsgd(tm, obj, cfg, nodes), nodes
 
 
 def _run(case: str):

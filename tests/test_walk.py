@@ -8,7 +8,7 @@ import pytest
 from oracles import from_array
 from tokenwalk import graphs
 from tokenwalk.errors import TokenwalkError
-from tokenwalk.transition import hamilton_weighting
+from tokenwalk.transition import hamilton_weighting, with_self_loops
 from tokenwalk.walk import simulate
 
 
@@ -132,19 +132,23 @@ def test_simulate_requires_row_stochastic():
 
 
 def test_dense_chain_walk_tables_bounded(traced_peak):
-    # Per-row targets are n^2 int32 on a complete chain, and its rows share
-    # one CDF; unshared CDFs would add n^2 doubles, and a full-row cumsum of W
-    # another n x n array.
+    # The complete chain's rows share one CDF, and each row's targets skip its
+    # own zero diagonal, so they are n(n-1) int16s; int32 targets and an n x n
+    # bool mask of W took 0.59 x 8n^2 here.  Unshared CDFs would add n^2
+    # doubles, and a full-row cumsum of W another n x n array.  Every row of
+    # the uniform chain is the same, so each table holds one row; one target
+    # array per row took 0.59 x 8n^2 here too.
     n = 512
-    tm = hamilton_weighting(graphs.generate(graphs.GraphSpec(family="complete", n=n)))
-    simulate(tm, 0, 1, 3)  # caches the chain hash and imports numpy.random
-    assert traced_peak(simulate, tm, 0, 1000, 3) <= 0.75 * n * n * 8
+    complete = graphs.generate(graphs.GraphSpec(family="complete", n=n))
+    for tm, bound in ((hamilton_weighting(complete), 0.4), (with_self_loops(complete, 1.0 / n), 0.05)):
+        simulate(tm, 0, 1, 3)  # caches the chain hash and imports numpy.random
+        assert traced_peak(simulate, tm, 0, 1000, 3) <= bound * n * n * 8
 
 
 def test_sparse_chain_walk_tables_bounded(traced_peak):
-    # Few ER rows are equal: sharing costs a hash per row, not a second copy
-    # of each row's bytes.  Int64 targets and unshared CDFs took 383.2 KiB
-    # on this chain.
+    # Few ER rows are equal: sharing compares each row with the one before
+    # it and keeps nothing per row.  Int64 targets and unshared CDFs took
+    # 383.2 KiB on this chain.
     n = 512
     g = graphs.generate(graphs.GraphSpec(family="erdos_renyi", n=n, q=0.05, seed=1))
     tm = hamilton_weighting(g)
